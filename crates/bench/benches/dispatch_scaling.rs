@@ -14,7 +14,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use simgen_bench::{jobs_arg, write_bench_report, BenchReport, Json};
-use simgen_cec::{BudgetSchedule, ParallelSweeper, SweepConfig};
+use simgen_cec::{BudgetSchedule, RunContext, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::LutNetwork;
@@ -46,7 +46,7 @@ fn sweep_config(jobs: usize) -> SweepConfig {
 
 fn run_once(net: &LutNetwork, jobs: usize) -> u64 {
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(1));
-    let report = ParallelSweeper::new(sweep_config(jobs)).run(net, &mut gen);
+    let report = Sweeper::new(sweep_config(jobs)).run(net, &mut gen, &mut RunContext::default());
     report.stats.proved_equivalent
 }
 

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use simgen_bench::{experiment_config, make_combined, make_generator, Strategy};
-use simgen_cec::Sweeper;
+use simgen_cec::{RunContext, Sweeper};
 use simgen_workloads::benchmark_network;
 
 fn bench_figure7(c: &mut Criterion) {
@@ -22,12 +22,14 @@ fn bench_figure7(c: &mut Criterion) {
         ];
         for (label, make) in variants {
             let mut gen = make(7);
-            let r = Sweeper::new(cfg).run(&net, gen.as_mut());
+            let r = Sweeper::new(cfg).run(&net, gen.as_mut(), &mut RunContext::default());
             println!("{bmk}/{label}: final cost {}", r.cost_after_sim);
             group.bench_with_input(BenchmarkId::new(bmk, label), &(), |b, ()| {
                 b.iter(|| {
                     let mut gen = make(7);
-                    Sweeper::new(cfg).run(&net, gen.as_mut()).cost_after_sim
+                    Sweeper::new(cfg)
+                        .run(&net, gen.as_mut(), &mut RunContext::default())
+                        .cost_after_sim
                 });
             });
         }

@@ -13,8 +13,9 @@
 //! ```
 
 use simgen_bench::{experiment_config, write_bench_report, BenchReport, Json, REVSIM_ATTEMPTS};
-use simgen_cec::{ProofEngine, SweepConfig, Sweeper};
+use simgen_cec::{BudgetSchedule, EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper};
 use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
+use simgen_obs::{Observer, Phase};
 use simgen_workloads::benchmark_network;
 
 const BENCHES: [&str; 6] = ["apex2", "k2", "cps", "b17_C", "b21_C", "i10"];
@@ -27,7 +28,7 @@ fn avg_cost(mut make: impl FnMut(u64) -> Box<dyn PatternGenerator>, run_sat: boo
         let net = benchmark_network(name, 6).expect("known benchmark");
         for seed in 0..2u64 {
             let mut gen = make(seed);
-            let r = Sweeper::new(cfg).run(&net, gen.as_mut());
+            let r = Sweeper::new(cfg).run(&net, gen.as_mut(), &mut RunContext::default());
             cost += r.cost_after_sim as f64;
             calls += r.stats.sat_calls as f64;
         }
@@ -153,20 +154,29 @@ fn main() {
         let net = benchmark_network(name, 6).expect("known benchmark");
         let mut row = Vec::new();
         let mut bdd_note = "ok";
-        for engine in [
-            ProofEngine::Sat,
-            ProofEngine::Bdd {
-                node_limit: 2_000_000,
-            },
-        ] {
+        for mode in [EngineMode::Auto, EngineMode::BddOnly] {
             let cfg = SweepConfig {
-                proof: engine,
+                engine: EnginePolicy {
+                    mode,
+                    ..EnginePolicy::default()
+                },
+                budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
+                    bdd_node_limit: 2_000_000,
+                    ..BudgetSchedule::default()
+                }),
                 ..experiment_config(true)
             };
             let mut gen = SimGen::new(SimGenConfig::default());
-            let r = Sweeper::new(cfg).run(&net, &mut gen);
-            row.push(r.stats.sat_time.as_secs_f64() * 1e3);
-            if matches!(engine, ProofEngine::Bdd { .. }) && r.stats.aborted > 0 {
+            // Resolution wall time from the observer: BDD answers
+            // spend no SAT time, so `stats.sat_time` cannot compare
+            // the two engines.
+            let mut ctx = RunContext {
+                obs: Observer::with(true, false),
+                ..RunContext::default()
+            };
+            let r = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
+            row.push(ctx.obs.recorder.wall(Phase::SatResolution).as_secs_f64() * 1e3);
+            if mode == EngineMode::BddOnly && r.stats.aborted > 0 {
                 bdd_note = "blow-up";
             }
         }

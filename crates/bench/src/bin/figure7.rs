@@ -12,7 +12,7 @@ use simgen_bench::{
     experiment_config, make_combined, make_generator, write_bench_report, BenchReport, Json,
     Strategy,
 };
-use simgen_cec::{SweepConfig, Sweeper};
+use simgen_cec::{RunContext, SweepConfig, Sweeper};
 use simgen_core::PatternGenerator;
 use simgen_workloads::benchmark_network;
 
@@ -38,7 +38,7 @@ fn main() {
         ];
         let reports: Vec<_> = gens
             .iter_mut()
-            .map(|g| Sweeper::new(cfg).run(&net, g.as_mut()))
+            .map(|g| Sweeper::new(cfg).run(&net, g.as_mut(), &mut RunContext::default()))
             .collect();
         let iters = reports[0].stats.history.len();
         let mut cum = [0.0f64; 3];

@@ -12,7 +12,7 @@
 //! ```
 
 use simgen_bench::{jobs_arg, write_bench_report, BenchReport, Json};
-use simgen_cec::{Deadline, EnginePolicy, ParallelSweeper, SweepConfig};
+use simgen_cec::{EnginePolicy, RunContext, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::{miter::combine, LutNetwork, NodeId};
@@ -76,9 +76,12 @@ fn run_mode(net: &LutNetwork, incremental: bool, jobs: usize) -> ModeRow {
         ..SweepConfig::default()
     };
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(11));
-    let mut obs = Observer::enabled();
-    let report =
-        ParallelSweeper::new(cfg).run_observed(net, &mut gen, &Deadline::never(), &mut obs);
+    let mut ctx = RunContext {
+        obs: Observer::enabled(),
+        ..RunContext::default()
+    };
+    let report = Sweeper::new(cfg).run(net, &mut gen, &mut ctx);
+    let obs = ctx.obs;
     assert!(!report.interrupted, "workload must run to completion");
     ModeRow {
         sat_calls: report.stats.sat_calls,

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use simgen_cec::{SweepConfig, SweepReport, Sweeper, SwitchOnPlateau};
+use simgen_cec::{RunContext, SweepConfig, SweepReport, Sweeper, SwitchOnPlateau};
 use simgen_core::{PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_netlist::stack::put_on_top;
 use simgen_netlist::LutNetwork;
@@ -157,7 +157,7 @@ pub fn run_strategy(
     seed: u64,
 ) -> SweepReport {
     let mut generator = make_generator(strategy, seed);
-    Sweeper::new(cfg).run(net, generator.as_mut())
+    Sweeper::new(cfg).run(net, generator.as_mut(), &mut RunContext::default())
 }
 
 /// The experiment-wide sweep configuration (Section 6.1: one round of
@@ -169,7 +169,6 @@ pub fn experiment_config(run_sat: bool) -> SweepConfig {
         guided_iterations: 20,
         sat_budget: Some(100_000),
         run_sat,
-        proof: simgen_cec::ProofEngine::Sat,
         seed: 0xC1C,
         ..SweepConfig::default()
     }

@@ -11,9 +11,10 @@ use simgen_obs::{Counter, Json, Observer, Phase};
 use simgen_sim::{EquivClasses, Replayer};
 
 use crate::certify::{certify_counterexample, certify_equivalence, PROOF_BYTE_BUDGET};
-use crate::prove::{EquivProver, PairProver, ProveOutcome};
+use crate::prove::{PairProver, ProveOutcome};
 use crate::stats::SweepStats;
-use crate::sweep::{spawn_watchdog, SweepConfig};
+use crate::sweep::{spawn_watchdog, RunContext, SweepConfig};
+use crate::Sweeper;
 
 /// Why a CEC run ended without a definitive answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +103,25 @@ pub struct CecReport {
 /// Checks combinational equivalence of two networks with identical
 /// PI/PO interfaces, using sweeping to simplify the final proofs.
 ///
+/// The whole run — sweep, internal proofs, output proofs — shares
+/// `ctx` (see [`RunContext`]):
+///
+/// - **Deadline.** When it expires, in-flight SAT calls are
+///   interrupted and the remaining output pairs are reported in
+///   [`CecVerdict::Inconclusive`] instead of being guessed at. A
+///   counterexample found before expiry still wins: `NotEquivalent`
+///   is definitive no matter how the run ends.
+/// - **Observer.** Phase timings, counters and trace events from the
+///   whole flow land in `ctx.obs`.
+/// - **Proof cache.** Internal sweep pairs *and* the final PO-pair
+///   proofs are looked up by the merkle hash of their canonical cones
+///   before any SAT work, and fresh verdicts are stored back, under
+///   the trust policy of [`crate::cache`].
+/// - **Journal.** The internal sweep commits each round barrier and,
+///   in resume mode, replays journaled rounds instead of re-proving
+///   them. The output-pair proofs always run live — they are the
+///   cheap tail of the flow once the sweep's merges are seeded.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
@@ -110,97 +130,7 @@ pub fn check_equivalence(
     b: &LutNetwork,
     generator: &mut dyn PatternGenerator,
     config: SweepConfig,
-) -> Result<CecReport, NetlistError> {
-    check_equivalence_under(a, b, generator, config, &Deadline::never())
-}
-
-/// [`check_equivalence`] as an anytime computation: the whole run —
-/// sweep, internal proofs, output proofs — shares one [`Deadline`].
-/// When it expires, in-flight SAT calls are interrupted and the
-/// remaining output pairs are reported in
-/// [`CecVerdict::Inconclusive`] instead of being guessed at. A
-/// counterexample found before expiry still wins: `NotEquivalent` is
-/// definitive no matter how the run ends.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
-pub fn check_equivalence_under(
-    a: &LutNetwork,
-    b: &LutNetwork,
-    generator: &mut dyn PatternGenerator,
-    config: SweepConfig,
-    deadline: &Deadline,
-) -> Result<CecReport, NetlistError> {
-    check_equivalence_observed(a, b, generator, config, deadline, &mut Observer::disabled())
-}
-
-/// [`check_equivalence_under`] with an [`Observer`] attached: phase
-/// timings, counters, and trace events from the whole flow — sweep,
-/// internal proofs, output proofs — land in `obs`. Passing
-/// [`Observer::disabled`] makes this identical to
-/// [`check_equivalence_under`] at no measurable cost.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
-pub fn check_equivalence_observed(
-    a: &LutNetwork,
-    b: &LutNetwork,
-    generator: &mut dyn PatternGenerator,
-    config: SweepConfig,
-    deadline: &Deadline,
-    obs: &mut Observer,
-) -> Result<CecReport, NetlistError> {
-    check_equivalence_cached(a, b, generator, config, deadline, obs, None)
-}
-
-/// [`check_equivalence_observed`] consulting a content-addressed proof
-/// cache: internal sweep pairs *and* the final PO-pair proofs are
-/// looked up by the merkle hash of their canonical cones before any
-/// SAT work, and fresh verdicts are stored back. The trust policy is
-/// the cache module's ([`crate::cache`]): cached counterexamples must
-/// replay through the scalar evaluator, cached equivalences under
-/// [`SweepConfig::certify`] must pass the independent DRAT checker,
-/// and rejected entries are evicted and re-proved live.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
-#[allow(clippy::too_many_arguments)]
-pub fn check_equivalence_cached(
-    a: &LutNetwork,
-    b: &LutNetwork,
-    generator: &mut dyn PatternGenerator,
-    config: SweepConfig,
-    deadline: &Deadline,
-    obs: &mut Observer,
-    cache: Option<&simgen_cache::ProofCache>,
-) -> Result<CecReport, NetlistError> {
-    check_equivalence_checkpointed(a, b, generator, config, deadline, obs, cache, None)
-}
-
-/// [`check_equivalence_cached`] with an optional write-ahead sweep
-/// journal ([`crate::journal`]): the internal sweep commits each
-/// round barrier to the journal and, when the journal was opened in
-/// resume mode, replays journaled rounds instead of re-proving them.
-/// The output-pair proofs always run live — they are the cheap tail
-/// of the flow once the sweep's merges are seeded (and they hit the
-/// pair cache when one is attached).
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
-#[allow(clippy::too_many_arguments)]
-pub fn check_equivalence_checkpointed(
-    a: &LutNetwork,
-    b: &LutNetwork,
-    generator: &mut dyn PatternGenerator,
-    config: SweepConfig,
-    deadline: &Deadline,
-    obs: &mut Observer,
-    cache: Option<&simgen_cache::ProofCache>,
-    journal: Option<&mut crate::SweepJournal>,
+    ctx: &mut RunContext<'_>,
 ) -> Result<CecReport, NetlistError> {
     if a.num_pos() != b.num_pos() {
         return Err(NetlistError::Invalid(format!(
@@ -211,15 +141,14 @@ pub fn check_equivalence_checkpointed(
     }
     let combined = combine(a, b)?;
     let net = &combined.network;
-    // Internal proofs always run through the dispatch engine. Its
-    // reports are scheduling-invariant, so every `jobs` value —
-    // including the default 1, which runs inline without spawning
-    // threads — yields byte-identical classes and proof counts.
-    // Internal pairs left unresolved (budget, deadline, quarantine)
-    // only cost the output proofs their seeds; they never make the
-    // verdict wrong, so the flow keeps going regardless.
-    let sweep = crate::ParallelSweeper::new(config)
-        .run_checkpointed(net, generator, deadline, obs, cache, journal);
+    // The sweep's reports are scheduling-invariant, so every `jobs`
+    // value — including the default 1, which runs inline without
+    // spawning threads — yields byte-identical classes and proof
+    // counts. Internal pairs left unresolved (budget, deadline,
+    // quarantine) only cost the output proofs their seeds; they never
+    // make the verdict wrong, so the flow keeps going regardless.
+    let sweep = Sweeper::new(config).run(net, generator, ctx);
+    let (deadline, obs, cache) = (&ctx.deadline, &mut ctx.obs, ctx.cache);
     let mut sweep_cache = cache.map(|c| crate::cache::SweepCache::new(c, config.certify));
 
     // Final proofs on the PO pairs. Seeding the prover with every
@@ -421,6 +350,31 @@ pub fn check_equivalence_checkpointed(
     })
 }
 
+/// [`check_equivalence`] under `deadline` with `obs` attached. A
+/// forwarder that exists only for `e2ebench/src/api.rs`, the
+/// benchmark's frozen door into the library.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::Invalid`] if the PI or PO counts differ.
+pub fn check_equivalence_observed(
+    a: &LutNetwork,
+    b: &LutNetwork,
+    generator: &mut dyn PatternGenerator,
+    config: SweepConfig,
+    deadline: &Deadline,
+    obs: &mut Observer,
+) -> Result<CecReport, NetlistError> {
+    let mut ctx = RunContext {
+        deadline: deadline.clone(),
+        obs: std::mem::replace(obs, Observer::disabled()),
+        ..RunContext::default()
+    };
+    let report = check_equivalence(a, b, generator, config, &mut ctx);
+    *obs = ctx.obs;
+    report
+}
+
 /// The Section 6.5 strategy: run cheap random simulation until the
 /// cost plateaus for `patience` consecutive iterations, then hand over
 /// to a guided generator (RevS or SimGen) permanently.
@@ -500,7 +454,6 @@ pub fn lut_nodes(net: &LutNetwork) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Sweeper;
     use simgen_core::{RandomPatterns, SimGen, SimGenConfig};
     use simgen_netlist::TruthTable;
 
@@ -543,7 +496,14 @@ mod tests {
     fn equivalent_designs_verify() {
         let (n1, n2) = adder_pair();
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&n1, &n2, &mut gen, SweepConfig::default()).unwrap();
+        let report = check_equivalence(
+            &n1,
+            &n2,
+            &mut gen,
+            SweepConfig::default(),
+            &mut RunContext::default(),
+        )
+        .unwrap();
         assert_eq!(report.verdict, CecVerdict::Equivalent);
         assert!(report.output_sat_calls >= 2);
     }
@@ -559,7 +519,14 @@ mod tests {
         n2.add_po(sum_node, "sum");
         n2.add_po(broken, "cout");
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&n1, &n2, &mut gen, SweepConfig::default()).unwrap();
+        let report = check_equivalence(
+            &n1,
+            &n2,
+            &mut gen,
+            SweepConfig::default(),
+            &mut RunContext::default(),
+        )
+        .unwrap();
         match report.verdict {
             CecVerdict::NotEquivalent { po_index, witness } => {
                 assert_eq!(po_index, 1);
@@ -579,7 +546,8 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&n1, &n2, &mut gen, cfg).unwrap();
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut RunContext::default()).unwrap();
         assert_eq!(report.verdict, CecVerdict::Equivalent);
         assert_eq!(report.sweep_stats.certification_failures, 0);
         assert!(
@@ -597,7 +565,8 @@ mod tests {
         n2.add_po(sum_node, "sum");
         n2.add_po(broken, "cout");
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&n1, &n2, &mut gen, cfg).unwrap();
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut RunContext::default()).unwrap();
         match report.verdict {
             CecVerdict::NotEquivalent { po_index, witness } => {
                 assert_eq!(po_index, 1);
@@ -612,9 +581,12 @@ mod tests {
     fn expired_deadline_is_inconclusive_not_equivalent() {
         let (n1, n2) = adder_pair();
         let mut gen = SimGen::new(SimGenConfig::default());
-        let deadline = Deadline::after(std::time::Duration::ZERO);
+        let mut ctx = RunContext {
+            deadline: Deadline::after(std::time::Duration::ZERO),
+            ..RunContext::default()
+        };
         let report =
-            check_equivalence_under(&n1, &n2, &mut gen, SweepConfig::default(), &deadline).unwrap();
+            check_equivalence(&n1, &n2, &mut gen, SweepConfig::default(), &mut ctx).unwrap();
         match report.verdict {
             CecVerdict::Inconclusive {
                 unresolved_pairs,
@@ -637,7 +609,8 @@ mod tests {
             sat_budget: Some(0),
             ..SweepConfig::default()
         };
-        let report = check_equivalence(&n1, &n2, &mut gen, cfg).unwrap();
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut RunContext::default()).unwrap();
         match report.verdict {
             CecVerdict::Inconclusive {
                 unresolved_pairs,
@@ -658,7 +631,8 @@ mod tests {
             mem_budget: Some(1),
             ..SweepConfig::default()
         };
-        let report = check_equivalence(&n1, &n2, &mut gen, cfg).unwrap();
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut RunContext::default()).unwrap();
         match report.verdict {
             CecVerdict::Inconclusive {
                 unresolved_pairs,
@@ -675,7 +649,8 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&n1, &n2, &mut gen, cfg).unwrap();
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut RunContext::default()).unwrap();
         assert_eq!(report.verdict, CecVerdict::Equivalent);
     }
 
@@ -683,9 +658,12 @@ mod tests {
     fn generous_deadline_still_verifies() {
         let (n1, n2) = adder_pair();
         let mut gen = SimGen::new(SimGenConfig::default());
-        let deadline = Deadline::after(std::time::Duration::from_secs(3600));
+        let mut ctx = RunContext {
+            deadline: Deadline::after(std::time::Duration::from_secs(3600)),
+            ..RunContext::default()
+        };
         let report =
-            check_equivalence_under(&n1, &n2, &mut gen, SweepConfig::default(), &deadline).unwrap();
+            check_equivalence(&n1, &n2, &mut gen, SweepConfig::default(), &mut ctx).unwrap();
         assert_eq!(report.verdict, CecVerdict::Equivalent);
     }
 
@@ -701,7 +679,14 @@ mod tests {
             .unwrap();
         single.add_po(g, "only");
         let mut gen = RandomPatterns::new(1, 8);
-        assert!(check_equivalence(&n1, &single, &mut gen, SweepConfig::default()).is_err());
+        assert!(check_equivalence(
+            &n1,
+            &single,
+            &mut gen,
+            SweepConfig::default(),
+            &mut RunContext::default()
+        )
+        .is_err());
     }
 
     #[test]
@@ -725,7 +710,7 @@ mod tests {
             seed: 3,
             ..SweepConfig::default()
         };
-        let _ = Sweeper::new(cfg).run(&net, &mut gen);
+        let _ = Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default());
         assert!(gen.has_switched(), "plateau must trigger the switch");
     }
 

@@ -1,5 +1,5 @@
 //! Write-ahead sweep journal: crash-safe checkpoint/resume for the
-//! round-synchronized parallel sweeper.
+//! round-synchronized sweeper.
 //!
 //! At every round barrier the sweeper appends one record describing
 //! everything the round decided: the resolved pair verdicts (with
@@ -48,6 +48,7 @@ use std::io;
 use std::path::PathBuf;
 
 use simgen_cache::{job_key, Sha256};
+use simgen_dispatch::EngineMode;
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{atomic_write, Counter, Json, Observer};
 
@@ -347,9 +348,9 @@ impl RoundRecord {
 
 /// A write-ahead journal bound to one checkpoint directory.
 ///
-/// Construct with [`SweepJournal::create`], then hand it to
-/// [`crate::ParallelSweeper::run_checkpointed`] (or the checkpointed
-/// CEC flow). With `resume` set, an existing valid journal whose
+/// Construct with [`SweepJournal::create`], then hand it to a run
+/// through [`RunContext::journal`](crate::RunContext::journal). With
+/// `resume` set, an existing valid journal whose
 /// fingerprint matches the run is replayed; otherwise the file is
 /// started fresh.
 #[derive(Debug)]
@@ -487,6 +488,10 @@ impl SweepJournal {
 /// change the deterministic report. Scheduling and anytime fields
 /// (`jobs`, `stall`, `mem_budget`) are excluded — resuming under a
 /// different worker count or memory budget is explicitly supported.
+///
+/// The `proof=` field predates [`EngineMode::BddOnly`]; it is derived
+/// from the engine mode and spelled as before so that journals written
+/// by earlier builds keep resuming.
 pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
     let roots: Vec<NodeId> = net.pos().iter().map(|po| po.node).collect();
     let mut h = Sha256::new();
@@ -496,14 +501,18 @@ pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
     h.update(
         format!(
             "random_rounds={};random_batch={};guided_iterations={};sat_budget={:?};\
-             run_sat={};proof={:?};seed={};budget_schedule={:?};certify={};\
+             run_sat={};proof={};seed={};budget_schedule={:?};certify={};\
              engine_mode={};incremental={};rebuild_bloat={}",
             cfg.random_rounds,
             cfg.random_batch,
             cfg.guided_iterations,
             cfg.sat_budget,
             cfg.run_sat,
-            cfg.proof,
+            if cfg.engine.mode == EngineMode::BddOnly {
+                "Bdd"
+            } else {
+                "Sat"
+            },
             cfg.seed,
             cfg.budget_schedule,
             cfg.certify,
@@ -789,5 +798,41 @@ mod tests {
         let snap = sample_record(4).stats;
         snap.restore(&mut stats, &mut summary);
         assert_eq!(StatsSnapshot::capture(&stats, &summary), snap);
+    }
+
+    #[test]
+    fn fingerprints_of_earlier_builds_still_match() {
+        // Journals on disk carry these exact hex strings; a change to
+        // the fingerprint's encoding would silently stop them from
+        // resuming. Pinned for the default configuration and for every
+        // CLI engine knob at once.
+        let mut net = LutNetwork::with_name("pin");
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let x = net
+            .add_lut(vec![a, b], simgen_netlist::TruthTable::and2())
+            .unwrap();
+        let y = net
+            .add_lut(vec![b, a], simgen_netlist::TruthTable::and2())
+            .unwrap();
+        net.add_po(x, "x");
+        net.add_po(y, "y");
+        assert_eq!(
+            sweep_fingerprint(&net, &SweepConfig::default()),
+            "eae705982775ea2dad0e47bad4fa59a3b662bf8cab7128bf41c81170076a3bba"
+        );
+        let knobs = SweepConfig {
+            certify: true,
+            engine: simgen_dispatch::EnginePolicy {
+                incremental: false,
+                mode: EngineMode::BddFirst,
+                rebuild_bloat: 3,
+            },
+            ..SweepConfig::default()
+        };
+        assert_eq!(
+            sweep_fingerprint(&net, &knobs),
+            "9714b78d223ccde02a62ffcad80cd7d6a39fbec898497459aa18e6576f9fefeb"
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! Sweep a small network with SimGen patterns:
 //!
 //! ```
-//! use simgen_cec::{Sweeper, SweepConfig};
+//! use simgen_cec::{RunContext, SweepConfig, Sweeper};
 //! use simgen_core::{SimGen, SimGenConfig};
 //! use simgen_netlist::{LutNetwork, TruthTable};
 //!
@@ -27,11 +27,18 @@
 //! net.add_po(y, "y");
 //!
 //! let mut gen = SimGen::new(SimGenConfig::default());
-//! let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
+//! // No deadline, no observer, no cache, no journal.
+//! let mut ctx = RunContext::default();
+//! let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen, &mut ctx);
 //! // The two identical ANDs are proven equivalent by SAT.
 //! assert_eq!(report.stats.proved_equivalent, 1);
 //! assert_eq!(report.unresolved.len(), 0);
 //! ```
+//!
+//! [`check_equivalence`] runs the same sweep on the miter of two
+//! designs and then proves their outputs; both take the same
+//! [`RunContext`] for deadlines, instrumentation, the proof cache and
+//! the crash-safe journal.
 
 pub mod cache;
 pub mod certify;
@@ -47,16 +54,15 @@ pub mod sweep;
 
 pub use certify::{certify_counterexample, certify_equivalence, PROOF_BYTE_BUDGET};
 pub use flow::{
-    check_equivalence, check_equivalence_cached, check_equivalence_checkpointed,
-    check_equivalence_observed, check_equivalence_under, CecReport, CecVerdict, InconclusiveReason,
+    check_equivalence, check_equivalence_observed, CecReport, CecVerdict, InconclusiveReason,
     SwitchOnPlateau,
 };
 pub use govern::{estimate_resident, MemoryGovernor};
 pub use journal::{
     JournalVerdict, PairRecord, RoundRecord, SweepJournal, CRASH_ENV, JOURNAL_FILE, JOURNAL_SCHEMA,
 };
-pub use parallel::ParallelSweeper;
-pub use prove::{BddProver, EquivProver, PairProver, ProveOutcome};
+pub use parallel::{ParallelSweeper, Sweeper};
+pub use prove::{BddProver, PairProver, ProveOutcome};
 pub use region::RegionMap;
 pub use report::{cec_run_report, design_info, sweep_config_json, sweep_run_report, RunMeta};
 pub use simgen_cache::{job_key, pair_key, CacheKey, ProofCache};
@@ -64,4 +70,4 @@ pub use simgen_dispatch::{BudgetSchedule, Deadline, EngineMode, EnginePolicy, Pr
 #[cfg(feature = "fault-inject")]
 pub use simgen_dispatch::{FaultAction, FaultPlan};
 pub use stats::{DispatchSummary, IterationRecord, SweepStats, WorkerSummary};
-pub use sweep::{ProofEngine, SweepConfig, SweepReport, Sweeper};
+pub use sweep::{RunContext, SweepConfig, SweepReport};

@@ -1,25 +1,29 @@
-//! The parallel proof-dispatch sweeper.
+//! The sweeping engine: the resolution phase of the paper's Figure 2
+//! ("BDD or SAT", with counterexamples fed back into simulation).
 //!
-//! Phases 1–2 (random + guided simulation) are identical to the
-//! serial [`crate::Sweeper`]. Phase 3 replaces the one-incremental-
-//! solver loop with synchronised *rounds*: every candidate pair
-//! `(rep, candᵢ)` of every surviving class is listed in a
-//! deterministic order, dispatched across a work-stealing worker pool
-//! ([`simgen_dispatch::run_ordered`]), and the results are merged back
-//! **in pair order**. Each pair gets a fresh [`PairProver`] seeded
-//! with the equivalences proven in *earlier rounds* (restricted to the
-//! pair's fanin cones), so a pair's outcome is a pure function of the
-//! round history — never of which worker ran it or in what order.
-//! That is what makes the sweep report byte-identical for any `jobs`
-//! value.
+//! Phases 1–2 (random + guided simulation) run in
+//! [`crate::sweep`]. Phase 3 resolves the surviving candidates in
+//! synchronised *rounds*: every candidate pair `(rep, candᵢ)` of every
+//! surviving class is listed in a deterministic order, dispatched
+//! across a work-stealing worker pool
+//! ([`simgen_dispatch::run_ordered`]; `jobs = 1` runs inline), and the
+//! results are merged back **in pair order**. Pairs are grouped into
+//! one job per fanin region ([`RegionMap`]); a region's pairs share
+//! one assumption-scoped [`PairProver`] (under `--no-incremental`,
+//! every pair is its own job with a cold prover). Provers are seeded
+//! with the equivalences proven in *earlier rounds*, so a pair's
+//! outcome is a pure function of the round history — never of which
+//! worker ran it or in what order. That is what makes the sweep
+//! report byte-identical for any `jobs` value.
 //!
 //! Counterexamples produced during a round are batched and flushed
-//! through one word-parallel resimulation
-//! (`flush_counterexamples`, shared with the serial path) at the end
-//! of the round.
+//! through one word-parallel resimulation (`flush_counterexamples`) at
+//! the end of the round.
 //!
-//! Budget escalation: with [`SweepConfig::budget_schedule`] set, each
-//! pair climbs the [`BudgetSchedule`] ladder (small conflict budget,
+//! Engine choice per pair follows [`SweepConfig::engine`]: the SAT
+//! ladder alone, BDD first with SAT behind it, or BDD alone. Budget
+//! escalation: with [`SweepConfig::budget_schedule`] set, each pair
+//! climbs the [`BudgetSchedule`] ladder (small conflict budget,
 //! multiplied on every retry) and finally falls back to a node-limited
 //! BDD check; pairs that exhaust everything are reported unresolved.
 
@@ -27,7 +31,9 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use simgen_core::PatternGenerator;
-use simgen_dispatch::{run_ordered_traced, Attempt, BudgetSchedule, Deadline, JobStatus, Progress};
+use simgen_dispatch::{
+    run_ordered_traced, Attempt, BudgetSchedule, Deadline, EngineMode, JobStatus, Progress,
+};
 #[cfg(feature = "fault-inject")]
 use simgen_dispatch::{FaultAction, FaultPlan};
 use simgen_netlist::{LutNetwork, NodeId};
@@ -38,14 +44,14 @@ use simgen_sim::Replayer;
 use crate::certify::{certify_equivalence, PROOF_BYTE_BUDGET};
 use crate::journal::{
     apply_replayed_pair, class_signature, counter_snapshot, restore_counters, sweep_fingerprint,
-    JournalVerdict, PairRecord, RoundRecord, StatsSnapshot, SweepJournal,
+    JournalVerdict, PairRecord, RoundRecord, StatsSnapshot,
 };
-use crate::prove::{BddProver, EquivProver, PairProver, ProveOutcome};
-use crate::region::{cone_union, RegionMap, DEFAULT_BDD_FIRST_LIMIT};
+use crate::prove::{BddProver, PairProver, ProveOutcome};
+use crate::region::{cone_union, RegionMap, DEFAULT_BDD_NODE_LIMIT, REBUILD_BASELINE_FLOOR};
 use crate::stats::{DispatchSummary, WorkerSummary};
 use crate::sweep::{
     flush_counterexamples, record_exec_counters, record_merge, run_sim_phases, spawn_watchdog,
-    ProofEngine, SimPhases, SweepConfig, SweepReport,
+    RunContext, SimPhases, SweepConfig, SweepReport,
 };
 
 /// Scheduling-independent result of one pair proof (the wall-clock
@@ -94,6 +100,9 @@ struct PairOutcome {
     /// Scope-reuse delta attributable to this pair (zero when the
     /// pair never touched a SAT solver).
     metrics: ScopeMetrics,
+    /// Whether the region solver was dropped as bloated right before
+    /// this pair (see [`RegionSolver`]).
+    rebuilt: bool,
 }
 
 impl PairOutcome {
@@ -111,7 +120,34 @@ impl PairOutcome {
             escalations: 0,
             timeout,
             metrics: ScopeMetrics::default(),
+            rebuilt: false,
         }
+    }
+}
+
+/// A fanin region's long-lived scoped solver, with its clause-database
+/// footprint right after creation and seeding. Under
+/// [`EnginePolicy::rebuild_bloat`](simgen_dispatch::EnginePolicy) a
+/// solver whose live database outgrows that baseline (floored at
+/// [`REBUILD_BASELINE_FLOOR`]) times the multiple is dropped before the
+/// region's next pair, which rebuilds it from the region seeds — the
+/// same path a caught panic takes — trading warm learnt clauses for a
+/// bounded clause database.
+struct RegionSolver<'n> {
+    prover: PairProver<'n>,
+    baseline: u64,
+}
+
+impl RegionSolver<'_> {
+    /// True when the live clause database exceeds `bloat` times the
+    /// floored baseline (`bloat == 0` disables the check).
+    fn bloated(&self, bloat: u32) -> bool {
+        bloat > 0
+            && self.prover.solver_stats().clause_db_bytes
+                > self
+                    .baseline
+                    .max(REBUILD_BASELINE_FLOOR)
+                    .saturating_mul(u64::from(bloat))
     }
 }
 
@@ -181,7 +217,7 @@ impl<'n> WorkerState<'n> {
         let bdd = self
             .bdd
             .get_or_insert_with(|| BddProver::new(net, node_limit));
-        match bdd.prove(a, b, None) {
+        match bdd.prove(a, b) {
             ProveOutcome::Equivalent => PairVerdict::Equivalent,
             ProveOutcome::Counterexample(v) => PairVerdict::Counterexample(v),
             ProveOutcome::Undecided { .. } => PairVerdict::Undecided,
@@ -199,7 +235,7 @@ impl<'n> WorkerState<'n> {
     #[allow(clippy::too_many_arguments)]
     fn prove_pair(
         &mut self,
-        shared: &mut Option<PairProver<'n>>,
+        shared: &mut Option<RegionSolver<'n>>,
         region_seeds: &[(NodeId, NodeId)],
         seeds: &[(NodeId, NodeId)],
         a: NodeId,
@@ -231,7 +267,7 @@ impl<'n> WorkerState<'n> {
     #[allow(clippy::too_many_arguments)]
     fn prove_pair_inner(
         &mut self,
-        shared: &mut Option<PairProver<'n>>,
+        shared: &mut Option<RegionSolver<'n>>,
         region_seeds: &[(NodeId, NodeId)],
         seeds: &[(NodeId, NodeId)],
         a: NodeId,
@@ -240,41 +276,47 @@ impl<'n> WorkerState<'n> {
         want_proof: bool,
     ) -> PairOutcome {
         self.proofs += 1;
-        if let ProofEngine::Bdd { node_limit } = cfg.proof {
-            // BDD answers carry no DRAT proof, so under certify the
-            // SAT engine below proves the pair instead.
-            if !cfg.certify {
-                let verdict = self.bdd_prove(a, b, node_limit);
-                if verdict == PairVerdict::Undecided {
-                    self.timeouts += 1;
-                }
-                return PairOutcome::engine_only(verdict);
-            }
-        } else if cfg.engine.bdd_primary(cfg.certify) {
+        // BDD answers carry no DRAT proof, so under certify the SAT
+        // engine below proves the pair instead.
+        if cfg.engine.bdd_primary(cfg.certify) {
             let node_limit = cfg
                 .budget_schedule
                 .map(|s| s.bdd_node_limit)
                 .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_BDD_FIRST_LIMIT);
+                .unwrap_or(DEFAULT_BDD_NODE_LIMIT);
             let verdict = self.bdd_prove(a, b, node_limit);
             if verdict != PairVerdict::Undecided {
                 return PairOutcome::engine_only(verdict);
             }
-            // Node limit tripped: fall through to the SAT ladder.
+            // Node limit tripped: BDD-only reports the pair undecided,
+            // BDD-first falls through to the SAT ladder.
+            if cfg.engine.mode == EngineMode::BddOnly {
+                self.timeouts += 1;
+                return PairOutcome::engine_only(verdict);
+            }
         }
 
         // The SAT prover: the region's shared scoped solver, or a
         // cold per-pair one under `--no-incremental`.
         let mut cold_prover;
+        let mut rebuilt = false;
         let prover: &mut PairProver<'n> = if cfg.engine.incremental {
-            if shared.is_none() {
-                let mut p = self.fresh_prover(cfg);
-                for &(x, y) in region_seeds {
-                    p.assert_equal(x, y);
-                }
-                *shared = Some(p);
+            if shared
+                .as_ref()
+                .is_some_and(|s| s.bloated(cfg.engine.rebuild_bloat))
+            {
+                *shared = None;
+                rebuilt = true;
             }
-            shared.as_mut().expect("just built")
+            let solver = shared.get_or_insert_with(|| {
+                let mut prover = self.fresh_prover(cfg);
+                for &(x, y) in region_seeds {
+                    prover.assert_equal(x, y);
+                }
+                let baseline = prover.solver_stats().clause_db_bytes;
+                RegionSolver { prover, baseline }
+            });
+            &mut solver.prover
         } else {
             let mut p = self.fresh_prover(cfg);
             let cone = cone_union(self.net, a, b);
@@ -294,9 +336,8 @@ impl<'n> WorkerState<'n> {
         let solver_before = prover.solver_stats();
         let metrics_before = prover.metrics();
         let schedule = cfg.budget_schedule.unwrap_or(BudgetSchedule {
-            // No ladder configured: one attempt at the flat budget,
-            // no BDD fallback — the parallel analogue of the serial
-            // sweeper's single `sat_budget` try.
+            // No ladder configured: one attempt at the flat
+            // `sat_budget`, no BDD fallback.
             initial: cfg.sat_budget.unwrap_or(u64::MAX),
             multiplier: 1,
             attempts: 1,
@@ -358,15 +399,17 @@ impl<'n> WorkerState<'n> {
             escalations: u64::from(esc.escalations),
             timeout,
             metrics: prover.metrics() - metrics_before,
+            rebuilt,
         }
     }
 }
 
-/// The parallel sweeping engine. Produces the same report structure
-/// as [`crate::Sweeper`]; proof outcomes and class results are
+/// The sweeping engine: random simulation, guided generation, then
+/// round-based proof dispatch with counterexample feedback. Proof
+/// outcomes, class results and every deterministic counter are
 /// independent of [`SweepConfig::jobs`].
 #[derive(Clone, Debug)]
-pub struct ParallelSweeper {
+pub struct Sweeper {
     config: SweepConfig,
     /// Test-only fault injection: pairs matching the predicate make
     /// their prover panic, exercising the quarantine path.
@@ -379,10 +422,15 @@ pub struct ParallelSweeper {
     fault_plan: Option<FaultPlan>,
 }
 
-impl ParallelSweeper {
-    /// Creates a parallel sweeper with the given configuration.
+/// The sweeper's former name. It exists only for
+/// `e2ebench/src/api.rs`, the benchmark's frozen door into the
+/// library; new code names [`Sweeper`].
+pub type ParallelSweeper = Sweeper;
+
+impl Sweeper {
+    /// Creates a sweeper with the given configuration.
     pub fn new(config: SweepConfig) -> Self {
-        ParallelSweeper {
+        Sweeper {
             config,
             panic_on: None,
             #[cfg(feature = "fault-inject")]
@@ -417,33 +465,9 @@ impl ParallelSweeper {
         self
     }
 
-    /// Runs the full sweep on `net` using `generator` for the guided
-    /// phase and `config.jobs` workers for the proof phase, with no
-    /// deadline.
-    pub fn run(&self, net: &LutNetwork, generator: &mut dyn PatternGenerator) -> SweepReport {
-        self.run_under(net, generator, &Deadline::never())
-    }
-
-    /// Runs the full sweep as an *anytime* computation. When
-    /// `deadline` expires, in-flight proofs are interrupted through
-    /// the shared flag, pairs not yet started are skipped, and
-    /// everything unproven is reported unresolved. For runs that
-    /// finish under deadline the report is byte-identical to an
-    /// undeadlined run with the same config, for any `jobs` value.
-    pub fn run_under(
-        &self,
-        net: &LutNetwork,
-        generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-    ) -> SweepReport {
-        self.run_observed(net, generator, deadline, &mut Observer::disabled())
-    }
-
-    /// [`ParallelSweeper::run_under`] with instrumentation. Counters
-    /// are bumped on the orchestrating thread from the merge-ordered
-    /// results (never from worker-side observations), so the recorded
-    /// totals are as scheduling-invariant as the report itself; worker
-    /// CPU spans are merged at each round barrier.
+    /// [`Sweeper::run`] under `deadline` with `obs` attached. A
+    /// forwarder that exists only for `e2ebench/src/api.rs`, the
+    /// benchmark's frozen door into the library.
     pub fn run_observed(
         &self,
         net: &LutNetwork,
@@ -451,43 +475,40 @@ impl ParallelSweeper {
         deadline: &Deadline,
         obs: &mut Observer,
     ) -> SweepReport {
-        self.run_cached(net, generator, deadline, obs, None)
+        let mut ctx = RunContext {
+            deadline: deadline.clone(),
+            obs: std::mem::replace(obs, Observer::disabled()),
+            ..RunContext::default()
+        };
+        let report = self.run(net, generator, &mut ctx);
+        *obs = ctx.obs;
+        report
     }
 
-    /// [`ParallelSweeper::run_observed`] consulting a content-addressed
-    /// proof cache. Lookups and inserts run on the orchestrating
-    /// thread in deterministic pair order — workers never touch the
-    /// cache — so the `cache_*` counters and the report stay
-    /// `--jobs`-invariant for a fixed starting cache state. Pairs a
-    /// trusted entry answers are never dispatched; their verdicts
-    /// merge in the same pair order as live ones (see
-    /// [`crate::cache`] for the trust policy).
-    pub fn run_cached(
+    /// Runs the full sweep on `net`: random simulation, `generator`
+    /// for the guided phase, then `config.jobs` workers for the proof
+    /// rounds, all under `ctx` (see [`RunContext`] for the deadline,
+    /// observer, cache and journal semantics).
+    ///
+    /// Counters are bumped on the orchestrating thread from the
+    /// merge-ordered results (never from worker-side observations), so
+    /// the recorded totals are as scheduling-invariant as the report
+    /// itself; worker CPU spans are merged at each round barrier.
+    /// Cache lookups and inserts also run on the orchestrating thread
+    /// in pair order, so the `cache_*` counters are `--jobs`-invariant
+    /// for a fixed starting cache state; pairs a trusted entry answers
+    /// are never dispatched. With a journal, every round barrier
+    /// commits before the sweep proceeds, and a resumed journal's
+    /// rounds replay to a stripped report byte-identical to an
+    /// uninterrupted run's.
+    pub fn run(
         &self,
         net: &LutNetwork,
         generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-        obs: &mut Observer,
-        cache: Option<&simgen_cache::ProofCache>,
+        ctx: &mut RunContext<'_>,
     ) -> SweepReport {
-        self.run_checkpointed(net, generator, deadline, obs, cache, None)
-    }
-
-    /// [`ParallelSweeper::run_cached`] with an optional write-ahead
-    /// [`SweepJournal`]. With a journal, every round barrier commits
-    /// the round's verdicts before the sweep proceeds; a journal
-    /// opened in resume mode replays its validated rounds instead of
-    /// re-proving them (see [`crate::journal`] for why the resulting
-    /// stripped report is byte-identical to an uninterrupted run).
-    pub fn run_checkpointed(
-        &self,
-        net: &LutNetwork,
-        generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-        obs: &mut Observer,
-        cache: Option<&simgen_cache::ProofCache>,
-        mut journal: Option<&mut SweepJournal>,
-    ) -> SweepReport {
+        let (deadline, obs, cache, journal) =
+            (&ctx.deadline, &mut ctx.obs, ctx.cache, &mut ctx.journal);
         let cfg = &self.config;
         let jobs = cfg.jobs.max(1);
         let panic_on = self.panic_on;
@@ -549,7 +570,8 @@ impl ParallelSweeper {
             loop {
                 // One round: every (rep, candidate) pair of every
                 // surviving class, shallowest candidates first (the
-                // same priority the serial sweeper uses).
+                // fraig induction order: deep pairs then reuse the
+                // equivalences already proven in their fanin cones).
                 let mut pairs: Vec<(NodeId, NodeId)> = work
                     .iter()
                     .flat_map(|c| {
@@ -768,10 +790,11 @@ impl ParallelSweeper {
                     |state, job: &RegionJob| {
                         // The region's shared prover (incremental
                         // mode); rebuilt cold after a caught panic —
-                        // a poisoned solver is never trusted, and the
-                        // rebuild is deterministic (same seeds, same
-                        // remaining pairs, any jobs value).
-                        let mut shared: Option<PairProver<'_>> = None;
+                        // a poisoned solver is never trusted — or
+                        // when it bloats past the rebuild policy.
+                        // Either rebuild is deterministic (same seeds,
+                        // same remaining pairs, any jobs value).
+                        let mut shared: Option<RegionSolver<'_>> = None;
                         let mut results: Vec<(usize, PairStatus)> =
                             Vec::with_capacity(job.pairs.len());
                         for &(job_index, a, b) in &job.pairs {
@@ -911,6 +934,8 @@ impl ParallelSweeper {
                                 .add(Counter::ClausesReused, out.metrics.clauses_reused);
                             obs.recorder
                                 .add(Counter::WarmSolves, out.metrics.warm_solves);
+                            obs.recorder
+                                .add(Counter::SolverRebuilds, u64::from(out.rebuilt));
                             proof_blob = out.proof;
                             out.verdict
                         }
@@ -1124,9 +1149,10 @@ impl ParallelSweeper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Sweeper;
     use simgen_core::{SimGen, SimGenConfig};
+    use simgen_dispatch::EnginePolicy;
     use simgen_netlist::TruthTable;
+    use simgen_obs::report::strip_engine_dependent;
 
     /// A network with several provably-equivalent node groups and a
     /// couple of near-miss lookalikes.
@@ -1168,42 +1194,6 @@ mod tests {
         net
     }
 
-    /// Sorted copy of the proven classes for order-insensitive
-    /// comparison between engines.
-    fn normalized(mut classes: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
-        for c in &mut classes {
-            c.sort();
-        }
-        classes.sort();
-        classes
-    }
-
-    #[test]
-    fn parallel_matches_serial_outcomes() {
-        for seed in [1u64, 2, 3] {
-            let net = workload_net(seed);
-            let base_cfg = SweepConfig {
-                seed,
-                ..SweepConfig::default()
-            };
-            let mut g = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let serial = Sweeper::new(base_cfg).run(&net, &mut g);
-            for jobs in [1usize, 4] {
-                let cfg = SweepConfig { jobs, ..base_cfg };
-                let mut g = SimGen::new(SimGenConfig::default().with_seed(seed));
-                let par = ParallelSweeper::new(cfg).run(&net, &mut g);
-                assert_eq!(
-                    normalized(par.proven_classes.clone()),
-                    normalized(serial.proven_classes.clone()),
-                    "seed {seed} jobs {jobs}"
-                );
-                assert_eq!(par.stats.proved_equivalent, serial.stats.proved_equivalent);
-                assert!(par.unresolved.is_empty());
-                assert!(serial.unresolved.is_empty());
-            }
-        }
-    }
-
     #[test]
     fn job_count_does_not_change_the_report() {
         let net = workload_net(7);
@@ -1215,7 +1205,7 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default().with_seed(7));
-            ParallelSweeper::new(cfg).run(&net, &mut g)
+            Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default())
         };
         let r1 = run(1);
         for jobs in [2usize, 4] {
@@ -1253,7 +1243,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut g = SimGen::new(SimGenConfig::default().with_seed(11));
-        let r = ParallelSweeper::new(cfg).run(&net, &mut g);
+        let r = Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default());
         let d = r.stats.dispatch.as_ref().unwrap();
         assert!(r.stats.proved_equivalent > 0, "duplicated gates must merge");
         assert_eq!(
@@ -1293,7 +1283,7 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default());
-            ParallelSweeper::new(cfg).run(&net, &mut g)
+            Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default())
         };
         let without = run(0);
         // The xor pair survives simulation (equivalent functions) and
@@ -1323,9 +1313,11 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default().with_seed(13));
-            let r = ParallelSweeper::new(cfg)
-                .with_panic_injection(|_, _| true)
-                .run(&net, &mut g);
+            let r = Sweeper::new(cfg).with_panic_injection(|_, _| true).run(
+                &net,
+                &mut g,
+                &mut RunContext::default(),
+            );
             assert!(r.proven_classes.is_empty(), "jobs={jobs}");
             assert!(!r.quarantined.is_empty(), "jobs={jobs}");
             assert!(!r.interrupted, "no deadline involved, jobs={jobs}");
@@ -1351,13 +1343,13 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut g = SimGen::new(SimGenConfig::default().with_seed(3));
-        let baseline = ParallelSweeper::new(cfg).run(&net, &mut g);
+        let baseline = Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default());
         assert!(baseline.stats.proved_equivalent > 0, "workload sanity");
 
         let mut g = SimGen::new(SimGenConfig::default().with_seed(3));
-        let r = ParallelSweeper::new(cfg)
+        let r = Sweeper::new(cfg)
             .with_panic_injection(|_, cand| cand.index() % 2 == 0)
-            .run(&net, &mut g);
+            .run(&net, &mut g, &mut RunContext::default());
         let d = r.stats.dispatch.as_ref().unwrap();
         assert!(d.quarantined > 0, "some pair must have been injected");
         assert_eq!(d.total_panics(), d.quarantined);
@@ -1385,13 +1377,24 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default().with_seed(17));
-            ParallelSweeper::new(cfg).run_under(&net, &mut g, &Deadline::after(Duration::ZERO))
+            let mut ctx = RunContext {
+                deadline: Deadline::after(Duration::ZERO),
+                ..RunContext::default()
+            };
+            Sweeper::new(cfg).run(&net, &mut g, &mut ctx)
         };
         let r1 = run(1);
         assert!(r1.interrupted);
         assert!(r1.proven_classes.is_empty());
         assert!(!r1.unresolved.is_empty(), "pairs survive simulation");
+        assert!(
+            r1.quarantined.is_empty(),
+            "skipped rounds quarantine nothing"
+        );
+        assert_eq!(r1.stats.aborted as usize, r1.unresolved.len());
         assert_eq!(r1.stats.sat_calls, 0, "no proof may start");
+        // Only the mandatory random round made it into the history.
+        assert_eq!(r1.stats.history.len(), 1);
         for jobs in [2usize, 4] {
             let rj = run(jobs);
             assert!(rj.interrupted, "jobs={jobs}");
@@ -1421,7 +1424,7 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default().with_seed(9));
-            ParallelSweeper::new(cfg).run(&net, &mut g)
+            Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default())
         };
         let plain = run(1, false);
         let r1 = run(1, true);
@@ -1453,9 +1456,9 @@ mod tests {
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default().with_seed(19));
-            ParallelSweeper::new(cfg)
+            Sweeper::new(cfg)
                 .with_panic_injection(|_, cand| cand.index() % 3 == 0)
-                .run(&net, &mut g)
+                .run(&net, &mut g, &mut RunContext::default())
         };
         let r1 = run(1);
         let d1 = r1.stats.dispatch.clone().unwrap();
@@ -1486,7 +1489,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut g = SimGen::new(SimGenConfig::default().with_seed(5));
-        let r = ParallelSweeper::new(cfg).run(&net, &mut g);
+        let r = Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default());
         let d = r.stats.dispatch.as_ref().unwrap();
         assert_eq!(d.jobs, 4);
         assert!(d.rounds >= 1);
@@ -1553,19 +1556,22 @@ mod tests {
     fn multiround_run(
         seed: u64,
         jobs: usize,
-        journal: Option<&mut SweepJournal>,
+        journal: Option<&mut crate::SweepJournal>,
         trigger: Option<fn(NodeId, NodeId) -> bool>,
     ) -> (String, SweepReport) {
         let net = multiround_net();
         let cfg = multiround_cfg(seed, jobs);
-        let mut obs = simgen_obs::Observer::enabled();
         let mut g = simgen_core::RandomPatterns::new(seed, 64);
-        let mut sweeper = ParallelSweeper::new(cfg);
+        let mut sweeper = Sweeper::new(cfg);
         if let Some(t) = trigger {
             sweeper = sweeper.with_panic_injection(t);
         }
-        let report =
-            sweeper.run_checkpointed(&net, &mut g, &Deadline::never(), &mut obs, None, journal);
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            journal,
+            ..RunContext::default()
+        };
+        let report = sweeper.run(&net, &mut g, &mut ctx);
         let run_report = crate::report::sweep_run_report(
             crate::report::RunMeta {
                 command: "sweep".to_string(),
@@ -1574,7 +1580,7 @@ mod tests {
             },
             &cfg,
             &report,
-            &obs,
+            &ctx.obs,
         );
         (run_report.deterministic_json(), report)
     }
@@ -1598,7 +1604,7 @@ mod tests {
                 2,
                 "workload must exercise two rounds"
             );
-            let mut j = SweepJournal::create(&dir, false).unwrap();
+            let mut j = crate::SweepJournal::create(&dir, false).unwrap();
             let (journaled, _) = multiround_run(0, jobs, Some(&mut j), None);
             assert_eq!(journaled, plain, "jobs {jobs}");
             // Journal holds the meta line plus one line per round.
@@ -1613,7 +1619,7 @@ mod tests {
         for jobs in [1usize, 4] {
             let _ = std::fs::remove_dir_all(&dir);
             let (reference, _) = multiround_run(0, jobs, None, None);
-            let mut j = SweepJournal::create(&dir, false).unwrap();
+            let mut j = crate::SweepJournal::create(&dir, false).unwrap();
             let _ = multiround_run(0, jobs, Some(&mut j), None);
             drop(j);
             // Keep only the meta line and round one — the state a
@@ -1628,7 +1634,7 @@ mod tests {
             // reps are AND-tree nodes, index < 23): if resume
             // re-dispatched any of them the prover would panic, the
             // pair would be quarantined, and the report would differ.
-            let mut j = SweepJournal::create(&dir, true).unwrap();
+            let mut j = crate::SweepJournal::create(&dir, true).unwrap();
             let (resumed, report) =
                 multiround_run(0, jobs, Some(&mut j), Some(|rep, _| rep.index() < 23));
             assert!(report.quarantined.is_empty(), "round one was re-proven");
@@ -1645,12 +1651,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("simgen_resume_full_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (reference, _) = multiround_run(0, 1, None, None);
-        let mut j = SweepJournal::create(&dir, false).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, false).unwrap();
         let _ = multiround_run(0, 1, Some(&mut j), None);
         drop(j);
         // Every pair re-dispatched would panic — a fully journaled
         // run must replay end to end without a single proof job.
-        let mut j = SweepJournal::create(&dir, true).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, true).unwrap();
         let (resumed, report) = multiround_run(0, 1, Some(&mut j), Some(|_, _| true));
         assert!(report.quarantined.is_empty());
         assert_eq!(resumed, reference);
@@ -1660,12 +1666,12 @@ mod tests {
     #[test]
     fn resume_crosses_job_counts() {
         // The fingerprint deliberately excludes `jobs`: a journal
-        // written by a serial run resumes under four workers (and
+        // written by a one-worker run resumes under four workers (and
         // vice versa) with a byte-identical report.
         let dir = std::env::temp_dir().join(format!("simgen_resume_xj_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (reference, _) = multiround_run(0, 4, None, None);
-        let mut j = SweepJournal::create(&dir, false).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, false).unwrap();
         let _ = multiround_run(0, 1, Some(&mut j), None);
         drop(j);
         let lines = journal_lines(&dir);
@@ -1674,7 +1680,7 @@ mod tests {
             format!("{}\n{}\n", lines[0], lines[1]),
         )
         .unwrap();
-        let mut j = SweepJournal::create(&dir, true).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, true).unwrap();
         let (resumed, _) = multiround_run(0, 4, Some(&mut j), None);
         assert_eq!(resumed, reference);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1684,17 +1690,123 @@ mod tests {
     fn stale_journal_from_other_config_is_ignored() {
         let dir = std::env::temp_dir().join(format!("simgen_resume_st_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut j = SweepJournal::create(&dir, false).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, false).unwrap();
         let _ = multiround_run(0, 1, Some(&mut j), None);
         drop(j);
         // Different seed → different fingerprint: resume must discard
         // the journal and prove everything live, matching a fresh
         // seed-3 run exactly.
         let (reference, _) = multiround_run(3, 1, None, None);
-        let mut j = SweepJournal::create(&dir, true).unwrap();
+        let mut j = crate::SweepJournal::create(&dir, true).unwrap();
         let (resumed, report) = multiround_run(3, 1, Some(&mut j), None);
         assert!(report.stats.sat_calls > 0);
         assert_eq!(resumed, reference);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sweeps `net` under `cfg` with counters on; returns the report
+    /// and the observer that recorded it.
+    fn observed(net: &LutNetwork, cfg: SweepConfig) -> (SweepReport, Observer) {
+        let mut g = SimGen::new(SimGenConfig::default());
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            ..RunContext::default()
+        };
+        let report = Sweeper::new(cfg).run(net, &mut g, &mut ctx);
+        (report, ctx.obs)
+    }
+
+    /// Two disconnected islands: three AND variants over `(a, b)`,
+    /// whose two candidate pairs share one fanin region, and two OR
+    /// variants over `(c, d)`, alone in theirs.
+    fn two_island_net() -> LutNetwork {
+        let mut net = LutNetwork::new();
+        let a = net.add_pi("a");
+        let b = net.add_pi("b");
+        let c = net.add_pi("c");
+        let d = net.add_pi("d");
+        let x1 = net.add_lut(vec![a, b], TruthTable::and2()).unwrap();
+        let x2 = net.add_lut(vec![b, a], TruthTable::and2()).unwrap();
+        let x3 = net.add_lut(vec![x1], TruthTable::buf1()).unwrap();
+        let y1 = net.add_lut(vec![c, d], TruthTable::or2()).unwrap();
+        let y2 = net.add_lut(vec![d, c], TruthTable::or2()).unwrap();
+        for (i, n) in [x1, x2, x3, y1, y2].into_iter().enumerate() {
+            net.add_po(n, format!("o{i}"));
+        }
+        net
+    }
+
+    #[test]
+    fn each_region_shares_one_solver() {
+        // Region X's two pairs run on one scoped solver, so the second
+        // is a warm solve; region Y's pair gets a solver of its own.
+        let (r, obs) = observed(&two_island_net(), SweepConfig::default());
+        assert_eq!(r.stats.proved_equivalent, 3);
+        assert_eq!(r.stats.sat_calls, 3);
+        assert_eq!(r.stats.dispatch.as_ref().unwrap().rounds, 1);
+        assert_eq!(obs.recorder.get(Counter::ScopesOpened), 3);
+        assert_eq!(
+            obs.recorder.get(Counter::WarmSolves),
+            1,
+            "only region X warm-starts"
+        );
+    }
+
+    #[test]
+    fn bloat_policy_rebuilds_the_region_solver() {
+        // Three xor trees over the same eight inputs, associated
+        // differently: one fanin region whose pairs encode enough cone
+        // to outgrow the floored baseline, so bloat=1 drops the region
+        // solver between pairs. The rebuilt solver starts cold, which
+        // moves effort counters only — never a verdict.
+        let mut net = LutNetwork::new();
+        let pis: Vec<NodeId> = (0..8).map(|i| net.add_pi(format!("p{i}"))).collect();
+        let chain = |net: &mut LutNetwork, order: &[NodeId]| {
+            let mut acc = order[0];
+            for &p in &order[1..] {
+                acc = net.add_lut(vec![acc, p], TruthTable::xor2()).unwrap();
+            }
+            acc
+        };
+        let fwd = chain(&mut net, &pis);
+        let rev: Vec<NodeId> = pis.iter().rev().copied().collect();
+        let bwd = chain(&mut net, &rev);
+        let odd_even: Vec<NodeId> = pis
+            .iter()
+            .step_by(2)
+            .chain(pis.iter().skip(1).step_by(2))
+            .copied()
+            .collect();
+        let mixed = chain(&mut net, &odd_even);
+        for (i, n) in [fwd, bwd, mixed].into_iter().enumerate() {
+            net.add_po(n, format!("x{i}"));
+        }
+        let run = |rebuild_bloat: u32, jobs: usize| {
+            let cfg = SweepConfig {
+                jobs,
+                engine: EnginePolicy {
+                    rebuild_bloat,
+                    ..EnginePolicy::default()
+                },
+                ..SweepConfig::default()
+            };
+            let (report, obs) = observed(&net, cfg);
+            let meta = crate::report::RunMeta {
+                command: "sweep".to_string(),
+                argv: vec!["sweep".to_string(), "xor.blif".to_string()],
+                design: crate::report::design_info(&net, "xor", "xor.blif"),
+            };
+            let run = crate::report::sweep_run_report(meta, &cfg, &report, &obs);
+            let mut json = Json::parse(&run.deterministic_json()).expect("own JSON parses");
+            strip_engine_dependent(&mut json);
+            (json.to_pretty(), obs.recorder.get(Counter::SolverRebuilds))
+        };
+        let (reference, rebuilds) = run(0, 1);
+        assert_eq!(rebuilds, 0, "bloat=0 keeps every region solver");
+        for jobs in [1usize, 2] {
+            let (stripped, rebuilds) = run(1, jobs);
+            assert!(rebuilds > 0, "jobs={jobs}: the bloated solver is rebuilt");
+            assert_eq!(stripped, reference, "jobs={jobs}");
+        }
     }
 }

@@ -59,63 +59,6 @@ impl ProveOutcome {
     }
 }
 
-/// A verification engine answering pairwise node-equivalence queries
-/// — the "BDD or SAT" box of the paper's Figure 2.
-pub trait EquivProver {
-    /// Proves or disproves `a ≡ b` (budget semantics are
-    /// engine-specific; SAT counts conflicts, BDD checks a node
-    /// limit at construction).
-    fn prove(&mut self, a: NodeId, b: NodeId, budget: Option<u64>) -> ProveOutcome;
-
-    /// Records a proven equivalence for reuse by later queries
-    /// (no-op where canonicity already provides it).
-    fn assert_equal(&mut self, a: NodeId, b: NodeId);
-
-    /// Queries issued so far.
-    fn calls(&self) -> u64;
-
-    /// Wall time spent proving so far.
-    fn time(&self) -> Duration;
-
-    /// Cumulative CDCL statistics of the underlying solver, for
-    /// engines that have one (`None` for BDDs).
-    fn solver_stats(&self) -> Option<simgen_sat::SolverStats> {
-        None
-    }
-
-    /// Assumption-scope reuse metrics, for engines backed by scoped
-    /// incremental SAT (zero for engines without one).
-    fn metrics(&self) -> ScopeMetrics {
-        ScopeMetrics::default()
-    }
-
-    /// Times the engine retired a bloated solver and rebuilt it from
-    /// the region's proven seeds (see
-    /// [`EnginePolicy::rebuild_bloat`](simgen_dispatch::EnginePolicy)).
-    /// Zero for engines without a rebuild policy.
-    fn rebuilds(&self) -> u64 {
-        0
-    }
-
-    /// Independently certifies the engine's most recent
-    /// [`ProveOutcome::Equivalent`] answer. The default fails closed:
-    /// an engine that cannot produce a checkable certificate (BDDs, or
-    /// SAT without proof logging) must never be trusted under
-    /// [`SweepConfig::certify`](crate::SweepConfig).
-    fn certify_last(&self) -> bool {
-        false
-    }
-
-    /// The serialized DRAT blob of the engine's most recent
-    /// [`ProveOutcome::Equivalent`] answer, for storage in the proof
-    /// cache. `None` where no checkable certificate exists (BDDs, or
-    /// SAT without proof logging) — such verdicts are cached without a
-    /// proof and re-proved when a certified run later needs them.
-    fn proof_blob(&self) -> Option<Vec<u8>> {
-        None
-    }
-}
-
 /// Incremental prover bound to one network.
 #[derive(Debug)]
 pub struct PairProver<'n> {
@@ -209,6 +152,15 @@ impl<'n> PairProver<'n> {
     /// Cumulative CDCL statistics of the underlying solver.
     pub fn solver_stats(&self) -> simgen_sat::SolverStats {
         self.solver.stats()
+    }
+
+    /// The serialized DRAT blob of the most recent
+    /// [`ProveOutcome::Equivalent`] answer, for storage in the proof
+    /// cache. `None` without proof logging — such verdicts are cached
+    /// without a proof and re-proved when a certified run needs them.
+    pub fn proof_blob(&self) -> Option<Vec<u8>> {
+        self.certificate()
+            .map(|c| simgen_cache::serialize_certificate(&c))
     }
 
     /// Records a *proven* equivalence as two binary clauses
@@ -367,41 +319,6 @@ impl<'n> PairProver<'n> {
     }
 }
 
-impl EquivProver for PairProver<'_> {
-    fn prove(&mut self, a: NodeId, b: NodeId, budget: Option<u64>) -> ProveOutcome {
-        PairProver::prove(self, a, b, budget)
-    }
-
-    fn assert_equal(&mut self, a: NodeId, b: NodeId) {
-        PairProver::assert_equal(self, a, b);
-    }
-
-    fn calls(&self) -> u64 {
-        PairProver::calls(self)
-    }
-
-    fn time(&self) -> Duration {
-        PairProver::time(self)
-    }
-
-    fn solver_stats(&self) -> Option<simgen_sat::SolverStats> {
-        Some(PairProver::solver_stats(self))
-    }
-
-    fn metrics(&self) -> ScopeMetrics {
-        PairProver::metrics(self)
-    }
-
-    fn certify_last(&self) -> bool {
-        crate::certify::certify_equivalence(self)
-    }
-
-    fn proof_blob(&self) -> Option<Vec<u8>> {
-        self.certificate()
-            .map(|c| simgen_cache::serialize_certificate(&c))
-    }
-}
-
 /// BDD-based prover: builds the whole network's BDDs once (guarded by
 /// a node limit), after which every query is a pointer comparison and
 /// counterexamples are XOR paths. Mirrors the classic BDD sweeping of
@@ -413,7 +330,6 @@ pub struct BddProver<'n> {
     node_limit: usize,
     bdds: Option<Option<simgen_bdd::NetworkBdds>>,
     calls: u64,
-    time: Duration,
 }
 
 impl<'n> BddProver<'n> {
@@ -425,7 +341,6 @@ impl<'n> BddProver<'n> {
             node_limit,
             bdds: None,
             calls: 0,
-            time: Duration::ZERO,
         }
     }
 
@@ -433,36 +348,28 @@ impl<'n> BddProver<'n> {
     pub fn blew_up(&self) -> bool {
         matches!(self.bdds, Some(None))
     }
-}
 
-impl EquivProver for BddProver<'_> {
-    fn prove(&mut self, a: NodeId, b: NodeId, _budget: Option<u64>) -> ProveOutcome {
-        let start = Instant::now();
+    /// Proves or disproves `a ≡ b`. Equal functions share one BDD
+    /// handle, so proven equivalences need no assertion; a network
+    /// whose BDDs exceed the node limit answers
+    /// [`ProveOutcome::Undecided`] for every query.
+    pub fn prove(&mut self, a: NodeId, b: NodeId) -> ProveOutcome {
         self.calls += 1;
         if self.bdds.is_none() {
             self.bdds = Some(simgen_bdd::network_bdds(self.net, self.node_limit));
         }
-        let outcome = match self.bdds.as_mut().expect("just built") {
+        match self.bdds.as_mut().expect("just built") {
             None => ProveOutcome::Undecided { conflicts: 0 }, // node limit exceeded
             Some(nb) => match nb.counterexample(a, b) {
                 None => ProveOutcome::Equivalent,
                 Some(cex) => ProveOutcome::Counterexample(cex),
             },
-        };
-        self.time += start.elapsed();
-        outcome
+        }
     }
 
-    fn assert_equal(&mut self, _a: NodeId, _b: NodeId) {
-        // Canonicity already makes equal functions share handles.
-    }
-
-    fn calls(&self) -> u64 {
+    /// Queries issued so far.
+    pub fn calls(&self) -> u64 {
         self.calls
-    }
-
-    fn time(&self) -> Duration {
-        self.time
     }
 }
 

@@ -1,6 +1,6 @@
 //! Builders that turn a finished sweep or CEC run plus its
 //! [`Observer`] into the versioned [`RunReport`] document
-//! (`simgen-run-report/3`).
+//! (`simgen-run-report/5`).
 //!
 //! The report shape is defined in `simgen-obs` (`docs/observability.md`
 //! spells it out field by field); this module owns the mapping from
@@ -10,6 +10,7 @@
 //! deterministic form of the produced report is byte-identical for
 //! any worker count.
 
+use simgen_dispatch::EngineMode;
 use simgen_netlist::LutNetwork;
 use simgen_obs::report::{
     Design, DispatchSection, IterationRow, Outcome, PhaseTiming, RunReport, SatSection, SimSection,
@@ -19,7 +20,7 @@ use simgen_obs::{Counter, Json, Observer, Phase};
 
 use crate::flow::{CecReport, CecVerdict, InconclusiveReason};
 use crate::stats::SweepStats;
-use crate::sweep::{ProofEngine, SweepConfig, SweepReport};
+use crate::sweep::{SweepConfig, SweepReport};
 
 /// Run identity shared by both builders: what command ran, with what
 /// arguments, on which design.
@@ -70,12 +71,16 @@ pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
             cfg.sat_budget.map_or(Json::Null, Json::U64),
         ),
         ("run_sat".to_string(), Json::Bool(cfg.run_sat)),
+        // The resolution engine family, derived from the engine mode
+        // (kept as its own key so reports stay comparable across
+        // schema-5 builds).
         (
             "proof".to_string(),
             Json::Str(
-                match cfg.proof {
-                    ProofEngine::Sat => "sat",
-                    ProofEngine::Bdd { .. } => "bdd",
+                if cfg.engine.mode == EngineMode::BddOnly {
+                    "bdd"
+                } else {
+                    "sat"
                 }
                 .to_string(),
             ),
@@ -388,11 +393,10 @@ pub fn cec_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::check_equivalence_observed;
-    use crate::sweep::Sweeper;
-    use crate::ParallelSweeper;
+    use crate::flow::check_equivalence;
+    use crate::sweep::RunContext;
+    use crate::Sweeper;
     use simgen_core::{SimGen, SimGenConfig};
-    use simgen_dispatch::Deadline;
     use simgen_netlist::TruthTable;
 
     fn tiny_net() -> LutNetwork {
@@ -422,9 +426,12 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let mut obs = Observer::enabled();
-        let sweep = Sweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
-        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &obs);
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            ..RunContext::default()
+        };
+        let sweep = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
+        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs);
         RunReport::validate(&report.to_json()).expect("sweep report validates");
         assert_eq!(report.outcome.status, "complete");
         assert!(!report.phases.is_empty(), "enabled observer records phases");
@@ -443,10 +450,9 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let mut obs = Observer::disabled();
-        let sweep =
-            ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
-        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &obs);
+        let mut ctx = RunContext::default();
+        let sweep = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
+        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs);
         RunReport::validate(&report.to_json()).expect("report validates without recording");
         // A disabled recorder never reads the clock, so no phases.
         assert!(report.phases.is_empty());
@@ -464,17 +470,12 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let mut obs = Observer::enabled();
-        let cec = check_equivalence_observed(
-            &net,
-            &net.clone(),
-            &mut gen,
-            cfg,
-            &Deadline::never(),
-            &mut obs,
-        )
-        .unwrap();
-        let report = cec_run_report(meta_for(&net, "cec"), &cfg, &cec, &obs);
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            ..RunContext::default()
+        };
+        let cec = check_equivalence(&net, &net.clone(), &mut gen, cfg, &mut ctx).unwrap();
+        let report = cec_run_report(meta_for(&net, "cec"), &cfg, &cec, &ctx.obs);
         RunReport::validate(&report.to_json()).expect("cec report validates");
         assert_eq!(report.outcome.status, "equivalent");
         assert_eq!(report.outcome.exit_code, 0);
@@ -512,5 +513,29 @@ mod tests {
             entries.iter().find(|(k, _)| k == "budget_schedule"),
             Some((_, Json::Null))
         ));
+    }
+
+    #[test]
+    fn proof_key_follows_the_engine_mode() {
+        let proof = |mode: EngineMode| {
+            let cfg = SweepConfig {
+                engine: simgen_dispatch::EnginePolicy {
+                    mode,
+                    ..Default::default()
+                },
+                ..SweepConfig::default()
+            };
+            sweep_config_json(&cfg)
+                .into_iter()
+                .find(|(k, _)| k == "proof")
+                .map(|(_, v)| v)
+        };
+        for mode in [EngineMode::Auto, EngineMode::BddFirst, EngineMode::SatOnly] {
+            assert_eq!(proof(mode), Some(Json::Str("sat".to_string())), "{mode:?}");
+        }
+        assert_eq!(
+            proof(EngineMode::BddOnly),
+            Some(Json::Str("bdd".to_string()))
+        );
     }
 }

@@ -65,7 +65,8 @@ pub struct SweepStats {
     pub certification_failures: u64,
     /// Per-iteration history of the simulation phase.
     pub history: Vec<IterationRecord>,
-    /// Parallel-dispatch breakdown (`None` for serial sweeps).
+    /// Proof-dispatch breakdown (`None` when the resolution phase did
+    /// not run, i.e. under `run_sat: false`).
     pub dispatch: Option<DispatchSummary>,
 }
 

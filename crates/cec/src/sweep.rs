@@ -1,33 +1,23 @@
-//! The SAT sweeping loop: random simulation → guided pattern
-//! generation → SAT resolution with counterexample feedback.
+//! Sweep configuration, the per-run [`RunContext`], the report type,
+//! and the simulation half of the sweep (random simulation → guided
+//! pattern generation, plus the batched counterexample resimulation
+//! the resolution rounds feed back into). The resolution phase itself
+//! is [`crate::Sweeper`].
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use simgen_cache::ProofCache;
 use simgen_core::PatternGenerator;
 use simgen_dispatch::{BudgetSchedule, Deadline, EnginePolicy, Progress, Watchdog};
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{Counter, Json, Observer, Phase, Trace};
-use simgen_sim::{EquivClasses, PatternSet, Replayer, SimResult};
+use simgen_sim::{EquivClasses, PatternSet, SimResult};
 
-use crate::prove::{BddProver, EquivProver, ProveOutcome};
+use crate::journal::SweepJournal;
 use crate::stats::{IterationRecord, SweepStats};
-
-/// Which verification engine resolves the surviving pairs (the
-/// "BDD or SAT" choice of the paper's Figure 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProofEngine {
-    /// Incremental CDCL SAT (the paper's configuration).
-    Sat,
-    /// Monolithic BDDs with a blow-up node limit; queries that hit
-    /// the limit are reported unresolved.
-    Bdd {
-        /// Maximum live BDD nodes before giving up.
-        node_limit: usize,
-    },
-}
 
 /// Sweep parameters (defaults follow the paper's Section 6.1 setup:
 /// one round of random simulation, then 20 guided iterations).
@@ -44,17 +34,17 @@ pub struct SweepConfig {
     /// Whether to run the SAT resolution phase at all (the cost/
     /// runtime experiments of Section 6.2 stop after simulation).
     pub run_sat: bool,
-    /// The verification engine used in the resolution phase.
-    pub proof: ProofEngine,
     /// Seed for the random-simulation RNG.
     pub seed: u64,
-    /// Worker threads for the SAT-resolution phase. `1` keeps the
-    /// fully serial incremental sweep; larger values dispatch pairs
-    /// through [`crate::ParallelSweeper`]'s work-stealing pool.
+    /// Worker threads for the resolution rounds and for large
+    /// simulation blocks. `1` runs every round inline on the calling
+    /// thread; any value yields the same report.
     pub jobs: usize,
-    /// Budget-escalation ladder for the parallel sweeper (`None` =
-    /// a single attempt at [`SweepConfig::sat_budget`] per pair).
-    /// Ignored by the serial sweeper.
+    /// Budget-escalation ladder per pair (`None` = a single attempt
+    /// at [`SweepConfig::sat_budget`], no BDD fallback). Its
+    /// `bdd_node_limit` also sizes the BDD engine under
+    /// [`EngineMode::BddFirst`](simgen_dispatch::EngineMode::BddFirst)
+    /// and [`EngineMode::BddOnly`](simgen_dispatch::EngineMode::BddOnly).
     pub budget_schedule: Option<BudgetSchedule>,
     /// Per-pair stall threshold: when no pair resolves for this long,
     /// the watchdog interrupts whatever is in flight (the stuck pair
@@ -69,10 +59,11 @@ pub struct SweepConfig {
     /// Since BDD answers carry no DRAT proof, certification forces
     /// the SAT engine and skips the BDD fallback.
     pub certify: bool,
-    /// Per-pair engine-selection policy: engine ordering
-    /// ([`simgen_dispatch::EngineMode`]) and whether SAT queries run
-    /// against one long-lived assumption-scoped solver per fanin
-    /// region (`incremental`, the default) or a cold solver per pair.
+    /// Per-pair engine-selection policy: which engines a pair visits
+    /// ([`simgen_dispatch::EngineMode`] — the paper's "BDD or SAT"
+    /// choice) and whether SAT queries run against one long-lived
+    /// assumption-scoped solver per fanin region (`incremental`, the
+    /// default) or a cold solver per pair.
     pub engine: EnginePolicy,
     /// Memory budget in bytes for the sweep's dominant allocations
     /// (clause databases, lane tables, proof logs). When the
@@ -93,7 +84,6 @@ impl Default for SweepConfig {
             guided_iterations: 20,
             sat_budget: Some(100_000),
             run_sat: true,
-            proof: ProofEngine::Sat,
             seed: 0xC1C,
             jobs: 1,
             budget_schedule: None,
@@ -115,15 +105,14 @@ pub struct SweepReport {
     /// Groups of nodes proven functionally equivalent by SAT.
     pub proven_classes: Vec<Vec<NodeId>>,
     /// Pairs no prover resolved — budget exhausted, deadline expired,
-    /// or (parallel only) quarantined after a prover panic. Every
-    /// entry also appears in the per-cause breakdowns; none of them
-    /// is ever merged, which is what keeps partial results sound.
+    /// or quarantined. Every entry also appears in the per-cause
+    /// breakdowns; none of them is ever merged, which is what keeps
+    /// partial results sound.
     pub unresolved: Vec<(NodeId, NodeId)>,
     /// The subset of [`SweepReport::unresolved`] that was quarantined
     /// because its proof could not be trusted: the prover panicked
-    /// (parallel sweeps only — serial proofs run on the caller's own
-    /// thread, where a panic propagates) or certification rejected
-    /// the engine's answer.
+    /// (caught on the worker, never fatal to the sweep) or
+    /// certification rejected the engine's answer.
     pub quarantined: Vec<(NodeId, NodeId)>,
     /// True when the deadline expired (or was tripped) before the
     /// sweep finished; the report is then a sound partial result.
@@ -137,376 +126,46 @@ pub struct SweepReport {
     pub patterns: PatternSet,
 }
 
-/// The sweeping engine.
-#[derive(Clone, Debug)]
-pub struct Sweeper {
-    config: SweepConfig,
+/// What a run needs from its caller besides the design, the
+/// generator and the configuration: the wall-clock budget, the
+/// instrumentation sink, and the two persistence layers.
+/// [`RunContext::default`] is a plain in-memory run — no deadline,
+/// observer disabled, no proof cache, no journal.
+///
+/// The observer is owned: a caller reads it back from `ctx.obs` after
+/// the run to build its report. The deadline is a handle, so a caller
+/// that keeps a clone shares its trip flag with the run.
+pub struct RunContext<'a> {
+    /// Wall-clock budget for the whole run. When it expires (or is
+    /// tripped), in-flight proofs are interrupted, pairs not yet
+    /// started are skipped, and everything unproven is reported
+    /// unresolved — a sound partial result. A run that finishes in
+    /// time reports exactly what an undeadlined run would.
+    pub deadline: Deadline,
+    /// Instrumentation: per-phase timings and counters land in
+    /// `obs.recorder`, decision-level events (proof outcomes, flushes,
+    /// deadline trips) in `obs.trace`. With [`Observer::disabled`]
+    /// every instrumentation site is a branch over a dead flag.
+    pub obs: Observer,
+    /// Content-addressed proof cache consulted before any SAT work,
+    /// on the orchestrating thread in deterministic pair order; live
+    /// verdicts are stored back (see [`crate::cache`] for the trust
+    /// policy).
+    pub cache: Option<&'a ProofCache>,
+    /// Write-ahead journal: every round barrier commits the round's
+    /// verdicts, and a journal opened in resume mode replays its
+    /// validated rounds instead of re-proving them (see
+    /// [`crate::journal`]).
+    pub journal: Option<&'a mut SweepJournal>,
 }
 
-impl Sweeper {
-    /// Creates a sweeper with the given configuration.
-    pub fn new(config: SweepConfig) -> Self {
-        Sweeper { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SweepConfig {
-        &self.config
-    }
-
-    /// Runs the full sweep on `net` using `generator` for the guided
-    /// phase, with no deadline.
-    pub fn run(&self, net: &LutNetwork, generator: &mut dyn PatternGenerator) -> SweepReport {
-        self.run_under(net, generator, &Deadline::never())
-    }
-
-    /// Runs the full sweep as an *anytime* computation: when
-    /// `deadline` expires (or is tripped), the in-flight proof is
-    /// interrupted, every remaining pair is reported unresolved, and
-    /// the partial report is returned — sound, just less merged.
-    pub fn run_under(
-        &self,
-        net: &LutNetwork,
-        generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-    ) -> SweepReport {
-        self.run_observed(net, generator, deadline, &mut Observer::disabled())
-    }
-
-    /// [`Sweeper::run_under`] with instrumentation: per-phase timings
-    /// and counters land in `obs.recorder`, decision-level events
-    /// (proof outcomes, flushes, deadline trips) in `obs.trace`. With
-    /// [`Observer::disabled`] every instrumentation site is a branch
-    /// over a dead flag.
-    pub fn run_observed(
-        &self,
-        net: &LutNetwork,
-        generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-        obs: &mut Observer,
-    ) -> SweepReport {
-        self.run_cached(net, generator, deadline, obs, None)
-    }
-
-    /// [`Sweeper::run_observed`] consulting a content-addressed proof
-    /// cache: each candidate pair is looked up by the merkle hash of
-    /// its canonical cones before any SAT work, and live verdicts are
-    /// stored back for later runs. Cached counterexamples are trusted
-    /// only after scalar replay; cached equivalences, under
-    /// [`SweepConfig::certify`], only after their stored DRAT blob
-    /// passes the independent checker — rejected entries are evicted
-    /// and the pair is proven live (see [`crate::cache`]).
-    pub fn run_cached(
-        &self,
-        net: &LutNetwork,
-        generator: &mut dyn PatternGenerator,
-        deadline: &Deadline,
-        obs: &mut Observer,
-        cache: Option<&simgen_cache::ProofCache>,
-    ) -> SweepReport {
-        let cfg = &self.config;
-        let SimPhases {
-            mut stats,
-            mut patterns,
-            mut sim,
-            classes,
-        } = run_sim_phases(cfg, net, generator, deadline, obs);
-        let cost_after_sim = classes.cost();
-
-        // Phase 3: SAT resolution with counterexample feedback.
-        let mut proven: Vec<Vec<NodeId>> = Vec::new();
-        let mut unresolved: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut quarantined: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut interrupted = false;
-        let mut mem_exhausted = false;
-        if cfg.run_sat {
-            let progress = Progress::default();
-            let _watchdog = spawn_watchdog(cfg, deadline, &progress, &obs.trace);
-            let sat_start = obs.recorder.is_enabled().then(std::time::Instant::now);
-            let resim_before = stats.resim_time;
-            let mut prover: Box<dyn EquivProver + '_> = match cfg.proof {
-                // BDD answers carry no DRAT proof: under certify the
-                // resolution phase falls back to the SAT engine, whose
-                // answers are checkable.
-                ProofEngine::Bdd { node_limit } if !cfg.certify => {
-                    Box::new(BddProver::new(net, node_limit))
-                }
-                // The engine ladder: optional BDD primary (under
-                // `EngineMode::BddFirst`), then scoped SAT against
-                // one solver per fanin region — or a cold solver per
-                // pair when `cfg.engine.incremental` is off.
-                _ => Box::new(crate::region::SerialEngine::new(
-                    net,
-                    cfg.engine,
-                    cfg.certify,
-                    cfg.budget_schedule.map(|s| s.bdd_node_limit),
-                    deadline,
-                )),
-            };
-            let mut replayer = Replayer::new();
-            let mut sweep_cache = cache.map(|c| crate::cache::SweepCache::new(c, cfg.certify));
-            let mut work: Vec<Vec<NodeId>> = classes.classes().to_vec();
-            let mut merged: Vec<Vec<NodeId>> = Vec::new();
-            // Counterexamples are not resimulated one at a time:
-            // they accumulate in `pending` (with the disproved
-            // candidates parked in `benched`) until a full 64-bit
-            // machine word is buffered or no provable pair remains,
-            // then one word-parallel resimulation refines everything
-            // at once. Benched candidates sit out until the flush so
-            // a disproved pair is never re-proved before the pattern
-            // that separates it lands in the signatures.
-            let mut pending: Vec<Vec<bool>> = Vec::new();
-            let mut benched: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut governor = crate::govern::MemoryGovernor::new(cfg.mem_budget);
-            loop {
-                // Memory governance: fold the engines' byte gauges and
-                // trip the shared deadline when they cross the budget —
-                // the next check below then sheds the remaining pairs.
-                if governor.note(crate::govern::estimate_resident(
-                    &prover.solver_stats().unwrap_or_default(),
-                    &sim.pool_stats(),
-                )) {
-                    mem_exhausted = true;
-                    deadline.trip();
-                    obs.trace.emit(
-                        "mem_budget_exhausted",
-                        vec![("estimate_bytes", Json::U64(governor.peak()))],
-                    );
-                }
-                if deadline.expired() {
-                    // Graceful degradation: whatever is still paired
-                    // up was not proven, so it is reported unresolved
-                    // — never merged. Pending counterexamples are
-                    // dropped (their pairs are already split).
-                    interrupted = true;
-                    obs.recorder.add(Counter::DeadlineTrips, 1);
-                    for class in work.iter().filter(|c| c.len() >= 2) {
-                        let rep = class[0];
-                        for &cand in &class[1..] {
-                            stats.aborted += 1;
-                            unresolved.push((rep, cand));
-                        }
-                    }
-                    obs.trace.emit(
-                        "sweep_deadline_expired",
-                        vec![("unresolved", Json::U64(unresolved.len() as u64))],
-                    );
-                    break;
-                }
-                // Resolve pairs shallowest-candidate-first: proofs of
-                // deep pairs then reuse the already-asserted
-                // equivalences of their fanin cones (the fraig
-                // induction order).
-                let Some(ci) = work
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.len() >= 2)
-                    .min_by_key(|(_, c)| (net.level(c[1]), c[1]))
-                    .map(|(i, _)| i)
-                else {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let t = Instant::now();
-                    work = flush_counterexamples(
-                        net,
-                        &mut patterns,
-                        &mut sim,
-                        work,
-                        &mut pending,
-                        &mut benched,
-                        cfg.jobs.max(1),
-                        obs,
-                    );
-                    let elapsed = t.elapsed();
-                    stats.sim_time += elapsed;
-                    stats.resim_time += elapsed;
-                    continue;
-                };
-                let rep = work[ci][0];
-                let cand = work[ci][1];
-                // A trusted cache hit replaces the SAT call entirely
-                // (its trust checks already ran inside `resolve`).
-                let cached =
-                    sweep_cache
-                        .as_mut()
-                        .and_then(|sc| match sc.resolve(net, rep, cand, obs) {
-                            crate::cache::CacheLookup::Hit(outcome) => Some(outcome),
-                            crate::cache::CacheLookup::Miss => None,
-                        });
-                let from_cache = cached.is_some();
-                let outcome = match cached {
-                    Some(outcome) => outcome,
-                    None => {
-                        obs.recorder.add(Counter::ProofsDispatched, 1);
-                        prover.prove(rep, cand, cfg.sat_budget)
-                    }
-                };
-                progress.tick();
-                if obs.trace.is_enabled() {
-                    let verdict = match &outcome {
-                        ProveOutcome::Equivalent => "equivalent",
-                        ProveOutcome::Counterexample(_) => "disproved",
-                        ProveOutcome::Undecided { .. } => "undecided",
-                    };
-                    obs.trace.emit(
-                        "proof",
-                        vec![
-                            ("rep", Json::U64(rep.index() as u64)),
-                            ("cand", Json::U64(cand.index() as u64)),
-                            ("verdict", Json::Str(verdict.to_string())),
-                        ],
-                    );
-                }
-                // Trust-but-verify: before an answer refines anything,
-                // certify it through a path independent of the engine
-                // that produced it. A rejected answer quarantines the
-                // pair — it is never merged and never splits a class.
-                // (Cache hits already cleared the same bar in
-                // `resolve`, so only live answers are checked here.)
-                if cfg.certify && !from_cache {
-                    let cert_failed = match &outcome {
-                        ProveOutcome::Equivalent => {
-                            obs.recorder.add(Counter::CertificatesChecked, 1);
-                            let ok = prover.certify_last();
-                            if !ok {
-                                obs.recorder.add(Counter::CertificatesFailed, 1);
-                            }
-                            !ok
-                        }
-                        ProveOutcome::Counterexample(v) => {
-                            obs.recorder.add(Counter::CexReplays, 1);
-                            let ok = replayer.distinguishes(net, v, rep, cand);
-                            if !ok {
-                                obs.recorder.add(Counter::CexReplayFailures, 1);
-                            }
-                            !ok
-                        }
-                        ProveOutcome::Undecided { .. } => false,
-                    };
-                    if cert_failed {
-                        stats.certification_failures += 1;
-                        stats.aborted += 1;
-                        obs.recorder.add(Counter::ProofsQuarantined, 1);
-                        obs.trace.emit(
-                            "certification_failed",
-                            vec![
-                                ("rep", Json::U64(rep.index() as u64)),
-                                ("cand", Json::U64(cand.index() as u64)),
-                            ],
-                        );
-                        unresolved.push((rep, cand));
-                        quarantined.push((rep, cand));
-                        work[ci].remove(1);
-                        if work[ci].len() < 2 {
-                            work.remove(ci);
-                        }
-                        continue;
-                    }
-                }
-                // A fresh live verdict (certified if required) is a
-                // fact about the cones: publish it for later runs.
-                if !from_cache {
-                    if let Some(sc) = sweep_cache.as_mut() {
-                        let proof = if cfg.certify {
-                            prover.proof_blob()
-                        } else {
-                            None
-                        };
-                        sc.store(net, rep, cand, &outcome, proof, obs);
-                    }
-                }
-                match outcome {
-                    ProveOutcome::Equivalent => {
-                        stats.proved_equivalent += 1;
-                        obs.recorder.add(Counter::ProofsEquivalent, 1);
-                        // Feed the equivalence back into the solver so
-                        // deeper proofs reuse it (fraig-style merging).
-                        prover.assert_equal(rep, cand);
-                        work[ci].remove(1);
-                        record_merge(&mut merged, rep, cand);
-                        if work[ci].len() < 2 {
-                            work.remove(ci);
-                        }
-                    }
-                    ProveOutcome::Counterexample(v) => {
-                        stats.disproved += 1;
-                        obs.recorder.add(Counter::ProofsDisproved, 1);
-                        // Figure 2's feedback arrow: the generator may
-                        // learn from counterexamples (e.g. 1-distance).
-                        generator.observe_counterexample(&v);
-                        pending.push(v);
-                        benched.push((cand, rep));
-                        work[ci].remove(1);
-                        if work[ci].len() < 2 {
-                            work.remove(ci);
-                        }
-                        if pending.len() >= CEX_FLUSH_THRESHOLD {
-                            let t = Instant::now();
-                            work = flush_counterexamples(
-                                net,
-                                &mut patterns,
-                                &mut sim,
-                                work,
-                                &mut pending,
-                                &mut benched,
-                                cfg.jobs.max(1),
-                                obs,
-                            );
-                            let elapsed = t.elapsed();
-                            stats.sim_time += elapsed;
-                            stats.resim_time += elapsed;
-                        }
-                    }
-                    ProveOutcome::Undecided { .. } => {
-                        stats.aborted += 1;
-                        obs.recorder.add(Counter::ProofsUndecided, 1);
-                        unresolved.push((rep, cand));
-                        work[ci].remove(1);
-                        if work[ci].len() < 2 {
-                            work.remove(ci);
-                        }
-                    }
-                }
-            }
-            stats.sat_calls = prover.calls();
-            stats.sat_time = prover.time();
-            stats.solver = prover.solver_stats().unwrap_or_default();
-            let scope_metrics = prover.metrics();
-            obs.recorder
-                .add(Counter::ScopesOpened, scope_metrics.scopes_opened);
-            obs.recorder
-                .add(Counter::ClausesReused, scope_metrics.clauses_reused);
-            obs.recorder
-                .add(Counter::WarmSolves, scope_metrics.warm_solves);
-            obs.recorder.add(Counter::SolverRebuilds, prover.rebuilds());
-            proven = merged;
-            if let Some(start) = sat_start {
-                // The flushes inside the loop already booked their
-                // time to the resim phase; keep the two disjoint.
-                let elapsed = start
-                    .elapsed()
-                    .saturating_sub(stats.resim_time - resim_before);
-                obs.recorder.add_wall(Phase::SatResolution, elapsed);
-                obs.recorder.add_cpu(Phase::SatResolution, elapsed);
-            }
-        }
-        stats.exec = sim.exec_stats();
-        stats.pool = sim.pool_stats();
-        record_exec_counters(obs, &stats.exec);
-
-        SweepReport {
-            stats,
-            cost_after_sim,
-            proven_classes: proven,
-            unresolved,
-            // Serial proofs run on the caller's thread, so panics
-            // propagate instead of quarantining; only certification
-            // failures land here.
-            quarantined,
-            interrupted: interrupted || deadline.expired(),
-            mem_exhausted,
-            patterns,
+impl Default for RunContext<'_> {
+    fn default() -> Self {
+        RunContext {
+            deadline: Deadline::never(),
+            obs: Observer::disabled(),
+            cache: None,
+            journal: None,
         }
     }
 }
@@ -544,7 +203,7 @@ pub(crate) fn record_exec_counters(obs: &mut Observer, exec: &simgen_sim::ExecSt
 }
 
 /// Output of the simulation half of a sweep (phases 1–2 of the
-/// paper's Figure 2), shared by the serial and parallel sweepers.
+/// paper's Figure 2).
 pub(crate) struct SimPhases {
     /// Stats with the simulation history filled in.
     pub stats: SweepStats,
@@ -681,11 +340,6 @@ pub(crate) fn run_sim_phases(
         classes,
     }
 }
-
-/// Counterexamples buffered before a batched resimulation: one full
-/// 64-bit pattern word, so every flush costs exactly one word-parallel
-/// pass over the network.
-pub(crate) const CEX_FLUSH_THRESHOLD: usize = 64;
 
 /// Flushes buffered counterexamples through one word-parallel,
 /// *cone-restricted* resimulation and re-partitions the working
@@ -833,8 +487,30 @@ fn refine_groups(groups: Vec<Vec<NodeId>>, sim: &SimResult) -> Vec<Vec<NodeId>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sweeper;
     use simgen_core::{RandomPatterns, RevSim, SimGen, SimGenConfig};
+    use simgen_dispatch::EngineMode;
     use simgen_netlist::TruthTable;
+
+    /// Runs a plain in-memory sweep (the [`RunContext::default`] run).
+    fn sweep(cfg: SweepConfig, net: &LutNetwork, gen: &mut dyn PatternGenerator) -> SweepReport {
+        Sweeper::new(cfg).run(net, gen, &mut RunContext::default())
+    }
+
+    /// The BDD-only engine with room for every test network's BDDs.
+    fn bdd_only(node_limit: usize) -> SweepConfig {
+        SweepConfig {
+            engine: EnginePolicy {
+                mode: EngineMode::BddOnly,
+                ..EnginePolicy::default()
+            },
+            budget_schedule: Some(BudgetSchedule {
+                bdd_node_limit: node_limit,
+                ..BudgetSchedule::default()
+            }),
+            ..SweepConfig::default()
+        }
+    }
 
     /// Builds a network with three provably-equivalent AND variants
     /// plus assorted distinct logic.
@@ -860,7 +536,7 @@ mod tests {
     fn proves_redundant_ands_equivalent() {
         let (net, ands) = redundant_net();
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
+        let report = sweep(SweepConfig::default(), &net, &mut gen);
         // All three ANDs end up in one proven class.
         let class = report
             .proven_classes
@@ -875,49 +551,16 @@ mod tests {
     }
 
     #[test]
-    fn certified_serial_sweep_matches_uncertified() {
-        // Certification on a healthy engine is pure overhead: same
-        // classes, same counts, zero failures, nothing quarantined.
-        let (net, ands) = redundant_net();
-        let mut gen = SimGen::new(SimGenConfig::default());
-        let plain = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
-        let cfg = SweepConfig {
-            certify: true,
-            ..SweepConfig::default()
-        };
-        let mut gen = SimGen::new(SimGenConfig::default());
-        let certified = Sweeper::new(cfg).run(&net, &mut gen);
-        assert_eq!(certified.proven_classes, plain.proven_classes);
-        assert_eq!(
-            certified.stats.proved_equivalent,
-            plain.stats.proved_equivalent
-        );
-        assert_eq!(certified.stats.disproved, plain.stats.disproved);
-        assert_eq!(certified.stats.certification_failures, 0);
-        assert!(certified.quarantined.is_empty());
-        // The certified run logged proofs; the plain one did not.
-        assert!(certified.stats.solver.proof_clauses > 0);
-        assert_eq!(plain.stats.solver.proof_clauses, 0);
-        assert!(certified
-            .proven_classes
-            .iter()
-            .any(|c| ands.iter().all(|n| c.contains(n))));
-    }
-
-    #[test]
     fn certify_forces_sat_engine_over_bdd() {
         // BDD answers carry no DRAT proof, so a certified sweep must
         // route proofs through SAT — and still resolve everything.
         let (net, _) = redundant_net();
         let cfg = SweepConfig {
-            proof: ProofEngine::Bdd {
-                node_limit: 1 << 20,
-            },
             certify: true,
-            ..SweepConfig::default()
+            ..bdd_only(1 << 20)
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         assert!(report.stats.proved_equivalent >= 2);
         assert_eq!(report.stats.certification_failures, 0);
         // SAT (not BDD) did the work, so proof clauses were recorded.
@@ -932,7 +575,7 @@ mod tests {
             run_sat: false,
             ..SweepConfig::default()
         };
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         assert_eq!(report.stats.sat_calls, 0);
         assert!(report.proven_classes.is_empty());
         // But the simulation history is fully recorded.
@@ -964,7 +607,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = RandomPatterns::new(1, 0);
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         // Whether or not they collided initially, they must never be
         // proven equivalent.
         assert!(report
@@ -986,7 +629,7 @@ mod tests {
                 random_batch: 4,
                 ..SweepConfig::default()
             };
-            let report = Sweeper::new(cfg).run(&net, gen.as_mut());
+            let report = sweep(cfg, &net, gen.as_mut());
             let costs: Vec<u64> = report.stats.history.iter().map(|r| r.cost).collect();
             assert!(
                 costs.windows(2).all(|w| w[1] <= w[0]),
@@ -1009,7 +652,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(2));
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         let first = report.stats.history.first().unwrap().cost;
         let last = report.stats.history.last().unwrap().cost;
         assert!(last <= first);
@@ -1020,47 +663,19 @@ mod tests {
         let (net, _) = redundant_net();
         let mut gen = SimGen::new(SimGenConfig::default());
         let cfg = SweepConfig::default();
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         assert!(report.patterns.num_patterns() >= cfg.random_batch);
-    }
-
-    #[test]
-    fn bdd_engine_matches_sat_engine() {
-        let (net, ands) = redundant_net();
-        let sat_cfg = SweepConfig::default();
-        let bdd_cfg = SweepConfig {
-            proof: ProofEngine::Bdd {
-                node_limit: 1_000_000,
-            },
-            ..SweepConfig::default()
-        };
-        let mut g1 = SimGen::new(SimGenConfig::default());
-        let r_sat = Sweeper::new(sat_cfg).run(&net, &mut g1);
-        let mut g2 = SimGen::new(SimGenConfig::default());
-        let r_bdd = Sweeper::new(bdd_cfg).run(&net, &mut g2);
-        // Same proven equivalences from both engines.
-        let find = |r: &SweepReport| {
-            r.proven_classes
-                .iter()
-                .find(|c| c.contains(&ands[0]))
-                .cloned()
-        };
-        let c1 = find(&r_sat).expect("sat proves the class");
-        let c2 = find(&r_bdd).expect("bdd proves the class");
-        assert_eq!(c1, c2);
-        assert_eq!(r_sat.stats.proved_equivalent, r_bdd.stats.proved_equivalent);
     }
 
     #[test]
     fn bdd_engine_node_limit_reports_unresolved() {
         let (net, _) = redundant_net();
         let cfg = SweepConfig {
-            proof: ProofEngine::Bdd { node_limit: 1 },
             random_batch: 1,
-            ..SweepConfig::default()
+            ..bdd_only(1)
         };
         let mut g = SimGen::new(SimGenConfig::default());
-        let r = Sweeper::new(cfg).run(&net, &mut g);
+        let r = sweep(cfg, &net, &mut g);
         assert_eq!(
             r.stats.proved_equivalent, 0,
             "nothing proven under a 1-node limit"
@@ -1094,7 +709,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = simgen_core::OneDistance::new(3, 2);
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         if report.stats.disproved > 0 {
             assert!(
                 gen.pool_len() > 0,
@@ -1104,38 +719,17 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_yields_sound_partial_report() {
-        // Serial sweeper under an already-expired deadline: the
-        // random phase still builds classes, but no proof may run and
-        // every surviving pair must surface as unresolved.
-        let (net, ands) = redundant_net();
-        let mut gen = SimGen::new(SimGenConfig::default());
-        let deadline = Deadline::after(Duration::ZERO);
-        let report = Sweeper::new(SweepConfig::default()).run_under(&net, &mut gen, &deadline);
-        assert!(report.interrupted);
-        assert!(report.proven_classes.is_empty(), "nothing may be claimed");
-        assert!(report.quarantined.is_empty(), "serial never quarantines");
-        assert_eq!(report.stats.sat_calls, 0);
-        // The redundant ANDs survive simulation, so they must be
-        // reported unresolved rather than silently dropped.
-        assert!(report
-            .unresolved
-            .iter()
-            .any(|&(a, b)| ands.contains(&a) && ands.contains(&b)));
-        assert_eq!(report.stats.aborted as usize, report.unresolved.len());
-        // Only the mandatory random round made it into the history.
-        assert_eq!(report.stats.history.len(), 1);
-    }
-
-    #[test]
     fn finishing_under_deadline_matches_undeadlined_run() {
         // A generous deadline must not perturb the report.
         let (net, _) = redundant_net();
         let mut g1 = SimGen::new(SimGenConfig::default());
-        let plain = Sweeper::new(SweepConfig::default()).run(&net, &mut g1);
+        let plain = sweep(SweepConfig::default(), &net, &mut g1);
         let mut g2 = SimGen::new(SimGenConfig::default());
-        let deadline = Deadline::after(Duration::from_secs(3600));
-        let timed = Sweeper::new(SweepConfig::default()).run_under(&net, &mut g2, &deadline);
+        let mut ctx = RunContext {
+            deadline: Deadline::after(Duration::from_secs(3600)),
+            ..RunContext::default()
+        };
+        let timed = Sweeper::new(SweepConfig::default()).run(&net, &mut g2, &mut ctx);
         assert!(!timed.interrupted);
         assert_eq!(timed.proven_classes, plain.proven_classes);
         assert_eq!(timed.unresolved, plain.unresolved);
@@ -1283,7 +877,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let mut gen = RandomPatterns::new(1, 0);
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = sweep(cfg, &net, &mut gen);
         // No two of the distinct functions may be merged.
         for g in &report.proven_classes {
             for (i, &a) in outs.iter().enumerate() {

@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use simgen_cec::{
-    design_info, sweep_run_report, Deadline, FaultAction, FaultPlan, ParallelSweeper, RunMeta,
-    SweepConfig, SweepReport,
+    design_info, sweep_run_report, FaultAction, FaultPlan, RunContext, RunMeta, SweepConfig,
+    SweepReport, Sweeper,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -51,12 +51,15 @@ fn run(net: &LutNetwork, jobs: usize, plan: Option<FaultPlan>) -> (SweepReport, 
         ..SweepConfig::default()
     };
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(11));
-    let mut obs = Observer::enabled();
-    let mut sweeper = ParallelSweeper::new(cfg);
+    let mut ctx = RunContext {
+        obs: Observer::enabled(),
+        ..RunContext::default()
+    };
+    let mut sweeper = Sweeper::new(cfg);
     if let Some(plan) = plan {
         sweeper = sweeper.with_fault_plan(plan);
     }
-    let report = sweeper.run_observed(net, &mut gen, &Deadline::never(), &mut obs);
+    let report = sweeper.run(net, &mut gen, &mut ctx);
     let meta = RunMeta {
         command: "sweep".to_string(),
         argv: vec![
@@ -66,7 +69,7 @@ fn run(net: &LutNetwork, jobs: usize, plan: Option<FaultPlan>) -> (SweepReport, 
         ],
         design: design_info(net, "e64", "e64.blif"),
     };
-    let json = sweep_run_report(meta, &cfg, &report, &obs).deterministic_json();
+    let json = sweep_run_report(meta, &cfg, &report, &ctx.obs).deterministic_json();
     (report, json)
 }
 

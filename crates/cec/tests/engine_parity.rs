@@ -1,19 +1,26 @@
-//! Cross-engine parity: the SAT and BDD proof engines must agree on
-//! every resolved query, and the sweep must produce identical proven
-//! equivalences wherever BDDs stay within their node limit.
+//! Cross-engine parity and an independent oracle: the SAT and BDD
+//! proof engines must agree on every resolved query, the sweep must
+//! produce identical proven equivalences under either engine wherever
+//! BDDs stay within their node limit, and on small miters the proven
+//! classes must be exactly the functional classes a brute-force truth
+//! table evaluation finds.
 
+use std::collections::BTreeMap;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simgen_cec::{
-    check_equivalence_under, design_info, sweep_run_report, BddProver, BudgetSchedule, CecVerdict,
-    Deadline, EquivProver, InconclusiveReason, PairProver, ParallelSweeper, ProofEngine,
-    ProveOutcome, RunMeta, SweepConfig, Sweeper,
+    check_equivalence, design_info, sweep_run_report, BddProver, BudgetSchedule, CecVerdict,
+    Deadline, EngineMode, EnginePolicy, InconclusiveReason, PairProver, ProveOutcome, RunContext,
+    RunMeta, SweepConfig, Sweeper,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
-use simgen_netlist::NodeId;
+use simgen_netlist::{LutNetwork, NodeId};
 use simgen_workloads::{build_aig, rewrite::restructure};
 
 /// A moderate CEC-style network with many truly equivalent pairs.
-fn test_network() -> simgen_netlist::LutNetwork {
+fn test_network() -> LutNetwork {
     let aig = build_aig("e64").expect("known benchmark");
     let variant = restructure(&aig, 0.5, 77);
     let left = map_to_luts(&aig, 6);
@@ -33,8 +40,8 @@ fn provers_agree_pairwise() {
     for k in 0..40usize {
         let a = luts[(k * 7) % luts.len()];
         let b = luts[(k * 13 + 5) % luts.len()];
-        let ra = EquivProver::prove(&mut sat, a, b, None);
-        let rb = EquivProver::prove(&mut bdd, a, b, None);
+        let ra = sat.prove(a, b, None);
+        let rb = bdd.prove(a, b);
         match (&ra, &rb) {
             (ProveOutcome::Equivalent, ProveOutcome::Equivalent) => {}
             (ProveOutcome::Counterexample(ca), ProveOutcome::Counterexample(cb)) => {
@@ -51,25 +58,31 @@ fn provers_agree_pairwise() {
             other => panic!("engines disagree on pair {k}: {other:?}"),
         }
     }
-    assert_eq!(EquivProver::calls(&sat), 40);
-    assert_eq!(EquivProver::calls(&bdd), 40);
+    assert_eq!(sat.calls(), 40);
+    assert_eq!(bdd.calls(), 40);
 }
 
 #[test]
 fn sweeps_agree_on_proven_sets() {
     let net = test_network();
-    let run = |engine: ProofEngine| {
+    let run = |mode: EngineMode| {
         let cfg = SweepConfig {
-            proof: engine,
+            engine: EnginePolicy {
+                mode,
+                ..EnginePolicy::default()
+            },
+            budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
+                bdd_node_limit: 5_000_000,
+                ..BudgetSchedule::default()
+            }),
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(3));
-        Sweeper::new(cfg).run(&net, &mut gen)
+        Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default())
     };
-    let sat = run(ProofEngine::Sat);
-    let bdd = run(ProofEngine::Bdd {
-        node_limit: 5_000_000,
-    });
+    let sat = run(EngineMode::Auto);
+    let bdd = run(EngineMode::BddOnly);
+    assert_eq!(bdd.stats.sat_calls, 0, "the BDD engine answered every pair");
     // The engines produce different counterexamples, so the number of
     // disproof calls may differ; the *semantic* outcome — which nodes
     // end up proven equivalent — must not.
@@ -90,7 +103,7 @@ fn sweeps_agree_on_proven_sets() {
 
 /// A seeded sweep workload: a benchmark miter'd against its own
 /// restructured variant, guaranteeing plenty of true equivalences.
-fn workload(name: &str, seed: u64) -> simgen_netlist::LutNetwork {
+fn workload(name: &str, seed: u64) -> LutNetwork {
     let aig = build_aig(name).expect("known benchmark");
     let variant = restructure(&aig, 0.4, seed);
     let left = map_to_luts(&aig, 6);
@@ -108,12 +121,65 @@ fn norm(mut classes: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     classes
 }
 
-/// The dispatch engine must reproduce the serial sweeper's semantic
-/// outcome — same proven equivalence structure, same proof-outcome
-/// counts — at every worker count, across a spread of seeded workload
-/// circuits.
+/// The brute-force oracle: every LUT node's complete truth table over
+/// the primary inputs, from [`LutNetwork::eval`] on all 2ⁿ input
+/// vectors, grouped into the classes of identical functions (size ≥ 2)
+/// in [`norm`] order. It shares no code with the sweep — no simulation
+/// kernel, no SAT, no BDD. `None` above 16 primary inputs.
+fn oracle_classes(net: &LutNetwork) -> Option<Vec<Vec<NodeId>>> {
+    let n = net.num_pis();
+    if n > 16 {
+        return None;
+    }
+    let luts: Vec<NodeId> = net.node_ids().filter(|&x| !net.is_pi(x)).collect();
+    let mut tables = vec![vec![0u64; (1usize << n).div_ceil(64)]; luts.len()];
+    let mut input = vec![false; n];
+    for m in 0..1usize << n {
+        for (i, bit) in input.iter_mut().enumerate() {
+            *bit = (m >> i) & 1 == 1;
+        }
+        let values = net.eval(&input);
+        for (table, node) in tables.iter_mut().zip(&luts) {
+            if values[node.index()] {
+                table[m / 64] |= 1 << (m % 64);
+            }
+        }
+    }
+    let mut by_function: BTreeMap<Vec<u64>, Vec<NodeId>> = BTreeMap::new();
+    for (table, node) in tables.into_iter().zip(luts) {
+        by_function.entry(table).or_default().push(node);
+    }
+    Some(norm(
+        by_function.into_values().filter(|c| c.len() >= 2).collect(),
+    ))
+}
+
+/// Soundness fallback for miters too wide to enumerate: every proven
+/// class must agree on 2048 seeded random input vectors under
+/// [`LutNetwork::eval`].
+fn assert_classes_agree_on_random_inputs(net: &LutNetwork, classes: &[Vec<NodeId>], what: &str) {
+    let mut rng = StdRng::seed_from_u64(0x0AC1E);
+    for _ in 0..2048 {
+        let input: Vec<bool> = (0..net.num_pis()).map(|_| rng.gen()).collect();
+        let values = net.eval(&input);
+        for class in classes {
+            assert!(
+                class
+                    .iter()
+                    .all(|n| values[n.index()] == values[class[0].index()]),
+                "{what}: proven class {class:?} splits on input {input:?}"
+            );
+        }
+    }
+}
+
+/// The sweep is sound and complete against the brute-force oracle at
+/// every worker count: on miters with at most 16 inputs the proven
+/// classes are exactly the functional classes (wider miters get a
+/// random-vector soundness check), and across worker counts the
+/// reports are identical in every deterministic respect.
 #[test]
-fn parallel_sweeps_match_serial_across_workloads() {
+fn sweeps_match_brute_force_oracle_across_workloads() {
     let circuits = [
         ("e64", 11u64),
         ("e64", 19),
@@ -123,14 +189,13 @@ fn parallel_sweeps_match_serial_across_workloads() {
     ];
     for (name, seed) in circuits {
         let net = workload(name, seed);
+        let oracle = oracle_classes(&net);
         let base = SweepConfig {
             guided_iterations: 5,
             seed,
             ..SweepConfig::default()
         };
-        let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-        let serial = Sweeper::new(base).run(&net, &mut gen);
-        let mut parallel_reports = Vec::new();
+        let mut reports = Vec::new();
         for jobs in [1usize, 2, 4] {
             let cfg = SweepConfig {
                 jobs,
@@ -143,30 +208,30 @@ fn parallel_sweeps_match_serial_across_workloads() {
                 ..base
             };
             let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let par = ParallelSweeper::new(cfg).run(&net, &mut gen);
-            assert_eq!(
-                norm(par.proven_classes.clone()),
-                norm(serial.proven_classes.clone()),
-                "{name}: parallel jobs={jobs} must prove the same classes"
-            );
-            assert_eq!(
-                par.stats.proved_equivalent, serial.stats.proved_equivalent,
-                "{name} jobs={jobs}"
-            );
+            let par = Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default());
             assert_eq!(
                 par.stats.aborted, 0,
                 "{name} jobs={jobs}: nothing may time out"
             );
-            assert_eq!(
-                serial.stats.aborted, 0,
-                "{name}: serial baseline fully resolves"
-            );
-            parallel_reports.push(par);
+            assert!(par.unresolved.is_empty(), "{name} jobs={jobs}");
+            match &oracle {
+                Some(truth) => assert_eq!(
+                    &norm(par.proven_classes.clone()),
+                    truth,
+                    "{name} jobs={jobs}: proven classes must be the functional classes"
+                ),
+                None => assert_classes_agree_on_random_inputs(
+                    &net,
+                    &par.proven_classes,
+                    &format!("{name} jobs={jobs}"),
+                ),
+            }
+            reports.push(par);
         }
-        // Across worker counts the parallel reports are identical in
-        // every deterministic respect (not just up to reordering).
-        let first = &parallel_reports[0];
-        for (i, r) in parallel_reports.iter().enumerate().skip(1) {
+        // Across worker counts the reports are identical in every
+        // deterministic respect (not just up to reordering).
+        let first = &reports[0];
+        for (i, r) in reports.iter().enumerate().skip(1) {
             assert_eq!(r.proven_classes, first.proven_classes, "{name} report {i}");
             assert_eq!(r.unresolved, first.unresolved, "{name} report {i}");
             assert_eq!(
@@ -214,13 +279,11 @@ fn run_reports_are_byte_identical_across_worker_counts() {
         for jobs in [1usize, 2, 4] {
             let cfg = SweepConfig { jobs, ..base };
             let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let mut obs = simgen_obs::Observer::enabled();
-            let report = ParallelSweeper::new(cfg).run_observed(
-                &net,
-                &mut gen,
-                &Deadline::never(),
-                &mut obs,
-            );
+            let mut ctx = RunContext {
+                obs: simgen_obs::Observer::enabled(),
+                ..RunContext::default()
+            };
+            let report = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
             let meta = RunMeta {
                 command: "sweep".to_string(),
                 argv: vec![
@@ -231,7 +294,7 @@ fn run_reports_are_byte_identical_across_worker_counts() {
                 ],
                 design: design_info(&net, name, &format!("{name}.blif")),
             };
-            let run = sweep_run_report(meta, &cfg, &report, &obs);
+            let run = sweep_run_report(meta, &cfg, &report, &ctx.obs);
             simgen_obs::RunReport::validate(&run.to_json()).expect("instrumented run validates");
             deterministic_forms.push(run.deterministic_json());
         }
@@ -260,16 +323,19 @@ fn expired_deadline_run_reports_are_byte_identical() {
     for jobs in [1usize, 2, 4] {
         let cfg = SweepConfig { jobs, ..base };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-        let mut obs = simgen_obs::Observer::enabled();
-        let deadline = Deadline::after(std::time::Duration::ZERO);
-        let report = ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &deadline, &mut obs);
+        let mut ctx = RunContext {
+            deadline: Deadline::after(std::time::Duration::ZERO),
+            obs: simgen_obs::Observer::enabled(),
+            ..RunContext::default()
+        };
+        let report = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
         assert!(report.interrupted, "jobs={jobs} must flag interruption");
         let meta = RunMeta {
             command: "sweep".to_string(),
             argv: vec!["sweep".to_string(), format!("{name}.blif")],
             design: design_info(&net, name, &format!("{name}.blif")),
         };
-        let run = sweep_run_report(meta, &cfg, &report, &obs);
+        let run = sweep_run_report(meta, &cfg, &report, &ctx.obs);
         simgen_obs::RunReport::validate(&run.to_json()).expect("interrupted run validates");
         assert_eq!(run.outcome.status, "interrupted");
         assert_eq!(run.outcome.exit_code, 2);
@@ -300,8 +366,11 @@ fn expired_deadline_reports_are_identical_across_worker_counts() {
         for jobs in [1usize, 2, 4] {
             let cfg = SweepConfig { jobs, ..base };
             let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let deadline = Deadline::after(std::time::Duration::ZERO);
-            let par = ParallelSweeper::new(cfg).run_under(&net, &mut gen, &deadline);
+            let mut ctx = RunContext {
+                deadline: Deadline::after(std::time::Duration::ZERO),
+                ..RunContext::default()
+            };
+            let par = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
             assert!(par.interrupted, "{name} jobs={jobs} must flag interruption");
             assert_eq!(
                 par.stats.sat_calls, 0,
@@ -335,8 +404,11 @@ fn expired_deadline_reports_are_identical_across_worker_counts() {
         for jobs in [1usize, 2, 4] {
             let cfg = SweepConfig { jobs, ..base };
             let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let deadline = Deadline::after(std::time::Duration::ZERO);
-            let report = check_equivalence_under(&left, &right, &mut gen, cfg, &deadline)
+            let mut ctx = RunContext {
+                deadline: Deadline::after(std::time::Duration::ZERO),
+                ..RunContext::default()
+            };
+            let report = check_equivalence(&left, &right, &mut gen, cfg, &mut ctx)
                 .expect("interfaces match");
             match &report.verdict {
                 CecVerdict::Inconclusive {

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use simgen_cec::{design_info, sweep_run_report, Deadline, ParallelSweeper, RunMeta, SweepConfig};
+use simgen_cec::{design_info, sweep_run_report, RunContext, RunMeta, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
 use simgen_obs::{Json, Observer, RunReport};
@@ -42,15 +42,17 @@ fn golden_run() -> String {
         ..SweepConfig::default()
     };
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-    let mut obs = Observer::enabled();
-    let report =
-        ParallelSweeper::new(cfg).run_observed(&net, &mut gen, &Deadline::never(), &mut obs);
+    let mut ctx = RunContext {
+        obs: Observer::enabled(),
+        ..RunContext::default()
+    };
+    let report = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
     let meta = RunMeta {
         command: "sweep".to_string(),
         argv: vec!["sweep".to_string(), "e64.blif".to_string()],
         design: design_info(&net, name, "e64.blif"),
     };
-    sweep_run_report(meta, &cfg, &report, &obs).deterministic_json()
+    sweep_run_report(meta, &cfg, &report, &ctx.obs).deterministic_json()
 }
 
 #[test]

@@ -21,8 +21,8 @@
 //! engine-stripping (the caveat documented in docs/solving.md).
 
 use simgen_cec::{
-    design_info, sweep_run_report, Deadline, EnginePolicy, ParallelSweeper, RegionMap, RunMeta,
-    SweepConfig, SweepReport,
+    design_info, sweep_run_report, EnginePolicy, RegionMap, RunContext, RunMeta, SweepConfig,
+    SweepReport, Sweeper,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -90,10 +90,12 @@ fn config(incremental: bool, jobs: usize, certify: bool) -> SweepConfig {
 
 fn run(net: &LutNetwork, cfg: SweepConfig) -> (SweepReport, Observer) {
     let mut gen = SimGen::new(SimGenConfig::default().with_seed(11));
-    let mut obs = Observer::enabled();
-    let report =
-        ParallelSweeper::new(cfg).run_observed(net, &mut gen, &Deadline::never(), &mut obs);
-    (report, obs)
+    let mut ctx = RunContext {
+        obs: Observer::enabled(),
+        ..RunContext::default()
+    };
+    let report = Sweeper::new(cfg).run(net, &mut gen, &mut ctx);
+    (report, ctx.obs)
 }
 
 /// The engine-stripped deterministic form of a run's `RunReport`.

@@ -1,12 +1,10 @@
-//! The content-addressed proof cache under both sweepers and the CEC
+//! The content-addressed proof cache under the sweeper and the CEC
 //! flow: warm runs answer from the cache, the trust policy rejects
 //! poisoned entries, and the `cache_*` counters obey the same
 //! `--jobs`-invariance contract as everything else in the report.
 
 use simgen_cache::{pair_key, CacheEntry, CachedVerdict, ProofCache};
-use simgen_cec::{
-    check_equivalence_cached, CecVerdict, Deadline, ParallelSweeper, SweepConfig, Sweeper,
-};
+use simgen_cec::{check_equivalence, CecVerdict, RunContext, SweepConfig, SweepReport, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_netlist::{LutNetwork, NodeId, TruthTable};
 use simgen_obs::{Counter, Observer};
@@ -52,22 +50,23 @@ fn tight_cfg() -> SweepConfig {
     }
 }
 
+/// Sweeps `net` under `cfg` against `cache`, counters on.
+fn cached_sweep(net: &LutNetwork, cfg: SweepConfig, cache: &ProofCache) -> (SweepReport, Observer) {
+    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
+    let mut ctx = RunContext {
+        obs: Observer::enabled(),
+        cache: Some(cache),
+        ..RunContext::default()
+    };
+    let report = Sweeper::new(cfg).run(net, &mut gen, &mut ctx);
+    (report, ctx.obs)
+}
+
 #[test]
-fn warm_serial_sweep_answers_from_the_cache() {
+fn warm_sweep_answers_from_the_cache() {
     let net = mixed_net();
     let cache = ProofCache::in_memory(1 << 20);
-    let run = |cache: &ProofCache| {
-        let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-        let mut obs = Observer::enabled();
-        let report = Sweeper::new(tight_cfg()).run_cached(
-            &net,
-            &mut gen,
-            &Deadline::never(),
-            &mut obs,
-            Some(cache),
-        );
-        (report, obs)
-    };
+    let run = |cache: &ProofCache| cached_sweep(&net, tight_cfg(), cache);
     let (cold, cold_obs) = run(&cache);
     assert!(cold.stats.proved_equivalent >= 2, "workload sanity");
     assert_eq!(cold_obs.recorder.get(Counter::CacheHits), 0);
@@ -90,18 +89,11 @@ fn warm_serial_sweep_answers_from_the_cache() {
 }
 
 #[test]
-fn warm_parallel_sweep_is_jobs_invariant_including_cache_counters() {
+fn warm_sweep_is_jobs_invariant_including_cache_counters() {
     let net = mixed_net();
     let cache = ProofCache::in_memory(1 << 20);
-    // Warm the cache once, serially.
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    Sweeper::new(tight_cfg()).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut Observer::disabled(),
-        Some(&cache),
-    );
+    // Warm the cache once, on one worker.
+    cached_sweep(&net, tight_cfg(), &cache);
     let entries_before = cache.len();
 
     let run = |jobs: usize| {
@@ -109,16 +101,7 @@ fn warm_parallel_sweep_is_jobs_invariant_including_cache_counters() {
             jobs,
             ..tight_cfg()
         };
-        let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-        let mut obs = Observer::enabled();
-        let report = ParallelSweeper::new(cfg).run_cached(
-            &net,
-            &mut gen,
-            &Deadline::never(),
-            &mut obs,
-            Some(&cache),
-        );
-        (report, obs)
+        cached_sweep(&net, cfg, &cache)
     };
     let (r1, o1) = run(1);
     assert!(o1.recorder.get(Counter::CacheHits) > 0);
@@ -179,27 +162,12 @@ fn structurally_identical_renumbered_network_still_hits() {
     net_b.add_po(f2, "f2");
 
     let cache = ProofCache::in_memory(1 << 20);
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let cold = Sweeper::new(tight_cfg()).run_cached(
-        &net_a,
-        &mut gen,
-        &Deadline::never(),
-        &mut Observer::disabled(),
-        Some(&cache),
-    );
+    let (cold, _) = cached_sweep(&net_a, tight_cfg(), &cache);
     assert!(cold.stats.proved_equivalent >= 2);
 
     // Same sweep on the renumbered twin: the content addresses match,
     // so the cache answers despite every NodeId differing.
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let warm = Sweeper::new(tight_cfg()).run_cached(
-        &net_b,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (warm, obs) = cached_sweep(&net_b, tight_cfg(), &cache);
     assert!(
         obs.recorder.get(Counter::CacheHits) > 0,
         "renumbered cones must still hit"
@@ -228,15 +196,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
             witness: vec![false; support.len()],
         }),
     );
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let report = Sweeper::new(tight_cfg()).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (report, obs) = cached_sweep(&net, tight_cfg(), &cache);
     assert!(
         obs.recorder.get(Counter::CacheEvictions) >= 1,
         "the poisoned entry must be evicted"
@@ -262,15 +222,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
         certify: true,
         ..tight_cfg()
     };
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let report = Sweeper::new(certify_cfg).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (report, obs) = cached_sweep(&net, certify_cfg, &cache);
     assert!(obs.recorder.get(Counter::CacheEvictions) >= 1);
     assert_eq!(report.stats.certification_failures, 0);
     assert!(report
@@ -280,15 +232,7 @@ fn poisoned_entries_are_evicted_and_reproved() {
 
     // The replacement entry carries a real proof: a second certified
     // run replays it instead of proving live.
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let warm = Sweeper::new(certify_cfg).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (warm, obs) = cached_sweep(&net, certify_cfg, &cache);
     assert_eq!(obs.recorder.get(Counter::CacheEvictions), 0);
     assert!(obs.recorder.get(Counter::CacheReplays) > 0);
     assert_eq!(warm.stats.sat_calls, 0);
@@ -302,28 +246,13 @@ fn certify_does_not_trust_unproven_entries() {
     let net = mixed_net();
     let cache = ProofCache::in_memory(1 << 20);
     // Plain warm-up: entries stored without DRAT blobs.
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    Sweeper::new(tight_cfg()).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut Observer::disabled(),
-        Some(&cache),
-    );
+    cached_sweep(&net, tight_cfg(), &cache);
 
     let certify_cfg = SweepConfig {
         certify: true,
         ..tight_cfg()
     };
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let certified = Sweeper::new(certify_cfg).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (certified, obs) = cached_sweep(&net, certify_cfg, &cache);
     // Equivalences were evicted and re-proved with proofs; witnesses
     // replay fine and stay hits.
     assert!(obs.recorder.get(Counter::CacheEvictions) > 0);
@@ -331,15 +260,7 @@ fn certify_does_not_trust_unproven_entries() {
     assert_eq!(certified.stats.certification_failures, 0);
 
     // Now the entries are certified: the next certified run is all hits.
-    let mut gen = SimGen::new(SimGenConfig::default().with_seed(5));
-    let mut obs = Observer::enabled();
-    let warm = Sweeper::new(certify_cfg).run_cached(
-        &net,
-        &mut gen,
-        &Deadline::never(),
-        &mut obs,
-        Some(&cache),
-    );
+    let (warm, obs) = cached_sweep(&net, certify_cfg, &cache);
     assert_eq!(warm.stats.sat_calls, 0);
     assert_eq!(obs.recorder.get(Counter::CacheMisses), 0);
     assert_eq!(warm.proven_classes, certified.proven_classes);
@@ -389,18 +310,14 @@ fn cached_cec_flow_answers_output_proofs_from_the_cache() {
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
-        let mut obs = Observer::enabled();
-        let report = check_equivalence_cached(
-            &n1,
-            &n2,
-            &mut gen,
-            cfg,
-            &Deadline::never(),
-            &mut obs,
-            Some(cache),
-        )
-        .expect("interfaces match");
-        (report, obs)
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            cache: Some(cache),
+            ..RunContext::default()
+        };
+        let report =
+            check_equivalence(&n1, &n2, &mut gen, cfg, &mut ctx).expect("interfaces match");
+        (report, ctx.obs)
     };
     let (cold, cold_obs) = run(&cache, false);
     assert_eq!(cold.verdict, CecVerdict::Equivalent);
@@ -444,17 +361,14 @@ fn cached_flow_still_finds_counterexamples() {
     let cache = ProofCache::in_memory(1 << 20);
     for round in 0..2 {
         let mut gen = SimGen::new(SimGenConfig::default());
-        let mut obs = Observer::enabled();
-        let report = check_equivalence_cached(
-            &n1,
-            &n2,
-            &mut gen,
-            SweepConfig::default(),
-            &Deadline::never(),
-            &mut obs,
-            Some(&cache),
-        )
-        .expect("interfaces match");
+        let mut ctx = RunContext {
+            obs: Observer::enabled(),
+            cache: Some(&cache),
+            ..RunContext::default()
+        };
+        let report = check_equivalence(&n1, &n2, &mut gen, SweepConfig::default(), &mut ctx)
+            .expect("interfaces match");
+        let obs = ctx.obs;
         match report.verdict {
             CecVerdict::NotEquivalent { po_index, witness } => {
                 assert_eq!(po_index, 1, "round {round}");

@@ -11,8 +11,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use simgen_cec::{
-    cec_run_report, design_info, sweep_run_report, CecVerdict, Deadline, EngineMode, EnginePolicy,
-    InconclusiveReason, ParallelSweeper, RunMeta, SweepConfig,
+    cec_run_report, check_equivalence, design_info, sweep_run_report, CecVerdict, Deadline,
+    EngineMode, EnginePolicy, InconclusiveReason, RunContext, RunMeta, SweepConfig, Sweeper,
 };
 use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -590,32 +590,29 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 engine,
                 ..SweepConfig::default()
             };
-            // Always the dispatch engine: its reports are
-            // scheduling-invariant, so every --jobs value (including
-            // the default 1, which runs inline without threads)
-            // prints byte-identical classes and proof counts.
-            // A journaled run records counters unconditionally: the
-            // round snapshots must be truthful so that a later
-            // `--resume --stats-json` restores the same totals an
-            // uninterrupted run would report.
-            let mut obs = Observer::with(
-                stats_json.is_some() || profile || journal.is_some(),
-                trace_path.is_some(),
-            );
+            // The sweeper's reports are scheduling-invariant, so
+            // every --jobs value (including the default 1, which runs
+            // inline without threads) prints byte-identical classes
+            // and proof counts. A journaled run records counters
+            // unconditionally: the round snapshots must be truthful so
+            // that a later `--resume --stats-json` restores the same
+            // totals an uninterrupted run would report.
+            let mut ctx = RunContext {
+                deadline,
+                obs: Observer::with(
+                    stats_json.is_some() || profile || journal.is_some(),
+                    trace_path.is_some(),
+                ),
+                cache: proof_cache.as_ref(),
+                journal: journal.as_mut(),
+            };
             #[allow(unused_mut)]
-            let mut sweeper = ParallelSweeper::new(cfg);
+            let mut sweeper = Sweeper::new(cfg);
             #[cfg(feature = "fault-inject")]
             if let Some(fseed) = fault_seed {
                 sweeper = sweeper.with_fault_plan(simgen_cec::FaultPlan::from_seed(fseed));
             }
-            let report = sweeper.run_checkpointed(
-                &net,
-                gen.as_mut(),
-                &deadline,
-                &mut obs,
-                proof_cache.as_ref(),
-                journal.as_mut(),
-            );
+            let report = sweeper.run(&net, gen.as_mut(), &mut ctx);
             let run_report = sweep_run_report(
                 RunMeta {
                     command: "sweep".to_string(),
@@ -624,9 +621,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 },
                 &cfg,
                 &report,
-                &obs,
+                &ctx.obs,
             );
-            write_observability(&run_report, &obs, stats_json, trace_path, profile)?;
+            write_observability(&run_report, &ctx.obs, stats_json, trace_path, profile)?;
             println!(
                 "{path}: {} LUTs | strategy {} | jobs {jobs}",
                 net.num_luts(),
@@ -694,21 +691,17 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             };
             // See the sweep arm: journaled runs always count, so the
             // journal's counter snapshots stay truthful for resume.
-            let mut obs = Observer::with(
-                stats_json.is_some() || profile || journal.is_some(),
-                trace_path.is_some(),
-            );
-            let report = simgen_cec::check_equivalence_checkpointed(
-                &na,
-                &nb,
-                gen.as_mut(),
-                cfg,
-                &deadline,
-                &mut obs,
-                proof_cache.as_ref(),
-                journal.as_mut(),
-            )
-            .map_err(|e| CliError(e.to_string()))?;
+            let mut ctx = RunContext {
+                deadline,
+                obs: Observer::with(
+                    stats_json.is_some() || profile || journal.is_some(),
+                    trace_path.is_some(),
+                ),
+                cache: proof_cache.as_ref(),
+                journal: journal.as_mut(),
+            };
+            let report = check_equivalence(&na, &nb, gen.as_mut(), cfg, &mut ctx)
+                .map_err(|e| CliError(e.to_string()))?;
             let run_report = cec_run_report(
                 RunMeta {
                     command: "cec".to_string(),
@@ -717,9 +710,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 },
                 &cfg,
                 &report,
-                &obs,
+                &ctx.obs,
             );
-            write_observability(&run_report, &obs, stats_json, trace_path, profile)?;
+            write_observability(&run_report, &ctx.obs, stats_json, trace_path, profile)?;
             let cert_failures = report.sweep_stats.certification_failures;
             match report.verdict {
                 CecVerdict::Equivalent => {
@@ -1551,7 +1544,7 @@ mod tests {
         // partial result must not claim equivalence.
         let code = run(&s(&["cec", &and_s, &and_s, "--timeout", "0"])).unwrap();
         assert_eq!(code, ExitCode::from(2));
-        // Same degraded path through the parallel sweeper.
+        // Same degraded path with two workers.
         let code = run(&s(&["cec", &and_s, &and_s, "--timeout", "0", "-j", "2"])).unwrap();
         assert_eq!(code, ExitCode::from(2));
         std::fs::remove_dir_all(&dir).unwrap();

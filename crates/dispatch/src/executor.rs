@@ -289,21 +289,21 @@ where
                     if expired() {
                         break;
                     }
-                    // Own shard first (front), then steal (back).
-                    let job = queues[w]
-                        .lock()
-                        .expect("queue poisoned")
-                        .pop_front()
-                        .or_else(|| {
-                            (1..jobs).find_map(|off| {
-                                let victim = (w + off) % jobs;
-                                let job = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if job.is_some() {
-                                    stolen += 1;
-                                }
-                                job
-                            })
-                        });
+                    // Own shard first (front), then steal (back). The
+                    // own-shard guard must be released before stealing:
+                    // two workers that each held their own lock while
+                    // taking the other's would deadlock.
+                    let own = queues[w].lock().expect("queue poisoned").pop_front();
+                    let job = own.or_else(|| {
+                        (1..jobs).find_map(|off| {
+                            let victim = (w + off) % jobs;
+                            let job = queues[victim].lock().expect("queue poisoned").pop_back();
+                            if job.is_some() {
+                                stolen += 1;
+                            }
+                            job
+                        })
+                    });
                     let Some((idx, item)) = job else { break };
                     out.push((
                         idx,

@@ -25,6 +25,14 @@ pub enum EngineMode {
     BddFirst,
     /// Never consult the BDD engine, even as a fallback.
     SatOnly,
+    /// Resolve every pair with the BDD engine alone (the "BDD" arm of
+    /// the paper's Figure 2): a pair whose BDDs exceed the node limit
+    /// stays unresolved instead of falling through to SAT. Under
+    /// certification the SAT ladder proves the pair instead, since BDD
+    /// answers carry no DRAT certificate. A library-level setting for
+    /// the BDD-versus-SAT experiments; `--engine-policy` does not
+    /// offer it.
+    BddOnly,
 }
 
 impl EngineMode {
@@ -44,6 +52,7 @@ impl EngineMode {
             EngineMode::Auto => "default",
             EngineMode::BddFirst => "bdd-first",
             EngineMode::SatOnly => "sat-only",
+            EngineMode::BddOnly => "bdd-only",
         }
     }
 }
@@ -86,7 +95,7 @@ impl EnginePolicy {
     /// for a pair (never under certification — BDD answers carry no
     /// DRAT certificate).
     pub fn bdd_primary(&self, certify: bool) -> bool {
-        self.mode == EngineMode::BddFirst && !certify
+        matches!(self.mode, EngineMode::BddFirst | EngineMode::BddOnly) && !certify
     }
 
     /// True when the BDD engine may run as the post-ladder fallback.
@@ -109,6 +118,11 @@ mod tests {
         for mode in [EngineMode::Auto, EngineMode::BddFirst, EngineMode::SatOnly] {
             assert_eq!(EngineMode::parse(mode.name()), Some(mode), "round trip");
         }
+        assert_eq!(
+            EngineMode::parse(EngineMode::BddOnly.name()),
+            None,
+            "bdd-only is not a CLI choice"
+        );
     }
 
     #[test]
@@ -123,13 +137,15 @@ mod tests {
 
     #[test]
     fn certification_always_suppresses_bdds() {
-        let p = EnginePolicy {
-            mode: EngineMode::BddFirst,
-            ..EnginePolicy::default()
-        };
-        assert!(p.bdd_primary(false));
-        assert!(!p.bdd_primary(true), "BDD verdicts cannot be certified");
-        assert!(!p.bdd_fallback(1_000, true));
+        for mode in [EngineMode::BddFirst, EngineMode::BddOnly] {
+            let p = EnginePolicy {
+                mode,
+                ..EnginePolicy::default()
+            };
+            assert!(p.bdd_primary(false), "{mode:?}");
+            assert!(!p.bdd_primary(true), "BDD verdicts cannot be certified");
+            assert!(!p.bdd_fallback(1_000, true));
+        }
     }
 
     #[test]

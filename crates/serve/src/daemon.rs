@@ -10,7 +10,7 @@
 //!   immediately instead of buffering, and the round-robin lanes stop
 //!   one chatty client from starving the rest;
 //! * one **executor thread** pops jobs in fair order and runs each
-//!   through [`simgen_cec::check_equivalence_cached`] against the
+//!   through [`simgen_cec::check_equivalence`] against the
 //!   shared [`ProofCache`], then writes the response back on the
 //!   job's connection.
 //!
@@ -88,8 +88,8 @@ use std::time::{Duration, Instant};
 
 use simgen_cache::{job_key, CacheEntry, CacheKey, CachedVerdict, ProofCache, Sha256};
 use simgen_cec::{
-    cec_run_report, check_equivalence_checkpointed, design_info, estimate_resident, CecVerdict,
-    Deadline, InconclusiveReason, RunMeta, SweepConfig, SweepJournal,
+    cec_run_report, check_equivalence, design_info, estimate_resident, CecVerdict, Deadline,
+    InconclusiveReason, RunContext, RunMeta, SweepConfig, SweepJournal,
 };
 use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_dispatch::{FairQueue, Popped, PushError};
@@ -863,24 +863,21 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
         .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
         .map(Deadline::after)
         .unwrap_or_default();
-    let mut obs = Observer::enabled();
     // Journal the sweep under the job's tag so a daemon killed
     // mid-job resumes from the last complete round instead of from
     // scratch. Journal failure degrades to an unjournaled run.
     let mut journal = ctx.checkpoint.as_ref().and_then(|checkpoint| {
         SweepJournal::create(journal_dir(checkpoint, &job_tag(request)), true).ok()
     });
-    let report = check_equivalence_checkpointed(
-        &a,
-        &b,
-        gen.as_mut(),
-        cfg,
-        &deadline,
-        &mut obs,
-        Some(cache),
-        journal.as_mut(),
-    )
-    .map_err(|e| JobError::permanent(e.to_string()))?;
+    let mut run = RunContext {
+        deadline: deadline.clone(),
+        obs: Observer::enabled(),
+        cache: Some(cache),
+        journal: journal.as_mut(),
+    };
+    let report = check_equivalence(&a, &b, gen.as_mut(), cfg, &mut run)
+        .map_err(|e| JobError::permanent(e.to_string()))?;
+    let obs = run.obs;
 
     // Governance bookkeeping. The resident estimate feeds the `health`
     // verb's headroom figure; the verdict classification feeds the

@@ -3,9 +3,10 @@
 //! The ROADMAP's service direction in one crate: a long-lived process
 //! that listens on a unix socket, accepts equivalence-checking jobs
 //! as JSON Lines, runs them through the cached CEC flow
-//! ([`simgen_cec::check_equivalence_cached`]), and answers repeated
-//! or overlapping queries from the content-addressed
-//! [`simgen_cache::ProofCache`] instead of the SAT solver.
+//! ([`simgen_cec::check_equivalence`] with a proof cache attached),
+//! and answers repeated or overlapping queries from the
+//! content-addressed [`simgen_cache::ProofCache`] instead of the SAT
+//! solver.
 //!
 //! Three layers:
 //!

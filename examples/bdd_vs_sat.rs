@@ -8,7 +8,9 @@
 
 use std::time::Instant;
 
-use simgen_suite::cec::{ProofEngine, SweepConfig, Sweeper};
+use simgen_suite::cec::{
+    BudgetSchedule, EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper,
+};
 use simgen_suite::core::{SimGen, SimGenConfig};
 use simgen_suite::workloads::benchmark_network;
 
@@ -25,25 +27,32 @@ fn main() {
         net.depth()
     );
 
-    for (label, engine) in [
-        ("SAT (CDCL, incremental)", ProofEngine::Sat),
-        (
-            "BDD (2M-node limit)",
-            ProofEngine::Bdd {
-                node_limit: 2_000_000,
-            },
-        ),
+    for (label, mode) in [
+        ("SAT (CDCL, incremental)", EngineMode::Auto),
+        ("BDD (2M-node limit)", EngineMode::BddOnly),
     ] {
         let cfg = SweepConfig {
-            proof: engine,
+            engine: EnginePolicy {
+                mode,
+                ..EnginePolicy::default()
+            },
+            // The BDD engine's node limit rides on the budget schedule.
+            budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
+                bdd_node_limit: 2_000_000,
+                ..BudgetSchedule::default()
+            }),
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
         let t = Instant::now();
-        let report = Sweeper::new(cfg).run(&net, &mut gen);
+        let report = Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default());
+        let proofs = report
+            .stats
+            .dispatch
+            .as_ref()
+            .map_or(0, |d| d.total_proofs());
         println!("{label}:");
-        println!("  proof calls     : {}", report.stats.sat_calls);
-        println!("  proof time      : {:?}", report.stats.sat_time);
+        println!("  pair proofs     : {proofs}");
         println!("  proven equal    : {}", report.stats.proved_equivalent);
         println!("  disproved       : {}", report.stats.disproved);
         println!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example cec_two_designs
 //! ```
 
-use simgen_suite::cec::{check_equivalence, CecVerdict, SweepConfig};
+use simgen_suite::cec::{check_equivalence, CecVerdict, RunContext, SweepConfig};
 use simgen_suite::core::{SimGen, SimGenConfig};
 use simgen_suite::mapping::map_to_luts;
 use simgen_suite::netlist::TruthTable;
@@ -29,8 +29,14 @@ fn main() {
     println!("mapped: {} vs {} 6-LUTs", left.num_luts(), right.num_luts());
 
     let mut generator = SimGen::new(SimGenConfig::default());
-    let report = check_equivalence(&left, &right, &mut generator, SweepConfig::default())
-        .expect("interfaces match");
+    let report = check_equivalence(
+        &left,
+        &right,
+        &mut generator,
+        SweepConfig::default(),
+        &mut RunContext::default(),
+    )
+    .expect("interfaces match");
     println!(
         "verdict: {:?} (sweep SAT calls: {}, output SAT calls: {})",
         matches!(report.verdict, CecVerdict::Equivalent),
@@ -54,8 +60,14 @@ fn main() {
     }
 
     let mut generator = SimGen::new(SimGenConfig::default());
-    let report = check_equivalence(&left, &broken, &mut generator, SweepConfig::default())
-        .expect("interfaces match");
+    let report = check_equivalence(
+        &left,
+        &broken,
+        &mut generator,
+        SweepConfig::default(),
+        &mut RunContext::default(),
+    )
+    .expect("interfaces match");
     match report.verdict {
         CecVerdict::NotEquivalent { po_index, witness } => {
             println!("broken design caught: output pair {po_index} differs");

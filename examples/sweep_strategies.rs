@@ -6,7 +6,7 @@
 //! cargo run --release --example sweep_strategies [benchmark]
 //! ```
 
-use simgen_suite::cec::{SweepConfig, Sweeper};
+use simgen_suite::cec::{RunContext, SweepConfig, Sweeper};
 use simgen_suite::core::{PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_suite::workloads::benchmark_network;
 
@@ -35,7 +35,7 @@ fn main() {
     let mut reports = Vec::new();
     for g in gens.iter_mut() {
         let name = g.name();
-        let report = Sweeper::new(cfg).run(&net, g.as_mut());
+        let report = Sweeper::new(cfg).run(&net, g.as_mut(), &mut RunContext::default());
         reports.push((name, report));
     }
 

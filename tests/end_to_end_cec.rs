@@ -2,7 +2,7 @@
 //! LUT mapping → sweeping → CEC verdicts, spanning every crate in the
 //! workspace.
 
-use simgen_suite::cec::{check_equivalence, CecVerdict, SweepConfig, Sweeper};
+use simgen_suite::cec::{check_equivalence, CecVerdict, RunContext, SweepConfig, Sweeper};
 use simgen_suite::core::{PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_suite::mapping::map_to_luts;
 use simgen_suite::netlist::{validate, TruthTable};
@@ -13,8 +13,14 @@ fn equivalent_designs_pass_cec() {
     for name in ["e64", "b14_C", "misex3c"] {
         let inst = cec_instance(name, 6).expect("known benchmark");
         let mut gen = SimGen::new(SimGenConfig::default());
-        let report = check_equivalence(&inst.left, &inst.right, &mut gen, SweepConfig::default())
-            .expect("interfaces match");
+        let report = check_equivalence(
+            &inst.left,
+            &inst.right,
+            &mut gen,
+            SweepConfig::default(),
+            &mut RunContext::default(),
+        )
+        .expect("interfaces match");
         assert_eq!(
             report.verdict,
             CecVerdict::Equivalent,
@@ -38,8 +44,14 @@ fn corrupted_design_fails_cec() {
         broken.add_po(if i == 0 { inv } else { drivers[i] }, name.clone());
     }
     let mut gen = SimGen::new(SimGenConfig::default());
-    let report = check_equivalence(&inst.left, &broken, &mut gen, SweepConfig::default())
-        .expect("interfaces match");
+    let report = check_equivalence(
+        &inst.left,
+        &broken,
+        &mut gen,
+        SweepConfig::default(),
+        &mut RunContext::default(),
+    )
+    .expect("interfaces match");
     match report.verdict {
         CecVerdict::NotEquivalent { po_index, witness } => {
             assert_eq!(po_index, 0);
@@ -102,7 +114,8 @@ fn all_strategies_complete_a_full_sweep() {
         Box::new(SimGen::new(SimGenConfig::advanced_dc_mffc().with_seed(5))),
     ];
     for g in gens.iter_mut() {
-        let report = Sweeper::new(SweepConfig::default()).run(&net, g.as_mut());
+        let report =
+            Sweeper::new(SweepConfig::default()).run(&net, g.as_mut(), &mut RunContext::default());
         assert!(
             report.unresolved.is_empty(),
             "{}: everything resolves on this size",
@@ -124,7 +137,8 @@ fn proven_equivalences_are_real() {
     let net = benchmark_network("ex5p", 6).unwrap();
     assert!(net.num_pis() <= 12, "exhaustive check must stay feasible");
     let mut gen = SimGen::new(SimGenConfig::default());
-    let report = Sweeper::new(SweepConfig::default()).run(&net, &mut gen);
+    let report =
+        Sweeper::new(SweepConfig::default()).run(&net, &mut gen, &mut RunContext::default());
     let mut checked = 0;
     for class in &report.proven_classes {
         for m in 0..(1u32 << net.num_pis()) {
