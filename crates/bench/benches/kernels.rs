@@ -8,9 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use simgen_core::engine::InputVectorGenerator;
-use simgen_core::implication::propagate;
+use simgen_core::implication::{Implicator, Propagation};
 use simgen_core::revsim::reverse_simulate;
-use simgen_core::rows::RowDb;
 use simgen_core::{DecisionStrategy, ImplicationStrategy, Value, ValueMap};
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_workloads::benchmark_network;
@@ -31,14 +30,15 @@ fn bench_implication(c: &mut Criterion) {
             BenchmarkId::new("propagate_from_target", format!("{strategy:?}")),
             &strategy,
             |b, &strategy| {
-                let mut rows = RowDb::new();
+                let mut implicator = Implicator::new(&net);
+                let mut values = ValueMap::new(net.len());
                 b.iter(|| {
                     let mut total = 0usize;
                     for &t in &targets {
-                        let mut values = ValueMap::new(net.len());
+                        values.clear();
                         values.assign(t, Value::One);
-                        if let simgen_core::implication::Propagation::Quiescent(n) =
-                            propagate(&net, &mut values, &mut rows, &[t], strategy)
+                        if let Propagation::Quiescent(n) =
+                            implicator.propagate(&mut values, &[t], strategy, None)
                         {
                             total += n;
                         }

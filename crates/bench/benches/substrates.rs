@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use simgen_cec::PairProver;
 use simgen_mapping::{enumerate_cuts, map_to_luts};
-use simgen_netlist::mffc::{mffc, reference_counts};
+use simgen_netlist::mffc::MffcWalker;
 use simgen_netlist::NodeId;
 use simgen_sim::{simulate, EquivClasses, PatternSet, SimResult};
 use simgen_workloads::{benchmark_network, build_aig};
@@ -55,9 +55,9 @@ fn bench_mffc(c: &mut Criterion) {
     let luts: Vec<NodeId> = net.node_ids().filter(|&n| !net.is_pi(n)).collect();
     c.bench_function("mffc_all_nodes", |b| {
         b.iter(|| {
-            let mut refs = reference_counts(&net);
+            let mut walker = MffcWalker::new(&net);
             luts.iter()
-                .map(|&n| mffc(&net, n, &mut refs).size())
+                .map(|&n| walker.mffc(&net, n).size())
                 .sum::<usize>()
         });
     });

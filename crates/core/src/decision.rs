@@ -16,10 +16,11 @@
 
 use rand::Rng;
 
-use simgen_netlist::mffc::{mffc, reference_counts};
+use simgen_netlist::mffc::MffcWalker;
+use simgen_netlist::truth::MAX_ARITY;
 use simgen_netlist::{LutNetwork, NodeId};
 
-use crate::rows::{compatible_rows, Row, RowDb};
+use crate::rows::{members, PinAssignment, Row, MAX_ROWS};
 use crate::tv::{Value, ValueMap};
 
 /// The row-selection policy used when a decision is unavoidable.
@@ -37,8 +38,10 @@ pub enum DecisionStrategy {
 /// Outcome of a decision attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decision {
-    /// A row was chosen; the listed nodes were newly assigned.
-    Assigned(Vec<NodeId>),
+    /// A row was chosen and this many pins were newly assigned; they
+    /// are the newest entries of the value map's trail (the output
+    /// first, then the fanins by index).
+    Assigned(usize),
     /// No row is compatible with the current pin assignment — the
     /// caller must treat this as a conflict.
     NoRows,
@@ -51,40 +54,42 @@ pub enum Decision {
 /// decisions on the same network.
 #[derive(Clone, Debug)]
 pub struct MffcDepths {
-    refs: Vec<u32>,
-    depth: Vec<Option<f64>>,
+    walker: MffcWalker,
+    /// Depth per node; NaN until computed (a depth is never NaN).
+    depth: Vec<f64>,
 }
 
 impl MffcDepths {
     /// Creates the cache (one O(n) reference-count pass).
     pub fn new(net: &LutNetwork) -> Self {
         MffcDepths {
-            refs: reference_counts(net),
-            depth: vec![None; net.len()],
+            walker: MffcWalker::new(net),
+            depth: vec![f64::NAN; net.len()],
         }
     }
 
     /// The MFFC depth of `node`, computing and caching it on first use.
     pub fn depth(&mut self, net: &LutNetwork, node: NodeId) -> f64 {
-        if let Some(d) = self.depth[node.index()] {
-            return d;
+        let cached = self.depth[node.index()];
+        if !cached.is_nan() {
+            return cached;
         }
-        let cone = mffc(net, node, &mut self.refs);
-        let d = cone.depth(net);
-        self.depth[node.index()] = Some(d);
+        let d = self.walker.depth(net, node);
+        self.depth[node.index()] = d;
         d
     }
 }
 
 /// Applies one decision at `gate` under the given strategy.
 ///
-/// The chosen row's specified values are assigned to all currently
-/// unassigned pins of the gate (inputs and, if free, the output).
+/// `rows` are the rows of `gate`'s function. The chosen row's
+/// specified values are assigned to all currently unassigned pins of
+/// the gate (inputs and, if free, the output).
 #[allow(clippy::too_many_arguments)]
 pub fn decide(
     net: &LutNetwork,
     values: &mut ValueMap,
-    rows: &mut RowDb,
+    rows: &[Row],
     mffcs: &mut MffcDepths,
     gate: NodeId,
     strategy: DecisionStrategy,
@@ -92,45 +97,48 @@ pub fn decide(
     beta: f64,
     rng: &mut impl Rng,
 ) -> Decision {
-    let candidates = compatible_rows(net, values, rows, gate);
-    if candidates.is_empty() {
+    let candidates = PinAssignment::of(net, values, gate).matching(rows);
+    if candidates == 0 {
         return Decision::NoRows;
     }
     let arity = net.fanins(gate).len();
-    let row = match strategy {
-        DecisionStrategy::Random => candidates[rng.gen_range(0..candidates.len())],
+    let pick = |set: u64, k: usize| members(set).nth(k).expect("k < |set|");
+    let chosen = match strategy {
+        DecisionStrategy::Random => pick(
+            candidates,
+            rng.gen_range(0..candidates.count_ones() as usize),
+        ),
         DecisionStrategy::Dc => {
-            let best = candidates
-                .iter()
-                .map(|r| r.cube.dc_count(arity))
-                .max()
-                .expect("nonempty");
-            let top: Vec<&Row> = candidates
-                .iter()
-                .filter(|r| r.cube.dc_count(arity) == best)
-                .collect();
-            *top[rng.gen_range(0..top.len())]
+            let dc = |i: usize| rows[i].cube.dc_count(arity);
+            let best = members(candidates).map(dc).max().expect("nonempty");
+            let top = members(candidates)
+                .filter(|&i| dc(i) == best)
+                .fold(0u64, |set, i| set | 1 << i);
+            pick(top, rng.gen_range(0..top.count_ones() as usize))
         }
         DecisionStrategy::DcMffc => {
-            let fanins = net.fanins(gate).to_vec();
-            let depths: Vec<f64> = fanins.iter().map(|&f| mffcs.depth(net, f)).collect();
-            let weights: Vec<f64> = candidates
-                .iter()
-                .map(|r| {
-                    let dc = r.cube.dc_count(arity) as f64;
-                    // Equation 3: sum of MFFC depths over the row's
-                    // *specified* inputs.
-                    let rank: f64 = (0..arity)
-                        .filter(|&i| r.cube.input(i).is_some())
-                        .map(|i| depths[i])
-                        .sum();
-                    alpha * dc + beta * rank
-                })
-                .collect();
-            candidates[roulette(&weights, rng)]
+            let mut depths = [0.0; MAX_ARITY];
+            for (d, &f) in depths.iter_mut().zip(net.fanins(gate)) {
+                *d = mffcs.depth(net, f);
+            }
+            let mut weights = [0.0; MAX_ROWS];
+            let mut len = 0;
+            for i in members(candidates) {
+                let r = &rows[i];
+                let dc = r.cube.dc_count(arity) as f64;
+                // Equation 3: sum of MFFC depths over the row's
+                // *specified* inputs.
+                let rank: f64 = (0..arity)
+                    .filter(|&i| r.cube.input(i).is_some())
+                    .map(|i| depths[i])
+                    .sum();
+                weights[len] = alpha * dc + beta * rank;
+                len += 1;
+            }
+            pick(candidates, roulette(&weights[..len], rng))
         }
     };
-    apply_row(net, values, gate, &row)
+    apply_row(net, values, gate, &rows[chosen])
 }
 
 /// Roulette-wheel selection: index `i` is drawn with probability
@@ -151,21 +159,20 @@ pub fn roulette(weights: &[f64], rng: &mut impl Rng) -> usize {
 }
 
 fn apply_row(net: &LutNetwork, values: &mut ValueMap, gate: NodeId, row: &Row) -> Decision {
-    let fanins = net.fanins(gate);
-    let mut newly = Vec::new();
+    let mut newly = 0;
     if !values.is_assigned(gate) {
         values.assign(gate, Value::from_bool(row.output));
-        newly.push(gate);
+        newly += 1;
     }
-    for (i, &f) in fanins.iter().enumerate() {
+    for (i, &f) in net.fanins(gate).iter().enumerate() {
         if let Some(v) = row.cube.input(i) {
             if !values.is_assigned(f) {
                 values.assign(f, Value::from_bool(v));
-                newly.push(f);
+                newly += 1;
             }
         }
     }
-    if newly.is_empty() {
+    if newly == 0 {
         Decision::Saturated
     } else {
         Decision::Assigned(newly)
@@ -175,6 +182,7 @@ fn apply_row(net: &LutNetwork, values: &mut ValueMap, gate: NodeId, row: &Row) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::RowDb;
     use rand::SeedableRng;
     use simgen_netlist::TruthTable;
 
@@ -215,7 +223,7 @@ mod tests {
         let d = decide(
             &f.net,
             &mut vm,
-            &mut db,
+            db.rows(f.net.truth_table(f.z).unwrap()),
             &mut mf,
             f.z,
             DecisionStrategy::Random,
@@ -225,7 +233,8 @@ mod tests {
         );
         match d {
             Decision::Assigned(newly) => {
-                assert!(!newly.is_empty());
+                assert!(newly > 0);
+                assert_eq!(vm.trail_len(), 1 + newly, "z, then the new pins");
                 // nand = 1 rows: x=0 or y=0; exactly one fanin gets 0.
                 let vx = vm.get(f.x);
                 let vy = vm.get(f.y);
@@ -252,7 +261,7 @@ mod tests {
         let d = decide(
             &f.net,
             &mut vm,
-            &mut db,
+            db.rows(f.net.truth_table(f.x).unwrap()),
             &mut mf,
             f.x,
             DecisionStrategy::Dc,
@@ -278,7 +287,7 @@ mod tests {
         let d = decide(
             &f.net,
             &mut vm,
-            &mut db,
+            db.rows(f.net.truth_table(f.x).unwrap()),
             &mut mf,
             f.x,
             DecisionStrategy::Random,
@@ -314,7 +323,7 @@ mod tests {
             let d = decide(
                 &net,
                 &mut vm,
-                &mut db,
+                db.rows(net.truth_table(g).unwrap()),
                 &mut mf,
                 g,
                 DecisionStrategy::Dc,
@@ -355,7 +364,7 @@ mod tests {
             let d = decide(
                 &f.net,
                 &mut vm,
-                &mut db,
+                db.rows(f.net.truth_table(f.z).unwrap()),
                 &mut mf,
                 f.z,
                 DecisionStrategy::DcMffc,

@@ -11,11 +11,11 @@
 
 use rand::Rng;
 
-use simgen_netlist::cone::fanin_cone_dfs;
+use simgen_netlist::cone::fanin_cone_into;
 use simgen_netlist::{LutNetwork, NodeId};
 
 use crate::decision::{decide, Decision, DecisionStrategy, MffcDepths};
-use crate::implication::{propagate_in_region, ImplicationStrategy, Propagation};
+use crate::implication::{ImplicationStrategy, Implicator, Propagation};
 use crate::rows::RowDb;
 use crate::tv::{Value, ValueMap};
 
@@ -63,12 +63,30 @@ impl GenResult {
 }
 
 /// The Algorithm 1 engine, reusable across calls on one network.
+///
+/// The engine owns every buffer sized to the network, and each target
+/// touches only the nodes it visits: the cone list, cone mask and
+/// `exhausted` mask are reset by walking the cone list when the target
+/// is done, and the implication queue is left empty by every pass.
 #[derive(Debug)]
 pub struct InputVectorGenerator<'n> {
     net: &'n LutNetwork,
-    rows: RowDb,
+    implicator: Implicator<'n>,
     mffcs: MffcDepths,
     values: ValueMap,
+    /// The current target's fanin cone in DFS pre-order (`listDfs`).
+    cone: Vec<NodeId>,
+    /// Membership mask of `cone`; doubles as the DFS visited set.
+    in_cone: Vec<bool>,
+    /// The PIs of `cone`, in cone order: the target's goal set.
+    cone_pis: Vec<NodeId>,
+    /// Cone gates proven unable to make further progress (their
+    /// compatible rows' specified pins are all assigned).
+    exhausted: Vec<bool>,
+    /// The DFS stack of the cone walk.
+    stack: Vec<NodeId>,
+    /// The seeds of the next implication pass.
+    seeds: Vec<NodeId>,
 }
 
 impl<'n> InputVectorGenerator<'n> {
@@ -82,15 +100,21 @@ impl<'n> InputVectorGenerator<'n> {
     pub fn with_rows(net: &'n LutNetwork, rows: RowDb) -> Self {
         InputVectorGenerator {
             net,
-            rows,
+            implicator: Implicator::with_rows(net, rows),
             mffcs: MffcDepths::new(net),
             values: ValueMap::new(net.len()),
+            cone: Vec::new(),
+            in_cone: vec![false; net.len()],
+            cone_pis: Vec::new(),
+            exhausted: vec![false; net.len()],
+            stack: Vec::new(),
+            seeds: Vec::new(),
         }
     }
 
     /// Releases the row cache for reuse by a later engine.
     pub fn into_rows(self) -> RowDb {
-        self.rows
+        self.implicator.into_rows()
     }
 
     /// Runs Algorithm 1 for the given `(node, OUTgold)` targets and
@@ -136,16 +160,17 @@ impl<'n> InputVectorGenerator<'n> {
             self.values.assign(target, Value::from_bool(gold));
             assignments += 1;
             // Line 6: the DFS fanin cone (its PIs are the goal set).
-            let cone = fanin_cone_dfs(self.net, target);
-            let cone_pis: Vec<NodeId> = cone
-                .iter()
-                .copied()
-                .filter(|&n| self.net.is_pi(n))
-                .collect();
-            let mut in_cone = vec![false; self.net.len()];
-            for &n in &cone {
-                in_cone[n.index()] = true;
-            }
+            // `in_cone` is its visited set and, below, its region mask.
+            fanin_cone_into(
+                self.net,
+                target,
+                &mut self.in_cone,
+                &mut self.stack,
+                &mut self.cone,
+            );
+            let net = self.net;
+            self.cone_pis
+                .extend(self.cone.iter().copied().filter(|&n| net.is_pi(n)));
 
             // Seed propagation with every already-assigned cone node
             // (not just the target): earlier targets may have assigned
@@ -154,25 +179,26 @@ impl<'n> InputVectorGenerator<'n> {
             // the "all cone PIs assigned" exit below can fire while an
             // interior gate still carries an unrealizable obligation,
             // yielding a vector that does not honor the target.
-            let mut seeds: Vec<NodeId> = cone
-                .iter()
-                .copied()
-                .filter(|&n| n != target && self.values.is_assigned(n))
-                .collect();
-            seeds.push(target);
-            // Gates proven unable to make further progress (their
-            // compatible rows' specified pins are all assigned).
-            let mut exhausted = vec![false; self.net.len()];
+            let values = &self.values;
+            self.seeds.clear();
+            self.seeds.extend(
+                self.cone
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != target && values.is_assigned(n)),
+            );
+            self.seeds.push(target);
+            // Assignments only accumulate until the target is done, so
+            // a cone PI found assigned stays assigned.
+            let mut pis_done = 0;
             let outcome = loop {
                 // Line 9: implication pass from the fresh assignments,
                 // confined to the target's fanin cone (listDfs).
-                match propagate_in_region(
-                    self.net,
+                match self.implicator.propagate(
                     &mut self.values,
-                    &mut self.rows,
-                    &seeds,
+                    &self.seeds,
                     implication,
-                    Some(&in_cone),
+                    Some(&self.in_cone),
                 ) {
                     Propagation::Conflict(_) => {
                         conflicts += 1;
@@ -181,13 +207,17 @@ impl<'n> InputVectorGenerator<'n> {
                     Propagation::Quiescent(n) => assignments += n,
                 }
                 // Line 8 condition: all cone PIs set?
-                if cone_pis.iter().all(|&p| self.values.is_assigned(p)) {
+                while pis_done < self.cone_pis.len()
+                    && self.values.is_assigned(self.cone_pis[pis_done])
+                {
+                    pis_done += 1;
+                }
+                if pis_done == self.cone_pis.len() {
                     break TargetOutcome::Honored;
                 }
                 // Line 15: the most recently updated cone node that
                 // still has undecided fanins.
-                let candidate = self.latest_updated(&in_cone, &exhausted);
-                let Some(candidate) = candidate else {
+                let Some(candidate) = self.latest_updated() else {
                     // No propagation frontier remains: the leftover
                     // cone PIs are unconstrained don't-cares for this
                     // target, so the OUTgold value is already
@@ -196,10 +226,11 @@ impl<'n> InputVectorGenerator<'n> {
                 };
                 // Line 16: decide the candidate's inputs.
                 decisions += 1;
+                let before = self.values.mark();
                 match decide(
                     self.net,
                     &mut self.values,
-                    &mut self.rows,
+                    self.implicator.rows_of(candidate),
                     &mut self.mffcs,
                     candidate,
                     decision,
@@ -207,9 +238,11 @@ impl<'n> InputVectorGenerator<'n> {
                     beta,
                     rng,
                 ) {
-                    Decision::Assigned(newly) => {
-                        assignments += newly.len();
-                        seeds = newly;
+                    Decision::Assigned(n) => {
+                        assignments += n;
+                        self.seeds.clear();
+                        self.seeds
+                            .extend_from_slice(self.values.assigned_since(before));
                     }
                     Decision::NoRows => {
                         conflicts += 1;
@@ -218,11 +251,12 @@ impl<'n> InputVectorGenerator<'n> {
                     Decision::Saturated => {
                         // The candidate cannot make progress; rule it
                         // out and look further back on the next scan.
-                        exhausted[candidate.index()] = true;
-                        seeds = Vec::new();
+                        self.exhausted[candidate.index()] = true;
+                        self.seeds.clear();
                     }
                 }
             };
+            self.leave_cone();
             if outcome == TargetOutcome::Conflicted {
                 // Line 12: drop everything this target assigned.
                 self.values.rollback(mark);
@@ -251,14 +285,25 @@ impl<'n> InputVectorGenerator<'n> {
         }
     }
 
+    /// Resets the per-target state by walking the cone list: every
+    /// `in_cone` and `exhausted` mark lies on it.
+    fn leave_cone(&mut self) {
+        for &n in &self.cone {
+            self.in_cone[n.index()] = false;
+            self.exhausted[n.index()] = false;
+        }
+        self.cone.clear();
+        self.cone_pis.clear();
+    }
+
     /// Scans the trail backwards for the most recently assigned cone
     /// node whose output is known but whose fanins are not all
     /// assigned — the next decision candidate. Gates in `exhausted`
     /// (saturated in a previous decision attempt) are skipped so the
     /// loop always terminates.
-    fn latest_updated(&self, in_cone: &[bool], exhausted: &[bool]) -> Option<NodeId> {
+    fn latest_updated(&self) -> Option<NodeId> {
         for &n in self.values.trail().iter().rev() {
-            if !in_cone[n.index()] || self.net.is_pi(n) || exhausted[n.index()] {
+            if !self.in_cone[n.index()] || self.net.is_pi(n) || self.exhausted[n.index()] {
                 continue;
             }
             debug_assert!(self.values.is_assigned(n));

@@ -16,9 +16,10 @@
 //! output → inputs), because compatibility is checked over the whole
 //! row including the output column.
 
+use simgen_netlist::truth::MAX_ARITY;
 use simgen_netlist::{LutNetwork, NodeId};
 
-use crate::rows::{PinAssignment, RowDb};
+use crate::rows::{members, PinAssignment, Row, RowDb, RowSetId, OUTPUT_PIN};
 use crate::tv::{Value, ValueMap};
 
 /// Which implication variant to run.
@@ -49,106 +50,150 @@ impl Propagation {
     }
 }
 
-/// Runs implication to fixpoint from the given seed nodes.
+/// The implication engine of one network, with every buffer a pass
+/// needs, so that a pass allocates nothing and touches only the gates
+/// it visits:
 ///
-/// `seeds` should be the nodes assigned since the last pass (their
-/// own gates and all their fanout gates are re-examined). New
-/// assignments recursively extend the frontier. On conflict the value
-/// map is left as-is — the caller owns rollback via [`ValueMap::mark`].
-pub fn propagate(
-    net: &LutNetwork,
-    values: &mut ValueMap,
-    rows: &mut RowDb,
-    seeds: &[NodeId],
-    strategy: ImplicationStrategy,
-) -> Propagation {
-    propagate_in_region(net, values, rows, seeds, strategy, None)
+/// * the LIFO queue and its membership mask, which every pass leaves
+///   empty and all-false (the queue is empty at a fixpoint and is
+///   drained on a conflict);
+/// * each gate's row-set id, looked up in the [`RowDb`] on the
+///   gate's first visit and read from a slice on every later one.
+#[derive(Debug)]
+pub struct Implicator<'n> {
+    net: &'n LutNetwork,
+    db: RowDb,
+    row_sets: Vec<Option<RowSetId>>,
+    queue: Vec<NodeId>,
+    in_queue: Vec<bool>,
 }
 
-/// Like [`propagate`], but optionally restricted to a region of the
-/// network (Algorithm 1's `listDfs`: the target's fanin cone). Gates
-/// outside the region are never examined, which bounds each pass to
-/// the cone size instead of the whole network.
-pub fn propagate_in_region(
-    net: &LutNetwork,
-    values: &mut ValueMap,
-    rows: &mut RowDb,
-    seeds: &[NodeId],
-    strategy: ImplicationStrategy,
-    region: Option<&[bool]>,
-) -> Propagation {
-    let allowed = |n: NodeId| region.is_none_or(|r| r[n.index()]);
-    let mut queue: Vec<NodeId> = Vec::with_capacity(seeds.len() * 2);
-    let mut in_queue = vec![false; net.len()];
-    let enqueue_around = |n: NodeId, queue: &mut Vec<NodeId>, in_queue: &mut Vec<bool>| {
-        if !net.is_pi(n) && !in_queue[n.index()] && allowed(n) {
-            in_queue[n.index()] = true;
-            queue.push(n);
+impl<'n> Implicator<'n> {
+    /// Creates the engine for a network.
+    pub fn new(net: &'n LutNetwork) -> Self {
+        Self::with_rows(net, RowDb::new())
+    }
+
+    /// Creates the engine reusing an existing row cache (the cache is
+    /// keyed by truth table, so it is valid across networks).
+    pub fn with_rows(net: &'n LutNetwork, db: RowDb) -> Self {
+        Implicator {
+            net,
+            db,
+            row_sets: vec![None; net.len()],
+            queue: Vec::new(),
+            in_queue: vec![false; net.len()],
+        }
+    }
+
+    /// Releases the row cache for reuse by a later engine.
+    pub fn into_rows(self) -> RowDb {
+        self.db
+    }
+
+    /// The rows of `gate`'s function, on-set rows first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` is a PI.
+    pub(crate) fn rows_of(&mut self, gate: NodeId) -> &[Row] {
+        let id = self.row_set(gate);
+        self.db.get(id)
+    }
+
+    fn row_set(&mut self, gate: NodeId) -> RowSetId {
+        if let Some(id) = self.row_sets[gate.index()] {
+            return id;
+        }
+        let tt = self.net.truth_table(gate).expect("gates are luts");
+        let id = self.db.id(tt);
+        self.row_sets[gate.index()] = Some(id);
+        id
+    }
+
+    /// Runs implication to fixpoint from the given seed nodes.
+    ///
+    /// `seeds` should be the nodes assigned since the last pass (their
+    /// own gates and all their fanout gates are re-examined). New
+    /// assignments recursively extend the frontier. A `region` mask
+    /// (Algorithm 1's `listDfs`: the target's fanin cone) confines the
+    /// pass: gates outside it are never examined, which bounds each
+    /// pass to the cone instead of the whole network. On conflict the
+    /// value map is left as-is — the caller owns rollback via
+    /// [`ValueMap::mark`].
+    pub fn propagate(
+        &mut self,
+        values: &mut ValueMap,
+        seeds: &[NodeId],
+        strategy: ImplicationStrategy,
+        region: Option<&[bool]>,
+    ) -> Propagation {
+        for &s in seeds {
+            self.enqueue_around(s, region);
+        }
+        let mut assigned_total = 0usize;
+        while let Some(gate) = self.queue.pop() {
+            self.in_queue[gate.index()] = false;
+            let id = self.row_set(gate);
+            let rows = self.db.get(id);
+            let matching = PinAssignment::of(self.net, values, gate).matching(rows);
+            if matching == 0 {
+                for n in self.queue.drain(..) {
+                    self.in_queue[n.index()] = false;
+                }
+                return Propagation::Conflict(gate);
+            }
+            // Intersect the matching rows: a pin stays forced only
+            // while every row specifies it to the first row's value.
+            let (mut forced, first) = rows[matching.trailing_zeros() as usize].pin_masks();
+            let others = matching & (matching - 1);
+            for i in members(others) {
+                let (row_care, row_values) = rows[i].pin_masks();
+                forced &= row_care & !(row_values ^ first);
+            }
+            if strategy == ImplicationStrategy::Simple && others != 0 {
+                continue;
+            }
+            // Apply the forced values to unassigned pins: the output,
+            // then the fanins by index.
+            let mut newly = [gate; MAX_ARITY + 1];
+            let mut count = 0;
+            if forced & OUTPUT_PIN != 0 && !values.is_assigned(gate) {
+                values.assign(gate, Value::from_bool(first & OUTPUT_PIN != 0));
+                newly[count] = gate;
+                count += 1;
+            }
+            for (i, &fanin) in self.net.fanins(gate).iter().enumerate() {
+                if (forced >> i) & 1 == 1 && !values.is_assigned(fanin) {
+                    values.assign(fanin, Value::from_bool((first >> i) & 1 == 1));
+                    newly[count] = fanin;
+                    count += 1;
+                }
+            }
+            assigned_total += count;
+            for &n in &newly[..count] {
+                self.enqueue_around(n, region);
+            }
+        }
+        Propagation::Quiescent(assigned_total)
+    }
+
+    /// Queues `n`'s own gate, then its fanout gates in order, skipping
+    /// queued gates and gates outside `region`.
+    fn enqueue_around(&mut self, n: NodeId, region: Option<&[bool]>) {
+        let net = self.net;
+        let allowed = |m: NodeId| region.is_none_or(|r| r[m.index()]);
+        if !net.is_pi(n) && !self.in_queue[n.index()] && allowed(n) {
+            self.in_queue[n.index()] = true;
+            self.queue.push(n);
         }
         for &fo in net.fanouts(n) {
-            if !in_queue[fo.index()] && allowed(fo) {
-                in_queue[fo.index()] = true;
-                queue.push(fo);
+            if !self.in_queue[fo.index()] && allowed(fo) {
+                self.in_queue[fo.index()] = true;
+                self.queue.push(fo);
             }
-        }
-    };
-    for &s in seeds {
-        enqueue_around(s, &mut queue, &mut in_queue);
-    }
-    let mut assigned_total = 0usize;
-    while let Some(gate) = queue.pop() {
-        in_queue[gate.index()] = false;
-        let tt = net.truth_table(gate).expect("queued nodes are luts");
-        let pins = PinAssignment::of(net, values, gate);
-        let all_rows = rows.rows(tt);
-        let mut matching = all_rows.iter().filter(|r| pins.matches(r));
-        let Some(first) = matching.next() else {
-            return Propagation::Conflict(gate);
-        };
-        let fanins = net.fanins(gate);
-        // Start from the first matching row and intersect the rest:
-        // `forced[i]` stays Some(v) only while every row agrees.
-        let arity = fanins.len();
-        let mut forced_out = Some(first.output);
-        let mut forced_in: Vec<Option<bool>> = (0..arity).map(|i| first.cube.input(i)).collect();
-        let mut unique = true;
-        for row in matching {
-            unique = false;
-            if forced_out != Some(row.output) {
-                forced_out = None;
-            }
-            for (i, f) in forced_in.iter_mut().enumerate() {
-                if *f != row.cube.input(i) {
-                    *f = None;
-                }
-            }
-        }
-        if strategy == ImplicationStrategy::Simple && !unique {
-            continue;
-        }
-        // Apply the forced values to unassigned pins.
-        let mut newly: Vec<NodeId> = Vec::new();
-        if let Some(out) = forced_out {
-            if !values.is_assigned(gate) {
-                values.assign(gate, Value::from_bool(out));
-                newly.push(gate);
-            }
-        }
-        for (i, f) in forced_in.iter().enumerate() {
-            if let Some(v) = *f {
-                let fanin = fanins[i];
-                if !values.is_assigned(fanin) {
-                    values.assign(fanin, Value::from_bool(v));
-                    newly.push(fanin);
-                }
-            }
-        }
-        assigned_total += newly.len();
-        for n in newly {
-            enqueue_around(n, &mut queue, &mut in_queue);
         }
     }
-    Propagation::Quiescent(assigned_total)
 }
 
 #[cfg(test)]
@@ -200,15 +245,9 @@ mod tests {
         // remains unassigned. No conflict.
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         vm.assign(f.z, Value::One);
-        let r = propagate(
-            &f.net,
-            &mut vm,
-            &mut db,
-            &[f.z],
-            ImplicationStrategy::Advanced,
-        );
+        let r =
+            Implicator::new(&f.net).propagate(&mut vm, &[f.z], ImplicationStrategy::Advanced, None);
         assert!(r.is_ok());
         assert_eq!(vm.get(f.x), Value::One);
         assert_eq!(vm.get(f.y), Value::One);
@@ -229,15 +268,13 @@ mod tests {
         // nand to keep y=1.
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         vm.assign(f.y, Value::One);
         vm.assign(f.b, Value::Zero);
-        let r = propagate(
-            &f.net,
+        let r = Implicator::new(&f.net).propagate(
             &mut vm,
-            &mut db,
             &[f.b, f.y],
             ImplicationStrategy::Advanced,
+            None,
         );
         assert!(r.is_ok());
         assert_eq!(
@@ -252,34 +289,70 @@ mod tests {
     fn conflict_detected() {
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         // x = 1 forces a=b=1; y=... then force inv=1 which needs b=0:
         // contradiction. Build it directly: b=1 assigned, inv=1 assigned.
         vm.assign(f.b, Value::One);
         vm.assign(f.inv, Value::One);
-        let r = propagate(
-            &f.net,
+        let r = Implicator::new(&f.net).propagate(
             &mut vm,
-            &mut db,
             &[f.b, f.inv],
             ImplicationStrategy::Advanced,
+            None,
         );
         assert_eq!(r, Propagation::Conflict(f.inv));
+    }
+
+    #[test]
+    fn a_conflict_leaves_the_engine_reusable() {
+        // b=1 contradicts inv=1. With x and z queued below inv, the
+        // conflict returns while they are still queued; the engine must
+        // drain them, or the next pass would skip x and z as queued.
+        let f = figure1();
+        let mut imp = Implicator::new(&f.net);
+        let mut vm = ValueMap::new(f.net.len());
+        vm.assign(f.b, Value::One);
+        vm.assign(f.inv, Value::One);
+        let r = imp.propagate(&mut vm, &[f.x, f.b], ImplicationStrategy::Advanced, None);
+        assert_eq!(r, Propagation::Conflict(f.inv));
+        let from_z = |imp: &mut Implicator| {
+            let mut vm = ValueMap::new(f.net.len());
+            vm.assign(f.z, Value::One);
+            let r = imp.propagate(&mut vm, &[f.z], ImplicationStrategy::Advanced, None);
+            (r, vm.trail().to_vec())
+        };
+        assert_eq!(from_z(&mut imp), from_z(&mut Implicator::new(&f.net)));
+    }
+
+    #[test]
+    fn a_region_confines_the_pass() {
+        // Outside the region nothing is examined: z=1 inside a region
+        // of {z, x} forces x and its fanins but never reaches y.
+        let f = figure1();
+        let mut region = vec![false; f.net.len()];
+        region[f.z.index()] = true;
+        region[f.x.index()] = true;
+        let mut vm = ValueMap::new(f.net.len());
+        vm.assign(f.z, Value::One);
+        let r = Implicator::new(&f.net).propagate(
+            &mut vm,
+            &[f.z],
+            ImplicationStrategy::Advanced,
+            Some(&region),
+        );
+        assert!(r.is_ok());
+        assert_eq!(vm.get(f.x), Value::One);
+        assert_eq!(vm.get(f.y), Value::One, "z's own rows force y");
+        assert_eq!(vm.get(f.a), Value::One);
+        assert_eq!(vm.get(f.inv), Value::Unknown, "y's gate is outside");
     }
 
     #[test]
     fn forward_implication_inputs_to_output() {
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         vm.assign(f.a, Value::Zero);
-        let r = propagate(
-            &f.net,
-            &mut vm,
-            &mut db,
-            &[f.a],
-            ImplicationStrategy::Advanced,
-        );
+        let r =
+            Implicator::new(&f.net).propagate(&mut vm, &[f.a], ImplicationStrategy::Advanced, None);
         assert!(r.is_ok());
         // and(0, b) = 0 regardless of b.
         assert_eq!(vm.get(f.x), Value::Zero);
@@ -300,19 +373,19 @@ mod tests {
         let g = net.add_lut(vec![b, d], TruthTable::or2()).unwrap();
         let h = net.add_lut(vec![g, d], TruthTable::and2()).unwrap();
         net.add_po(h, "f");
-        let mut db = RowDb::new();
+        let mut imp = Implicator::new(&net);
         // With b=1: or(1, d)=1 has two satisfying rows under simple
         // matching (the cover is {1-, -1}); advanced implication
         // asserts g=1, simple does not.
         let mut vm = ValueMap::new(net.len());
         vm.assign(b, Value::One);
-        let r = propagate(&net, &mut vm, &mut db, &[b], ImplicationStrategy::Simple);
+        let r = imp.propagate(&mut vm, &[b], ImplicationStrategy::Simple, None);
         assert!(r.is_ok());
         assert_eq!(vm.get(g), Value::Unknown, "simple implication stalls");
 
         let mut vm = ValueMap::new(net.len());
         vm.assign(b, Value::One);
-        let r = propagate(&net, &mut vm, &mut db, &[b], ImplicationStrategy::Advanced);
+        let r = imp.propagate(&mut vm, &[b], ImplicationStrategy::Advanced, None);
         assert!(r.is_ok());
         assert_eq!(vm.get(g), Value::One, "advanced implication proceeds");
     }
@@ -321,14 +394,12 @@ mod tests {
     fn quiescent_counts_assignments() {
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         vm.assign(f.z, Value::One);
-        match propagate(
-            &f.net,
+        match Implicator::new(&f.net).propagate(
             &mut vm,
-            &mut db,
             &[f.z],
             ImplicationStrategy::Advanced,
+            None,
         ) {
             Propagation::Quiescent(n) => assert_eq!(n, 5), // x, y, a, b, inv
             other => panic!("unexpected {other:?}"),
@@ -339,8 +410,8 @@ mod tests {
     fn no_seeds_is_noop() {
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
-        let r = propagate(&f.net, &mut vm, &mut db, &[], ImplicationStrategy::Advanced);
+        let r =
+            Implicator::new(&f.net).propagate(&mut vm, &[], ImplicationStrategy::Advanced, None);
         assert_eq!(r, Propagation::Quiescent(0));
         assert_eq!(vm.trail_len(), 0);
     }
@@ -351,17 +422,15 @@ mod tests {
         // fully assigned consistent gate is a no-op.
         let f = figure1();
         let mut vm = ValueMap::new(f.net.len());
-        let mut db = RowDb::new();
         vm.assign(f.a, Value::One);
         vm.assign(f.b, Value::One);
         vm.assign(f.x, Value::One);
         let before = vm.trail_len();
-        let r = propagate(
-            &f.net,
+        let r = Implicator::new(&f.net).propagate(
             &mut vm,
-            &mut db,
             &[f.a, f.b, f.x],
             ImplicationStrategy::Advanced,
+            None,
         );
         assert!(r.is_ok());
         // inv gets implied from b; z stays (y unknown).

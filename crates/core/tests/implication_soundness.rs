@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 
-use simgen_core::implication::{propagate, ImplicationStrategy, Propagation};
-use simgen_core::rows::RowDb;
+use simgen_core::implication::{ImplicationStrategy, Implicator, Propagation};
 use simgen_core::{Value, ValueMap};
 use simgen_netlist::{LutNetwork, NodeId, TruthTable};
 
@@ -105,9 +104,8 @@ proptest! {
         if let Some(o) = out_pin {
             vm.assign(g, Value::from_bool(o));
         }
-        let mut rows = RowDb::new();
         let seeds: Vec<NodeId> = pis.iter().copied().chain([g]).collect();
-        let result = propagate(&net, &mut vm, &mut rows, &seeds, ImplicationStrategy::Advanced);
+        let result = Implicator::new(&net).propagate(&mut vm, &seeds, ImplicationStrategy::Advanced, None);
         match minterm_forcing(&tt, &inputs, out_pin) {
             None => {
                 // Truly inconsistent: the engine must report conflict.
@@ -152,8 +150,7 @@ proptest! {
         let run = |strategy: ImplicationStrategy| -> Option<Vec<Value>> {
             let mut vm = ValueMap::new(net.len());
             vm.assign(g, Value::from_bool(out_pin));
-            let mut rows = RowDb::new();
-            match propagate(&net, &mut vm, &mut rows, &[g], strategy) {
+            match Implicator::new(&net).propagate(&mut vm, &[g], strategy, None) {
                 Propagation::Conflict(_) => None,
                 Propagation::Quiescent(_) => {
                     Some(pis.iter().map(|&p| vm.get(p)).collect())

@@ -15,22 +15,44 @@ use crate::network::LutNetwork;
 /// order is DFS pre-order from the root, which is the traversal
 /// order Algorithm 1's `dfs(targetNode)` produces.
 pub fn fanin_cone_dfs(net: &LutNetwork, root: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; net.len()];
     let mut order = Vec::new();
-    let mut stack = vec![root];
+    fanin_cone_into(
+        net,
+        root,
+        &mut vec![false; net.len()],
+        &mut Vec::new(),
+        &mut order,
+    );
+    order
+}
+
+/// [`fanin_cone_dfs`] into buffers the caller owns, for callers that
+/// list many cones of one network without allocating per cone.
+///
+/// Appends the cone of `root` to `cone` and sets `visited` for every
+/// node it appends. A node already `visited` counts as outside the
+/// cone, so pass an all-false mask for the full cone and reset it by
+/// walking `cone`. `stack` is scratch space and is left empty.
+pub fn fanin_cone_into(
+    net: &LutNetwork,
+    root: NodeId,
+    visited: &mut [bool],
+    stack: &mut Vec<NodeId>,
+    cone: &mut Vec<NodeId>,
+) {
+    stack.push(root);
     while let Some(n) = stack.pop() {
         if visited[n.index()] {
             continue;
         }
         visited[n.index()] = true;
-        order.push(n);
+        cone.push(n);
         for &f in net.fanins(n).iter().rev() {
             if !visited[f.index()] {
                 stack.push(f);
             }
         }
     }
-    order
 }
 
 /// The set of PIs inside the fanin cone of `root` (its structural

@@ -42,24 +42,23 @@ impl Mffc {
     /// Returns `0.0` for a cone with no leaves (cannot happen for
     /// well-formed networks, but kept total for safety).
     pub fn depth(&self, net: &LutNetwork) -> f64 {
-        if self.leaves.is_empty() {
-            return 0.0;
-        }
-        let root_level = net.level(self.root) as f64;
-        let total: f64 = self
-            .leaves
-            .iter()
-            .map(|&l| root_level - net.level(l) as f64)
-            .sum();
-        total / self.leaves.len() as f64
+        equation2(net, self.root, &self.leaves)
     }
 }
 
+fn equation2(net: &LutNetwork, root: NodeId, leaves: &[NodeId]) -> f64 {
+    if leaves.is_empty() {
+        return 0.0;
+    }
+    let root_level = net.level(root) as f64;
+    let total: f64 = leaves
+        .iter()
+        .map(|&l| root_level - net.level(l) as f64)
+        .sum();
+    total / leaves.len() as f64
+}
+
 /// Reference counts (fanout + PO references) for every node.
-///
-/// Computing this once and reusing it across many [`mffc`] calls is
-/// how the decision heuristic amortizes the cost over a pattern
-/// generation session.
 pub fn reference_counts(net: &LutNetwork) -> Vec<u32> {
     let mut refs = vec![0u32; net.len()];
     for id in net.node_ids() {
@@ -73,37 +72,83 @@ pub fn reference_counts(net: &LutNetwork) -> Vec<u32> {
     refs
 }
 
-/// Computes the MFFC of `root` given precomputed [`reference_counts`].
+/// Walks many MFFCs of one network without allocating per walk.
 ///
-/// `refs` is scratch space: it is mutated during the walk and restored
-/// before returning, so the same buffer can be reused across calls.
-pub fn mffc(net: &LutNetwork, root: NodeId, refs: &mut [u32]) -> Mffc {
-    let mut interior = Vec::new();
-    let mut touched = Vec::new();
-    deref_rec(net, root, refs, &mut interior, &mut touched, true);
-    // Restore the reference counts we decremented.
-    for &t in &touched {
-        refs[t.index()] += 1;
-    }
-    // Leaves: fanins of interior nodes that are not interior.
-    let mut is_interior = vec![false; net.len()];
-    for &n in &interior {
-        is_interior[n.index()] = true;
-    }
-    let mut leaves = Vec::new();
-    let mut seen = vec![false; net.len()];
-    for &n in &interior {
-        for &f in net.fanins(n) {
-            if !is_interior[f.index()] && !seen[f.index()] {
-                seen[f.index()] = true;
-                leaves.push(f);
-            }
+/// The walker computes [`reference_counts`] once and owns a node mark
+/// and the interior, leaf and undo lists. A walk decrements and then
+/// restores the counts, and clears the marks by walking the lists it
+/// filled, so every buffer is ready for the next root.
+#[derive(Clone, Debug)]
+pub struct MffcWalker {
+    refs: Vec<u32>,
+    mark: Vec<bool>,
+    interior: Vec<NodeId>,
+    leaves: Vec<NodeId>,
+    touched: Vec<NodeId>,
+}
+
+impl MffcWalker {
+    /// Creates a walker for `net` (one O(n) reference-count pass).
+    pub fn new(net: &LutNetwork) -> Self {
+        MffcWalker {
+            refs: reference_counts(net),
+            mark: vec![false; net.len()],
+            interior: Vec::new(),
+            leaves: Vec::new(),
+            touched: Vec::new(),
         }
     }
-    Mffc {
-        root,
-        interior,
-        leaves,
+
+    /// Walks the MFFC of `root` into `interior` (root first) and
+    /// `leaves` (first-seen order).
+    fn walk(&mut self, net: &LutNetwork, root: NodeId) {
+        self.interior.clear();
+        self.leaves.clear();
+        self.touched.clear();
+        deref_rec(
+            net,
+            root,
+            &mut self.refs,
+            &mut self.interior,
+            &mut self.touched,
+            true,
+        );
+        // Restore the reference counts we decremented.
+        for &t in &self.touched {
+            self.refs[t.index()] += 1;
+        }
+        // Leaves: fanins of interior nodes that are not interior, in
+        // first-seen order. One mark covers both sets.
+        for &n in &self.interior {
+            self.mark[n.index()] = true;
+        }
+        for &n in &self.interior {
+            for &f in net.fanins(n) {
+                if !self.mark[f.index()] {
+                    self.mark[f.index()] = true;
+                    self.leaves.push(f);
+                }
+            }
+        }
+        for &n in self.interior.iter().chain(&self.leaves) {
+            self.mark[n.index()] = false;
+        }
+    }
+
+    /// The MFFC of `root`, as an owned value.
+    pub fn mffc(&mut self, net: &LutNetwork, root: NodeId) -> Mffc {
+        self.walk(net, root);
+        Mffc {
+            root,
+            interior: self.interior.clone(),
+            leaves: self.leaves.clone(),
+        }
+    }
+
+    /// The Equation (2) depth of `root`'s MFFC (see [`Mffc::depth`]).
+    pub fn depth(&mut self, net: &LutNetwork, root: NodeId) -> f64 {
+        self.walk(net, root);
+        equation2(net, root, &self.leaves)
     }
 }
 
@@ -133,10 +178,9 @@ fn deref_rec(
     }
 }
 
-/// Convenience wrapper computing reference counts internally.
+/// The MFFC of one node (a one-shot [`MffcWalker`]).
 pub fn mffc_of(net: &LutNetwork, root: NodeId) -> Mffc {
-    let mut refs = reference_counts(net);
-    mffc(net, root, &mut refs)
+    MffcWalker::new(net).mffc(net, root)
 }
 
 #[cfg(test)]
@@ -184,16 +228,20 @@ mod tests {
     }
 
     #[test]
-    fn refs_restored_after_walk() {
-        let (net, [.., z]) = figure4();
-        let before = reference_counts(&net);
-        let mut refs = before.clone();
-        let _ = mffc(&net, z, &mut refs);
-        assert_eq!(refs, before);
-        // And a second computation gives the same result.
-        let m1 = mffc(&net, z, &mut refs);
-        let m2 = mffc(&net, z, &mut refs);
-        assert_eq!(m1, m2);
+    fn walker_state_is_restored_after_each_walk() {
+        let (net, ids) = figure4();
+        let mut walker = MffcWalker::new(&net);
+        for &root in ids.iter().chain(ids.iter().rev()) {
+            let _ = walker.mffc(&net, root);
+            assert_eq!(walker.refs, reference_counts(&net));
+            assert!(walker.mark.iter().all(|&m| !m), "marks cleared");
+        }
+        // A reused walker agrees with a fresh one on every root.
+        for &root in &ids {
+            assert_eq!(walker.mffc(&net, root), mffc_of(&net, root));
+            let depth = walker.depth(&net, root);
+            assert_eq!(depth, mffc_of(&net, root).depth(&net));
+        }
     }
 
     #[test]

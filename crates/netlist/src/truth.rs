@@ -545,14 +545,6 @@ impl Cube {
         }
         mask
     }
-
-    /// True if this cube is compatible with a partial assignment given
-    /// as (care, values) masks: no input is specified to opposite
-    /// values in both.
-    pub fn compatible(&self, care: u8, values: u8) -> bool {
-        let both = self.care & care;
-        (self.values ^ values) & both == 0
-    }
 }
 
 impl std::fmt::Debug for Cube {
@@ -666,15 +658,6 @@ mod tests {
         assert!(!c.contains_minterm(0b000));
         assert_eq!(c.dc_count(3), 1);
         assert_eq!(c.minterm_mask(3), (1 << 0b100) | (1 << 0b110));
-    }
-
-    #[test]
-    fn cube_compatibility() {
-        let c = Cube::new(0b011, 0b001); // in0=1, in1=0
-        assert!(c.compatible(0b001, 0b001)); // in0=1 agrees
-        assert!(!c.compatible(0b001, 0b000)); // in0=0 clashes
-        assert!(c.compatible(0b100, 0b100)); // in2 unconstrained in cube
-        assert!(c.compatible(0, 0));
     }
 
     #[test]
