@@ -79,11 +79,13 @@
 //! The `health` verb reports all of it: queue depth, breaker state,
 //! shedding/cancellation totals, and memory headroom.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use simgen_cache::{job_key, CacheEntry, CacheKey, CachedVerdict, ProofCache, Sha256};
@@ -366,24 +368,33 @@ impl Server {
             let stop = Arc::clone(&stop);
             let socket = opts.socket.clone();
             std::thread::spawn(move || {
-                let mut readers = Vec::new();
-                let mut conns: Vec<UnixStream> = Vec::new();
+                let mut readers: Vec<JoinHandle<()>> = Vec::new();
+                // A clone of each connection whose reader still runs,
+                // so shutdown can unblock it; the reader drops its own
+                // entry when it returns.
+                let live: Arc<Mutex<HashMap<u64, UnixStream>>> = Arc::default();
                 let mut next_client: u64 = 0;
                 while !stop.load(Ordering::Relaxed) && !SIGNALLED.load(Ordering::Relaxed) {
+                    readers = join_finished(readers);
                     match listener.accept() {
                         Ok((stream, _addr)) => {
                             let client = next_client;
                             next_client += 1;
                             if let Ok(clone) = stream.try_clone() {
-                                conns.push(clone);
+                                lock_live(&live).insert(client, clone);
                             }
                             let ctx = Arc::clone(&reader_ctx);
+                            let live = Arc::clone(&live);
                             readers.push(std::thread::spawn(move || {
                                 serve_connection(client, stream, &ctx);
+                                lock_live(&live).remove(&client);
                             }));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(20));
+                        }
+                        Err(e) if accept_error_is_transient(&e) => {
+                            std::thread::sleep(ACCEPT_BACKOFF);
                         }
                         Err(_) => break,
                     }
@@ -393,7 +404,7 @@ impl Server {
                 queue.close();
                 let _ = executor.join();
                 // Unblock readers stuck in read(): close both ends.
-                for conn in &conns {
+                for conn in lock_live(&live).values() {
                     let _ = conn.shutdown(std::net::Shutdown::Both);
                 }
                 for reader in readers {
@@ -438,6 +449,40 @@ impl Server {
     pub fn socket(&self) -> &Path {
         &self.socket
     }
+}
+
+/// Pause after a transient accept error before accepting again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// True for accept errors that mean "not now" rather than "never":
+/// the process or system is out of descriptors (`EMFILE`, `ENFILE`)
+/// or buffers (`ENOBUFS`), or the peer hung up first
+/// (`ECONNABORTED`). The daemon backs off and keeps accepting.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    e.kind() == std::io::ErrorKind::ConnectionAborted
+        || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
+}
+
+/// The live-connection table. Every update is a single insert or
+/// remove, so the map stays valid even if a holder panicked.
+fn lock_live(live: &Mutex<HashMap<u64, UnixStream>>) -> MutexGuard<'_, HashMap<u64, UnixStream>> {
+    live.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Joins the readers whose connection has ended and returns the rest.
+fn join_finished(readers: Vec<JoinHandle<()>>) -> Vec<JoinHandle<()>> {
+    let (done, running): (Vec<_>, Vec<_>) = readers.into_iter().partition(|r| r.is_finished());
+    for reader in done {
+        // A reader that panicked took only its own connection down.
+        let _ = reader.join();
+    }
+    running
 }
 
 fn write_line(writer: &Arc<Mutex<UnixStream>>, line: &str) {
