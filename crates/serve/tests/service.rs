@@ -10,7 +10,8 @@ use std::path::PathBuf;
 
 use simgen_obs::Json;
 use simgen_serve::{
-    query_health, query_status, submit, CacheOutcome, JobRequest, ServeOptions, Server,
+    query_health, query_status, status_request, submit, CacheOutcome, JobRequest, ServeOptions,
+    Server,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -527,13 +528,29 @@ fn higher_priority_submissions_shed_the_lowest_queued_job() {
     let server = Server::start(opts).unwrap();
 
     let mut stream = UnixStream::connect(server.socket()).unwrap();
+    let mut lines = BufReader::new(stream.try_clone().unwrap()).lines();
+    let mut by_id = std::collections::HashMap::new();
     // Occupy the executor, then wait until the job has actually been
     // popped (queue empty) so the next three pushes land in a known
-    // queue state.
+    // queue state. A connection's lines are handled in order, so the
+    // answer to a status request sent after the job proves the job
+    // was queued; only then does an empty queue mean it was popped.
     let running = request("running", &a, &b);
     stream.write_all(running.to_line().as_bytes()).unwrap();
     stream.write_all(b"\n").unwrap();
+    stream.write_all(status_request().as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
     stream.flush().unwrap();
+    loop {
+        let resp = Json::parse(lines.next().unwrap().unwrap().trim_end()).unwrap();
+        match resp.get("id").and_then(Json::as_str) {
+            // A job answer that overtook the status answer.
+            Some(id) => {
+                by_id.insert(id.to_string(), resp.clone());
+            }
+            None => break,
+        }
+    }
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
         let status = query_status(server.socket()).expect("status answered");
@@ -562,10 +579,8 @@ fn higher_priority_submissions_shed_the_lowest_queued_job() {
     }
     stream.flush().unwrap();
 
-    let reader = BufReader::new(stream);
-    let mut by_id = std::collections::HashMap::new();
-    for line in reader.lines().take(4) {
-        let resp = Json::parse(line.unwrap().trim_end()).unwrap();
+    while by_id.len() < 4 {
+        let resp = Json::parse(lines.next().unwrap().unwrap().trim_end()).unwrap();
         let id = resp.get("id").and_then(Json::as_str).unwrap().to_string();
         by_id.insert(id, resp);
     }
