@@ -11,10 +11,13 @@
 //! one job per fanin region ([`RegionMap`]); a region's pairs share
 //! one assumption-scoped [`PairProver`] (under `--no-incremental`,
 //! every pair is its own job with a cold prover). Provers are seeded
-//! with the equivalences proven in *earlier rounds*, so a pair's
-//! outcome is a pure function of the round history — never of which
-//! worker ran it or in what order. That is what makes the sweep
-//! report byte-identical for any `jobs` value.
+//! with the equivalences proven in *earlier rounds*, and a region job
+//! asserts each equality it proves before its next pair (fraig within
+//! the round). A job runs its pairs serially in global pair order, so
+//! a pair's outcome is a pure function of the round history and its
+//! job's pair list — never of which worker ran it or in what order.
+//! That is what makes the sweep report byte-identical for any `jobs`
+//! value.
 //!
 //! Counterexamples produced during a round are batched and flushed
 //! through one word-parallel resimulation (`flush_counterexamples`) at
@@ -125,29 +128,78 @@ impl PairOutcome {
     }
 }
 
-/// A fanin region's long-lived scoped solver, with its clause-database
-/// footprint right after creation and seeding. Under
-/// [`EnginePolicy::rebuild_bloat`](simgen_dispatch::EnginePolicy) a
-/// solver whose live database outgrows that baseline (floored at
-/// [`REBUILD_BASELINE_FLOOR`]) times the multiple is dropped before the
-/// region's next pair, which rebuilds it from the region seeds — the
-/// same path a caught panic takes — trading warm learnt clauses for a
-/// bounded clause database.
-struct RegionSolver<'n> {
-    prover: PairProver<'n>,
+/// What an incremental region job carries from one pair to the next:
+/// the scoped solver its pairs share and every equality the job has
+/// proven so far (fraig within the round). The solver is built on the
+/// job's first SAT pair and dropped after a caught panic — a poisoned
+/// solver is never trusted — or, under
+/// [`EnginePolicy::rebuild_bloat`](simgen_dispatch::EnginePolicy), when
+/// its live clause database outgrows the footprint it had right after
+/// it was built (floored at [`REBUILD_BASELINE_FLOOR`]) times the
+/// multiple. Every build, first or not, starts from the job's seeds
+/// plus its proven list, so a rebuilt solver loses its learnt clauses
+/// but never what the job already proved.
+struct RegionSolver<'n, 'j> {
+    /// Prior-round equalities inside the region.
+    seeds: &'j [(NodeId, NodeId)],
+    /// Equalities this job proved, in pair order: only final
+    /// `Equivalent` verdicts, so under certify only certified ones.
+    proven: Vec<(NodeId, NodeId)>,
+    /// The live solver, if any.
+    prover: Option<PairProver<'n>>,
+    /// `clause_db_bytes` of the live solver right after it was built.
     baseline: u64,
 }
 
-impl RegionSolver<'_> {
-    /// True when the live clause database exceeds `bloat` times the
-    /// floored baseline (`bloat == 0` disables the check).
-    fn bloated(&self, bloat: u32) -> bool {
-        bloat > 0
-            && self.prover.solver_stats().clause_db_bytes
-                > self
-                    .baseline
-                    .max(REBUILD_BASELINE_FLOOR)
-                    .saturating_mul(u64::from(bloat))
+impl<'n, 'j> RegionSolver<'n, 'j> {
+    fn new(seeds: &'j [(NodeId, NodeId)]) -> Self {
+        RegionSolver {
+            seeds,
+            proven: Vec::new(),
+            prover: None,
+            baseline: 0,
+        }
+    }
+
+    /// The solver for the job's next pair, and whether the bloat
+    /// policy (`bloat == 0` disables it) just dropped the previous
+    /// one. A missing solver is built by `fresh` and seeded — the one
+    /// builder for the first build and every rebuild.
+    fn prover(
+        &mut self,
+        bloat: u32,
+        fresh: impl FnOnce() -> PairProver<'n>,
+    ) -> (&mut PairProver<'n>, bool) {
+        let rebuilt = bloat > 0
+            && self.prover.as_ref().is_some_and(|p| {
+                p.solver_stats().clause_db_bytes
+                    > self
+                        .baseline
+                        .max(REBUILD_BASELINE_FLOOR)
+                        .saturating_mul(u64::from(bloat))
+            });
+        if rebuilt {
+            self.prover = None;
+        }
+        let (seeds, proven, baseline) = (self.seeds, &self.proven, &mut self.baseline);
+        let prover = self.prover.get_or_insert_with(|| {
+            let mut prover = fresh();
+            for &(x, y) in seeds.iter().chain(proven) {
+                prover.assert_equal(x, y);
+            }
+            *baseline = prover.solver_stats().clause_db_bytes;
+            prover
+        });
+        (prover, rebuilt)
+    }
+
+    /// Records an equality the job just proved: asserted into the live
+    /// solver now, into a later build at construction.
+    fn merge(&mut self, a: NodeId, b: NodeId) {
+        if let Some(prover) = self.prover.as_mut() {
+            prover.assert_equal(a, b);
+        }
+        self.proven.push((a, b));
     }
 }
 
@@ -158,7 +210,7 @@ impl RegionSolver<'_> {
 /// a single pair, the classic shape.
 struct RegionJob {
     /// Prior-round proven equalities inside this job's region,
-    /// replayed into the shared prover at construction (incremental
+    /// replayed into the shared prover at every build (incremental
     /// mode only; cold pairs filter the full seed list by cone).
     seeds: Vec<(NodeId, NodeId)>,
     /// `(global pair index, rep, cand)` in global pair order.
@@ -224,19 +276,19 @@ impl<'n> WorkerState<'n> {
         }
     }
 
-    /// Proves one pair against `shared` (the region's long-lived
-    /// scoped solver, built on first use in incremental mode) or a
-    /// cold per-pair prover, escalated per `cfg`, with BDD fallback,
-    /// and (under certify) the answer independently checked.
-    /// Deterministic given `(region_seeds, seeds, a, b, cfg)` and the
-    /// shared prover's query history — which is itself deterministic
-    /// because region pairs are processed serially in global pair
-    /// order.
-    #[allow(clippy::too_many_arguments)]
+    /// Proves one pair against `region` (the job's shared scoped
+    /// solver, in incremental mode) or a cold per-pair prover,
+    /// escalated per `cfg`, with BDD fallback, and (under certify) the
+    /// answer independently checked. In incremental mode a final
+    /// `Equivalent` is then asserted into `region` for the job's later
+    /// pairs — after certification and after the proof blob was taken,
+    /// so no certificate holds its own pair's equality as an axiom.
+    /// Deterministic given `(region seeds, seeds, a, b, cfg)` and the
+    /// region's query history — which is itself deterministic because
+    /// a job processes its pairs serially in global pair order.
     fn prove_pair(
         &mut self,
-        shared: &mut Option<RegionSolver<'n>>,
-        region_seeds: &[(NodeId, NodeId)],
+        region: &mut RegionSolver<'n, '_>,
         seeds: &[(NodeId, NodeId)],
         a: NodeId,
         b: NodeId,
@@ -244,7 +296,10 @@ impl<'n> WorkerState<'n> {
         want_proof: bool,
     ) -> PairOutcome {
         let start = self.local.is_enabled().then(std::time::Instant::now);
-        let outcome = self.prove_pair_inner(shared, region_seeds, seeds, a, b, cfg, want_proof);
+        let outcome = self.prove_pair_inner(region, seeds, a, b, cfg, want_proof);
+        if cfg.engine.incremental && outcome.verdict == PairVerdict::Equivalent {
+            region.merge(a, b);
+        }
         if let Some(start) = start {
             self.local.add_busy(Phase::SatResolution, start.elapsed());
         }
@@ -264,11 +319,9 @@ impl<'n> WorkerState<'n> {
 
     /// The actual proof; split out so [`WorkerState::prove_pair`] can
     /// book its busy time without borrowing `self` twice.
-    #[allow(clippy::too_many_arguments)]
     fn prove_pair_inner(
         &mut self,
-        shared: &mut Option<RegionSolver<'n>>,
-        region_seeds: &[(NodeId, NodeId)],
+        region: &mut RegionSolver<'n, '_>,
         seeds: &[(NodeId, NodeId)],
         a: NodeId,
         b: NodeId,
@@ -299,24 +352,8 @@ impl<'n> WorkerState<'n> {
         // The SAT prover: the region's shared scoped solver, or a
         // cold per-pair one under `--no-incremental`.
         let mut cold_prover;
-        let mut rebuilt = false;
-        let prover: &mut PairProver<'n> = if cfg.engine.incremental {
-            if shared
-                .as_ref()
-                .is_some_and(|s| s.bloated(cfg.engine.rebuild_bloat))
-            {
-                *shared = None;
-                rebuilt = true;
-            }
-            let solver = shared.get_or_insert_with(|| {
-                let mut prover = self.fresh_prover(cfg);
-                for &(x, y) in region_seeds {
-                    prover.assert_equal(x, y);
-                }
-                let baseline = prover.solver_stats().clause_db_bytes;
-                RegionSolver { prover, baseline }
-            });
-            &mut solver.prover
+        let (prover, rebuilt) = if cfg.engine.incremental {
+            region.prover(cfg.engine.rebuild_bloat, || self.fresh_prover(cfg))
         } else {
             let mut p = self.fresh_prover(cfg);
             let cone = cone_union(self.net, a, b);
@@ -326,7 +363,7 @@ impl<'n> WorkerState<'n> {
                 }
             }
             cold_prover = p;
-            &mut cold_prover
+            (&mut cold_prover, false)
         };
         // Everything this pair reports is a delta against the
         // prover's cumulative counters, so shared and cold provers
@@ -789,12 +826,11 @@ impl Sweeper {
                     |_| WorkerState::new(net, deadline.clone(), recorder.local()),
                     |state, job: &RegionJob| {
                         // The region's shared prover (incremental
-                        // mode); rebuilt cold after a caught panic —
-                        // a poisoned solver is never trusted — or
-                        // when it bloats past the rebuild policy.
-                        // Either rebuild is deterministic (same seeds,
-                        // same remaining pairs, any jobs value).
-                        let mut shared: Option<RegionSolver<'_>> = None;
+                        // mode). Its rebuilds — after a caught panic
+                        // or past the bloat policy — are deterministic:
+                        // same seeds, same proven pairs, same
+                        // remaining pairs, any jobs value.
+                        let mut region = RegionSolver::new(&job.seeds);
                         let mut results: Vec<(usize, PairStatus)> =
                             Vec::with_capacity(job.pairs.len());
                         for &(job_index, a, b) in &job.pairs {
@@ -825,20 +861,12 @@ impl Sweeper {
                                     if panic_on.is_some_and(|trigger| trigger(a, b)) {
                                         panic!("injected prover panic on pair ({a}, {b})");
                                     }
-                                    state.prove_pair(
-                                        &mut shared,
-                                        &job.seeds,
-                                        seeds_ref,
-                                        a,
-                                        b,
-                                        cfg,
-                                        want_proof,
-                                    )
+                                    state.prove_pair(&mut region, seeds_ref, a, b, cfg, want_proof)
                                 }));
                             match attempt {
                                 Ok(out) => results.push((job_index, PairStatus::Done(out))),
                                 Err(_) => {
-                                    shared = None;
+                                    region.prover = None;
                                     results.push((job_index, PairStatus::Panicked));
                                 }
                             }
@@ -1807,6 +1835,83 @@ mod tests {
             let (stripped, rebuilds) = run(1, jobs);
             assert!(rebuilds > 0, "jobs={jobs}: the bloated solver is rebuilt");
             assert_eq!(stripped, reference, "jobs={jobs}");
+        }
+    }
+
+    /// `x1`/`y1`: XOR chains over the same eight PIs, in opposite
+    /// orders, so no inner node of one matches one of the other — a
+    /// pair CDCL needs real search to prove. With `deep`, also
+    /// `x2 = x1 ∧ p` and `y2 = y1 ∧ p` over a ninth PI: given
+    /// `x1 ≡ y1`, a pair that needs next to no search. The deep nodes
+    /// come last, so the shallow pair's cones, encoding and proof are
+    /// the same with or without them.
+    fn shallow_deep_net(deep: bool) -> LutNetwork {
+        let mut net = LutNetwork::new();
+        let pis: Vec<NodeId> = (0..8).map(|i| net.add_pi(format!("p{i}"))).collect();
+        let xor = |net: &mut LutNetwork, a: NodeId, b: NodeId| {
+            net.add_lut(vec![a, b], TruthTable::xor2()).unwrap()
+        };
+        let x1 = pis[1..]
+            .iter()
+            .fold(pis[0], |acc, &p| xor(&mut net, acc, p));
+        let y1 = pis[..7]
+            .iter()
+            .rev()
+            .fold(pis[7], |acc, &p| xor(&mut net, acc, p));
+        net.add_po(x1, "x1");
+        net.add_po(y1, "y1");
+        if deep {
+            let p = net.add_pi("p");
+            let x2 = net.add_lut(vec![x1, p], TruthTable::and2()).unwrap();
+            let y2 = net.add_lut(vec![y1, p], TruthTable::and2()).unwrap();
+            net.add_po(x2, "x2");
+            net.add_po(y2, "y2");
+        }
+        net
+    }
+
+    #[test]
+    fn a_region_job_asserts_each_proven_equality_before_its_next_pair() {
+        // One round, one region job: the shallow pair first, then the
+        // deep one. The deep pair's own conflicts are the difference
+        // to a sweep of the shallow pair alone. With `x1 ≡ y1` already
+        // asserted they are a constant handful — an Unsat answer under
+        // the scope's assumption takes at least one — where re-deriving
+        // the XOR equivalence costs a good share of the shallow proof.
+        // Under `rebuild_bloat: 1` the solver is rebuilt between the
+        // two pairs, and the rebuilt solver must still hold the
+        // equality.
+        for rebuild_bloat in [0u32, 1] {
+            for jobs in [1usize, 2] {
+                let cfg = SweepConfig {
+                    jobs,
+                    engine: EnginePolicy {
+                        rebuild_bloat,
+                        ..EnginePolicy::default()
+                    },
+                    ..SweepConfig::default()
+                };
+                let (shallow, _) = observed(&shallow_deep_net(false), cfg);
+                let (both, obs) = observed(&shallow_deep_net(true), cfg);
+                let tag = format!("rebuild_bloat={rebuild_bloat} jobs={jobs}");
+                assert_eq!(shallow.stats.sat_calls, 1, "{tag}");
+                assert_eq!(both.stats.sat_calls, 2, "{tag}");
+                assert_eq!(both.stats.proved_equivalent, 2, "{tag}");
+                assert_eq!(both.stats.dispatch.as_ref().unwrap().rounds, 1, "{tag}");
+                assert_eq!(
+                    obs.recorder.get(Counter::SolverRebuilds),
+                    u64::from(rebuild_bloat),
+                    "{tag}"
+                );
+                let shallow_conflicts = shallow.stats.solver.conflicts;
+                let deep_conflicts = both.stats.solver.conflicts - shallow_conflicts;
+                assert!(shallow_conflicts > 8, "{tag}: the XOR pair needs search");
+                assert!(
+                    deep_conflicts <= 3,
+                    "{tag}: the deep pair spent {deep_conflicts} conflicts \
+                     (the shallow one {shallow_conflicts})"
+                );
+            }
         }
     }
 }

@@ -248,7 +248,7 @@ impl<'n> PairProver<'n> {
     /// solver state — is what keeps warm region solvers and cold
     /// per-pair solvers byte-identical downstream: resimulation
     /// refines the candidate classes the same way in both modes.
-    /// Every auxiliary constraint a warm solver might hold (seed
+    /// Every auxiliary constraint a warm solver might hold (asserted
     /// equalities, retired scopes, learnt clauses) is implied or
     /// deactivated, so each minimization query is satisfiable in one
     /// mode iff it is in the other.

@@ -1,11 +1,14 @@
 //! Golden `RunReport`: a checked-in deterministic report under
 //! `results/` that every build re-validates against the
-//! `simgen-run-report/3` schema and regenerates bit-for-bit.
+//! `simgen-run-report/5` schema and regenerates bit-for-bit.
 //!
 //! The golden file is the anchor for the append-only perf trajectory:
 //! if a change alters the deterministic form (field added, renamed,
 //! reordered), this test fails and the schema version must be bumped
-//! deliberately. Regenerate with:
+//! deliberately. A drift is reported in two grades: a *semantic* one
+//! (verdicts, classes, calls — what survives
+//! `strip_engine_dependent`) is checked first; only then an
+//! *effort-only* one (solver effort counters alone). Regenerate with:
 //!
 //! ```text
 //! SIMGEN_BLESS=1 cargo test -p simgen-cec --test golden_report
@@ -16,7 +19,7 @@ use std::path::PathBuf;
 use simgen_cec::{design_info, sweep_run_report, RunContext, RunMeta, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
-use simgen_obs::{Json, Observer, RunReport};
+use simgen_obs::{report::strip_engine_dependent, Json, Observer, RunReport};
 use simgen_workloads::{build_aig, rewrite::restructure};
 
 fn golden_path() -> PathBuf {
@@ -69,15 +72,31 @@ fn golden_report_matches_and_validates() {
         .unwrap_or_else(|e| panic!("read {}: {e}; run with SIMGEN_BLESS=1 once", path.display()));
 
     // 1. The checked-in artifact still parses and satisfies the
-    //    simgen-run-report/3 schema.
+    //    simgen-run-report/5 schema.
     let json = Json::parse(&on_disk).expect("golden report parses");
     RunReport::validate(&json).expect("golden report is schema-valid");
 
-    // 2. The engine still reproduces it byte-for-byte: same seeds in,
+    // 2. The engine still reaches the same answers: verdicts, classes,
+    //    prover calls and everything else the engine-stripped form
+    //    keeps.
+    let stripped = |text: &str| {
+        let mut json = Json::parse(text).expect("report parses");
+        strip_engine_dependent(&mut json);
+        json.to_pretty()
+    };
+    assert_eq!(
+        stripped(&fresh),
+        stripped(&on_disk),
+        "SEMANTIC drift from results/golden_run_report.json: the engine-stripped \
+         report differs, so verdicts, classes or call counts changed"
+    );
+
+    // 3. The engine still reproduces it byte-for-byte: same seeds in,
     //    same deterministic form out, on any machine and worker count.
     assert_eq!(
         fresh, on_disk,
-        "deterministic RunReport drifted from results/golden_run_report.json; \
+        "EFFORT-ONLY drift from results/golden_run_report.json: the \
+         engine-stripped forms match, so only solver effort counters moved; \
          if the change is intentional, bless a new golden file"
     );
 }

@@ -1099,13 +1099,14 @@ BDDs and SAT. `default` runs the SAT ladder with BDDs as a bounded
 fallback; `bdd-first` tries the BDD engine before spending SAT
 conflicts; `sat-only` never consults BDDs. The SAT rungs share one
 long-lived assumption-scoped solver per fanin region, so later pairs
-in a region warm-start on the cone encoding and learnt clauses of
-earlier ones (docs/solving.md); --no-incremental reverts to a cold
-solver per pair. --rebuild-bloat N restarts a region solver whose
-clause database grows past N times its live encoding (0 = never),
-bounding memory on long regions. Verdicts and engine-stripped reports are identical
-across policies and both solver modes — only effort counters
-(conflicts, warm_solves, clauses_reused) move.
+in a region warm-start on the cone encoding, the learnt clauses and
+the proven equalities of earlier ones (docs/solving.md);
+--no-incremental reverts to a cold solver per pair. --rebuild-bloat N
+restarts a region solver whose clause database grows past N times its
+live encoding (0 = never), bounding memory on long regions. Verdicts
+and engine-stripped reports are identical across policies and both
+solver modes — only effort counters (conflicts, warm_solves,
+clauses_reused) move.
 
 Proof cache: --cache-dir DIR makes sweep/cec answer structurally
 repeated queries from a persistent content-addressed store instead of

@@ -768,17 +768,21 @@ impl Solver {
             if locked[i] {
                 continue;
             }
-            self.clauses[c as usize].deleted = true;
+            // A deleted clause is never read again (`propagate` checks
+            // the flag first), so its literals are freed here rather
+            // than kept for the solver's whole life: the
+            // `clause_db_bytes` gauge the memory governor trusts then
+            // matches what is really held.
+            let clause = &mut self.clauses[c as usize];
+            clause.deleted = true;
+            let lits = std::mem::take(&mut clause.lits);
             self.num_learnts -= 1;
             self.stats.clause_db_bytes = self
                 .stats
                 .clause_db_bytes
-                .saturating_sub(clause_resident_bytes(self.clauses[c as usize].lits.len()));
+                .saturating_sub(clause_resident_bytes(lits.len()));
             removed += 1;
-            if self.proof.is_some() {
-                let lits = self.clauses[c as usize].lits.clone();
-                self.record_delete(&lits);
-            }
+            self.record_delete(&lits);
         }
         self.stats.removed += removed as u64;
         // Watches are cleaned lazily in propagate (deleted clauses are
@@ -1451,6 +1455,30 @@ mod tests {
         // Units enqueued at level 0 are not stored, so solving this
         // trivial instance must not inflate the gauge.
         assert_eq!(s.stats().clause_db_bytes, 2 * 40);
+    }
+
+    #[test]
+    fn reduced_clauses_release_their_literals() {
+        // PHP(9, 8) learns well past the 2000-clause reduction
+        // threshold inside a 6000-conflict budget.
+        let (nv, clauses) = pigeonhole(9);
+        let refs: Vec<&[i32]> = clauses.iter().map(|c| c.as_slice()).collect();
+        let mut s = solver_with(nv, &refs);
+        assert_eq!(s.solve_limited(&[], Some(6000)), SolveResult::Unknown);
+        assert!(s.stats().removed > 0, "the database was reduced");
+        let deleted: Vec<&Clause> = s.clauses.iter().filter(|c| c.deleted).collect();
+        assert_eq!(deleted.len() as u64, s.stats().removed);
+        assert!(deleted.iter().all(|c| c.lits.capacity() == 0));
+        // The gauge counts exactly the clauses still stored.
+        let live: u64 = s
+            .clauses
+            .iter()
+            .filter(|c| !c.deleted)
+            .map(|c| clause_resident_bytes(c.lits.len()))
+            .sum();
+        assert_eq!(s.stats().clause_db_bytes, live);
+        // The solver keeps working on the reduced database.
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

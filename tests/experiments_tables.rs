@@ -1,6 +1,6 @@
 //! EXPERIMENTS.md renders its tables from the committed
-//! `results/BENCH_*.json` artifacts. These tests keep the prose from
-//! drifting away from them.
+//! `results/BENCH_*.json` and `BENCH_sat.json` artifacts. These tests
+//! keep the prose from drifting away from them.
 
 use std::path::Path;
 
@@ -71,5 +71,57 @@ fn table1_ours_cost_row_matches_the_artifact() {
         cells[4].contains(&headline),
         "{:?} should show {headline}",
         cells[4]
+    );
+}
+
+/// A rendered count such as `63 812` (digits grouped by spaces).
+fn count(cell: &str) -> u64 {
+    cell.replace(' ', "")
+        .parse()
+        .unwrap_or_else(|_| panic!("not a count: {cell:?}"))
+}
+
+#[test]
+fn sat_reuse_table_matches_the_artifact() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let report = Json::parse(&repo_file("BENCH_sat.json")).expect("valid json");
+    let metrics = report.get("metrics").expect("metrics section");
+    let metric = |key: &str| {
+        metrics
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{key} missing from BENCH_sat.json"))
+    };
+    let section = "## SAT clause reuse";
+    for mode in ["warm", "cold"] {
+        let cells = table_row(&doc, section, &format!("| {mode} |"));
+        let keys = ["sat_calls", "sat_ms", "conflicts", "learned"];
+        assert_eq!(cells.len(), keys.len(), "{mode}: {cells:?}");
+        for (cell, key) in cells.iter().zip(keys) {
+            assert_eq!(
+                count(cell),
+                metric(&format!("{mode}_{key}")).round() as u64,
+                "EXPERIMENTS.md sat_reuse {mode} {key} vs BENCH_sat.json"
+            );
+        }
+    }
+    // The headline, e.g. "**56 922 conflicts (89.2 %)**", which the
+    // prose wraps across a line break.
+    let digits = (metric("conflicts_saved") as u64).to_string();
+    let groups: Vec<&str> = digits
+        .as_bytes()
+        .rchunks(3)
+        .rev()
+        .map(|d| std::str::from_utf8(d).expect("ascii digits"))
+        .collect();
+    let headline = format!(
+        "**{} conflicts ({:.1} %)**",
+        groups.join(" "),
+        metric("conflicts_saved_frac") * 100.0
+    );
+    let start = doc.find(section).expect("sat_reuse section");
+    assert!(
+        doc[start..].replace('\n', " ").contains(&headline),
+        "EXPERIMENTS.md sat_reuse should state {headline:?}"
     );
 }
