@@ -21,9 +21,10 @@
 //! pairs are never merged and never refine classes.
 
 use simgen_netlist::{LutNetwork, NodeId};
+use simgen_obs::{Counter, Observer};
 use simgen_sim::Replayer;
 
-use crate::prove::PairProver;
+use crate::prove::{PairProver, Verdict};
 
 /// Default bound on recorded DRAT proof text per prover. Generous —
 /// pair cones are small — but finite, so a pathological query cannot
@@ -42,17 +43,52 @@ pub fn certify_equivalence(prover: &PairProver<'_>) -> bool {
     }
 }
 
-/// Replays a counterexample through the scalar reference evaluator:
-/// `true` iff `inputs` really drives `a` and `b` apart. Malformed
-/// vectors (wrong length) fail replay instead of panicking.
-pub fn certify_counterexample(
+/// The one certification step of the sweep's pair proofs and the CEC
+/// output proofs: `prover`'s live answer for `(a, b)` must hold up
+/// against its own evidence. An `Equivalent` needs a certificate
+/// [`certify_equivalence`] accepts; a counterexample must drive `a`
+/// and `b` apart under the scalar reference evaluator (a malformed
+/// vector fails instead of panicking). Returns the verdict when its
+/// evidence holds and [`Verdict::CertificationFailed`] when it does
+/// not; any other verdict passes through.
+pub(crate) fn certify(
+    verdict: Verdict,
+    prover: &PairProver<'_>,
     net: &LutNetwork,
     replayer: &mut Replayer,
-    inputs: &[bool],
     a: NodeId,
     b: NodeId,
-) -> bool {
-    replayer.distinguishes(net, inputs, a, b)
+) -> Verdict {
+    match verdict {
+        Verdict::Equivalent if !certify_equivalence(prover) => {
+            Verdict::CertificationFailed { replay: false }
+        }
+        Verdict::Counterexample(ref v) if !replayer.distinguishes(net, v, a, b) => {
+            Verdict::CertificationFailed { replay: true }
+        }
+        v => v,
+    }
+}
+
+/// Books one certified live answer — what [`certify`] returned — into
+/// the certificate and replay counters.
+pub(crate) fn count_certification(verdict: &Verdict, obs: &mut Observer) {
+    let (checked, failed) = match verdict {
+        Verdict::Equivalent => (Counter::CertificatesChecked, None),
+        Verdict::Counterexample(_) => (Counter::CexReplays, None),
+        Verdict::CertificationFailed { replay: false } => (
+            Counter::CertificatesChecked,
+            Some(Counter::CertificatesFailed),
+        ),
+        Verdict::CertificationFailed { replay: true } => {
+            (Counter::CexReplays, Some(Counter::CexReplayFailures))
+        }
+        _ => return,
+    };
+    obs.recorder.add(checked, 1);
+    if let Some(failed) = failed {
+        obs.recorder.add(failed, 1);
+    }
 }
 
 #[cfg(test)]
@@ -97,25 +133,21 @@ mod tests {
         let (net, x, _, z) = two_ands();
         let mut p = PairProver::new(&net);
         p.enable_certification(PROOF_BYTE_BUDGET);
-        let mut replayer = Replayer::new();
-        match p.prove(x, z, None) {
-            crate::ProveOutcome::Counterexample(v) => {
-                assert!(certify_counterexample(&net, &mut replayer, &v, x, z));
-                // And after a Sat answer there is no certificate.
-                assert!(!certify_equivalence(&p));
-            }
+        let v = match p.prove(x, z, None) {
+            crate::ProveOutcome::Counterexample(v) => v,
             other => panic!("expected counterexample, got {other:?}"),
-        }
-        // A vector that does not distinguish the pair is rejected.
-        assert!(!certify_counterexample(
-            &net,
-            &mut replayer,
-            &[true, true],
-            x,
-            z
-        ));
-        // As is a malformed one.
-        assert!(!certify_counterexample(&net, &mut replayer, &[true], x, z));
+        };
+        // After a Sat answer there is no certificate.
+        assert!(!certify_equivalence(&p));
+        let mut replayer = Replayer::new();
+        let mut check =
+            |v: Vec<bool>| certify(Verdict::Counterexample(v), &p, &net, &mut replayer, x, z);
+        assert_eq!(check(v.clone()), Verdict::Counterexample(v));
+        // A vector that does not distinguish the pair is rejected, as
+        // is a malformed one.
+        let failed = Verdict::CertificationFailed { replay: true };
+        assert_eq!(check(vec![true, true]), failed);
+        assert_eq!(check(vec![true]), failed);
     }
 
     #[test]

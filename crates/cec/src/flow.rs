@@ -10,8 +10,8 @@ use simgen_netlist::{LutNetwork, NetlistError, NodeId};
 use simgen_obs::{Counter, Json, Observer, Phase};
 use simgen_sim::{EquivClasses, Replayer};
 
-use crate::certify::{certify_counterexample, certify_equivalence, PROOF_BYTE_BUDGET};
-use crate::prove::{PairProver, ProveOutcome};
+use crate::certify::{certify, count_certification, PROOF_BYTE_BUDGET};
+use crate::prove::{PairProver, Verdict};
 use crate::stats::SweepStats;
 use crate::sweep::{spawn_watchdog, RunContext, SweepConfig};
 use crate::Sweeper;
@@ -202,98 +202,54 @@ pub fn check_equivalence(
         // (its trust checks already ran inside `resolve`).
         let cached = sweep_cache
             .as_mut()
-            .and_then(|sc| match sc.resolve(net, na, nb, obs) {
-                crate::cache::CacheLookup::Hit(outcome) => Some(outcome),
-                crate::cache::CacheLookup::Miss => None,
-            });
-        let from_cache = cached.is_some();
-        let outcome = match cached {
-            Some(outcome) => outcome,
-            None => {
-                obs.recorder.add(Counter::OutputProofs, 1);
-                prover.prove(na, nb, config.sat_budget)
-            }
-        };
+            .and_then(|sc| sc.resolve(net, na, nb, obs));
+        let live = cached.is_none();
+        let mut verdict = cached.unwrap_or_else(|| {
+            obs.recorder.add(Counter::OutputProofs, 1);
+            prover.prove(na, nb, config.sat_budget).into()
+        });
         progress.tick();
         if obs.trace.is_enabled() {
-            let name = match &outcome {
-                ProveOutcome::Equivalent => "equivalent",
-                ProveOutcome::Counterexample(_) => "disproved",
-                ProveOutcome::Undecided { .. } => "undecided",
-            };
             obs.trace.emit(
                 "output_proof",
                 vec![
                     ("po_index", Json::U64(i as u64)),
-                    ("verdict", Json::Str(name.to_string())),
+                    ("verdict", Json::Str(verdict.name().to_string())),
                 ],
             );
         }
-        match outcome {
-            ProveOutcome::Equivalent => {
-                // Trust-but-verify: an uncertified "equivalent" on an
-                // output pair must not contribute to an Equivalent
-                // verdict — demote it to unresolved. (Cache hits
-                // cleared the same bar inside `resolve`.)
-                if config.certify && !from_cache {
-                    obs.recorder.add(Counter::CertificatesChecked, 1);
-                    if !certify_equivalence(&prover) {
-                        output_cert_failures += 1;
-                        obs.recorder.add(Counter::CertificatesFailed, 1);
-                        obs.trace.emit(
-                            "certification_failed",
-                            vec![("po_index", Json::U64(i as u64))],
-                        );
-                        unresolved_pairs.push(i);
-                        continue;
-                    }
-                }
-                if !from_cache {
-                    if let Some(sc) = sweep_cache.as_mut() {
-                        let proof = if config.certify {
-                            prover.proof_blob()
-                        } else {
-                            None
-                        };
-                        sc.store(net, na, nb, &ProveOutcome::Equivalent, proof, obs);
-                    }
-                }
+        if live {
+            // Trust-but-verify: an answer that fails its check neither
+            // contributes to an Equivalent verdict nor terminates the
+            // run. (Cache hits cleared the same bar inside `resolve`.)
+            if config.certify {
+                verdict = certify(verdict, &prover, net, &mut replayer, na, nb);
+                count_certification(&verdict, obs);
             }
-            ProveOutcome::Counterexample(witness) => {
-                if config.certify && !from_cache {
-                    obs.recorder.add(Counter::CexReplays, 1);
-                    if !certify_counterexample(net, &mut replayer, &witness, na, nb) {
-                        // The witness does not actually distinguish
-                        // the outputs: an untrusted inequivalence
-                        // claim never terminates the run.
-                        output_cert_failures += 1;
-                        obs.recorder.add(Counter::CexReplayFailures, 1);
-                        obs.trace.emit(
-                            "certification_failed",
-                            vec![("po_index", Json::U64(i as u64))],
-                        );
-                        unresolved_pairs.push(i);
-                        continue;
-                    }
-                }
-                if !from_cache {
-                    if let Some(sc) = sweep_cache.as_mut() {
-                        sc.store(
-                            net,
-                            na,
-                            nb,
-                            &ProveOutcome::Counterexample(witness.clone()),
-                            None,
-                            obs,
-                        );
-                    }
-                }
+            if let Some(sc) = sweep_cache.as_mut() {
+                let proof = if config.certify && verdict == Verdict::Equivalent {
+                    prover.proof_blob()
+                } else {
+                    None
+                };
+                sc.store(net, na, nb, &verdict, proof, obs);
+            }
+        }
+        match verdict {
+            Verdict::Equivalent => {}
+            Verdict::Counterexample(witness) => {
                 cex = Some((i, witness));
                 break;
             }
-            ProveOutcome::Undecided { .. } => {
+            Verdict::CertificationFailed { .. } => {
+                output_cert_failures += 1;
+                obs.trace.emit(
+                    "certification_failed",
+                    vec![("po_index", Json::U64(i as u64))],
+                );
                 unresolved_pairs.push(i);
             }
+            _ => unresolved_pairs.push(i),
         }
     }
     if let Some(start) = output_start {

@@ -52,19 +52,19 @@ pub mod report;
 pub mod stats;
 pub mod sweep;
 
-pub use certify::{certify_counterexample, certify_equivalence, PROOF_BYTE_BUDGET};
+pub use certify::{certify_equivalence, PROOF_BYTE_BUDGET};
 pub use flow::{
     check_equivalence, check_equivalence_observed, CecReport, CecVerdict, InconclusiveReason,
     SwitchOnPlateau,
 };
 pub use govern::{estimate_resident, MemoryGovernor};
-pub use journal::{
-    JournalVerdict, PairRecord, RoundRecord, SweepJournal, CRASH_ENV, JOURNAL_FILE, JOURNAL_SCHEMA,
-};
+pub use journal::{PairRecord, RoundRecord, SweepJournal, CRASH_ENV, JOURNAL_FILE, JOURNAL_SCHEMA};
 pub use parallel::{ParallelSweeper, Sweeper};
-pub use prove::{BddProver, PairProver, ProveOutcome};
+pub use prove::{BddProver, PairProver, ProveOutcome, Verdict};
 pub use region::RegionMap;
-pub use report::{cec_run_report, design_info, sweep_config_json, sweep_run_report, RunMeta};
+pub use report::{
+    cec_run_report, design_info, design_name, sweep_config_json, sweep_run_report, RunMeta,
+};
 pub use simgen_cache::{job_key, pair_key, CacheKey, ProofCache};
 pub use simgen_dispatch::{BudgetSchedule, Deadline, EngineMode, EnginePolicy, Progress, Watchdog};
 #[cfg(feature = "fault-inject")]

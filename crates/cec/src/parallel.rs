@@ -10,18 +10,19 @@
 //! results are merged back **in pair order**. Pairs are grouped into
 //! one job per fanin region ([`RegionMap`]); a region's pairs share
 //! one assumption-scoped [`PairProver`] (under `--no-incremental`,
-//! every pair is its own job with a cold prover). Provers are seeded
-//! with the equivalences proven in *earlier rounds*, and a region job
-//! asserts each equality it proves before its next pair (fraig within
-//! the round). A job runs its pairs serially in global pair order, so
-//! a pair's outcome is a pure function of the round history and its
-//! job's pair list — never of which worker ran it or in what order.
-//! That is what makes the sweep report byte-identical for any `jobs`
-//! value.
+//! every pair is its own job). Provers are seeded with the
+//! equivalences proven in *earlier rounds*, and a job asserts each
+//! equality it proves before its next pair (fraig within the round).
+//! A job runs its pairs serially in global pair order, so a pair's
+//! outcome is a pure function of the round history and its job's pair
+//! list — never of which worker ran it or in what order. That is what
+//! makes the sweep report byte-identical for any `jobs` value.
 //!
-//! Counterexamples produced during a round are batched and flushed
-//! through one word-parallel resimulation (`flush_counterexamples`) at
-//! the end of the round.
+//! Every pair ends in one [`Verdict`], and one `RoundState::apply`
+//! turns it into sweep state, for live rounds and for rounds replayed
+//! from the journal alike. Counterexamples produced during a round
+//! are batched and flushed through one word-parallel resimulation
+//! (`flush_counterexamples`) at the end of the round.
 //!
 //! Engine choice per pair follows [`SweepConfig::engine`]: the SAT
 //! ladder alone, BDD first with SAT behind it, or BDD alone. Budget
@@ -30,64 +31,43 @@
 //! multiplied on every retry) and finally falls back to a node-limited
 //! BDD check; pairs that exhaust everything are reported unresolved.
 
-use std::collections::HashSet;
-use std::time::Duration;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use simgen_core::PatternGenerator;
-use simgen_dispatch::{
-    run_ordered_traced, Attempt, BudgetSchedule, Deadline, EngineMode, JobStatus, Progress,
-};
+use simgen_dispatch::{run_ordered, Attempt, BudgetSchedule, Deadline, EngineMode, Progress};
 #[cfg(feature = "fault-inject")]
 use simgen_dispatch::{FaultAction, FaultPlan};
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{Counter, Json, LocalRecorder, Observer, Phase};
 use simgen_sat::{ScopeMetrics, SolverStats};
-use simgen_sim::Replayer;
+use simgen_sim::{PatternSet, Replayer, SimResult};
 
-use crate::certify::{certify_equivalence, PROOF_BYTE_BUDGET};
+use crate::certify::{certify, count_certification, PROOF_BYTE_BUDGET};
 use crate::journal::{
-    apply_replayed_pair, class_signature, counter_snapshot, restore_counters, sweep_fingerprint,
-    JournalVerdict, PairRecord, RoundRecord, StatsSnapshot,
+    class_signature, counter_snapshot, restore_counters, sweep_fingerprint, PairRecord,
+    RoundRecord, StatsSnapshot,
 };
-use crate::prove::{BddProver, PairProver, ProveOutcome};
+use crate::prove::{BddProver, PairProver, ProveOutcome, Verdict};
 use crate::region::{cone_union, RegionMap, DEFAULT_BDD_NODE_LIMIT, REBUILD_BASELINE_FLOOR};
-use crate::stats::{DispatchSummary, WorkerSummary};
+use crate::stats::{DispatchSummary, SweepStats, WorkerSummary};
 use crate::sweep::{
     flush_counterexamples, record_exec_counters, record_merge, run_sim_phases, spawn_watchdog,
     RunContext, SimPhases, SweepConfig, SweepReport,
 };
 
-/// Scheduling-independent result of one pair proof (the wall-clock
-/// metadata travels separately in the worker state).
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum PairVerdict {
-    /// Proven equal (and, under certify, DRAT-certified).
-    Equivalent,
-    /// Distinguishing input vector (replay-verified under certify).
-    Counterexample(Vec<bool>),
-    /// Ladder (and fallback, if enabled) exhausted.
-    Undecided,
-    /// The engine answered but certification rejected the answer:
-    /// `replay: false` means the DRAT checker refused an `Equivalent`
-    /// proof, `replay: true` means the scalar replay could not
-    /// reproduce a counterexample. The merge loop quarantines the
-    /// pair either way.
-    CertificationFailed {
-        /// Whether the rejected evidence was a counterexample.
-        replay: bool,
-    },
-}
-
-/// Everything a proof job hands back to the merge loop. The counter
-/// deltas travel in the result — not in worker state — because a
-/// panicking step respawns its worker with fresh state: under fault
-/// injection, state-side accumulation would silently lose the counts
-/// of every earlier job on that worker and make the totals depend on
-/// scheduling. Merge-side accumulation over these results is exact
-/// for any `--jobs` value (a panicked job contributes nothing,
-/// deterministically).
+/// Everything a proof job hands back to the merge loop for one pair.
+/// The effort deltas travel in the result, not in worker state, and
+/// the merge books them in pair order — into the run totals and into
+/// the row of the worker that ran the pair — so the totals are exact
+/// for any `--jobs` value and the rows partition them.
 struct PairOutcome {
-    verdict: PairVerdict,
+    verdict: Verdict,
+    /// Index of the worker that ran the pair.
+    worker: usize,
+    /// The caught panic's message ([`Verdict::Panicked`] only).
+    panic: Option<String>,
     /// Serialized DRAT blob of an `Equivalent` verdict, produced only
     /// when the round wants to populate the proof cache.
     proof: Option<Vec<u8>>,
@@ -98,8 +78,6 @@ struct PairOutcome {
     conflicts: u64,
     /// Budget escalations beyond the first attempt.
     escalations: u64,
-    /// Whether the whole ladder (and fallback) exhausted.
-    timeout: bool,
     /// Scope-reuse delta attributable to this pair (zero when the
     /// pair never touched a SAT solver).
     metrics: ScopeMetrics,
@@ -109,30 +87,30 @@ struct PairOutcome {
 }
 
 impl PairOutcome {
-    /// Outcome of a path that did no SAT work (BDD primary engine, or
-    /// an injected spurious answer).
-    fn engine_only(verdict: PairVerdict) -> Self {
-        let timeout = verdict == PairVerdict::Undecided;
+    /// Outcome of a path that did no SAT work (BDD primary engine, an
+    /// injected spurious answer, or a caught panic).
+    fn engine_only(verdict: Verdict, worker: usize) -> Self {
         PairOutcome {
             verdict,
+            worker,
+            panic: None,
             proof: None,
             sat_calls: 0,
             sat_time: Duration::ZERO,
             solver: SolverStats::default(),
             conflicts: 0,
             escalations: 0,
-            timeout,
             metrics: ScopeMetrics::default(),
             rebuilt: false,
         }
     }
 }
 
-/// What an incremental region job carries from one pair to the next:
-/// the scoped solver its pairs share and every equality the job has
-/// proven so far (fraig within the round). The solver is built on the
-/// job's first SAT pair and dropped after a caught panic — a poisoned
-/// solver is never trusted — or, under
+/// What a region job carries from one pair to the next: the scoped
+/// solver its pairs share and every equality the job has proven so far
+/// (fraig within the round). The solver is built on the job's first
+/// SAT pair and dropped after a caught panic — a poisoned solver is
+/// never trusted — or, under
 /// [`EnginePolicy::rebuild_bloat`](simgen_dispatch::EnginePolicy), when
 /// its live clause database outgrows the footprint it had right after
 /// it was built (floored at [`REBUILD_BASELINE_FLOOR`]) times the
@@ -140,7 +118,8 @@ impl PairOutcome {
 /// plus its proven list, so a rebuilt solver loses its learnt clauses
 /// but never what the job already proved.
 struct RegionSolver<'n, 'j> {
-    /// Prior-round equalities inside the region.
+    /// Prior-round equalities inside the job's region (or, for a
+    /// single-pair job, inside the pair's cones).
     seeds: &'j [(NodeId, NodeId)],
     /// Equalities this job proved, in pair order: only final
     /// `Equivalent` verdicts, so under certify only certified ones.
@@ -205,32 +184,25 @@ impl<'n, 'j> RegionSolver<'n, 'j> {
 
 /// One dispatched proof job. In incremental mode a job is a whole
 /// fanin region's worth of this round's pairs — they share one scoped
-/// solver, serially, in global pair order — so the report's new
-/// reuse counters stay `--jobs`-invariant. In cold mode every job is
-/// a single pair, the classic shape.
+/// solver, serially, in global pair order — so the report's reuse
+/// counters stay `--jobs`-invariant. Under `--no-incremental` every
+/// job is a single pair, seeded with the earlier-round equalities
+/// inside its cones.
 struct RegionJob {
-    /// Prior-round proven equalities inside this job's region,
-    /// replayed into the shared prover at every build (incremental
-    /// mode only; cold pairs filter the full seed list by cone).
+    /// Prior-round proven equalities the job's solver is seeded with
+    /// at every build.
     seeds: Vec<(NodeId, NodeId)>,
     /// `(global pair index, rep, cand)` in global pair order.
     pairs: Vec<(usize, NodeId, NodeId)>,
 }
 
-/// Per-pair result extracted from a region job; `None` in a merge
-/// slot means the pair was never started (deadline skip).
-enum PairStatus {
-    Done(PairOutcome),
-    Panicked,
-}
-
-/// Per-worker proving state: diagnostic counters plus the lazily-
-/// built BDD fallback engine. The counters mirror
-/// [`crate::stats::WorkerSummary`] and are diagnostics only — a panic
-/// respawns the worker's state, losing them — the authoritative
-/// totals are accumulated merge-side from each job's [`PairOutcome`].
+/// Per-worker proving state: the lazily built BDD engine, a scalar
+/// replayer and a busy-span recorder. It keeps no counters: every
+/// count travels in the [`PairOutcome`]s.
 struct WorkerState<'n> {
     net: &'n LutNetwork,
+    /// This worker's index, stamped on every outcome it produces.
+    worker: usize,
     /// Shared deadline bound to every prover this worker builds.
     deadline: Deadline,
     /// Lazily created on the first pair that exhausts its SAT ladder
@@ -239,65 +211,52 @@ struct WorkerState<'n> {
     /// Scalar reference evaluator for counterexample replay (reused
     /// across this worker's pairs; its buffers are scratch space).
     replayer: Replayer,
-    proofs: u64,
-    conflicts: u64,
-    timeouts: u64,
-    escalations: u64,
     /// Busy-span recorder merged into the orchestrator's at the round
     /// barrier (CPU attribution only).
     local: LocalRecorder,
 }
 
 impl<'n> WorkerState<'n> {
-    fn new(net: &'n LutNetwork, deadline: Deadline, local: LocalRecorder) -> Self {
+    fn new(net: &'n LutNetwork, worker: usize, deadline: Deadline, local: LocalRecorder) -> Self {
         WorkerState {
             net,
+            worker,
             deadline,
             bdd: None,
             replayer: Replayer::new(),
-            proofs: 0,
-            conflicts: 0,
-            timeouts: 0,
-            escalations: 0,
             local,
         }
     }
 
     /// BDD query through the worker's cached engine.
-    fn bdd_prove(&mut self, a: NodeId, b: NodeId, node_limit: usize) -> PairVerdict {
+    fn bdd_prove(&mut self, a: NodeId, b: NodeId, node_limit: usize) -> Verdict {
         let net = self.net;
         let bdd = self
             .bdd
             .get_or_insert_with(|| BddProver::new(net, node_limit));
-        match bdd.prove(a, b) {
-            ProveOutcome::Equivalent => PairVerdict::Equivalent,
-            ProveOutcome::Counterexample(v) => PairVerdict::Counterexample(v),
-            ProveOutcome::Undecided { .. } => PairVerdict::Undecided,
-        }
+        bdd.prove(a, b).into()
     }
 
-    /// Proves one pair against `region` (the job's shared scoped
-    /// solver, in incremental mode) or a cold per-pair prover,
-    /// escalated per `cfg`, with BDD fallback, and (under certify) the
-    /// answer independently checked. In incremental mode a final
-    /// `Equivalent` is then asserted into `region` for the job's later
-    /// pairs — after certification and after the proof blob was taken,
-    /// so no certificate holds its own pair's equality as an axiom.
-    /// Deterministic given `(region seeds, seeds, a, b, cfg)` and the
-    /// region's query history — which is itself deterministic because
-    /// a job processes its pairs serially in global pair order.
+    /// Proves one pair against `region`, the job's shared scoped
+    /// solver, escalated per `cfg`, with BDD fallback, and (under
+    /// certify) the answer independently checked. A final `Equivalent`
+    /// is then asserted into `region` for the job's later pairs — after
+    /// certification and after the proof blob was taken, so no
+    /// certificate holds its own pair's equality as an axiom.
+    /// Deterministic given `(region seeds, a, b, cfg)` and the region's
+    /// query history — which is itself deterministic because a job
+    /// processes its pairs serially in global pair order.
     fn prove_pair(
         &mut self,
         region: &mut RegionSolver<'n, '_>,
-        seeds: &[(NodeId, NodeId)],
         a: NodeId,
         b: NodeId,
         cfg: &SweepConfig,
         want_proof: bool,
     ) -> PairOutcome {
-        let start = self.local.is_enabled().then(std::time::Instant::now);
-        let outcome = self.prove_pair_inner(region, seeds, a, b, cfg, want_proof);
-        if cfg.engine.incremental && outcome.verdict == PairVerdict::Equivalent {
+        let start = self.local.is_enabled().then(Instant::now);
+        let outcome = self.prove_pair_inner(region, a, b, cfg, want_proof);
+        if outcome.verdict == Verdict::Equivalent {
             region.merge(a, b);
         }
         if let Some(start) = start {
@@ -322,13 +281,11 @@ impl<'n> WorkerState<'n> {
     fn prove_pair_inner(
         &mut self,
         region: &mut RegionSolver<'n, '_>,
-        seeds: &[(NodeId, NodeId)],
         a: NodeId,
         b: NodeId,
         cfg: &SweepConfig,
         want_proof: bool,
     ) -> PairOutcome {
-        self.proofs += 1;
         // BDD answers carry no DRAT proof, so under certify the SAT
         // engine below proves the pair instead.
         if cfg.engine.bdd_primary(cfg.certify) {
@@ -338,36 +295,17 @@ impl<'n> WorkerState<'n> {
                 .filter(|&n| n > 0)
                 .unwrap_or(DEFAULT_BDD_NODE_LIMIT);
             let verdict = self.bdd_prove(a, b, node_limit);
-            if verdict != PairVerdict::Undecided {
-                return PairOutcome::engine_only(verdict);
-            }
-            // Node limit tripped: BDD-only reports the pair undecided,
-            // BDD-first falls through to the SAT ladder.
-            if cfg.engine.mode == EngineMode::BddOnly {
-                self.timeouts += 1;
-                return PairOutcome::engine_only(verdict);
+            // A tripped node limit leaves BDD-only undecided and sends
+            // BDD-first on to the SAT ladder.
+            if verdict != Verdict::Undecided || cfg.engine.mode == EngineMode::BddOnly {
+                return PairOutcome::engine_only(verdict, self.worker);
             }
         }
 
-        // The SAT prover: the region's shared scoped solver, or a
-        // cold per-pair one under `--no-incremental`.
-        let mut cold_prover;
-        let (prover, rebuilt) = if cfg.engine.incremental {
-            region.prover(cfg.engine.rebuild_bloat, || self.fresh_prover(cfg))
-        } else {
-            let mut p = self.fresh_prover(cfg);
-            let cone = cone_union(self.net, a, b);
-            for &(x, y) in seeds {
-                if cone.contains(&x) && cone.contains(&y) {
-                    p.assert_equal(x, y);
-                }
-            }
-            cold_prover = p;
-            (&mut cold_prover, false)
-        };
+        let (prover, rebuilt) = region.prover(cfg.engine.rebuild_bloat, || self.fresh_prover(cfg));
         // Everything this pair reports is a delta against the
-        // prover's cumulative counters, so shared and cold provers
-        // feed the merge identically.
+        // prover's cumulative counters, so a job's later pairs book
+        // only their own work.
         let calls_before = prover.calls();
         let time_before = prover.time();
         let solver_before = prover.solver_stats();
@@ -381,12 +319,9 @@ impl<'n> WorkerState<'n> {
             bdd_node_limit: 0,
         });
         let esc = schedule.run(|budget| match prover.prove(a, b, Some(budget)) {
-            ProveOutcome::Equivalent => Attempt::Resolved(PairVerdict::Equivalent),
-            ProveOutcome::Counterexample(v) => Attempt::Resolved(PairVerdict::Counterexample(v)),
             ProveOutcome::Undecided { conflicts } => Attempt::Undecided { conflicts },
+            resolved => Attempt::Resolved(Verdict::from(resolved)),
         });
-        self.escalations += u64::from(esc.escalations);
-        self.conflicts += esc.conflicts;
         let mut verdict = match esc.outcome {
             Some(v) => v,
             // The BDD fallback is equally uncertifiable, so under
@@ -397,47 +332,194 @@ impl<'n> WorkerState<'n> {
             {
                 self.bdd_prove(a, b, schedule.bdd_node_limit)
             }
-            None => PairVerdict::Undecided,
+            None => Verdict::Undecided,
         };
         if cfg.certify {
-            verdict = match verdict {
-                PairVerdict::Equivalent if !certify_equivalence(prover) => {
-                    PairVerdict::CertificationFailed { replay: false }
-                }
-                PairVerdict::Counterexample(ref v)
-                    if !self.replayer.distinguishes(self.net, v, a, b) =>
-                {
-                    PairVerdict::CertificationFailed { replay: true }
-                }
-                v => v,
-            };
-        }
-        let timeout = verdict == PairVerdict::Undecided;
-        if timeout {
-            self.timeouts += 1;
+            verdict = certify(verdict, prover, self.net, &mut self.replayer, a, b);
         }
         // Serialize the certificate worker-side (where the solver
         // state lives); the orchestrator stores it at the merge. Must
         // happen before the prover's next query: the scoped solver
         // retires the current scope on the next `prove`, after which
         // the proof-log tail no longer certifies this pair.
-        let proof = if want_proof && verdict == PairVerdict::Equivalent {
+        let proof = if want_proof && verdict == Verdict::Equivalent {
             prover.proof_blob()
         } else {
             None
         };
         PairOutcome {
             verdict,
+            worker: self.worker,
+            panic: None,
             proof,
             sat_calls: prover.calls() - calls_before,
             sat_time: prover.time().saturating_sub(time_before),
             solver: prover.solver_stats() - solver_before,
             conflicts: esc.conflicts,
             escalations: u64::from(esc.escalations),
-            timeout,
             metrics: prover.metrics() - metrics_before,
             rebuilt,
         }
+    }
+}
+
+/// The sweep state the pairs' verdicts act on: the surviving classes,
+/// everything resolved so far, and the current round's resimulation
+/// batch.
+#[derive(Default)]
+struct RoundState {
+    /// Surviving candidate classes (each of size ≥ 2).
+    work: Vec<Vec<NodeId>>,
+    /// Proven equivalence groups, in merge order.
+    merged: Vec<Vec<NodeId>>,
+    /// Equivalences proven in earlier rounds, in merge order: the
+    /// deterministic seed set for every later pair prover.
+    seeds: Vec<(NodeId, NodeId)>,
+    unresolved: Vec<(NodeId, NodeId)>,
+    quarantined: Vec<(NodeId, NodeId)>,
+    /// This round's counterexamples, flushed at its end.
+    pending: Vec<Vec<bool>>,
+    /// `(candidate, origin rep)` of this round's disproved pairs.
+    benched: Vec<(NodeId, NodeId)>,
+    /// Candidates this round resolved, one way or another.
+    dropped: HashSet<NodeId>,
+    /// Whether a deadline skipped any pair.
+    interrupted: bool,
+}
+
+impl RoundState {
+    /// Applies one pair's verdict, from a live round or replayed from
+    /// the journal. Only structural state changes here: a live round
+    /// books its counters and statistics around this call, a replayed
+    /// one restores them from the journal's snapshots.
+    fn apply(
+        &mut self,
+        rep: NodeId,
+        cand: NodeId,
+        verdict: &Verdict,
+        generator: &mut dyn PatternGenerator,
+    ) {
+        let pair = (rep, cand);
+        match verdict {
+            Verdict::Equivalent => {
+                record_merge(&mut self.merged, rep, cand);
+                self.seeds.push(pair);
+            }
+            Verdict::Counterexample(witness) => {
+                generator.observe_counterexample(witness);
+                self.pending.push(witness.clone());
+                self.benched.push((cand, rep));
+            }
+            Verdict::Undecided => self.unresolved.push(pair),
+            Verdict::Skipped => {
+                self.interrupted = true;
+                self.unresolved.push(pair);
+            }
+            // An answer nobody can trust is never merged or split on:
+            // the sound direction to fail in.
+            Verdict::Panicked | Verdict::CertificationFailed { .. } => {
+                self.unresolved.push(pair);
+                self.quarantined.push(pair);
+            }
+        }
+        self.dropped.insert(cand);
+    }
+
+    /// Ends a round, live or replayed: drops every candidate it
+    /// resolved from the surviving classes, then resimulates its
+    /// counterexamples in one word-parallel flush, which splits the
+    /// classes they distinguish.
+    fn end_round(
+        &mut self,
+        net: &LutNetwork,
+        patterns: &mut PatternSet,
+        sim: &mut SimResult,
+        stats: &mut SweepStats,
+        jobs: usize,
+        obs: &mut Observer,
+    ) {
+        for class in &mut self.work {
+            class.retain(|n| !self.dropped.contains(n));
+        }
+        self.work.retain(|c| c.len() >= 2);
+        self.dropped.clear();
+        if !self.pending.is_empty() {
+            let t = Instant::now();
+            self.work = flush_counterexamples(
+                net,
+                patterns,
+                sim,
+                std::mem::take(&mut self.work),
+                &mut self.pending,
+                &mut self.benched,
+                jobs,
+                obs,
+            );
+            let elapsed = t.elapsed();
+            stats.sim_time += elapsed;
+            stats.resim_time += elapsed;
+        }
+    }
+}
+
+/// Books a dispatched pair's effort into the run totals and into the
+/// row of the worker that ran it. A caught panic books no effort: it
+/// counts as a panic and quarantines the pair.
+fn book_dispatched(
+    out: &PairOutcome,
+    (rep, cand): (NodeId, NodeId),
+    stats: &mut SweepStats,
+    summary: &mut DispatchSummary,
+    obs: &mut Observer,
+) {
+    obs.recorder.add(Counter::ProofsDispatched, 1);
+    let row = &mut summary.workers[out.worker];
+    if let Some(message) = &out.panic {
+        summary.panics += 1;
+        row.panics += 1;
+        summary.quarantined += 1;
+        obs.recorder.add(Counter::ProofsQuarantined, 1);
+        obs.trace.emit(
+            "proof_quarantined",
+            vec![
+                ("rep", Json::U64(rep.index() as u64)),
+                ("cand", Json::U64(cand.index() as u64)),
+                ("message", Json::Str(message.clone())),
+            ],
+        );
+        return;
+    }
+    let timeout = u64::from(out.verdict == Verdict::Undecided);
+    summary.proofs += 1;
+    row.proofs += 1;
+    summary.conflicts += out.conflicts;
+    row.conflicts += out.conflicts;
+    summary.timeouts += timeout;
+    row.timeouts += timeout;
+    summary.escalations += out.escalations;
+    row.escalations += out.escalations;
+    stats.sat_calls += out.sat_calls;
+    stats.sat_time += out.sat_time;
+    stats.solver += out.solver;
+    obs.recorder.add(Counter::ProofsEscalated, out.escalations);
+    obs.recorder
+        .add(Counter::ScopesOpened, out.metrics.scopes_opened);
+    obs.recorder
+        .add(Counter::ClausesReused, out.metrics.clauses_reused);
+    obs.recorder
+        .add(Counter::WarmSolves, out.metrics.warm_solves);
+    obs.recorder
+        .add(Counter::SolverRebuilds, u64::from(out.rebuilt));
+}
+
+/// Renders a caught panic payload as text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -481,8 +563,8 @@ impl Sweeper {
     }
 
     /// Fault injection for robustness tests: any pair `(rep, cand)`
-    /// for which `trigger` returns true panics inside its prover. The
-    /// dispatch layer must quarantine it and finish the sweep.
+    /// for which `trigger` returns true panics inside its proof. The
+    /// sweep must quarantine it and finish.
     #[doc(hidden)]
     pub fn with_panic_injection(mut self, trigger: fn(NodeId, NodeId) -> bool) -> Self {
         self.panic_on = Some(trigger);
@@ -522,6 +604,52 @@ impl Sweeper {
         report
     }
 
+    /// The sweep's one panic boundary. Everything a job runs for one
+    /// pair — the fault plan, the panic trigger, the prover build and
+    /// the proof — runs under `catch_unwind`, so a panic quarantines
+    /// only its own pair. It also drops the state the panic may have
+    /// left half-built: the region solver (the job's next pair
+    /// rebuilds it from seeds plus proven list) and the worker's BDD
+    /// engine (a pure function of the network and node limit, so
+    /// rebuilding it changes no answer).
+    fn prove_isolated<'n>(
+        &self,
+        state: &mut WorkerState<'n>,
+        region: &mut RegionSolver<'n, '_>,
+        (job_index, a, b): (usize, NodeId, NodeId),
+        want_proof: bool,
+    ) -> PairOutcome {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            if let Some(plan) = self.fault_plan {
+                match plan.action(job_index) {
+                    FaultAction::Panic => panic!("injected fault: panic on job {job_index}"),
+                    // A stall must not change the result, only its
+                    // timing.
+                    FaultAction::Stall(d) => std::thread::sleep(d),
+                    FaultAction::SpuriousUnknown => {
+                        return PairOutcome::engine_only(Verdict::Undecided, state.worker)
+                    }
+                    FaultAction::None => {}
+                }
+            }
+            #[cfg(not(feature = "fault-inject"))]
+            let _ = job_index;
+            if self.panic_on.is_some_and(|trigger| trigger(a, b)) {
+                panic!("injected prover panic on pair ({a}, {b})");
+            }
+            state.prove_pair(region, a, b, &self.config, want_proof)
+        }));
+        attempt.unwrap_or_else(|payload| {
+            region.prover = None;
+            state.bdd = None;
+            PairOutcome {
+                panic: Some(panic_message(payload.as_ref())),
+                ..PairOutcome::engine_only(Verdict::Panicked, state.worker)
+            }
+        })
+    }
+
     /// Runs the full sweep on `net`: random simulation, `generator`
     /// for the guided phase, then `config.jobs` workers for the proof
     /// rounds, all under `ctx` (see [`RunContext`] for the deadline,
@@ -548,9 +676,6 @@ impl Sweeper {
             (&ctx.deadline, &mut ctx.obs, ctx.cache, &mut ctx.journal);
         let cfg = &self.config;
         let jobs = cfg.jobs.max(1);
-        let panic_on = self.panic_on;
-        #[cfg(feature = "fault-inject")]
-        let fault_plan = self.fault_plan;
         let SimPhases {
             mut stats,
             mut patterns,
@@ -559,15 +684,12 @@ impl Sweeper {
         } = run_sim_phases(cfg, net, generator, deadline, obs);
         let cost_after_sim = classes.cost();
 
-        let mut proven: Vec<Vec<NodeId>> = Vec::new();
-        let mut unresolved: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut quarantined: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut interrupted = false;
+        let mut state = RoundState::default();
         let mut mem_exhausted = false;
         if cfg.run_sat {
             let progress = Progress::default();
             let _watchdog = spawn_watchdog(cfg, deadline, &progress, &obs.trace);
-            let sat_start = obs.recorder.is_enabled().then(std::time::Instant::now);
+            let sat_start = obs.recorder.is_enabled().then(Instant::now);
             let resim_before = stats.resim_time;
             let mut sweep_cache = cache.map(|c| crate::cache::SweepCache::new(c, cfg.certify));
             let want_proof = cache.is_some() && cfg.certify;
@@ -575,11 +697,7 @@ impl Sweeper {
             // incremental mode dispatches each round's pairs grouped
             // by region so the group shares one scoped solver.
             let mut regions = RegionMap::new(net);
-            let mut work: Vec<Vec<NodeId>> = classes.classes().to_vec();
-            let mut merged: Vec<Vec<NodeId>> = Vec::new();
-            // Equivalences proven in earlier rounds, in merge order:
-            // the deterministic seed set for every later pair prover.
-            let mut seeds: Vec<(NodeId, NodeId)> = Vec::new();
+            state.work = classes.classes().to_vec();
             let mut summary = DispatchSummary {
                 jobs,
                 workers: (0..jobs)
@@ -595,12 +713,12 @@ impl Sweeper {
             let mut next_job_index = 0usize;
             // Validated journal rounds still awaiting replay (resume
             // mode only; empty for fresh or absent journals).
-            let mut replay: std::collections::VecDeque<RoundRecord> = match journal.as_deref_mut() {
+            let mut replay: VecDeque<RoundRecord> = match journal.as_deref_mut() {
                 Some(j) => {
                     j.begin(&sweep_fingerprint(net, cfg));
                     j.rounds().to_vec().into()
                 }
-                None => std::collections::VecDeque::new(),
+                None => VecDeque::new(),
             };
             let mut replayed_rounds = 0usize;
             let mut governor = crate::govern::MemoryGovernor::new(cfg.mem_budget);
@@ -609,7 +727,8 @@ impl Sweeper {
                 // surviving class, shallowest candidates first (the
                 // fraig induction order: deep pairs then reuse the
                 // equivalences already proven in their fanin cones).
-                let mut pairs: Vec<(NodeId, NodeId)> = work
+                let mut pairs: Vec<(NodeId, NodeId)> = state
+                    .work
                     .iter()
                     .flat_map(|c| {
                         let rep = c[0];
@@ -632,44 +751,13 @@ impl Sweeper {
                         });
                     if matches {
                         let record = replay.pop_front().expect("front checked above");
-                        let mut pending: Vec<Vec<bool>> = Vec::new();
-                        let mut benched: Vec<(NodeId, NodeId)> = Vec::new();
-                        let mut dropped: HashSet<NodeId> = HashSet::new();
-                        for pair in record.pairs {
-                            apply_replayed_pair(
-                                pair,
-                                generator,
-                                &mut merged,
-                                &mut seeds,
-                                &mut unresolved,
-                                &mut quarantined,
-                                &mut pending,
-                                &mut benched,
-                                &mut dropped,
-                                &mut interrupted,
-                            );
+                        for p in &record.pairs {
+                            let (rep, cand) =
+                                (NodeId::from_index(p.rep), NodeId::from_index(p.cand));
+                            state.apply(rep, cand, &p.verdict, generator);
                         }
                         next_job_index += record.dispatched as usize;
-                        for class in &mut work {
-                            class.retain(|n| !dropped.contains(n));
-                        }
-                        work.retain(|c| c.len() >= 2);
-                        if !pending.is_empty() {
-                            let t = std::time::Instant::now();
-                            work = flush_counterexamples(
-                                net,
-                                &mut patterns,
-                                &mut sim,
-                                work,
-                                &mut pending,
-                                &mut benched,
-                                cfg.jobs.max(1),
-                                obs,
-                            );
-                            let elapsed = t.elapsed();
-                            stats.sim_time += elapsed;
-                            stats.resim_time += elapsed;
-                        }
+                        state.end_round(net, &mut patterns, &mut sim, &mut stats, jobs, obs);
                         replayed_rounds += 1;
                         // Restore the barrier's cumulative snapshots:
                         // from here the observable state is identical
@@ -678,7 +766,7 @@ impl Sweeper {
                         restore_counters(obs, &record.counters);
                         obs.trace
                             .emit("round_replayed", vec![("round", Json::U64(record.round))]);
-                        if record.class_sig != class_signature(&work) {
+                        if record.class_sig != class_signature(&state.work) {
                             // The journal's later rounds describe a
                             // different history; drop them (and scrub
                             // the file) rather than replay divergence.
@@ -715,16 +803,14 @@ impl Sweeper {
                     // Out of time before the round started: every
                     // remaining pair is unresolved, in the same
                     // deterministic order it would have been proven.
-                    interrupted = true;
+                    state.interrupted = true;
                     obs.recorder.add(Counter::DeadlineTrips, 1);
                     obs.trace.emit(
                         "sweep_deadline_expired",
                         vec![("unresolved", Json::U64(pairs.len() as u64))],
                     );
-                    for (rep, cand) in pairs {
-                        stats.aborted += 1;
-                        unresolved.push((rep, cand));
-                    }
+                    stats.aborted += pairs.len() as u64;
+                    state.unresolved.extend(pairs);
                     break;
                 }
                 summary.rounds += 1;
@@ -741,24 +827,14 @@ impl Sweeper {
                 // trusted entry answers skip dispatch entirely; the
                 // rest go to the worker pool. Lookup order (and hence
                 // the cache counters) never depends on scheduling.
-                let resolutions: Vec<Option<PairVerdict>> = match sweep_cache.as_mut() {
+                let resolutions: Vec<Option<Verdict>> = match sweep_cache.as_mut() {
                     Some(sc) => pairs
                         .iter()
-                        .map(|&(a, b)| match sc.resolve(net, a, b, obs) {
-                            crate::cache::CacheLookup::Hit(ProveOutcome::Equivalent) => {
-                                Some(PairVerdict::Equivalent)
-                            }
-                            crate::cache::CacheLookup::Hit(ProveOutcome::Counterexample(v)) => {
-                                Some(PairVerdict::Counterexample(v))
-                            }
-                            _ => None,
-                        })
+                        .map(|&(a, b)| sc.resolve(net, a, b, obs))
                         .collect(),
                     None => vec![None; pairs.len()],
                 };
 
-                let seeds_ref: &[(NodeId, NodeId)] = &seeds;
-                let recorder = &obs.recorder;
                 // Jobs carry their global input-order index so fault
                 // plans key on *which pair* is proven, never on
                 // scheduling.
@@ -768,327 +844,153 @@ impl Sweeper {
                     .zip(&resolutions)
                     .filter(|(_, cached)| cached.is_none())
                     .enumerate()
-                    .map(|(i, (&(a, b), _))| (next_job_index + i, a, b))
+                    .map(|(i, (&(a, b), _))| (round_base + i, a, b))
                     .collect();
                 next_job_index += indexed.len();
-                let dispatched_this_round = indexed.len() as u64;
                 // Incremental mode dispatches one job per fanin
                 // region (its pairs share a scoped solver, serially,
-                // in global pair order); cold mode keeps the classic
-                // job-per-pair shape. Either way the grouping is a
-                // pure function of the pair list, never of
-                // scheduling.
+                // in global pair order); cold mode one job per pair,
+                // seeded with the earlier-round equalities inside the
+                // pair's cones. Either way the grouping is a pure
+                // function of the pair list, never of scheduling.
+                let seeds = &state.seeds;
                 let mut region_jobs: Vec<RegionJob> = Vec::new();
                 if cfg.engine.incremental {
-                    let mut by_region: std::collections::HashMap<usize, usize> =
-                        std::collections::HashMap::new();
-                    let mut keys: Vec<usize> = Vec::new();
+                    let mut slot_of: HashMap<usize, usize> = HashMap::new();
                     for &(ji, a, b) in &indexed {
                         let key = regions.key(a, b);
-                        let slot = *by_region.entry(key).or_insert_with(|| {
+                        let slot = *slot_of.entry(key).or_insert_with(|| {
+                            let seeds = seeds
+                                .iter()
+                                .copied()
+                                .filter(|&(x, y)| regions.key(x, y) == key)
+                                .collect();
                             region_jobs.push(RegionJob {
-                                seeds: Vec::new(),
+                                seeds,
                                 pairs: Vec::new(),
                             });
-                            keys.push(key);
                             region_jobs.len() - 1
                         });
                         region_jobs[slot].pairs.push((ji, a, b));
                     }
-                    for (job, &key) in region_jobs.iter_mut().zip(&keys) {
-                        job.seeds = seeds
-                            .iter()
-                            .copied()
-                            .filter(|&(x, y)| regions.key(x, y) == key)
-                            .collect();
-                    }
                 } else {
                     region_jobs = indexed
                         .iter()
-                        .map(|&(ji, a, b)| RegionJob {
-                            seeds: Vec::new(),
-                            pairs: vec![(ji, a, b)],
+                        .map(|&(ji, a, b)| {
+                            let cone = cone_union(net, a, b);
+                            RegionJob {
+                                seeds: seeds
+                                    .iter()
+                                    .copied()
+                                    .filter(|(x, y)| cone.contains(x) && cone.contains(y))
+                                    .collect(),
+                                pairs: vec![(ji, a, b)],
+                            }
                         })
                         .collect();
                 }
-                // Pair indices per job, for expanding job-level
-                // panic/skip into per-pair slots after the dispatch
-                // consumes the job list.
-                let job_pair_indices: Vec<Vec<usize>> = region_jobs
-                    .iter()
-                    .map(|j| j.pairs.iter().map(|&(ji, _, _)| ji).collect())
-                    .collect();
-                let outcome = run_ordered_traced(
+                let recorder = &obs.recorder;
+                let outcome = run_ordered(
                     jobs,
                     region_jobs,
                     Some(deadline),
                     &obs.trace,
-                    |_| WorkerState::new(net, deadline.clone(), recorder.local()),
-                    |state, job: &RegionJob| {
-                        // The region's shared prover (incremental
-                        // mode). Its rebuilds — after a caught panic
-                        // or past the bloat policy — are deterministic:
-                        // same seeds, same proven pairs, same
-                        // remaining pairs, any jobs value.
+                    |worker| WorkerState::new(net, worker, deadline.clone(), recorder.local()),
+                    |worker, job: &RegionJob| {
+                        // The job's shared prover. Its rebuilds — after
+                        // a caught panic or past the bloat policy — are
+                        // deterministic: same seeds, same proven pairs,
+                        // same remaining pairs, any jobs value.
                         let mut region = RegionSolver::new(&job.seeds);
-                        let mut results: Vec<(usize, PairStatus)> =
-                            Vec::with_capacity(job.pairs.len());
-                        for &(job_index, a, b) in &job.pairs {
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    #[cfg(feature = "fault-inject")]
-                                    if let Some(plan) = fault_plan {
-                                        match plan.action(job_index) {
-                                            FaultAction::Panic => {
-                                                panic!("injected fault: panic on job {job_index}")
-                                            }
-                                            // A stall must not change
-                                            // the result, only its
-                                            // timing.
-                                            FaultAction::Stall(d) => std::thread::sleep(d),
-                                            FaultAction::SpuriousUnknown => {
-                                                state.proofs += 1;
-                                                state.timeouts += 1;
-                                                return PairOutcome::engine_only(
-                                                    PairVerdict::Undecided,
-                                                );
-                                            }
-                                            FaultAction::None => {}
-                                        }
-                                    }
-                                    #[cfg(not(feature = "fault-inject"))]
-                                    let _ = job_index;
-                                    if panic_on.is_some_and(|trigger| trigger(a, b)) {
-                                        panic!("injected prover panic on pair ({a}, {b})");
-                                    }
-                                    state.prove_pair(&mut region, seeds_ref, a, b, cfg, want_proof)
-                                }));
-                            match attempt {
-                                Ok(out) => results.push((job_index, PairStatus::Done(out))),
-                                Err(_) => {
-                                    region.prover = None;
-                                    results.push((job_index, PairStatus::Panicked));
-                                }
-                            }
-                            progress.tick();
-                        }
-                        results
+                        job.pairs
+                            .iter()
+                            .map(|&pair| {
+                                let out =
+                                    self.prove_isolated(worker, &mut region, pair, want_proof);
+                                progress.tick();
+                                (pair.0, out)
+                            })
+                            .collect::<Vec<_>>()
                     },
                 );
                 // Round barrier: merge the workers' CPU spans (sum is
-                // order-independent) and their diagnostic rows. The
-                // authoritative, scheduling-invariant totals come from
-                // the per-job results in the merge loop below —
-                // a panicked step respawns its worker's state, so the
-                // rows may under-report.
+                // order-independent) and their steal counts. Every
+                // other column of a worker's row is booked below,
+                // from the outcomes it produced.
                 obs.recorder
                     .merge(outcome.workers.iter().map(|r| &r.state.local));
                 for report in &outcome.workers {
-                    let agg = &mut summary.workers[report.worker];
-                    agg.proofs += report.state.proofs;
-                    agg.conflicts += report.state.conflicts;
-                    agg.timeouts += report.state.timeouts;
-                    agg.escalations += report.state.escalations;
-                    agg.steals += report.stolen;
-                    agg.panics += report.panics;
+                    summary.workers[report.worker].steals += report.stolen;
+                }
+                // Per-pair slots keyed by global pair index: a region
+                // job returns its pairs grouped, not in global pair
+                // order. `None` = never started (deadline skip).
+                let mut slots: Vec<Option<PairOutcome>> =
+                    (0..indexed.len()).map(|_| None).collect();
+                for (ji, out) in outcome.results.into_iter().flatten().flatten() {
+                    slots[ji - round_base] = Some(out);
                 }
 
                 // Merge in pair order — the only order-sensitive step,
                 // and it only depends on the (deterministic) results.
-                // Panicked and skipped pairs are quarantined: counted,
-                // reported unresolved, and never merged — the sound
-                // direction to fail in.
-                let mut pending: Vec<Vec<bool>> = Vec::new();
-                let mut benched: Vec<(NodeId, NodeId)> = Vec::new();
-                let mut dropped: HashSet<NodeId> = HashSet::new();
-                let mut escalations_this_round = 0;
-                // Journal-bound verdict log for this round (collected
-                // only when a journal is attached).
-                let mut round_log: Option<Vec<PairRecord>> = journal.is_some().then(Vec::new);
-                // Flatten region-job results back into per-pair slots
-                // keyed by global pair index: a region job returns
-                // its pairs grouped, not in global pair order, and a
-                // job-level panic or deadline skip marks every pair
-                // it carried. `None` = never started.
-                let mut slots: Vec<Option<PairStatus>> = Vec::new();
-                slots.resize_with(indexed.len(), || None);
-                for (pair_indices, status) in job_pair_indices.iter().zip(outcome.results) {
-                    match status {
-                        JobStatus::Done(pair_results) => {
-                            for (ji, st) in pair_results {
-                                slots[ji - round_base] = Some(st);
-                            }
-                        }
-                        JobStatus::Panicked { .. } => {
-                            for &ji in pair_indices {
-                                slots[ji - round_base] = Some(PairStatus::Panicked);
-                            }
-                        }
-                        JobStatus::Skipped => {}
-                    }
-                }
-                let mut slot_iter = slots.into_iter();
+                let mut round_log: Vec<PairRecord> = Vec::new();
+                let mut slots = slots.into_iter();
                 for ((rep, cand), cached) in pairs.into_iter().zip(resolutions) {
-                    let from_cache = cached.is_some();
-                    let mut proof_blob: Option<Vec<u8>> = None;
-                    // The journal distinguishes panicked/skipped pairs
-                    // from ordinary undecided ones (their replay
-                    // effects differ); record the flaw here because
-                    // the verdict below collapses both to `Undecided`.
-                    let mut flaw: Option<JournalVerdict> = None;
-                    let status = match cached {
-                        // Trusted cache hits were never dispatched;
-                        // wrap them so one match handles both sources.
-                        Some(verdict) => Some(PairStatus::Done(PairOutcome::engine_only(verdict))),
-                        None => slot_iter.next().expect("one slot per dispatched pair"),
+                    let live = cached.is_none();
+                    let mut proof = None;
+                    let verdict = match cached {
+                        // Trusted cache hits were never dispatched and
+                        // book no dispatch counters.
+                        Some(verdict) => verdict,
+                        None => match slots.next().expect("one slot per dispatched pair") {
+                            Some(out) => {
+                                book_dispatched(&out, (rep, cand), &mut stats, &mut summary, obs);
+                                proof = out.proof;
+                                out.verdict
+                            }
+                            None => {
+                                summary.quarantined += 1;
+                                obs.recorder.add(Counter::ProofsSkipped, 1);
+                                Verdict::Skipped
+                            }
+                        },
                     };
-                    let verdict = match status {
-                        Some(PairStatus::Done(out)) if from_cache => out.verdict,
-                        Some(PairStatus::Done(out)) => {
-                            obs.recorder.add(Counter::ProofsDispatched, 1);
-                            summary.proofs += 1;
-                            summary.conflicts += out.conflicts;
-                            summary.escalations += out.escalations;
-                            escalations_this_round += out.escalations;
-                            if out.timeout {
-                                summary.timeouts += 1;
-                            }
-                            stats.sat_calls += out.sat_calls;
-                            stats.sat_time += out.sat_time;
-                            stats.solver += out.solver;
-                            obs.recorder
-                                .add(Counter::ScopesOpened, out.metrics.scopes_opened);
-                            obs.recorder
-                                .add(Counter::ClausesReused, out.metrics.clauses_reused);
-                            obs.recorder
-                                .add(Counter::WarmSolves, out.metrics.warm_solves);
-                            obs.recorder
-                                .add(Counter::SolverRebuilds, u64::from(out.rebuilt));
-                            proof_blob = out.proof;
-                            out.verdict
-                        }
-                        Some(PairStatus::Panicked) => {
-                            flaw = Some(JournalVerdict::Panicked);
-                            summary.panics += 1;
-                            summary.quarantined += 1;
-                            quarantined.push((rep, cand));
-                            obs.recorder.add(Counter::ProofsDispatched, 1);
-                            obs.recorder.add(Counter::ProofsQuarantined, 1);
-                            obs.trace.emit(
-                                "proof_quarantined",
-                                vec![
-                                    ("rep", Json::U64(rep.index() as u64)),
-                                    ("cand", Json::U64(cand.index() as u64)),
-                                ],
-                            );
-                            PairVerdict::Undecided
-                        }
-                        None => {
-                            flaw = Some(JournalVerdict::Skipped);
-                            summary.quarantined += 1;
-                            interrupted = true;
-                            obs.recorder.add(Counter::ProofsSkipped, 1);
-                            PairVerdict::Undecided
-                        }
-                    };
-                    if let Some(log) = round_log.as_mut() {
-                        let journaled = flaw.unwrap_or_else(|| match &verdict {
-                            PairVerdict::Equivalent => JournalVerdict::Equivalent,
-                            PairVerdict::Counterexample(v) => {
-                                JournalVerdict::Counterexample(v.clone())
-                            }
-                            PairVerdict::Undecided => JournalVerdict::Undecided,
-                            PairVerdict::CertificationFailed { replay } => {
-                                JournalVerdict::CertificationFailed { replay: *replay }
-                            }
-                        });
-                        log.push(PairRecord {
-                            rep: rep.index(),
-                            cand: cand.index(),
-                            verdict: journaled,
-                        });
-                    }
                     if obs.trace.is_enabled() {
-                        let name = match &verdict {
-                            PairVerdict::Equivalent => "equivalent",
-                            PairVerdict::Counterexample(_) => "disproved",
-                            PairVerdict::Undecided => "undecided",
-                            PairVerdict::CertificationFailed { .. } => "certification_failed",
-                        };
                         obs.trace.emit(
                             "proof",
                             vec![
                                 ("rep", Json::U64(rep.index() as u64)),
                                 ("cand", Json::U64(cand.index() as u64)),
-                                ("verdict", Json::Str(name.to_string())),
+                                ("verdict", Json::Str(verdict.name().to_string())),
                             ],
                         );
                     }
-                    // Publish fresh verdicts (cache hits are already
-                    // stored; quarantined and undecided pairs carry no
-                    // fact worth keeping).
-                    if !from_cache {
+                    if live {
+                        // Publish fresh facts; cache hits are stored
+                        // already.
                         if let Some(sc) = sweep_cache.as_mut() {
-                            match &verdict {
-                                PairVerdict::Equivalent => sc.store(
-                                    net,
-                                    rep,
-                                    cand,
-                                    &ProveOutcome::Equivalent,
-                                    proof_blob.take(),
-                                    obs,
-                                ),
-                                PairVerdict::Counterexample(v) => sc.store(
-                                    net,
-                                    rep,
-                                    cand,
-                                    &ProveOutcome::Counterexample(v.clone()),
-                                    None,
-                                    obs,
-                                ),
-                                _ => {}
-                            }
+                            sc.store(net, rep, cand, &verdict, proof, obs);
+                        }
+                        if cfg.certify {
+                            count_certification(&verdict, obs);
                         }
                     }
                     match verdict {
-                        PairVerdict::Equivalent => {
-                            if cfg.certify && !from_cache {
-                                obs.recorder.add(Counter::CertificatesChecked, 1);
-                            }
+                        Verdict::Equivalent => {
                             stats.proved_equivalent += 1;
                             obs.recorder.add(Counter::ProofsEquivalent, 1);
-                            record_merge(&mut merged, rep, cand);
-                            seeds.push((rep, cand));
-                            dropped.insert(cand);
                         }
-                        PairVerdict::Counterexample(v) => {
-                            if cfg.certify && !from_cache {
-                                obs.recorder.add(Counter::CexReplays, 1);
-                            }
+                        Verdict::Counterexample(_) => {
                             stats.disproved += 1;
                             obs.recorder.add(Counter::ProofsDisproved, 1);
-                            generator.observe_counterexample(&v);
-                            pending.push(v);
-                            benched.push((cand, rep));
-                            dropped.insert(cand);
                         }
-                        PairVerdict::Undecided => {
+                        // Panicked and skipped pairs count as undecided
+                        // too.
+                        Verdict::Undecided | Verdict::Panicked | Verdict::Skipped => {
                             stats.aborted += 1;
                             obs.recorder.add(Counter::ProofsUndecided, 1);
-                            unresolved.push((rep, cand));
-                            dropped.insert(cand);
                         }
-                        PairVerdict::CertificationFailed { replay } => {
-                            // An answer its own evidence does not
-                            // support: quarantine the pair, never
-                            // merge or split on it.
-                            if replay {
-                                obs.recorder.add(Counter::CexReplays, 1);
-                                obs.recorder.add(Counter::CexReplayFailures, 1);
-                            } else {
-                                obs.recorder.add(Counter::CertificatesChecked, 1);
-                                obs.recorder.add(Counter::CertificatesFailed, 1);
-                            }
+                        Verdict::CertificationFailed { .. } => {
                             stats.certification_failures += 1;
                             stats.aborted += 1;
                             summary.quarantined += 1;
@@ -1100,44 +1002,26 @@ impl Sweeper {
                                     ("cand", Json::U64(cand.index() as u64)),
                                 ],
                             );
-                            unresolved.push((rep, cand));
-                            quarantined.push((rep, cand));
-                            dropped.insert(cand);
                         }
                     }
+                    state.apply(rep, cand, &verdict, generator);
+                    if journal.is_some() {
+                        round_log.push(PairRecord {
+                            rep: rep.index(),
+                            cand: cand.index(),
+                            verdict,
+                        });
+                    }
                 }
-                obs.recorder
-                    .add(Counter::ProofsEscalated, escalations_this_round);
-                for class in &mut work {
-                    class.retain(|n| !dropped.contains(n));
-                }
-                work.retain(|c| c.len() >= 2);
-                if !pending.is_empty() {
-                    let t = std::time::Instant::now();
-                    work = flush_counterexamples(
-                        net,
-                        &mut patterns,
-                        &mut sim,
-                        work,
-                        &mut pending,
-                        &mut benched,
-                        cfg.jobs.max(1),
-                        obs,
-                    );
-                    let elapsed = t.elapsed();
-                    stats.sim_time += elapsed;
-                    stats.resim_time += elapsed;
-                } else if !benched.is_empty() {
-                    unreachable!("benched candidates always carry a counterexample");
-                }
+                state.end_round(net, &mut patterns, &mut sim, &mut stats, jobs, obs);
                 // Round barrier durability point: everything merged
                 // above survives a crash from here on.
                 if let Some(j) = journal.as_deref_mut() {
                     j.commit_round(&RoundRecord {
                         round: summary.rounds,
-                        pairs: round_log.take().unwrap_or_default(),
-                        dispatched: dispatched_this_round,
-                        class_sig: class_signature(&work),
+                        pairs: round_log,
+                        dispatched: indexed.len() as u64,
+                        class_sig: class_signature(&state.work),
                         counters: counter_snapshot(obs),
                         stats: StatsSnapshot::capture(&stats, &summary),
                     });
@@ -1155,7 +1039,6 @@ impl Sweeper {
                 );
             }
             stats.dispatch = Some(summary);
-            proven = merged;
         }
         stats.exec = sim.exec_stats();
         stats.pool = sim.pool_stats();
@@ -1164,10 +1047,10 @@ impl Sweeper {
         SweepReport {
             stats,
             cost_after_sim,
-            proven_classes: proven,
-            unresolved,
-            quarantined,
-            interrupted: interrupted || deadline.expired(),
+            proven_classes: state.merged,
+            unresolved: state.unresolved,
+            quarantined: state.quarantined,
+            interrupted: state.interrupted || deadline.expired(),
             mem_exhausted,
             patterns,
         }
@@ -1473,9 +1356,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_totals_survive_worker_respawns() {
-        // Panics respawn worker state; the merge-side totals must
-        // still account for every completed job, for any jobs value.
+    fn dispatch_totals_are_jobs_invariant_under_panics() {
+        // A caught panic drops its job's solver and its worker's BDD
+        // engine; the merge-side totals must still account for every
+        // completed job, for any jobs value.
         let net = workload_net(19);
         let run = |jobs: usize| {
             let cfg = SweepConfig {
@@ -1911,6 +1795,50 @@ mod tests {
                     "{tag}: the deep pair spent {deep_conflicts} conflicts \
                      (the shallow one {shallow_conflicts})"
                 );
+            }
+        }
+    }
+    #[test]
+    fn worker_rows_partition_the_dispatch_totals() {
+        // The per-worker rows split the dispatch totals: booked from
+        // each outcome's worker, they add up for every jobs value,
+        // caught panics included. A tiny escalating budget makes the
+        // conflict, escalation and timeout columns nonzero too.
+        let net = workload_net(19);
+        for jobs in [1usize, 2, 4] {
+            for inject in [false, true] {
+                let cfg = SweepConfig {
+                    jobs,
+                    seed: 19,
+                    budget_schedule: Some(BudgetSchedule {
+                        initial: 1,
+                        multiplier: 4,
+                        attempts: 2,
+                        bdd_node_limit: 0,
+                    }),
+                    ..SweepConfig::default()
+                };
+                let mut g = SimGen::new(SimGenConfig::default().with_seed(19));
+                let mut sweeper = Sweeper::new(cfg);
+                if inject {
+                    sweeper = sweeper.with_panic_injection(|_, cand| cand.index() % 3 == 0);
+                }
+                let r = sweeper.run(&net, &mut g, &mut RunContext::default());
+                let d = r.stats.dispatch.as_ref().unwrap();
+                let tag = format!("jobs={jobs} inject={inject}");
+                assert_eq!(d.workers.len(), jobs, "{tag}");
+                assert!(
+                    d.proofs > 0 && d.conflicts > 0 && d.escalations > 0,
+                    "{tag}"
+                );
+                assert_eq!(d.panics > 0, inject, "{tag}");
+                let sum =
+                    |column: fn(&WorkerSummary) -> u64| d.workers.iter().map(column).sum::<u64>();
+                assert_eq!(sum(|w| w.proofs), d.proofs, "{tag}: proofs");
+                assert_eq!(sum(|w| w.conflicts), d.conflicts, "{tag}: conflicts");
+                assert_eq!(sum(|w| w.timeouts), d.timeouts, "{tag}: timeouts");
+                assert_eq!(sum(|w| w.escalations), d.escalations, "{tag}: escalations");
+                assert_eq!(sum(|w| w.panics), d.panics, "{tag}: panics");
             }
         }
     }

@@ -59,6 +59,56 @@ impl ProveOutcome {
     }
 }
 
+/// What a run concluded about one pair: the one vocabulary of the
+/// sweep's merge, the journal (its tags `eq`, `cex`, `undec`, `panic`,
+/// `skip`, `certfail-replay` and `certfail-check` are the on-disk
+/// spelling), the proof cache and the output proofs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Proven equal (and, under certify, DRAT-certified).
+    Equivalent,
+    /// Disproved; carries the full primary-input witness
+    /// (replay-verified under certify).
+    Counterexample(Vec<bool>),
+    /// The budget ladder (and fallback, if enabled) exhausted.
+    Undecided,
+    /// The pair's proof panicked; the pair is quarantined.
+    Panicked,
+    /// The deadline expired before the pair's job started.
+    Skipped,
+    /// The engine answered but certification rejected the answer:
+    /// `replay: false` means the DRAT checker refused an `Equivalent`
+    /// proof, `replay: true` means the scalar replay could not
+    /// reproduce a counterexample. The pair is quarantined either way.
+    CertificationFailed {
+        /// Whether the rejected evidence was a counterexample.
+        replay: bool,
+    },
+}
+
+impl Verdict {
+    /// The verdict's name in `proof`, `output_proof` and `cache_hit`
+    /// trace events; panicked and skipped pairs read `undecided`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Verdict::Equivalent => "equivalent",
+            Verdict::Counterexample(_) => "disproved",
+            Verdict::Undecided | Verdict::Panicked | Verdict::Skipped => "undecided",
+            Verdict::CertificationFailed { .. } => "certification_failed",
+        }
+    }
+}
+
+impl From<ProveOutcome> for Verdict {
+    fn from(outcome: ProveOutcome) -> Self {
+        match outcome {
+            ProveOutcome::Equivalent => Verdict::Equivalent,
+            ProveOutcome::Counterexample(v) => Verdict::Counterexample(v),
+            ProveOutcome::Undecided { .. } => Verdict::Undecided,
+        }
+    }
+}
+
 /// Incremental prover bound to one network.
 #[derive(Debug)]
 pub struct PairProver<'n> {

@@ -35,6 +35,16 @@ pub struct RunMeta {
     pub design: Design,
 }
 
+/// The design name a run report carries for the file at `path`: its
+/// file stem (the whole path when it has none).
+pub fn design_name(path: &str) -> String {
+    std::path::Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or(path)
+        .to_string()
+}
+
 /// Extracts [`Design`] identity from a network. `path` is the
 /// command-line path (empty for in-memory designs).
 pub fn design_info(net: &LutNetwork, name: &str, path: &str) -> Design {

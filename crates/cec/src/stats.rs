@@ -72,11 +72,12 @@ pub struct SweepStats {
 
 /// What one dispatch worker contributed across all proof rounds.
 ///
-/// These rows are diagnostics, not the authoritative totals: a worker
-/// whose step panics is respawned with fresh state, losing whatever it
-/// had accumulated, and steal counts reflect actual thread
-/// interleaving. The deterministic totals live directly on
-/// [`DispatchSummary`].
+/// The merge books every dispatched pair's result into the row of the
+/// worker that ran it, so apart from `steals` the rows partition the
+/// [`DispatchSummary`] totals (rounds replayed from a journal restore
+/// the totals only). Which worker ran which pair, and how many jobs it
+/// stole, depend on scheduling: the rows are diagnostics, and the
+/// deterministic totals live directly on [`DispatchSummary`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSummary {
     /// Worker index.
@@ -91,19 +92,18 @@ pub struct WorkerSummary {
     pub escalations: u64,
     /// Jobs stolen from other workers' queues (scheduling-dependent).
     pub steals: u64,
-    /// Prover panics caught on this worker; each one quarantined its
-    /// pair and cost a worker-state respawn.
+    /// Pair proofs that panicked on this worker; each one
+    /// quarantined its pair.
     pub panics: u64,
 }
 
 /// Aggregated parallel-dispatch statistics for one sweep.
 ///
 /// The total fields are accumulated merge-side, in candidate-pair
-/// input order, from each job's returned outcome — so they are
-/// identical for any `--jobs` value even when injected faults panic
-/// workers mid-round (a panicked job deterministically contributes
-/// nothing). Summing the [`WorkerSummary`] rows instead would lose
-/// whatever a panicking worker had accumulated before its respawn.
+/// order, from each pair's returned outcome — so they are identical
+/// for any `--jobs` value even when injected faults panic proofs
+/// mid-round (a panicked pair deterministically contributes nothing
+/// but its panic).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DispatchSummary {
     /// Worker count the sweep ran with.
@@ -114,8 +114,8 @@ pub struct DispatchSummary {
     /// an expired deadline, or failed certification; all of them end
     /// the sweep unresolved.
     pub quarantined: u64,
-    /// Proof jobs that ran to completion (panicked/skipped jobs are
-    /// excluded).
+    /// Pair proofs that ran to completion (panicked and skipped pairs
+    /// are excluded).
     pub proofs: u64,
     /// Solver conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
@@ -123,10 +123,10 @@ pub struct DispatchSummary {
     pub timeouts: u64,
     /// Budget-escalation retries beyond each pair's first attempt.
     pub escalations: u64,
-    /// Proof jobs that panicked; each one quarantined its pair.
+    /// Pair proofs that panicked; each one quarantined its pair.
     pub panics: u64,
-    /// Per-worker breakdown, indexed by worker id (diagnostics only —
-    /// lossy under panics, see [`WorkerSummary`]).
+    /// Per-worker breakdown, indexed by worker id (scheduling
+    /// diagnostics, see [`WorkerSummary`]).
     pub workers: Vec<WorkerSummary>,
 }
 
@@ -209,8 +209,7 @@ mod tests {
             timeouts: 1,
             panics: 3,
             workers: vec![
-                // Worker 0 panicked and was respawned, so its row
-                // under-reports: rows are diagnostics, the summary's
+                // Rows that do not add up to the totals: the summary's
                 // own fields are authoritative.
                 WorkerSummary {
                     worker: 0,

@@ -307,6 +307,28 @@ impl PatternGenerator for OneDistance {
     }
 }
 
+/// The strategy table behind `simgen --strategy` and the daemon's
+/// `strategy` request field: the generator `name` selects, seeded with
+/// `seed`, with the parameters both front ends run it with.
+///
+/// # Errors
+///
+/// A name other than `simgen`, `revs`, `rand` or `1dist` yields a
+/// message listing those choices.
+pub fn make_strategy(name: &str, seed: u64) -> Result<Box<dyn PatternGenerator>, String> {
+    match name {
+        "simgen" => Ok(Box::new(SimGen::new(
+            SimGenConfig::default().with_seed(seed),
+        ))),
+        "revs" => Ok(Box::new(RevSim::new(seed, 30))),
+        "rand" => Ok(Box::new(RandomPatterns::new(seed, 64))),
+        "1dist" => Ok(Box::new(OneDistance::new(seed, 8))),
+        other => Err(format!(
+            "unknown strategy `{other}` (expected simgen|revs|rand|1dist)"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,5 +546,13 @@ mod tests {
         let v1 = SimGen::new(SimGenConfig::default().with_seed(9)).generate(&net, &classes);
         let v2 = SimGen::new(SimGenConfig::default().with_seed(9)).generate(&net, &classes);
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn strategy_factory() {
+        for name in ["simgen", "revs", "rand", "1dist"] {
+            assert!(make_strategy(name, 0).is_ok(), "{name}");
+        }
+        assert!(make_strategy("bogus", 0).is_err());
     }
 }

@@ -66,7 +66,7 @@ pub mod tv;
 
 pub use decision::DecisionStrategy;
 pub use engine::{InputVectorGenerator, TargetOutcome};
-pub use generator::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen};
+pub use generator::{make_strategy, OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen};
 pub use implication::ImplicationStrategy;
 pub use tv::{Value, ValueMap};
 

@@ -22,8 +22,8 @@ use std::time::Duration;
 pub enum FaultAction {
     /// Leave the job alone.
     None,
-    /// Panic inside the worker step (exercises `catch_unwind`
-    /// isolation and worker-state respawn).
+    /// Panic inside the pair proof (exercises the sweep's per-pair
+    /// `catch_unwind` and the quarantine of the pair).
     Panic,
     /// Sleep before running the job (exercises stall detection and
     /// schedule-independence of the merged results).

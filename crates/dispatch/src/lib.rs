@@ -6,18 +6,19 @@
 //! `Fn(&mut State, Job) -> Result` over a job list and returns results
 //! **in input order**, so a sweeping layer built on top produces
 //! identical output regardless of worker count or scheduling. Worker
-//! state (`State`) is where callers keep their per-worker SAT solver
-//! and BDD fallback; [`BudgetSchedule`] prices the retries.
+//! state (`State`) is where callers keep per-worker engines (the
+//! sweep's BDD fallback); [`BudgetSchedule`] prices the retries.
 //!
 //! Determinism contract: everything about the returned
 //! [`DispatchOutcome::results`] is a pure function of the job list —
 //! only the per-worker execution/steal counters depend on scheduling.
 //!
-//! Resilience contract: a panicking step quarantines only its own job
-//! ([`JobStatus::Panicked`]; the worker respawns and keeps going), and
-//! an expired [`Deadline`] stops new jobs from starting
-//! ([`JobStatus::Skipped`]) while the [`Watchdog`] interrupts whatever
-//! is already in flight through the shared flag.
+//! Resilience contract: an expired [`Deadline`] stops new jobs from
+//! starting (their result slot is `None`) while the [`Watchdog`]
+//! interrupts whatever is already in flight through the shared flag. A
+//! panicking step is not caught by the executor: it reaches the caller
+//! once every worker has been joined. The sweep isolates panics itself,
+//! one pair at a time.
 
 mod deadline;
 mod executor;
@@ -29,7 +30,7 @@ mod pool;
 mod schedule;
 
 pub use deadline::{Deadline, Progress, Watchdog};
-pub use executor::{run_ordered, run_ordered_traced, DispatchOutcome, JobStatus, WorkerReport};
+pub use executor::{run_ordered, DispatchOutcome, WorkerReport};
 pub use fair::{FairQueue, Popped, PushError, DEFAULT_PRIORITY, MAX_PRIORITY};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultAction, FaultPlan};

@@ -36,8 +36,8 @@
 //! A panicking task never takes a worker down: the payload is caught,
 //! stored on the scope, and re-thrown on the *scope caller's* thread
 //! once every sibling task has finished (first payload wins). Layers
-//! that need finer-grained isolation — the proof dispatcher's
-//! per-job quarantine — keep their own `catch_unwind` inside the task.
+//! that need finer-grained isolation — the sweep's per-pair
+//! quarantine — keep their own `catch_unwind` inside the task.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;

@@ -141,31 +141,35 @@ pub struct SatSection {
     pub wall_ms: f64,
 }
 
-/// One worker's row in the dispatch section (scheduling-dependent).
+/// One worker's row in the dispatch section: the share of the totals
+/// produced by the pairs this worker ran. Which worker ran which pair
+/// depends on scheduling, so the rows are stripped from the
+/// deterministic form.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerRow {
     /// Worker index.
     pub worker: u64,
-    /// Proof jobs executed.
+    /// Pair proofs completed.
     pub proofs: u64,
-    /// Conflicts spent.
+    /// Conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
-    /// Budget timeouts.
+    /// Pairs whose whole budget ladder exhausted.
     pub timeouts: u64,
     /// Budget escalations.
     pub escalations: u64,
     /// Jobs stolen from other workers.
     pub steals: u64,
-    /// Prover panics absorbed.
+    /// Pair proofs that panicked.
     pub panics: u64,
 }
 
 /// Parallel-dispatch totals plus the per-worker breakdown.
 ///
-/// The totals are accumulated merge-side from per-job results, NOT by
-/// summing the worker rows: a panicking step respawns its worker's
-/// state, so row counters can under-report while the totals stay
-/// deterministic for any worker count.
+/// The totals are the section's own fields, accumulated merge-side
+/// from per-pair results in pair order, so they are deterministic for
+/// any worker count. The rows split the same results by worker, so
+/// every column but `steals` sums to its total; steals have no
+/// deterministic counterpart, and their total is the row sum.
 #[derive(Clone, Debug, Default)]
 pub struct DispatchSection {
     /// Worker count the run used.
@@ -961,13 +965,12 @@ mod tests {
 
     #[test]
     fn dispatch_totals_come_from_merge_side_fields() {
-        // Totals are the section's own (merge-accumulated) fields, not
-        // sums of the rows — a panic-respawned worker's rows may
-        // under-report. Steals stay a row sum: they have no
-        // deterministic counterpart.
+        // Totals are the section's own (merge-accumulated) fields,
+        // never re-derived from the rows. Steals stay a row sum: they
+        // have no deterministic counterpart.
         let mut report = sample_report(3);
         if let Some(d) = report.dispatch.as_mut() {
-            d.workers[0].proofs = 0; // simulate a respawned worker
+            d.workers[0].proofs = 0; // a row that disagrees with the totals
         }
         let json = report.to_json();
         let totals = json.get("dispatch").unwrap().get("totals").unwrap();

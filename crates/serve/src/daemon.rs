@@ -90,10 +90,10 @@ use std::time::{Duration, Instant};
 
 use simgen_cache::{job_key, CacheEntry, CacheKey, CachedVerdict, ProofCache, Sha256};
 use simgen_cec::{
-    cec_run_report, check_equivalence, design_info, estimate_resident, CecVerdict, Deadline,
-    InconclusiveReason, RunContext, RunMeta, SweepConfig, SweepJournal,
+    cec_run_report, check_equivalence, design_info, design_name, estimate_resident, CecVerdict,
+    Deadline, InconclusiveReason, RunContext, RunMeta, SweepConfig, SweepJournal,
 };
-use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
+use simgen_core::make_strategy;
 use simgen_dispatch::{FairQueue, Popped, PushError};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::{aiger, bench_fmt, blif, LutNetwork};
@@ -634,20 +634,6 @@ fn load_lut(path: &str, k: usize) -> Result<LutNetwork, JobError> {
     }
 }
 
-fn make_strategy(name: &str, seed: u64) -> Result<Box<dyn PatternGenerator>, String> {
-    match name {
-        "simgen" => Ok(Box::new(SimGen::new(
-            SimGenConfig::default().with_seed(seed),
-        ))),
-        "revs" => Ok(Box::new(RevSim::new(seed, 30))),
-        "rand" => Ok(Box::new(RandomPatterns::new(seed, 64))),
-        "1dist" => Ok(Box::new(OneDistance::new(seed, 8))),
-        other => Err(format!(
-            "unknown strategy `{other}` (expected simgen|revs|rand|1dist)"
-        )),
-    }
-}
-
 /// Content address of a whole job: structural hashes of both circuits
 /// (PO order included) plus the verdict-relevant configuration. The
 /// circuit *paths* are deliberately not part of the identity — the
@@ -1025,12 +1011,4 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
         CacheOutcome::Miss
     };
     Ok(result_response(&request.id, outcome, &status, &text))
-}
-
-fn design_name(path: &str) -> String {
-    Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or(path)
-        .to_string()
 }
