@@ -14,7 +14,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use simgen_bench::{jobs_arg, write_bench_report, BenchReport, Json};
-use simgen_cec::{BudgetSchedule, RunContext, SweepConfig, Sweeper};
+use simgen_cec::{RunContext, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::LutNetwork;
@@ -38,7 +38,6 @@ fn sweep_config(jobs: usize) -> SweepConfig {
         // the proof phase — the part that parallelises.
         guided_iterations: 2,
         jobs,
-        budget_schedule: Some(BudgetSchedule::default()),
         seed: 0xD15,
         ..SweepConfig::default()
     }

@@ -13,7 +13,7 @@
 //! ```
 
 use simgen_bench::{experiment_config, write_bench_report, BenchReport, Json, REVSIM_ATTEMPTS};
-use simgen_cec::{BudgetSchedule, EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper};
+use simgen_cec::{EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper};
 use simgen_core::{OneDistance, PatternGenerator, RandomPatterns, RevSim, SimGen, SimGenConfig};
 use simgen_obs::{Observer, Phase};
 use simgen_workloads::benchmark_network;
@@ -154,16 +154,13 @@ fn main() {
         let net = benchmark_network(name, 6).expect("known benchmark");
         let mut row = Vec::new();
         let mut bdd_note = "ok";
-        for mode in [EngineMode::Auto, EngineMode::BddOnly] {
+        for mode in [EngineMode::Sat, EngineMode::BddOnly] {
             let cfg = SweepConfig {
                 engine: EnginePolicy {
                     mode,
+                    bdd_node_limit: 2_000_000,
                     ..EnginePolicy::default()
                 },
-                budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
-                    bdd_node_limit: 2_000_000,
-                    ..BudgetSchedule::default()
-                }),
                 ..experiment_config(true)
             };
             let mut gen = SimGen::new(SimGenConfig::default());

@@ -52,6 +52,7 @@ use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{atomic_write, Counter, Json, Observer};
 
 use crate::prove::Verdict;
+use crate::report::echoed_node_limit;
 use crate::stats::{DispatchSummary, SweepStats};
 use crate::sweep::SweepConfig;
 
@@ -115,8 +116,9 @@ pub struct StatsSnapshot {
     /// propagations, conflicts, restarts, learned, removed, solves,
     /// proof_clauses, proof_bytes, clause_db_bytes.
     pub solver: [u64; 10],
-    /// [`DispatchSummary`] totals, in field order: rounds,
-    /// quarantined, proofs, conflicts, timeouts, escalations, panics.
+    /// [`DispatchSummary`] totals: rounds, quarantined, proofs,
+    /// conflicts, timeouts, a retired escalation slot (written 0,
+    /// ignored on restore), panics.
     pub dispatch: [u64; 7],
 }
 
@@ -148,7 +150,7 @@ impl StatsSnapshot {
                 summary.proofs,
                 summary.conflicts,
                 summary.timeouts,
-                summary.escalations,
+                0,
                 summary.panics,
             ],
         }
@@ -176,13 +178,12 @@ impl StatsSnapshot {
         stats.solver.proof_clauses = proof_clauses;
         stats.solver.proof_bytes = proof_bytes;
         stats.solver.clause_db_bytes = clause_db_bytes;
-        let [rounds, quarantined, proofs, conflicts, timeouts, escalations, panics] = self.dispatch;
+        let [rounds, quarantined, proofs, conflicts, timeouts, _, panics] = self.dispatch;
         summary.rounds = rounds;
         summary.quarantined = quarantined;
         summary.proofs = proofs;
         summary.conflicts = conflicts;
         summary.timeouts = timeouts;
-        summary.escalations = escalations;
         summary.panics = panics;
     }
 
@@ -467,7 +468,8 @@ impl SweepJournal {
 ///
 /// The `proof=` field predates [`EngineMode::BddOnly`]; it is derived
 /// from the engine mode and spelled as before so that journals written
-/// by earlier builds keep resuming.
+/// by earlier builds keep resuming. So is `budget_schedule=`, which
+/// spells the default BDD node limit `None`.
 pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
     let roots: Vec<NodeId> = net.pos().iter().map(|po| po.node).collect();
     let mut h = Sha256::new();
@@ -490,7 +492,7 @@ pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
                 "Sat"
             },
             cfg.seed,
-            cfg.budget_schedule,
+            echoed_node_limit(cfg),
             cfg.certify,
             cfg.engine.mode.name(),
             cfg.engine.incremental,
@@ -762,8 +764,11 @@ mod tests {
     fn snapshot_restore_is_assignment() {
         let mut stats = SweepStats::default();
         let mut summary = DispatchSummary::default();
-        let snap = sample_record(4).stats;
+        let mut snap = sample_record(4).stats;
         snap.restore(&mut stats, &mut summary);
+        // Every slot round-trips but the retired escalation slot,
+        // which capture writes as 0.
+        snap.dispatch[5] = 0;
         assert_eq!(StatsSnapshot::capture(&stats, &summary), snap);
     }
 
@@ -794,6 +799,7 @@ mod tests {
                 incremental: false,
                 mode: EngineMode::BddFirst,
                 rebuild_bloat: 3,
+                ..Default::default()
             },
             ..SweepConfig::default()
         };

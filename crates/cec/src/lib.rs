@@ -66,7 +66,7 @@ pub use report::{
     cec_run_report, design_info, design_name, sweep_config_json, sweep_run_report, RunMeta,
 };
 pub use simgen_cache::{job_key, pair_key, CacheKey, ProofCache};
-pub use simgen_dispatch::{BudgetSchedule, Deadline, EngineMode, EnginePolicy, Progress, Watchdog};
+pub use simgen_dispatch::{Deadline, EngineMode, EnginePolicy, Progress, Watchdog};
 #[cfg(feature = "fault-inject")]
 pub use simgen_dispatch::{FaultAction, FaultPlan};
 pub use stats::{DispatchSummary, IterationRecord, SweepStats, WorkerSummary};

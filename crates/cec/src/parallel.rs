@@ -24,19 +24,18 @@
 //! are batched and flushed through one word-parallel resimulation
 //! (`flush_counterexamples`) at the end of the round.
 //!
-//! Engine choice per pair follows [`SweepConfig::engine`]: the SAT
-//! ladder alone, BDD first with SAT behind it, or BDD alone. Budget
-//! escalation: with [`SweepConfig::budget_schedule`] set, each pair
-//! climbs the [`BudgetSchedule`] ladder (small conflict budget,
-//! multiplied on every retry) and finally falls back to a node-limited
-//! BDD check; pairs that exhaust everything are reported unresolved.
+//! Engine choice per pair follows [`SweepConfig::engine`]: SAT alone,
+//! BDD first with SAT behind it, or BDD alone. Each pair gets one SAT
+//! attempt at [`SweepConfig::sat_budget`] conflicts, and the BDD
+//! engine one try within its node limit; a pair neither engine
+//! resolves is reported unresolved.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use simgen_core::PatternGenerator;
-use simgen_dispatch::{run_ordered, Attempt, BudgetSchedule, Deadline, EngineMode, Progress};
+use simgen_dispatch::{run_ordered, Deadline, EngineMode, Progress};
 #[cfg(feature = "fault-inject")]
 use simgen_dispatch::{FaultAction, FaultPlan};
 use simgen_netlist::{LutNetwork, NodeId};
@@ -50,7 +49,7 @@ use crate::journal::{
     RoundRecord, StatsSnapshot,
 };
 use crate::prove::{BddProver, PairProver, ProveOutcome, Verdict};
-use crate::region::{cone_union, RegionMap, DEFAULT_BDD_NODE_LIMIT, REBUILD_BASELINE_FLOOR};
+use crate::region::{cone_union, RegionMap, REBUILD_BASELINE_FLOOR};
 use crate::stats::{DispatchSummary, SweepStats, WorkerSummary};
 use crate::sweep::{
     flush_counterexamples, record_exec_counters, record_merge, run_sim_phases, spawn_watchdog,
@@ -74,10 +73,8 @@ struct PairOutcome {
     sat_calls: u64,
     sat_time: Duration,
     solver: SolverStats,
-    /// Conflicts spent in aborted (budget-limited) attempts.
+    /// Conflicts spent by a SAT attempt its budget aborted.
     conflicts: u64,
-    /// Budget escalations beyond the first attempt.
-    escalations: u64,
     /// Scope-reuse delta attributable to this pair (zero when the
     /// pair never touched a SAT solver).
     metrics: ScopeMetrics,
@@ -99,7 +96,6 @@ impl PairOutcome {
             sat_time: Duration::ZERO,
             solver: SolverStats::default(),
             conflicts: 0,
-            escalations: 0,
             metrics: ScopeMetrics::default(),
             rebuilt: false,
         }
@@ -196,17 +192,17 @@ struct RegionJob {
     pairs: Vec<(usize, NodeId, NodeId)>,
 }
 
-/// Per-worker proving state: the lazily built BDD engine, a scalar
-/// replayer and a busy-span recorder. It keeps no counters: every
-/// count travels in the [`PairOutcome`]s.
+/// Per-worker proving state: the BDD engine (built on first use, and
+/// only when BDD is the primary engine), a scalar replayer and a
+/// busy-span recorder. It keeps no counters: every count travels in
+/// the [`PairOutcome`]s.
 struct WorkerState<'n> {
     net: &'n LutNetwork,
     /// This worker's index, stamped on every outcome it produces.
     worker: usize,
     /// Shared deadline bound to every prover this worker builds.
     deadline: Deadline,
-    /// Lazily created on the first pair that exhausts its SAT ladder
-    /// (or immediately when BDD is the primary engine).
+    /// Built on the first pair that consults it.
     bdd: Option<BddProver<'n>>,
     /// Scalar reference evaluator for counterexample replay (reused
     /// across this worker's pairs; its buffers are scratch space).
@@ -238,9 +234,9 @@ impl<'n> WorkerState<'n> {
     }
 
     /// Proves one pair against `region`, the job's shared scoped
-    /// solver, escalated per `cfg`, with BDD fallback, and (under
-    /// certify) the answer independently checked. A final `Equivalent`
-    /// is then asserted into `region` for the job's later pairs — after
+    /// solver, with the engines `cfg` picks, and (under certify) the
+    /// answer independently checked. A final `Equivalent` is then
+    /// asserted into `region` for the job's later pairs — after
     /// certification and after the proof blob was taken, so no
     /// certificate holds its own pair's equality as an axiom.
     /// Deterministic given `(region seeds, a, b, cfg)` and the region's
@@ -289,14 +285,9 @@ impl<'n> WorkerState<'n> {
         // BDD answers carry no DRAT proof, so under certify the SAT
         // engine below proves the pair instead.
         if cfg.engine.bdd_primary(cfg.certify) {
-            let node_limit = cfg
-                .budget_schedule
-                .map(|s| s.bdd_node_limit)
-                .filter(|&n| n > 0)
-                .unwrap_or(DEFAULT_BDD_NODE_LIMIT);
-            let verdict = self.bdd_prove(a, b, node_limit);
+            let verdict = self.bdd_prove(a, b, cfg.engine.bdd_node_limit);
             // A tripped node limit leaves BDD-only undecided and sends
-            // BDD-first on to the SAT ladder.
+            // BDD-first on to SAT.
             if verdict != Verdict::Undecided || cfg.engine.mode == EngineMode::BddOnly {
                 return PairOutcome::engine_only(verdict, self.worker);
             }
@@ -310,29 +301,10 @@ impl<'n> WorkerState<'n> {
         let time_before = prover.time();
         let solver_before = prover.solver_stats();
         let metrics_before = prover.metrics();
-        let schedule = cfg.budget_schedule.unwrap_or(BudgetSchedule {
-            // No ladder configured: one attempt at the flat
-            // `sat_budget`, no BDD fallback.
-            initial: cfg.sat_budget.unwrap_or(u64::MAX),
-            multiplier: 1,
-            attempts: 1,
-            bdd_node_limit: 0,
-        });
-        let esc = schedule.run(|budget| match prover.prove(a, b, Some(budget)) {
-            ProveOutcome::Undecided { conflicts } => Attempt::Undecided { conflicts },
-            resolved => Attempt::Resolved(Verdict::from(resolved)),
-        });
-        let mut verdict = match esc.outcome {
-            Some(v) => v,
-            // The BDD fallback is equally uncertifiable, so under
-            // certify an exhausted ladder stays Undecided.
-            None if cfg
-                .engine
-                .bdd_fallback(schedule.bdd_node_limit, cfg.certify) =>
-            {
-                self.bdd_prove(a, b, schedule.bdd_node_limit)
-            }
-            None => Verdict::Undecided,
+        let budget = cfg.sat_budget.unwrap_or(u64::MAX).max(1);
+        let (mut verdict, conflicts) = match prover.prove(a, b, Some(budget)) {
+            ProveOutcome::Undecided { conflicts } => (Verdict::Undecided, conflicts),
+            resolved => (Verdict::from(resolved), 0),
         };
         if cfg.certify {
             verdict = certify(verdict, prover, self.net, &mut self.replayer, a, b);
@@ -355,8 +327,7 @@ impl<'n> WorkerState<'n> {
             sat_calls: prover.calls() - calls_before,
             sat_time: prover.time().saturating_sub(time_before),
             solver: prover.solver_stats() - solver_before,
-            conflicts: esc.conflicts,
-            escalations: u64::from(esc.escalations),
+            conflicts,
             metrics: prover.metrics() - metrics_before,
             rebuilt,
         }
@@ -496,12 +467,9 @@ fn book_dispatched(
     row.conflicts += out.conflicts;
     summary.timeouts += timeout;
     row.timeouts += timeout;
-    summary.escalations += out.escalations;
-    row.escalations += out.escalations;
     stats.sat_calls += out.sat_calls;
     stats.sat_time += out.sat_time;
     stats.solver += out.solver;
-    obs.recorder.add(Counter::ProofsEscalated, out.escalations);
     obs.recorder
         .add(Counter::ScopesOpened, out.metrics.scopes_opened);
     obs.recorder
@@ -1111,7 +1079,7 @@ mod tests {
         let run = |jobs: usize| {
             let cfg = SweepConfig {
                 jobs,
-                budget_schedule: Some(BudgetSchedule::default()),
+                sat_budget: Some(1_000),
                 seed: 7,
                 ..SweepConfig::default()
             };
@@ -1138,36 +1106,9 @@ mod tests {
     }
 
     #[test]
-    fn escalation_ladder_resolves_with_tiny_initial_budget() {
-        // initial=1 forces escalations on any pair needing search; the
-        // multiplied retries must still resolve everything.
-        let net = workload_net(11);
-        let cfg = SweepConfig {
-            jobs: 2,
-            budget_schedule: Some(BudgetSchedule {
-                initial: 1,
-                multiplier: 1_000,
-                attempts: 3,
-                bdd_node_limit: 0,
-            }),
-            seed: 11,
-            ..SweepConfig::default()
-        };
-        let mut g = SimGen::new(SimGenConfig::default().with_seed(11));
-        let r = Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default());
-        let d = r.stats.dispatch.as_ref().unwrap();
-        assert!(r.stats.proved_equivalent > 0, "duplicated gates must merge");
-        assert_eq!(
-            d.total_proofs(),
-            r.stats.proved_equivalent + r.stats.disproved + r.stats.aborted
-        );
-    }
-
-    #[test]
-    fn bdd_fallback_rescues_exhausted_ladder() {
-        // Zero-attempt... smallest ladder (1 attempt, budget 1) on a
-        // pair of reassociated xor trees: SAT at budget 1 cannot prove
-        // it, the BDD fallback can.
+    fn bdd_first_rescues_a_pair_the_sat_budget_cannot_prove() {
+        // A pair of reassociated xor trees: SAT at a budget of one
+        // conflict cannot prove it, the BDD engine tried first can.
         let mut net = LutNetwork::new();
         let pis: Vec<NodeId> = (0..8).map(|i| net.add_pi(format!("p{i}"))).collect();
         let mut l = pis[0];
@@ -1180,36 +1121,34 @@ mod tests {
         }
         net.add_po(l, "l");
         net.add_po(r, "r");
-        let run = |bdd_node_limit: usize| {
+        let run = |mode: EngineMode| {
             let cfg = SweepConfig {
                 jobs: 2,
                 random_batch: 64,
                 guided_iterations: 2,
-                budget_schedule: Some(BudgetSchedule {
-                    initial: 1,
-                    multiplier: 1,
-                    attempts: 1,
-                    bdd_node_limit,
-                }),
+                sat_budget: Some(1),
+                engine: EnginePolicy {
+                    mode,
+                    ..EnginePolicy::default()
+                },
                 ..SweepConfig::default()
             };
             let mut g = SimGen::new(SimGenConfig::default());
             Sweeper::new(cfg).run(&net, &mut g, &mut RunContext::default())
         };
-        let without = run(0);
+        let sat = run(EngineMode::Sat);
         // The xor pair survives simulation (equivalent functions) and
-        // must end up unresolved without a fallback...
-        assert!(without
+        // must end up unresolved under SAT alone...
+        assert!(sat
             .unresolved
             .iter()
             .any(|&(a, b)| (a, b) == (l, r) || (a, b) == (r, l)));
-        // ...and proven with one.
-        let with = run(1_000_000);
-        assert!(with
+        // ...and proven by BDD first.
+        let bdd_first = run(EngineMode::BddFirst);
+        assert!(bdd_first
             .proven_classes
             .iter()
             .any(|c| c.contains(&l) && c.contains(&r)));
-        assert!(with.stats.dispatch.as_ref().unwrap().total_escalations() == 0);
     }
 
     #[test]
@@ -1802,20 +1741,15 @@ mod tests {
     fn worker_rows_partition_the_dispatch_totals() {
         // The per-worker rows split the dispatch totals: booked from
         // each outcome's worker, they add up for every jobs value,
-        // caught panics included. A tiny escalating budget makes the
-        // conflict, escalation and timeout columns nonzero too.
+        // caught panics included. A one-conflict budget makes the
+        // conflict and timeout columns nonzero too.
         let net = workload_net(19);
         for jobs in [1usize, 2, 4] {
             for inject in [false, true] {
                 let cfg = SweepConfig {
                     jobs,
                     seed: 19,
-                    budget_schedule: Some(BudgetSchedule {
-                        initial: 1,
-                        multiplier: 4,
-                        attempts: 2,
-                        bdd_node_limit: 0,
-                    }),
+                    sat_budget: Some(1),
                     ..SweepConfig::default()
                 };
                 let mut g = SimGen::new(SimGenConfig::default().with_seed(19));
@@ -1827,17 +1761,13 @@ mod tests {
                 let d = r.stats.dispatch.as_ref().unwrap();
                 let tag = format!("jobs={jobs} inject={inject}");
                 assert_eq!(d.workers.len(), jobs, "{tag}");
-                assert!(
-                    d.proofs > 0 && d.conflicts > 0 && d.escalations > 0,
-                    "{tag}"
-                );
+                assert!(d.proofs > 0 && d.conflicts > 0 && d.timeouts > 0, "{tag}");
                 assert_eq!(d.panics > 0, inject, "{tag}");
                 let sum =
                     |column: fn(&WorkerSummary) -> u64| d.workers.iter().map(column).sum::<u64>();
                 assert_eq!(sum(|w| w.proofs), d.proofs, "{tag}: proofs");
                 assert_eq!(sum(|w| w.conflicts), d.conflicts, "{tag}: conflicts");
                 assert_eq!(sum(|w| w.timeouts), d.timeouts, "{tag}: timeouts");
-                assert_eq!(sum(|w| w.escalations), d.escalations, "{tag}: escalations");
                 assert_eq!(sum(|w| w.panics), d.panics, "{tag}: panics");
             }
         }

@@ -9,7 +9,7 @@
 //! and cold solvers refine simulation classes identically); a
 //! conflict-budget overrun returns [`ProveOutcome::Undecided`]
 //! carrying the number of conflicts the aborted attempt consumed
-//! (the dispatch layer's escalation signal). Resolved scopes are
+//! (booked as the dispatch `conflicts` total). Resolved scopes are
 //! retired lazily and in batches: a finished scope parks in a pending
 //! list at the *next* query (so DRAT certificates can be extracted
 //! between queries while the refutation is still the tail of the
@@ -44,8 +44,7 @@ pub enum ProveOutcome {
     /// The proof attempt was aborted before an answer — conflict
     /// budget exhausted, interrupt raised, or (for the BDD engine)
     /// the node limit exceeded. `conflicts` is the number of solver
-    /// conflicts the aborted attempt consumed (0 for BDD blow-ups),
-    /// which budget-escalation policies use to price the retry.
+    /// conflicts the aborted attempt consumed (0 for BDD blow-ups).
     Undecided {
         /// Conflicts spent by the aborted attempt.
         conflicts: u64,
@@ -70,7 +69,8 @@ pub enum Verdict {
     /// Disproved; carries the full primary-input witness
     /// (replay-verified under certify).
     Counterexample(Vec<bool>),
-    /// The budget ladder (and fallback, if enabled) exhausted.
+    /// No engine answered: the SAT budget ran out, or (BDD-only) the
+    /// node limit tripped.
     Undecided,
     /// The pair's proof panicked; the pair is quarantined.
     Panicked,

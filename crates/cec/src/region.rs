@@ -13,14 +13,6 @@ use std::collections::HashSet;
 
 use simgen_netlist::{LutNetwork, NodeId};
 
-/// Default BDD node limit for the [`EngineMode::BddFirst`] primary and
-/// the [`EngineMode::BddOnly`] engine when the budget schedule does not
-/// supply one.
-///
-/// [`EngineMode::BddFirst`]: simgen_dispatch::EngineMode::BddFirst
-/// [`EngineMode::BddOnly`]: simgen_dispatch::EngineMode::BddOnly
-pub(crate) const DEFAULT_BDD_NODE_LIMIT: usize = 10_000;
-
 /// Floor for the rebuild-bloat baseline: a region whose post-seeding
 /// footprint is tiny would otherwise trip the multiple on its very
 /// first learnt clauses, churning solvers where reuse is cheapest.

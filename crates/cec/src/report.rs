@@ -10,7 +10,7 @@
 //! deterministic form of the produced report is byte-identical for
 //! any worker count.
 
-use simgen_dispatch::EngineMode;
+use simgen_dispatch::{EngineMode, EnginePolicy};
 use simgen_netlist::LutNetwork;
 use simgen_obs::report::{
     Design, DispatchSection, IterationRow, Outcome, PhaseTiming, RunReport, SatSection, SimSection,
@@ -98,17 +98,12 @@ pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
         ("seed".to_string(), Json::U64(cfg.seed)),
         ("jobs".to_string(), Json::U64(cfg.jobs as u64)),
     ];
-    match &cfg.budget_schedule {
-        None => entries.push(("budget_schedule".to_string(), Json::Null)),
-        Some(schedule) => {
-            let mut obj = Json::obj();
-            obj.push("initial", Json::U64(schedule.initial));
-            obj.push("multiplier", Json::U64(schedule.multiplier));
-            obj.push("attempts", Json::U64(u64::from(schedule.attempts)));
-            obj.push("bdd_node_limit", Json::U64(schedule.bdd_node_limit as u64));
-            entries.push(("budget_schedule".to_string(), obj));
-        }
-    }
+    let node_limit = echoed_node_limit(cfg).map_or(Json::Null, |limit| {
+        let mut obj = Json::obj();
+        obj.push("bdd_node_limit", Json::U64(limit as u64));
+        obj
+    });
+    entries.push(("budget_schedule".to_string(), node_limit));
     entries.push((
         "stall".to_string(),
         cfg.stall
@@ -132,6 +127,15 @@ pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
         cfg.mem_budget.map_or(Json::Null, Json::U64),
     ));
     entries
+}
+
+/// The BDD node limit that the schema-5 `budget_schedule` config key
+/// and the journal fingerprint echo: `None` at the default limit, the
+/// only one a CLI or daemon run can have, so those runs write what
+/// earlier builds wrote.
+pub(crate) fn echoed_node_limit(cfg: &SweepConfig) -> Option<usize> {
+    let limit = cfg.engine.bdd_node_limit;
+    (limit != EnginePolicy::default().bdd_node_limit).then_some(limit)
 }
 
 fn ms(d: std::time::Duration) -> f64 {
@@ -203,7 +207,6 @@ fn dispatch_section(stats: &SweepStats) -> Option<DispatchSection> {
         proofs: d.proofs,
         conflicts: d.conflicts,
         timeouts: d.timeouts,
-        escalations: d.escalations,
         panics: d.panics,
         workers: d
             .workers
@@ -213,7 +216,6 @@ fn dispatch_section(stats: &SweepStats) -> Option<DispatchSection> {
                 proofs: w.proofs,
                 conflicts: w.conflicts,
                 timeouts: w.timeouts,
-                escalations: w.escalations,
                 steals: w.steals,
                 panics: w.panics,
             })
@@ -526,10 +528,36 @@ mod tests {
     }
 
     #[test]
+    fn only_a_custom_node_limit_is_echoed() {
+        let custom = SweepConfig {
+            engine: EnginePolicy {
+                bdd_node_limit: 2_000_000,
+                ..Default::default()
+            },
+            ..SweepConfig::default()
+        };
+        let echo = |cfg: &SweepConfig| {
+            let entries = sweep_config_json(cfg);
+            let (_, value) = entries
+                .into_iter()
+                .find(|(k, _)| k == "budget_schedule")
+                .expect("schema-5 key");
+            value.to_line()
+        };
+        assert_eq!(echo(&SweepConfig::default()), "null");
+        assert_eq!(echo(&custom), r#"{"bdd_node_limit":2000000}"#);
+        let net = LutNetwork::new();
+        assert_ne!(
+            crate::journal::sweep_fingerprint(&net, &custom),
+            crate::journal::sweep_fingerprint(&net, &SweepConfig::default())
+        );
+    }
+
+    #[test]
     fn proof_key_follows_the_engine_mode() {
         let proof = |mode: EngineMode| {
             let cfg = SweepConfig {
-                engine: simgen_dispatch::EnginePolicy {
+                engine: EnginePolicy {
                     mode,
                     ..Default::default()
                 },
@@ -540,7 +568,7 @@ mod tests {
                 .find(|(k, _)| k == "proof")
                 .map(|(_, v)| v)
         };
-        for mode in [EngineMode::Auto, EngineMode::BddFirst, EngineMode::SatOnly] {
+        for mode in [EngineMode::Sat, EngineMode::BddFirst] {
             assert_eq!(proof(mode), Some(Json::Str("sat".to_string())), "{mode:?}");
         }
         assert_eq!(

@@ -86,10 +86,9 @@ pub struct WorkerSummary {
     pub proofs: u64,
     /// Solver conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
-    /// Pairs whose whole escalation ladder (and fallback) exhausted.
+    /// Pairs left undecided: their SAT budget ran out, or their BDDs
+    /// outgrew the node limit under BDD-only.
     pub timeouts: u64,
-    /// Budget-escalation retries beyond each pair's first attempt.
-    pub escalations: u64,
     /// Jobs stolen from other workers' queues (scheduling-dependent).
     pub steals: u64,
     /// Pair proofs that panicked on this worker; each one
@@ -119,10 +118,9 @@ pub struct DispatchSummary {
     pub proofs: u64,
     /// Solver conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
-    /// Pairs whose whole escalation ladder (and fallback) exhausted.
+    /// Pairs left undecided: their SAT budget ran out, or their BDDs
+    /// outgrew the node limit under BDD-only.
     pub timeouts: u64,
-    /// Budget-escalation retries beyond each pair's first attempt.
-    pub escalations: u64,
     /// Pair proofs that panicked; each one quarantined its pair.
     pub panics: u64,
     /// Per-worker breakdown, indexed by worker id (scheduling
@@ -136,9 +134,11 @@ impl DispatchSummary {
         self.proofs
     }
 
-    /// Total escalation retries (deterministic, merge-side).
+    /// Always 0: each pair gets one attempt. It exists only for
+    /// `e2ebench/src/api.rs`, the benchmark's frozen door into the
+    /// library.
     pub fn total_escalations(&self) -> u64 {
-        self.escalations
+        0
     }
 
     /// Total exhausted pairs (deterministic, merge-side).

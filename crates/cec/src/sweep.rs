@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use simgen_cache::ProofCache;
 use simgen_core::PatternGenerator;
-use simgen_dispatch::{BudgetSchedule, Deadline, EnginePolicy, Progress, Watchdog};
+use simgen_dispatch::{Deadline, EnginePolicy, Progress, Watchdog};
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{Counter, Json, Observer, Phase, Trace};
 use simgen_sim::{EquivClasses, PatternSet, SimResult};
@@ -40,12 +40,6 @@ pub struct SweepConfig {
     /// simulation blocks. `1` runs every round inline on the calling
     /// thread; any value yields the same report.
     pub jobs: usize,
-    /// Budget-escalation ladder per pair (`None` = a single attempt
-    /// at [`SweepConfig::sat_budget`], no BDD fallback). Its
-    /// `bdd_node_limit` also sizes the BDD engine under
-    /// [`EngineMode::BddFirst`](simgen_dispatch::EngineMode::BddFirst)
-    /// and [`EngineMode::BddOnly`](simgen_dispatch::EngineMode::BddOnly).
-    pub budget_schedule: Option<BudgetSchedule>,
     /// Per-pair stall threshold: when no pair resolves for this long,
     /// the watchdog interrupts whatever is in flight (the stuck pair
     /// ends `Undecided`) and the sweep moves on. `None` disables
@@ -57,7 +51,7 @@ pub struct SweepConfig {
     /// evaluator. Failed checks quarantine the pair (counted in
     /// [`SweepStats::certification_failures`](crate::SweepStats)).
     /// Since BDD answers carry no DRAT proof, certification forces
-    /// the SAT engine and skips the BDD fallback.
+    /// the SAT engine.
     pub certify: bool,
     /// Per-pair engine-selection policy: which engines a pair visits
     /// ([`simgen_dispatch::EngineMode`] — the paper's "BDD or SAT"
@@ -86,7 +80,6 @@ impl Default for SweepConfig {
             run_sat: true,
             seed: 0xC1C,
             jobs: 1,
-            budget_schedule: None,
             stall: None,
             certify: false,
             engine: EnginePolicy::default(),
@@ -498,16 +491,13 @@ mod tests {
     }
 
     /// The BDD-only engine with room for every test network's BDDs.
-    fn bdd_only(node_limit: usize) -> SweepConfig {
+    fn bdd_only(bdd_node_limit: usize) -> SweepConfig {
         SweepConfig {
             engine: EnginePolicy {
                 mode: EngineMode::BddOnly,
+                bdd_node_limit,
                 ..EnginePolicy::default()
             },
-            budget_schedule: Some(BudgetSchedule {
-                bdd_node_limit: node_limit,
-                ..BudgetSchedule::default()
-            }),
             ..SweepConfig::default()
         }
     }

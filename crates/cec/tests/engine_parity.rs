@@ -10,9 +10,9 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simgen_cec::{
-    check_equivalence, design_info, sweep_run_report, BddProver, BudgetSchedule, CecVerdict,
-    Deadline, EngineMode, EnginePolicy, InconclusiveReason, PairProver, ProveOutcome, RunContext,
-    RunMeta, SweepConfig, Sweeper,
+    check_equivalence, design_info, sweep_run_report, BddProver, CecVerdict, Deadline, EngineMode,
+    EnginePolicy, InconclusiveReason, PairProver, ProveOutcome, RunContext, RunMeta, SweepConfig,
+    Sweeper,
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
@@ -69,18 +69,15 @@ fn sweeps_agree_on_proven_sets() {
         let cfg = SweepConfig {
             engine: EnginePolicy {
                 mode,
+                bdd_node_limit: 5_000_000,
                 ..EnginePolicy::default()
             },
-            budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
-                bdd_node_limit: 5_000_000,
-                ..BudgetSchedule::default()
-            }),
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default().with_seed(3));
         Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default())
     };
-    let sat = run(EngineMode::Auto);
+    let sat = run(EngineMode::Sat);
     let bdd = run(EngineMode::BddOnly);
     assert_eq!(bdd.stats.sat_calls, 0, "the BDD engine answered every pair");
     // The engines produce different counterexamples, so the number of
@@ -173,91 +170,100 @@ fn assert_classes_agree_on_random_inputs(net: &LutNetwork, classes: &[Vec<NodeId
     }
 }
 
-/// The sweep is sound and complete against the brute-force oracle at
-/// every worker count: on miters with at most 16 inputs the proven
-/// classes are exactly the functional classes (wider miters get a
-/// random-vector soundness check), and across worker counts the
-/// reports are identical in every deterministic respect.
+/// The sweep is sound and complete against the brute-force oracle
+/// under every engine mode, at the default BDD node limit and conflict
+/// budget, and at every worker count: on miters with at most 16 inputs
+/// the proven classes are exactly the functional classes (wider miters
+/// get a random-vector soundness check), and across worker counts the
+/// reports are identical in every deterministic respect. The e64
+/// miters outgrow the node limit: BDD-only must then merge nothing and
+/// leave every pair unresolved, and BDD-first must hand every pair to
+/// SAT. Below the limit BDD-first never calls SAT.
 #[test]
 fn sweeps_match_brute_force_oracle_across_workloads() {
+    // (benchmark, seed, whether its miter's BDDs trip the limit)
     let circuits = [
-        ("e64", 11u64),
-        ("e64", 19),
-        ("priority", 23),
-        ("priority", 31),
-        ("dec", 37),
+        ("e64", 11u64, true),
+        ("e64", 19, true),
+        ("priority", 23, false),
+        ("priority", 31, false),
+        ("dec", 37, false),
     ];
-    for (name, seed) in circuits {
+    for (name, seed, trips) in circuits {
         let net = workload(name, seed);
         let oracle = oracle_classes(&net);
-        let base = SweepConfig {
-            guided_iterations: 5,
-            seed,
-            ..SweepConfig::default()
-        };
-        let mut reports = Vec::new();
-        for jobs in [1usize, 2, 4] {
-            let cfg = SweepConfig {
-                jobs,
-                budget_schedule: Some(BudgetSchedule {
-                    initial: 2_000,
-                    multiplier: 50,
-                    attempts: 2,
-                    bdd_node_limit: 0,
-                }),
-                ..base
-            };
-            let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
-            let par = Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default());
-            assert_eq!(
-                par.stats.aborted, 0,
-                "{name} jobs={jobs}: nothing may time out"
-            );
-            assert!(par.unresolved.is_empty(), "{name} jobs={jobs}");
-            match &oracle {
-                Some(truth) => assert_eq!(
-                    &norm(par.proven_classes.clone()),
-                    truth,
-                    "{name} jobs={jobs}: proven classes must be the functional classes"
-                ),
-                None => assert_classes_agree_on_random_inputs(
-                    &net,
-                    &par.proven_classes,
-                    &format!("{name} jobs={jobs}"),
-                ),
+        let mut sat_calls = 0;
+        for mode in [EngineMode::Sat, EngineMode::BddFirst, EngineMode::BddOnly] {
+            let mut reports = Vec::new();
+            for jobs in [1usize, 2, 4] {
+                let cfg = SweepConfig {
+                    guided_iterations: 5,
+                    seed,
+                    jobs,
+                    engine: EnginePolicy {
+                        mode,
+                        ..EnginePolicy::default()
+                    },
+                    ..SweepConfig::default()
+                };
+                let tag = format!("{name}/{seed} {mode:?} jobs={jobs}");
+                let mut gen = SimGen::new(SimGenConfig::default().with_seed(seed));
+                let par = Sweeper::new(cfg).run(&net, &mut gen, &mut RunContext::default());
+                match mode {
+                    EngineMode::Sat => sat_calls = par.stats.sat_calls,
+                    EngineMode::BddFirst if trips => {
+                        assert_eq!(par.stats.sat_calls, sat_calls, "{tag}: all pairs go to SAT")
+                    }
+                    _ => assert_eq!(par.stats.sat_calls, 0, "{tag}: BDDs answer every pair"),
+                }
+                if mode == EngineMode::BddOnly && trips {
+                    // Tripped limit: no verdict at all, so no merge
+                    // and no counterexample. The first round's pairs
+                    // — every pair that survived simulation — end
+                    // unresolved, and no second round starts.
+                    let d = par.stats.dispatch.as_ref().unwrap();
+                    assert!(par.proven_classes.is_empty(), "{tag}");
+                    assert_eq!(par.stats.disproved, 0, "{tag}");
+                    assert_eq!(d.rounds, 1, "{tag}");
+                    assert!(!par.unresolved.is_empty(), "{tag}");
+                    assert_eq!(par.unresolved.len() as u64, d.total_proofs(), "{tag}");
+                } else {
+                    assert_eq!(par.stats.aborted, 0, "{tag}: nothing may time out");
+                    assert!(par.unresolved.is_empty(), "{tag}");
+                    match &oracle {
+                        Some(truth) => assert_eq!(
+                            &norm(par.proven_classes.clone()),
+                            truth,
+                            "{tag}: proven classes must be the functional classes"
+                        ),
+                        None => {
+                            assert_classes_agree_on_random_inputs(&net, &par.proven_classes, &tag)
+                        }
+                    }
+                }
+                reports.push(par);
             }
-            reports.push(par);
-        }
-        // Across worker counts the reports are identical in every
-        // deterministic respect (not just up to reordering).
-        let first = &reports[0];
-        for (i, r) in reports.iter().enumerate().skip(1) {
-            assert_eq!(r.proven_classes, first.proven_classes, "{name} report {i}");
-            assert_eq!(r.unresolved, first.unresolved, "{name} report {i}");
-            assert_eq!(
-                r.stats.disproved, first.stats.disproved,
-                "{name} report {i}"
-            );
-            assert_eq!(
-                r.stats.sat_calls, first.stats.sat_calls,
-                "{name} report {i}"
-            );
-            assert_eq!(
-                r.patterns.num_patterns(),
-                first.patterns.num_patterns(),
-                "{name} report {i}"
-            );
-            let (da, db) = (
-                r.stats.dispatch.as_ref().unwrap(),
-                first.stats.dispatch.as_ref().unwrap(),
-            );
-            assert_eq!(da.rounds, db.rounds, "{name} report {i}");
-            assert_eq!(da.total_proofs(), db.total_proofs(), "{name} report {i}");
-            assert_eq!(
-                da.total_escalations(),
-                db.total_escalations(),
-                "{name} report {i}"
-            );
+            // Across worker counts the reports are identical in every
+            // deterministic respect (not just up to reordering).
+            let first = &reports[0];
+            for (i, r) in reports.iter().enumerate().skip(1) {
+                let tag = format!("{name}/{seed} {mode:?} report {i}");
+                assert_eq!(r.proven_classes, first.proven_classes, "{tag}");
+                assert_eq!(r.unresolved, first.unresolved, "{tag}");
+                assert_eq!(r.stats.disproved, first.stats.disproved, "{tag}");
+                assert_eq!(r.stats.sat_calls, first.stats.sat_calls, "{tag}");
+                assert_eq!(
+                    r.patterns.num_patterns(),
+                    first.patterns.num_patterns(),
+                    "{tag}"
+                );
+                let (da, db) = (
+                    r.stats.dispatch.as_ref().unwrap(),
+                    first.stats.dispatch.as_ref().unwrap(),
+                );
+                assert_eq!(da.rounds, db.rounds, "{tag}");
+                assert_eq!(da.total_proofs(), db.total_proofs(), "{tag}");
+            }
         }
     }
 }

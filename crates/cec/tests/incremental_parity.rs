@@ -15,10 +15,10 @@
 //!    `clauses_reused > 0` and spends strictly fewer solver conflicts
 //!    than the cold run on the same workload.
 //!
-//! The configs here deliberately leave `budget_schedule` unset: a
-//! multi-attempt ladder can resolve a pair at a different rung warm
-//! than cold, which moves `sat.calls` — a field that survives
-//! engine-stripping (the caveat documented in docs/solving.md).
+//! The configs here keep the default conflict budget, which no pair
+//! of this workload exhausts: a pair that ran out of budget warm but
+//! not cold would move the verdicts, which survive engine-stripping
+//! (the caveat documented in docs/solving.md).
 
 use simgen_cec::{
     design_info, sweep_run_report, EnginePolicy, RegionMap, RunContext, RunMeta, SweepConfig,

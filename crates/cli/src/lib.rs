@@ -17,7 +17,8 @@ use simgen_cec::{
 };
 use simgen_core::make_strategy;
 use simgen_mapping::map_to_luts;
-use simgen_netlist::{aiger, bench_fmt, blif, Aig, LutNetwork};
+use simgen_netlist::load::{format_of, load, Circuit, Format, LoadError};
+use simgen_netlist::{aiger, bench_fmt, blif};
 use simgen_obs::{Observer, RunReport};
 use simgen_sat::{Cnf, SolveResult, Solver};
 use simgen_workloads::{all_benchmarks, build_aig};
@@ -40,75 +41,14 @@ impl From<String> for CliError {
     }
 }
 
+impl From<LoadError> for CliError {
+    fn from(e: LoadError) -> Self {
+        CliError(e.to_string())
+    }
+}
+
 fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
-}
-
-/// File formats the CLI understands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Format {
-    /// Binary AIGER.
-    AigBinary,
-    /// ASCII AIGER.
-    AigAscii,
-    /// ISCAS BENCH.
-    Bench,
-    /// BLIF (LUT networks).
-    Blif,
-}
-
-/// Infers a format from a path's extension.
-pub fn format_of(path: &str) -> Result<Format, CliError> {
-    match Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .map(str::to_ascii_lowercase)
-        .as_deref()
-    {
-        Some("aig") => Ok(Format::AigBinary),
-        Some("aag") => Ok(Format::AigAscii),
-        Some("bench") => Ok(Format::Bench),
-        Some("blif") => Ok(Format::Blif),
-        other => err(format!(
-            "cannot infer format of `{path}` (extension {other:?}); use .aig/.aag/.bench/.blif"
-        )),
-    }
-}
-
-/// A circuit loaded from disk in either representation.
-#[derive(Debug)]
-pub enum Circuit {
-    /// An and-inverter graph (aig/aag/bench files).
-    Aig(Aig),
-    /// A LUT network (blif files).
-    Lut(LutNetwork),
-}
-
-impl Circuit {
-    /// Converts to a LUT network, mapping AIGs with `k`-input LUTs.
-    pub fn into_lut(self, k: usize) -> LutNetwork {
-        match self {
-            Circuit::Aig(aig) => map_to_luts(&aig, k),
-            Circuit::Lut(net) => net,
-        }
-    }
-}
-
-/// Loads a circuit file.
-pub fn load(path: &str) -> Result<Circuit, CliError> {
-    let f = File::open(path).map_err(|e| CliError(format!("cannot open `{path}`: {e}")))?;
-    let r = BufReader::new(f);
-    match format_of(path)? {
-        Format::AigBinary | Format::AigAscii => aiger::read(r)
-            .map(Circuit::Aig)
-            .map_err(|e| CliError(format!("{path}: {e}"))),
-        Format::Bench => bench_fmt::read(r)
-            .map(Circuit::Aig)
-            .map_err(|e| CliError(format!("{path}: {e}"))),
-        Format::Blif => blif::read(r)
-            .map(Circuit::Lut)
-            .map_err(|e| CliError(format!("{path}: {e}"))),
-    }
 }
 
 /// Saves a circuit to a file, converting as required by the target
@@ -399,6 +339,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
         incremental: !rest.iter().any(|a| a == "--no-incremental"),
         mode: engine_mode,
         rebuild_bloat,
+        ..EnginePolicy::default()
     };
     // `--checkpoint-dir` journals sweep rounds for crash-safe resume
     // (docs/recovery.md); `--resume` replays a journal left behind by
@@ -482,7 +423,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let [input, output] = pos[..] else {
                 return err("usage: simgen export <in> <out.dot|out.v> [-k K]");
             };
-            let net = load(input)?.into_lut(k);
+            let net = load(input)?.into_lut(|aig| map_to_luts(aig, k));
             let f = File::create(output)
                 .map_err(|e| CliError(format!("cannot create `{output}`: {e}")))?;
             let mut w = BufWriter::new(f);
@@ -549,7 +490,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let [path] = pos[..] else {
                 return err("usage: simgen sweep <file> [--strategy S] [--iters N] [-k K]");
             };
-            let net = load(path)?.into_lut(k);
+            let net = load(path)?.into_lut(|aig| map_to_luts(aig, k));
             let strategy = flag_value(rest, "--strategy").unwrap_or("simgen");
             let iters: usize = flag_value(rest, "--iters")
                 .map(|v| {
@@ -621,10 +562,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             println!("  unresolved            : {}", report.unresolved.len());
             if let Some(d) = &report.stats.dispatch {
                 println!(
-                    "  dispatch              : {} rounds, {} proofs, {} escalations, {} steals",
+                    "  dispatch              : {} rounds, {} proofs, {} steals",
                     d.rounds,
                     d.total_proofs(),
-                    d.total_escalations(),
                     d.total_steals()
                 );
                 if d.total_panics() > 0 || d.quarantined > 0 {
@@ -655,8 +595,8 @@ pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let [pa, pb] = pos[..] else {
                 return err("usage: simgen cec <a> <b> [--strategy S] [-k K]");
             };
-            let na = load(pa)?.into_lut(k);
-            let nb = load(pb)?.into_lut(k);
+            let na = load(pa)?.into_lut(|aig| map_to_luts(aig, k));
+            let nb = load(pb)?.into_lut(|aig| map_to_luts(aig, k));
             let strategy = flag_value(rest, "--strategy").unwrap_or("simgen");
             let mut gen = make_strategy(strategy, seed)?;
             let cfg = SweepConfig {
@@ -1070,21 +1010,20 @@ Formats by extension: .aig (binary AIGER), .aag (ASCII AIGER),
 splits large simulation blocks across the same pool (results are
 byte-identical for any N); --jobs 0 auto-detects the core count.
 
-Engine policy: sweep/cec resolve each candidate pair by walking an
-engine ladder — simulation evidence first, then (per --engine-policy)
-BDDs and SAT. `default` is SAT primary, with BDDs as a fallback only
-under a library budget schedule that sets a BDD node limit; no flag
-sets one, so here `default` behaves exactly like `sat-only`, which
-never consults BDDs. `bdd-first` tries the BDD engine before spending
-SAT conflicts. The SAT rungs share one long-lived assumption-scoped
-solver per fanin region, so later pairs in a region warm-start on the
-cone encoding, the learnt clauses and the proven equalities of earlier
-ones (docs/solving.md); --no-incremental reverts to a cold solver per
-pair. --rebuild-bloat N restarts a region solver whose clause database
-grows past N times its live encoding (0 = never), bounding memory on
-long regions. Verdicts and engine-stripped reports are identical
-across policies and both solver modes — only effort counters
-(conflicts, warm_solves, clauses_reused) move.
+Engine policy: sweep/cec give each candidate pair that survives
+simulation one proof attempt, with the engines --engine-policy picks.
+`default` (also spelled `auto` or `sat-only`) runs one SAT attempt and
+never consults BDDs; `bdd-first` first tries BDDs within a 10 000-node
+limit and falls back to SAT when the limit trips. SAT queries share
+one long-lived assumption-scoped solver per fanin region, so later
+pairs in a region warm-start on the cone encoding, the learnt clauses
+and the proven equalities of earlier ones (docs/solving.md);
+--no-incremental reverts to a cold solver per pair. --rebuild-bloat N
+restarts a region solver whose clause database grows past N times its
+live encoding (0 = never), bounding memory on long regions. Verdicts
+and engine-stripped reports are identical across policies and both
+solver modes — only effort counters (conflicts, warm_solves,
+clauses_reused) move.
 
 Proof cache: --cache-dir DIR makes sweep/cec answer structurally
 repeated queries from a persistent content-addressed store instead of
@@ -1621,11 +1560,11 @@ mod tests {
         let cfg = config_of(&["--engine-policy", "sat-only", "--no-incremental"]);
         assert_eq!(
             cfg.get("engine_mode").and_then(Json::as_str),
-            Some("sat-only")
+            Some("default")
         );
         assert_eq!(cfg.get("incremental"), Some(&Json::Bool(false)));
-        // `auto` is the spelled-out alias for the default ordering,
-        // and bdd-first keeps the verdict (it only reorders engines).
+        // `auto` and `sat-only` are aliases of `default`, and
+        // bdd-first keeps the verdict (it only reorders engines).
         let cfg = config_of(&["--engine-policy", "auto"]);
         assert_eq!(
             cfg.get("engine_mode").and_then(Json::as_str),

@@ -1,13 +1,13 @@
 //! Parallel proof dispatch: a work-stealing scheduler for candidate
-//! equivalence pairs, plus the budget-escalation policy that decides
-//! how much SAT effort each pair receives before falling back to BDDs.
+//! equivalence pairs, plus the [`EnginePolicy`] that picks which proof
+//! engine resolves each pair.
 //!
 //! The crate is deliberately domain-agnostic: the executor runs any
 //! `Fn(&mut State, Job) -> Result` over a job list and returns results
 //! **in input order**, so a sweeping layer built on top produces
 //! identical output regardless of worker count or scheduling. Worker
 //! state (`State`) is where callers keep per-worker engines (the
-//! sweep's BDD fallback); [`BudgetSchedule`] prices the retries.
+//! sweep's BDD engine under the BDD-first and BDD-only modes).
 //!
 //! Determinism contract: everything about the returned
 //! [`DispatchOutcome::results`] is a pure function of the job list —
@@ -27,7 +27,6 @@ mod fair;
 pub mod fault;
 mod policy;
 mod pool;
-mod schedule;
 
 pub use deadline::{Deadline, Progress, Watchdog};
 pub use executor::{run_ordered, DispatchOutcome, WorkerReport};
@@ -36,4 +35,3 @@ pub use fair::{FairQueue, Popped, PushError, DEFAULT_PRIORITY, MAX_PRIORITY};
 pub use fault::{FaultAction, FaultPlan};
 pub use policy::{EngineMode, EnginePolicy};
 pub use pool::{shared_pool, Scope, WorkerPool};
-pub use schedule::{Attempt, BudgetSchedule, Escalation};

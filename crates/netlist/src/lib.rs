@@ -12,7 +12,7 @@
 //!   representation benchmark generators produce and the technology
 //!   mapper consumes.
 //! * AIGER ([`aiger`]), BLIF ([`blif`]) and BENCH ([`bench_fmt`]) file
-//!   I/O.
+//!   I/O, and [`load`], which reads any of them by extension.
 //! * Structural analyses: fanin cones ([`cone`]), canonical
 //!   numbering-insensitive cone forms ([`canon`]), levelized schedules
 //!   ([`levels`]), maximum fanout-free cones ([`mffc`]), network
@@ -47,6 +47,7 @@ pub mod error;
 pub mod export;
 pub mod id;
 pub mod levels;
+pub mod load;
 pub mod mffc;
 pub mod miter;
 pub mod network;

@@ -11,7 +11,7 @@
 //!   worker-owned locals (no locks, no atomics) that the orchestrator
 //!   merges at round barriers, so merged totals are independent of
 //!   `--jobs` and steal interleaving.
-//! * [`Trace`] — a bounded event ring (proofs dispatched / escalated /
+//! * [`Trace`] — a bounded event ring (proofs dispatched and
 //!   quarantined, deadline trips, resim flushes, kernel compiles)
 //!   writable from any thread, drained to JSONL. Traces are
 //!   diagnostics: explicitly outside the determinism guarantee.

@@ -88,9 +88,10 @@ enum_with_names! {
         ProofsEquivalent => "proofs_equivalent",
         /// Pairs disproved by a counterexample.
         ProofsDisproved => "proofs_disproved",
-        /// Pairs still undecided after the full budget ladder.
+        /// Pairs still undecided after their proof attempt.
         ProofsUndecided => "proofs_undecided",
-        /// Budget escalations across all pairs.
+        /// Always 0: each pair gets one attempt. A fixed key of
+        /// report schema 5.
         ProofsEscalated => "proofs_escalated",
         /// Pairs quarantined: a prover panic or a failed
         /// certification check.

@@ -153,10 +153,8 @@ pub struct WorkerRow {
     pub proofs: u64,
     /// Conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
-    /// Pairs whose whole budget ladder exhausted.
+    /// Pairs left undecided by their proof attempt.
     pub timeouts: u64,
-    /// Budget escalations.
-    pub escalations: u64,
     /// Jobs stolen from other workers.
     pub steals: u64,
     /// Pair proofs that panicked.
@@ -182,10 +180,8 @@ pub struct DispatchSection {
     pub proofs: u64,
     /// Conflicts spent in aborted (budget-limited) attempts.
     pub conflicts: u64,
-    /// Pairs whose whole budget ladder exhausted.
+    /// Pairs left undecided by their proof attempt.
     pub timeouts: u64,
-    /// Budget escalations beyond first attempts.
-    pub escalations: u64,
     /// Steps that panicked (each quarantined its pair).
     pub panics: u64,
     /// Per-worker rows (stripped from the deterministic form).
@@ -321,8 +317,9 @@ const ENGINE_SAT_KEYS: &[&str] = &[
     "clause_db_bytes",
 ];
 
-/// Effort keys in `dispatch.totals`: a pair can clear its first budget
-/// rung warm but need an escalation cold.
+/// Effort keys in `dispatch.totals`: a pair can finish within its
+/// conflict budget warm but run out of it cold. `escalations` is a
+/// schema-5 key that always reads 0.
 const ENGINE_DISPATCH_KEYS: &[&str] = &["conflicts", "timeouts", "escalations"];
 
 /// Counters that describe the engine policy's own behaviour.
@@ -342,8 +339,8 @@ const ENGINE_CONFIG_KEYS: &[&str] = &["engine_mode", "incremental", "rebuild_blo
 /// prover call counts, simulation totals — is the *engine-stripped*
 /// form, required to be byte-identical between incremental and cold
 /// per-pair SAT solving for the same workload. (The guarantee holds
-/// as long as no pair exhausts its whole budget ladder in one mode
-/// but not the other; see `docs/solving.md`.)
+/// as long as no pair runs out of its conflict budget in one mode but
+/// not the other; see `docs/solving.md`.)
 pub fn strip_engine_dependent(json: &mut Json) {
     strip_nondeterministic(json);
     let Json::Obj(entries) = json else { return };
@@ -490,7 +487,9 @@ impl RunReport {
             totals.push("proofs", Json::U64(dispatch.proofs));
             totals.push("conflicts", Json::U64(dispatch.conflicts));
             totals.push("timeouts", Json::U64(dispatch.timeouts));
-            totals.push("escalations", Json::U64(dispatch.escalations));
+            // A schema-5 key: each pair gets one attempt, so no pair
+            // escalates.
+            totals.push("escalations", Json::U64(0));
             // Steals are inherently scheduling-dependent, so the only
             // honest total is the sum of the rows; it is stripped from
             // the deterministic form along with them.
@@ -507,7 +506,7 @@ impl RunReport {
                     row.push("proofs", Json::U64(w.proofs));
                     row.push("conflicts", Json::U64(w.conflicts));
                     row.push("timeouts", Json::U64(w.timeouts));
-                    row.push("escalations", Json::U64(w.escalations));
+                    row.push("escalations", Json::U64(0));
                     row.push("steals", Json::U64(w.steals));
                     row.push("panics", Json::U64(w.panics));
                     row
@@ -932,7 +931,6 @@ mod tests {
             }
             if let Some(d) = report.dispatch.as_mut() {
                 d.conflicts = if warm { 0 } else { 40 };
-                d.escalations = if warm { 0 } else { 2 };
             }
             report.counters = vec![
                 (Counter::ProofsDispatched.name(), 10),

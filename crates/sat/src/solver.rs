@@ -347,7 +347,7 @@ impl Solver {
     /// in-flight or future [`Solver::solve_limited`] call returns
     /// [`SolveResult::Unknown`] at its next conflict or decision
     /// boundary, regardless of the conflict budget. Dispatch workers
-    /// use this to abandon escalated proofs when the sweep is torn
+    /// use this to abandon in-flight proofs when the sweep is torn
     /// down.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);

@@ -96,7 +96,8 @@ use simgen_cec::{
 use simgen_core::make_strategy;
 use simgen_dispatch::{FairQueue, Popped, PushError};
 use simgen_mapping::map_to_luts;
-use simgen_netlist::{aiger, bench_fmt, blif, LutNetwork};
+use simgen_netlist::load::{load, LoadError};
+use simgen_netlist::LutNetwork;
 use simgen_obs::{atomic_write, Counter, Observer};
 
 use crate::protocol::{
@@ -597,6 +598,17 @@ impl From<String> for JobError {
     }
 }
 
+impl From<LoadError> for JobError {
+    /// Only a failed open can be transient; a file that opened but
+    /// does not parse fails the same way on every retry.
+    fn from(e: LoadError) -> JobError {
+        JobError {
+            transient: matches!(&e, LoadError::Open(_, io) if is_transient_io(io.kind())),
+            message: e.to_string(),
+        }
+    }
+}
+
 /// Whether an I/O failure kind is worth retrying.
 fn is_transient_io(kind: std::io::ErrorKind) -> bool {
     matches!(
@@ -605,33 +617,6 @@ fn is_transient_io(kind: std::io::ErrorKind) -> bool {
             | std::io::ErrorKind::TimedOut
             | std::io::ErrorKind::WouldBlock
     )
-}
-
-/// Loads a circuit file and maps it to a `k`-LUT network. A trimmed
-/// copy of the CLI loader — the daemon cannot depend on the CLI crate
-/// (the CLI depends on this one).
-fn load_lut(path: &str, k: usize) -> Result<LutNetwork, JobError> {
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .map(str::to_ascii_lowercase);
-    let file = std::fs::File::open(path).map_err(|e| JobError {
-        transient: is_transient_io(e.kind()),
-        message: format!("cannot open `{path}`: {e}"),
-    })?;
-    let r = BufReader::new(file);
-    match ext.as_deref() {
-        Some("aig" | "aag") => aiger::read(r)
-            .map(|aig| map_to_luts(&aig, k))
-            .map_err(|e| JobError::permanent(format!("{path}: {e}"))),
-        Some("bench") => bench_fmt::read(r)
-            .map(|aig| map_to_luts(&aig, k))
-            .map_err(|e| JobError::permanent(format!("{path}: {e}"))),
-        Some("blif") => blif::read(r).map_err(|e| JobError::permanent(format!("{path}: {e}"))),
-        other => Err(JobError::permanent(format!(
-            "cannot infer format of `{path}` (extension {other:?}); use .aig/.aag/.bench/.blif"
-        ))),
-    }
 }
 
 /// Content address of a whole job: structural hashes of both circuits
@@ -804,8 +789,8 @@ fn execute_job(ctx: &ExecCtx, request: &JobRequest) -> String {
 fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobError> {
     let cache: &ProofCache = &ctx.cache;
     let stats: &ServeStats = &ctx.stats;
-    let a = load_lut(&request.a, request.k)?;
-    let b = load_lut(&request.b, request.k)?;
+    let a = load(&request.a)?.into_lut(|aig| map_to_luts(aig, request.k));
+    let b = load(&request.b)?.into_lut(|aig| map_to_luts(aig, request.k));
     let key = serve_job_key(&a, &b, request);
     // Pin the job's own entry for the duration: LRU pressure from
     // concurrent inserts must not evict the answer (or the prior

@@ -8,9 +8,7 @@
 
 use std::time::Instant;
 
-use simgen_suite::cec::{
-    BudgetSchedule, EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper,
-};
+use simgen_suite::cec::{EngineMode, EnginePolicy, RunContext, SweepConfig, Sweeper};
 use simgen_suite::core::{SimGen, SimGenConfig};
 use simgen_suite::workloads::benchmark_network;
 
@@ -28,19 +26,15 @@ fn main() {
     );
 
     for (label, mode) in [
-        ("SAT (CDCL, incremental)", EngineMode::Auto),
+        ("SAT (CDCL, incremental)", EngineMode::Sat),
         ("BDD (2M-node limit)", EngineMode::BddOnly),
     ] {
         let cfg = SweepConfig {
             engine: EnginePolicy {
                 mode,
+                bdd_node_limit: 2_000_000,
                 ..EnginePolicy::default()
             },
-            // The BDD engine's node limit rides on the budget schedule.
-            budget_schedule: (mode == EngineMode::BddOnly).then_some(BudgetSchedule {
-                bdd_node_limit: 2_000_000,
-                ..BudgetSchedule::default()
-            }),
             ..SweepConfig::default()
         };
         let mut gen = SimGen::new(SimGenConfig::default());
