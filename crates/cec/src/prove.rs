@@ -394,11 +394,6 @@ impl<'n> BddProver<'n> {
         }
     }
 
-    /// True once construction was attempted and hit the node limit.
-    pub fn blew_up(&self) -> bool {
-        matches!(self.bdds, Some(None))
-    }
-
     /// Proves or disproves `a ≡ b`. Equal functions share one BDD
     /// handle, so proven equivalences need no assertion; a network
     /// whose BDDs exceed the node limit answers

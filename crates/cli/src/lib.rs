@@ -1,25 +1,31 @@
 //! Implementation of the `simgen` command-line tool.
 //!
 //! All functionality lives in the library so it is unit-testable; the
-//! binary is a thin wrapper. See [`run`] for the command dispatch.
+//! binary is a thin wrapper. [`run`] looks the command up in a table
+//! that names each command's operands and the flags it reads, checks
+//! the arguments against that entry in one pass, and hands them to the
+//! command's handler. Usage errors and `simgen help` are generated
+//! from the same table.
 
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::ops::RangeBounds;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use simgen_cec::{
     cec_run_report, check_equivalence, design_info, design_name, sweep_run_report, CecVerdict,
-    Deadline, EngineMode, EnginePolicy, InconclusiveReason, RunContext, RunMeta, SweepConfig,
-    Sweeper,
+    Deadline, EngineMode, EnginePolicy, InconclusiveReason, ProofCache, RunContext, RunMeta,
+    SweepConfig, SweepJournal, Sweeper,
 };
-use simgen_core::make_strategy;
+use simgen_core::{make_strategy, PatternGenerator};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::load::{format_of, load, Circuit, Format, LoadError};
-use simgen_netlist::{aiger, bench_fmt, blif};
-use simgen_obs::{Observer, RunReport};
+use simgen_netlist::{aiger, bench_fmt, blif, LutNetwork};
+use simgen_obs::{Json, Observer, RunReport};
 use simgen_sat::{Cnf, SolveResult, Solver};
 use simgen_workloads::{all_benchmarks, build_aig};
 
@@ -51,9 +57,336 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
+/// One subcommand: its command line and the handler that runs it.
+struct Command {
+    name: &'static str,
+    /// What every invocation gives, in order: operands (`<file>`),
+    /// literal words (`verify`) and flags the command cannot run
+    /// without (`--socket PATH`).
+    required: &'static str,
+    /// The other flags it takes, each `--flag VALUE` or a bare
+    /// `--switch`. Any flag it does not list is an error.
+    flags: &'static str,
+    run: fn(&Args) -> Result<ExitCode, CliError>,
+    /// The one-line summary in `simgen help`.
+    about: &'static str,
+}
+
+const fn cmd(
+    name: &'static str,
+    required: &'static str,
+    flags: &'static str,
+    run: fn(&Args) -> Result<ExitCode, CliError>,
+    about: &'static str,
+) -> Command {
+    Command {
+        name,
+        required,
+        flags,
+        run,
+        about,
+    }
+}
+
+/// The flags of `sweep`. `cec` takes the same but `--iters` and
+/// `--fault-seed`.
+const SWEEP_FLAGS: &str = "--strategy S --iters N -k K --seed N --jobs N --timeout SECS \
+    --stall SECS --certify --engine-policy P --no-incremental --rebuild-bloat N --cache-dir DIR \
+    --cache-budget BYTES --checkpoint-dir DIR --resume --fault-seed N --stats-json PATH \
+    --trace PATH --profile";
+const CEC_FLAGS: &str = "--strategy S -k K --seed N --jobs N --timeout SECS --stall SECS \
+    --certify --engine-policy P --no-incremental --rebuild-bloat N --cache-dir DIR \
+    --cache-budget BYTES --checkpoint-dir DIR --resume --stats-json PATH --trace PATH --profile";
+const SERVE_FLAGS: &str = "--cache-dir DIR --cache-budget BYTES --queue-limit N \
+    --checkpoint-dir DIR --default-timeout SECS --mem-budget BYTES --stall-horizon SECS";
+const SUBMIT_FLAGS: &str = "--id X --strategy S -k K --seed N --jobs N --timeout SECS --certify \
+    --priority P --retry N --backoff MS";
+
+/// Every command, in `simgen help` order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("stats", "<file>", "", stats, "sizes/depth of a circuit file"),
+    cmd("convert", "<in> <out>", "-k K", convert, "convert between aig/aag/bench/blif"),
+    cmd("map", "<in> <out.blif>", "-k K", convert, "LUT-map an AIG file to BLIF"),
+    cmd("export", "<in> <out.dot|out.v>", "-k K", export, "Graphviz / structural Verilog"),
+    cmd("sat", "<file.cnf>", "", sat, "solve a DIMACS CNF (exit 10/20)"),
+    cmd("sweep", "<file>", SWEEP_FLAGS, sweep, "sweep a design, report SAT effort"),
+    cmd("cec", "<a> <b>", CEC_FLAGS, cec, "check two designs for equivalence"),
+    cmd("serve", "--socket PATH", SERVE_FLAGS, serve, "run the CEC daemon (docs/serving.md)"),
+    cmd("submit", "<a> <b> --socket PATH", SUBMIT_FLAGS, submit, "send one job to a running daemon"),
+    cmd("status", "--socket PATH", "", status, "health/recovery stats of a daemon"),
+    cmd("health", "--socket PATH", "", health, "resource-governance snapshot"),
+    cmd("cache", "verify <dir>", "", cache_verify, "scrub a proof-cache directory"),
+    cmd("bench", "<name> <out>", "-k K", bench, "emit a built-in benchmark circuit"),
+    cmd("list-benchmarks", "", "", list_benchmarks, "list the 42 built-in benchmarks"),
+];
+
+/// The words of a `required` or flags list, each paired with the name
+/// of the value it takes: the next word for a flag followed by one,
+/// empty for operands, literals and switches.
+fn words(list: &'static str) -> impl Iterator<Item = (&'static str, &'static str)> {
+    let mut words = list.split_whitespace().peekable();
+    std::iter::from_fn(move || {
+        let word = words.next()?;
+        let value = words.next_if(|next| word.starts_with('-') && !next.starts_with(['-', '<']));
+        Some((word, value.unwrap_or("")))
+    })
+}
+
+impl Command {
+    /// The name of `flag`'s value (empty for a switch), or `None` if
+    /// the command does not take `flag`.
+    fn value_name(&self, flag: &str) -> Option<&'static str> {
+        let mut all = words(self.required).chain(words(self.flags));
+        all.find(|&(word, _)| word == flag).map(|(_, value)| value)
+    }
+
+    /// The synopsis after `simgen NAME`, optional flags in brackets.
+    fn synopsis(&self) -> Vec<String> {
+        let show = |(word, value): (&str, &str)| format!("{word} {value}").trim_end().to_string();
+        let optional = words(self.flags).map(|w| format!("[{}]", show(w)));
+        words(self.required).map(show).chain(optional).collect()
+    }
+
+    fn usage_error<T>(&self) -> Result<T, CliError> {
+        err(format!("usage: simgen {} {}", self.name, self.synopsis().join(" ")).trim_end())
+    }
+}
+
+/// One invocation, checked against its command's table entry.
+struct Args<'a> {
+    cmd: &'static Command,
+    /// The whole command line, command word included.
+    argv: &'a [String],
+    operands: Vec<&'a str>,
+    /// Each flag given (`-j` as `--jobs`) with its value, empty for a
+    /// switch.
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Checks `argv` against `cmd` in one pass, before any file is
+    /// opened. `Ok(None)` asks for help.
+    ///
+    /// A flag `cmd` does not take is an error, never dropped: otherwise
+    /// a typo like `--time 5` would silently lose the flag and turn `5`
+    /// into an operand. A flag that takes a value always takes the next
+    /// token, so `--timeout -1` is a (bad) value to report later, not an
+    /// unknown option, and `--stats-json --profile` names a file.
+    fn parse(cmd: &'static Command, argv: &'a [String]) -> Result<Option<Self>, CliError> {
+        let (mut operands, mut flags) = (Vec::new(), Vec::new());
+        let mut tokens = argv[1..].iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            // `-j` is the one short alias.
+            let flag = if token == "-j" { "--jobs" } else { token };
+            // Flag-shaped: `--x`, or `-` and one character other than `.`.
+            let flag_shaped = flag.starts_with("--")
+                || (flag.starts_with('-') && flag.len() == 2 && flag != "-.");
+            match cmd.value_name(flag) {
+                _ if flag == "--help" || flag == "-h" => return Ok(None),
+                _ if !flag_shaped => operands.push(token),
+                Some("") => flags.push((flag, "")),
+                Some(value) => match tokens.next() {
+                    Some(given) => flags.push((flag, given)),
+                    None => return err(format!("{token} needs a value ({flag} {value})")),
+                },
+                None => {
+                    let name = cmd.name;
+                    return err(format!("unknown option `{token}` for `simgen {name}`"));
+                }
+            }
+        }
+        let args = Args {
+            cmd,
+            argv,
+            operands,
+            flags,
+        };
+        let mut operands = args.operands.iter();
+        for (word, value) in words(cmd.required) {
+            if word.starts_with('-') {
+                if !args.has(word) {
+                    return err(format!("`simgen {}` needs {word} {value}", cmd.name));
+                }
+            } else if !operands
+                .next()
+                .is_some_and(|got| word.starts_with('<') || *got == word)
+            {
+                return cmd.usage_error();
+            }
+        }
+        match operands.next() {
+            Some(_) => cmd.usage_error(),
+            None => Ok(Some(args)),
+        }
+    }
+
+    /// The value of `flag` (empty for a switch); the first occurrence
+    /// wins.
+    fn str(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(self.cmd.value_name(flag).is_some(), "{flag} is not listed");
+        self.flags.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.str(flag).is_some()
+    }
+
+    /// The value of a flag the command requires.
+    fn required(&self, flag: &str) -> &'a str {
+        self.str(flag).expect("the parser checks required flags")
+    }
+
+    /// The typed value of `flag`, `None` when it is absent. A value
+    /// `parse` rejects is a usage error saying what the flag needs.
+    fn get<T>(
+        &self,
+        flag: &str,
+        need: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, CliError> {
+        let bad = |v| CliError(format!("bad {flag} value `{v}` (need {need})"));
+        self.str(flag)
+            .map(|v| parse(v).ok_or_else(|| bad(v)))
+            .transpose()
+    }
+
+    /// The value of a numeric flag, which must lie in `range`.
+    fn num<T: FromStr + PartialOrd>(
+        &self,
+        flag: &str,
+        range: impl RangeBounds<T>,
+        need: &str,
+    ) -> Result<Option<T>, CliError> {
+        self.get(flag, need, |v| v.parse().ok().filter(|n| range.contains(n)))
+    }
+
+    /// A duration in (possibly fractional) seconds. `allow_zero` lets
+    /// `--timeout 0` mean "already expired" — handy for forcing the
+    /// degraded path deterministically.
+    fn secs(&self, flag: &str, allow_zero: bool) -> Result<Option<Duration>, CliError> {
+        let need = match allow_zero {
+            true => "a non-negative number of seconds",
+            false => "a positive number of seconds",
+        };
+        self.get(flag, need, |v| {
+            let secs = Duration::try_from_secs_f64(v.parse().ok()?).ok()?;
+            (allow_zero || !secs.is_zero()).then_some(secs)
+        })
+    }
+
+    /// `-k`, the LUT size for mapping AIG inputs.
+    fn k(&self) -> Result<usize, CliError> {
+        Ok(self.num("-k", 1..=6, "1..=6")?.unwrap_or(6))
+    }
+
+    fn seed(&self) -> Result<u64, CliError> {
+        Ok(self.num("--seed", .., "an unsigned integer")?.unwrap_or(0))
+    }
+
+    /// `--jobs 0` auto-detects the core count; any other value is
+    /// taken literally.
+    fn jobs(&self) -> Result<usize, CliError> {
+        let jobs = self.num("--jobs", .., "a non-negative integer; 0 = auto")?;
+        Ok(match jobs {
+            Some(0) => std::thread::available_parallelism().map_or(1, usize::from),
+            jobs => jobs.unwrap_or(1),
+        })
+    }
+
+    fn cache_budget(&self) -> Result<u64, CliError> {
+        Ok(self
+            .num("--cache-budget", 1.., "a positive byte count")?
+            .unwrap_or(64 << 20))
+    }
+}
+
+/// Dispatches a CLI invocation. Returns the process exit code.
+///
+/// # Errors
+///
+/// Returns [`CliError`] for usage problems and I/O or parse failures.
+pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    let Some(name) = args.first() else {
+        print_help();
+        return Ok(ExitCode::from(64));
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print_help();
+        return Ok(ExitCode::SUCCESS);
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return err(format!("unknown command `{name}`"));
+    };
+    match Args::parse(cmd, args)? {
+        Some(args) => (cmd.run)(&args),
+        None => {
+            print_help();
+            Ok(ExitCode::SUCCESS)
+        }
+    }
+}
+
+fn print_help() {
+    println!("simgen — simulation pattern generation for equivalence checking\n\nUSAGE:");
+    for cmd in COMMANDS {
+        // Continuation lines start under the first operand; the
+        // summary sits in column 43, on a line of its own if need be.
+        let mut line = format!("  simgen {}", cmd.name);
+        let indent = line.len();
+        for word in cmd.synopsis() {
+            if line.len() + 1 + word.len() > 78 {
+                println!("{line}");
+                line = " ".repeat(indent);
+            }
+            line = format!("{line} {word}");
+        }
+        if line.len() > 41 {
+            println!("{line}");
+            line.clear();
+        }
+        println!("{line:43}{}", cmd.about);
+    }
+    print!("{HELP_NOTES}");
+}
+
+const HELP_NOTES: &str = "
+Formats by extension: .aig (binary AIGER), .aag (ASCII AIGER),
+.bench (ISCAS), .blif. Strategies: simgen (default), revs, rand, 1dist.
+A command rejects any flag it does not list above; -j is --jobs.
+
+--jobs 0 uses every core; results never depend on --jobs. --timeout
+bounds the whole run (0 = already expired) and --stall any one proof;
+on expiry the sound partial result is reported. --engine-policy is
+default (also auto or sat-only: one SAT attempt per pair) or bdd-first
+(BDDs within 10 000 nodes, then SAT); --no-incremental gives each pair
+a cold solver, and --rebuild-bloat N restarts a region solver past N
+times its live encoding, 0 = never (docs/solving.md). --certify
+re-checks every engine answer before trusting it
+(docs/certification.md). --fault-seed needs a build with --features
+fault-inject.
+
+--cache-dir keeps a persistent proof cache of at most --cache-budget
+bytes (default 64 MiB, LRU); `cache verify` scrubs one and exits 1 if
+it quarantined a corrupt entry. --checkpoint-dir journals every sweep
+round and --resume replays the journal (docs/recovery.md). `serve`
+answers `submit` from a warm cache behind a unix socket; --mem-budget
+and --stall-horizon cancel runaway jobs, and `health` exits 1 when the
+daemon is degraded. --priority is 0..=9 (default 5); --retry and
+--backoff retry an overloaded daemon (docs/serving.md). --stats-json,
+--trace and --profile write the run report, the event trace and
+folded phase stacks (docs/observability.md).
+
+Exit codes: `cec` 0 equivalent, 1 not equivalent (counterexample
+printed), 2 inconclusive, 3 certification rejected an engine answer;
+`submit` 0, 1 or 2 like `cec`, or 69 when the daemon errs or sheds the
+job; `sweep` 2 if interrupted, 3 on certification failure; `sat`
+10/20; 64 on a usage error.
+";
+
 /// Saves a circuit to a file, converting as required by the target
 /// extension (AIGs write natively; LUT networks only to BLIF).
-pub fn save(circuit: &Circuit, path: &str, k: usize) -> Result<(), CliError> {
+fn save(circuit: &Circuit, path: &str, k: usize) -> Result<(), CliError> {
     let f = File::create(path).map_err(|e| CliError(format!("cannot create `{path}`: {e}")))?;
     let mut w = BufWriter::new(f);
     let io = |e: std::io::Error| CliError(format!("{path}: {e}"));
@@ -72,1016 +405,526 @@ pub fn save(circuit: &Circuit, path: &str, k: usize) -> Result<(), CliError> {
     }
 }
 
-/// Parses `--flag value` style options out of an argument list,
-/// returning (positional, flag lookup results).
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Positional (non-flag) arguments; flags listed in `value_flags`
-/// consume the following token.
-pub fn positionals<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
+fn stats(args: &Args) -> Result<ExitCode, CliError> {
+    let path = args.operands[0];
+    match load(path)? {
+        Circuit::Aig(aig) => {
+            let (pis, ands, pos) = (aig.num_pis(), aig.num_ands(), aig.num_pos());
+            let depth = aig.levels().into_iter().max().unwrap_or(0);
+            let name = aig.name();
+            println!("{path}: AIG `{name}` — {pis} PIs, {ands} ANDs, {pos} POs, depth {depth}");
         }
-        if value_flags.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if a.starts_with("--") || (a.starts_with('-') && a.len() == 2 && !a.starts_with("-.")) {
-            continue;
-        }
-        out.push(a.as_str());
-    }
-    out
-}
-
-const VALUE_FLAGS: [&str; 25] = [
-    "-k",
-    "--engine-policy",
-    "--strategy",
-    "--iters",
-    "--seed",
-    "--jobs",
-    "-j",
-    "--timeout",
-    "--stall",
-    "--stats-json",
-    "--trace",
-    "--fault-seed",
-    "--socket",
-    "--cache-dir",
-    "--cache-budget",
-    "--queue-limit",
-    "--id",
-    "--checkpoint-dir",
-    "--retry",
-    "--backoff",
-    "--default-timeout",
-    "--rebuild-bloat",
-    "--priority",
-    "--mem-budget",
-    "--stall-horizon",
-];
-
-/// Flags that stand alone (no value token follows).
-const BOOL_FLAGS: [&str; 4] = ["--profile", "--certify", "--resume", "--no-incremental"];
-
-/// True for tokens the argument grammar treats as flags (same shape
-/// test [`positionals`] uses to skip them).
-fn looks_like_flag(a: &str) -> bool {
-    a.starts_with("--") || (a.starts_with('-') && a.len() == 2 && !a.starts_with("-."))
-}
-
-/// Rejects flag-shaped tokens that no command understands. Without
-/// this, a typo like `--time 5` would silently drop the flag and turn
-/// `5` into a positional argument.
-fn reject_unknown_flags(args: &[String]) -> Result<(), CliError> {
-    let mut skip = false;
-    for a in args {
-        if skip {
-            // Value of a known flag; `-1` after `--timeout` is a
-            // (bad) value to validate later, not an unknown option.
-            skip = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if BOOL_FLAGS.contains(&a.as_str()) {
-            continue;
-        }
-        if looks_like_flag(a) {
-            return err(format!("unknown option `{a}` (see `simgen help`)"));
+        Circuit::Lut(net) => {
+            let (pis, luts, pos) = (net.num_pis(), net.num_luts(), net.num_pos());
+            let (name, depth) = (net.name(), net.depth());
+            println!(
+                "{path}: LUT network `{name}` — {pis} PIs, {luts} LUTs, {pos} POs, depth {depth}"
+            );
         }
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses a `--timeout`/`--stall` style duration given in (possibly
-/// fractional) seconds. `allow_zero` lets `--timeout 0` mean "already
-/// expired" — handy for forcing the degraded path deterministically.
-fn parse_secs(flag: &str, value: &str, allow_zero: bool) -> Result<Duration, CliError> {
-    value
-        .parse::<f64>()
-        .ok()
-        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
-        .filter(|d| allow_zero || !d.is_zero())
-        .ok_or_else(|| {
-            let need = if allow_zero {
-                "non-negative"
-            } else {
-                "positive"
-            };
-            CliError(format!(
-                "bad {flag} value `{value}` (need a {need} number of seconds)"
-            ))
-        })
+/// `convert` and `map`: the output's extension picks the format.
+fn convert(args: &Args) -> Result<ExitCode, CliError> {
+    let k = args.k()?;
+    let output = args.operands[1];
+    save(&load(args.operands[0])?, output, k)?;
+    println!("wrote {output}");
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Writes whichever observability outputs the command line asked for:
-/// the `RunReport` JSON (`--stats-json`), the event trace as JSON
-/// Lines (`--trace`), and the folded-stack phase profile on stdout
-/// (`--profile`, flamegraph-ready).
-fn write_observability(
-    report: &RunReport,
-    obs: &Observer,
-    stats_json: Option<&str>,
-    trace_path: Option<&str>,
-    profile: bool,
-) -> Result<(), CliError> {
-    if let Some(path) = stats_json {
-        let mut text = report.to_pretty();
-        if !text.ends_with('\n') {
-            text.push('\n');
-        }
-        // Atomic so a concurrent reader (CI, the daemon) never sees
-        // a torn report.
-        simgen_obs::atomic_write(path, text)
-            .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
-        eprintln!("stats: wrote {path}");
-    }
-    if let Some(path) = trace_path {
-        let f = File::create(path).map_err(|e| CliError(format!("cannot create `{path}`: {e}")))?;
-        obs.trace
-            .write_jsonl(BufWriter::new(f))
-            .map_err(|e| CliError(format!("{path}: {e}")))?;
-        eprintln!(
-            "trace: wrote {path} ({} events, {} dropped)",
-            obs.trace.emitted(),
-            obs.trace.dropped()
-        );
-    }
-    if profile {
-        print!("{}", obs.recorder.folded());
-    }
-    Ok(())
-}
-
-/// Dispatches a CLI invocation. Returns the process exit code.
-///
-/// # Errors
-///
-/// Returns [`CliError`] for usage problems and I/O or parse failures.
-pub fn run(args: &[String]) -> Result<ExitCode, CliError> {
-    let Some(cmd) = args.first() else {
-        print_help();
-        return Ok(ExitCode::from(64));
+fn export(args: &Args) -> Result<ExitCode, CliError> {
+    let k = args.k()?;
+    let (input, output) = (args.operands[0], args.operands[1]);
+    let net = load(input)?.into_lut(|aig| map_to_luts(aig, k));
+    let f = File::create(output).map_err(|e| CliError(format!("cannot create `{output}`: {e}")))?;
+    let mut w = BufWriter::new(f);
+    let ext = Path::new(output)
+        .extension()
+        .and_then(|e| e.to_str())
+        .map(str::to_ascii_lowercase);
+    let written = match ext.as_deref() {
+        Some("dot") => simgen_netlist::export::write_dot(&net, &mut w),
+        Some("v") => simgen_netlist::export::write_verilog(&net, &mut w),
+        other => return err(format!("export target must be .dot or .v, got {other:?}")),
     };
-    let rest = &args[1..];
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        print_help();
-        return Ok(ExitCode::SUCCESS);
+    written.map_err(|e| CliError(format!("{output}: {e}")))?;
+    println!("wrote {output}");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn sat(args: &Args) -> Result<ExitCode, CliError> {
+    let path = args.operands[0];
+    let f = File::open(path).map_err(|e| CliError(format!("cannot open `{path}`: {e}")))?;
+    let cnf = Cnf::read_dimacs(BufReader::new(f)).map_err(|e| CliError(format!("{path}: {e}")))?;
+    let mut solver = Solver::from_cnf(&cnf);
+    let (answer, code) = match solver.solve() {
+        SolveResult::Sat => ("SATISFIABLE", 10),
+        SolveResult::Unsat => ("UNSATISFIABLE", 20),
+        SolveResult::Unknown => ("UNKNOWN", 30),
+    };
+    println!("s {answer}");
+    if code == 10 {
+        let lit = |(i, &b): (usize, &bool)| format!("{}{}", if b { "" } else { "-" }, i + 1);
+        let model: Vec<String> = solver.model().iter().enumerate().map(lit).collect();
+        println!("v {} 0", model.join(" "));
     }
-    reject_unknown_flags(rest)?;
-    let k: usize = flag_value(rest, "-k")
-        .map(|v| {
-            v.parse()
-                .ok()
-                .filter(|k| (1..=6).contains(k))
-                .ok_or_else(|| CliError(format!("bad -k value `{v}` (need 1..=6)")))
-        })
-        .transpose()?
-        .unwrap_or(6);
-    let seed: u64 = flag_value(rest, "--seed")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| CliError(format!("bad --seed value `{v}`")))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    // `--jobs 0` auto-detects the core count; any other value is
-    // taken literally.
-    let jobs: usize = flag_value(rest, "--jobs")
-        .or_else(|| flag_value(rest, "-j"))
-        .map(|v| {
-            v.parse::<usize>().ok().ok_or_else(|| {
-                CliError(format!(
-                    "bad --jobs value `{v}` (need a non-negative integer; 0 = auto)"
-                ))
-            })
-        })
-        .transpose()?
-        .map(|j| {
-            if j == 0 {
-                std::thread::available_parallelism().map_or(1, usize::from)
-            } else {
-                j
-            }
-        })
-        .unwrap_or(1);
-    let timeout: Option<Duration> = flag_value(rest, "--timeout")
-        .map(|v| parse_secs("--timeout", v, true))
-        .transpose()?;
-    let stall: Option<Duration> = flag_value(rest, "--stall")
-        .map(|v| parse_secs("--stall", v, false))
-        .transpose()?;
-    let stats_json = flag_value(rest, "--stats-json");
-    let trace_path = flag_value(rest, "--trace");
-    let cache_budget: u64 = flag_value(rest, "--cache-budget")
-        .map(|v| {
-            v.parse::<u64>().ok().filter(|&b| b >= 1).ok_or_else(|| {
-                CliError(format!(
-                    "bad --cache-budget value `{v}` (need a positive byte count)"
-                ))
-            })
-        })
-        .transpose()?
-        .unwrap_or(64 << 20);
-    // `--cache-dir` points sweep/cec (and serve) at a persistent
-    // content-addressed proof cache; repeated structurally identical
-    // queries are answered from it (docs/serving.md).
-    let proof_cache: Option<simgen_cec::ProofCache> = flag_value(rest, "--cache-dir")
-        .filter(|_| cmd == "sweep" || cmd == "cec")
-        .map(|dir| {
-            simgen_cec::ProofCache::persistent(dir, cache_budget)
+    Ok(ExitCode::from(code))
+}
+
+/// What `sweep` and `cec` share: every flag both read, checked before
+/// any file is opened, and the proof cache and journal they name.
+struct Session<'a> {
+    args: &'a Args<'a>,
+    k: usize,
+    cfg: SweepConfig,
+    gen: Box<dyn PatternGenerator>,
+    cache: Option<ProofCache>,
+    journal: Option<SweepJournal>,
+    deadline: Deadline,
+}
+
+impl<'a> Session<'a> {
+    fn new(args: &'a Args<'a>) -> Result<Self, CliError> {
+        let (k, timeout) = (args.k()?, args.secs("--timeout", true)?);
+        let gen = make_strategy(args.str("--strategy").unwrap_or("simgen"), args.seed()?)?;
+        // `--engine-policy` picks the engine ordering per pair;
+        // `--no-incremental` drops back to one cold SAT solver per pair
+        // instead of the shared assumption-scoped region solvers
+        // (docs/solving.md). Verdicts and engine-stripped reports are
+        // identical either way; only the effort counters move.
+        let mode = args.get(
+            "--engine-policy",
+            "default, bdd-first or sat-only",
+            EngineMode::parse,
+        )?;
+        // `--rebuild-bloat N` restarts a region solver whose clause
+        // database outgrows N× its post-seeding footprint (0 = never).
+        let bloat = args.num("--rebuild-bloat", .., "a non-negative integer multiple")?;
+        let cfg = SweepConfig {
+            jobs: args.jobs()?,
+            stall: args.secs("--stall", false)?,
+            certify: args.has("--certify"),
+            engine: EnginePolicy {
+                incremental: !args.has("--no-incremental"),
+                mode: mode.unwrap_or_default(),
+                rebuild_bloat: bloat.unwrap_or(0),
+                ..EnginePolicy::default()
+            },
+            ..SweepConfig::default()
+        };
+        let cache_budget = args.cache_budget()?;
+        // `--checkpoint-dir` journals sweep rounds for crash-safe resume
+        // (docs/recovery.md); `--resume` replays a journal left behind by
+        // an interrupted run instead of discarding it.
+        let resume = args.has("--resume");
+        if resume && !args.has("--checkpoint-dir") {
+            return err("--resume needs --checkpoint-dir DIR (nothing to resume from)");
+        }
+        // `--cache-dir` points the run at a persistent content-addressed
+        // proof cache; repeated structurally identical queries are
+        // answered from it (docs/serving.md).
+        let cache = args.str("--cache-dir").map(|dir| {
+            ProofCache::persistent(dir, cache_budget)
                 .map_err(|e| CliError(format!("cannot open cache dir `{dir}`: {e}")))
-        })
-        .transpose()?;
-    let profile = rest.iter().any(|a| a == "--profile");
-    let certify = rest.iter().any(|a| a == "--certify");
-    // `--engine-policy` picks the engine ordering per pair;
-    // `--no-incremental` drops back to one cold SAT solver per pair
-    // instead of the shared assumption-scoped region solvers
-    // (docs/solving.md). Verdicts and engine-stripped reports are
-    // identical either way; only the effort counters move.
-    let engine_mode: EngineMode = flag_value(rest, "--engine-policy")
-        .map(|v| {
-            EngineMode::parse(v).ok_or_else(|| {
-                CliError(format!(
-                    "bad --engine-policy value `{v}` (expected default|bdd-first|sat-only)"
-                ))
-            })
-        })
-        .transpose()?
-        .unwrap_or_default();
-    // `--rebuild-bloat N` restarts a region solver whose clause
-    // database outgrows N× its post-seeding footprint (0 = never).
-    let rebuild_bloat: u32 = flag_value(rest, "--rebuild-bloat")
-        .map(|v| {
-            v.parse::<u32>().map_err(|_| {
-                CliError(format!(
-                    "bad --rebuild-bloat value `{v}` (need a non-negative integer multiple)"
-                ))
-            })
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let engine = EnginePolicy {
-        incremental: !rest.iter().any(|a| a == "--no-incremental"),
-        mode: engine_mode,
-        rebuild_bloat,
-        ..EnginePolicy::default()
-    };
-    // `--checkpoint-dir` journals sweep rounds for crash-safe resume
-    // (docs/recovery.md); `--resume` replays a journal left behind by
-    // an interrupted run instead of discarding it.
-    let checkpoint_dir = flag_value(rest, "--checkpoint-dir");
-    let resume = rest.iter().any(|a| a == "--resume");
-    if resume && checkpoint_dir.is_none() {
-        return err("--resume needs --checkpoint-dir DIR (nothing to resume from)");
-    }
-    let mut journal: Option<simgen_cec::SweepJournal> = checkpoint_dir
-        .filter(|_| cmd == "sweep" || cmd == "cec")
-        .map(|dir| {
-            simgen_cec::SweepJournal::create(dir, resume)
+        });
+        let cache = cache.transpose()?;
+        let journal = args.str("--checkpoint-dir").map(|dir| {
+            SweepJournal::create(dir, resume)
                 .map_err(|e| CliError(format!("cannot open checkpoint dir `{dir}`: {e}")))
+        });
+        Ok(Session {
+            args,
+            k,
+            cfg,
+            gen,
+            cache,
+            journal: journal.transpose()?,
+            // One deadline for the whole invocation: `--timeout 0` starts
+            // already expired, which degrades every proof phase immediately.
+            deadline: timeout.map(Deadline::after).unwrap_or_default(),
         })
-        .transpose()?;
+    }
+
+    /// Runs `body` under a run context built from this session, then
+    /// writes whichever observability outputs the command line asked
+    /// for: the run report `report` builds for `design` as JSON
+    /// (`--stats-json`), the event trace as JSON Lines (`--trace`), and
+    /// the folded-stack phase profile on stdout (`--profile`,
+    /// flamegraph-ready).
+    fn run<R>(
+        &mut self,
+        (net, path): (&LutNetwork, &str),
+        body: impl FnOnce(&mut dyn PatternGenerator, &mut RunContext<'_>) -> Result<R, CliError>,
+        report: fn(RunMeta, &SweepConfig, &R, &Observer) -> RunReport,
+    ) -> Result<R, CliError> {
+        let args = self.args;
+        // A journaled run records counters unconditionally: the round
+        // snapshots must be truthful so that a later `--resume
+        // --stats-json` restores the same totals an uninterrupted run
+        // would report.
+        let record = args.has("--stats-json") || args.has("--profile") || self.journal.is_some();
+        let mut ctx = RunContext {
+            deadline: self.deadline.clone(),
+            obs: Observer::with(record, args.has("--trace")),
+            cache: self.cache.as_ref(),
+            journal: self.journal.as_mut(),
+        };
+        let result = body(self.gen.as_mut(), &mut ctx)?;
+        let obs = ctx.obs;
+        if let Some(out) = args.str("--stats-json") {
+            let meta = RunMeta {
+                command: args.cmd.name.to_string(),
+                argv: args.argv.to_vec(),
+                design: design_info(net, &design_name(path), path),
+            };
+            let text = report(meta, &self.cfg, &result, &obs).to_pretty();
+            // Atomic so a concurrent reader (CI, the daemon) never sees
+            // a torn report.
+            simgen_obs::atomic_write(out, text)
+                .map_err(|e| CliError(format!("cannot write `{out}`: {e}")))?;
+            eprintln!("stats: wrote {out}");
+        }
+        if let Some(out) = args.str("--trace") {
+            let f =
+                File::create(out).map_err(|e| CliError(format!("cannot create `{out}`: {e}")))?;
+            obs.trace
+                .write_jsonl(BufWriter::new(f))
+                .map_err(|e| CliError(format!("{out}: {e}")))?;
+            let (emitted, dropped) = (obs.trace.emitted(), obs.trace.dropped());
+            eprintln!("trace: wrote {out} ({emitted} events, {dropped} dropped)");
+        }
+        if args.has("--profile") {
+            print!("{}", obs.recorder.folded());
+        }
+        Ok(result)
+    }
+}
+
+fn sweep(args: &Args) -> Result<ExitCode, CliError> {
+    let iters = args.num("--iters", .., "a non-negative integer")?;
     // Validate --fault-seed eagerly, like every other flag: a bad
     // value or a build without the feature is an error, never a
     // silently ignored option.
-    let fault_seed: Option<u64> = flag_value(rest, "--fault-seed")
-        .map(|v| {
-            v.parse().map_err(|_| {
-                CliError(format!(
-                    "bad --fault-seed value `{v}` (need an unsigned integer)"
-                ))
-            })
-        })
-        .transpose()?;
+    let fault_seed: Option<u64> = args.num("--fault-seed", .., "an unsigned integer")?;
     #[cfg(not(feature = "fault-inject"))]
     if fault_seed.is_some() {
         return err("--fault-seed requires the fault-inject feature \
              (rebuild with --features fault-inject)");
     }
-    if fault_seed.is_some() && cmd != "sweep" {
-        return err("--fault-seed is only supported by `sweep`");
-    }
     // Injected faults quarantine pairs nondeterministically, which a
     // resumed journal would then replay as truth — refuse the combo.
-    if fault_seed.is_some() && checkpoint_dir.is_some() {
+    if fault_seed.is_some() && args.has("--checkpoint-dir") {
         return err("--fault-seed cannot be combined with --checkpoint-dir");
     }
-    // One deadline for the whole invocation: `--timeout 0` starts
-    // already expired, which degrades every proof phase immediately.
-    let deadline = timeout.map(Deadline::after).unwrap_or_default();
-    let pos = positionals(rest, &VALUE_FLAGS);
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(ExitCode::SUCCESS)
+    let mut session = Session::new(args)?;
+    if let Some(iters) = iters {
+        session.cfg.guided_iterations = iters;
+    }
+    let path = args.operands[0];
+    let net = load(path)?.into_lut(|aig| map_to_luts(aig, session.k));
+    // The sweeper's reports are scheduling-invariant, so every --jobs
+    // value (including the default 1, which runs inline without
+    // threads) prints byte-identical classes and proof counts.
+    #[allow(unused_mut)]
+    let mut sweeper = Sweeper::new(session.cfg);
+    #[cfg(feature = "fault-inject")]
+    if let Some(seed) = fault_seed {
+        sweeper = sweeper.with_fault_plan(simgen_cec::FaultPlan::from_seed(seed));
+    }
+    let report = session.run(
+        (&net, path),
+        |gen, ctx| Ok(sweeper.run(&net, gen, ctx)),
+        sweep_run_report,
+    )?;
+    let (luts, stats) = (net.num_luts(), &report.stats);
+    let (strategy, jobs) = (session.gen.name(), session.cfg.jobs);
+    println!("{path}: {luts} LUTs | strategy {strategy} | jobs {jobs}");
+    println!("  cost after simulation : {}", report.cost_after_sim);
+    println!("  SAT calls             : {}", stats.sat_calls);
+    println!("  SAT time              : {:?}", stats.sat_time);
+    println!("  sim phase time        : {:?}", stats.total_sim_phase());
+    println!("  proven equivalent     : {}", stats.proved_equivalent);
+    println!("  disproved             : {}", stats.disproved);
+    println!("  unresolved            : {}", report.unresolved.len());
+    if let Some(d) = &stats.dispatch {
+        let (rounds, proofs, steals) = (d.rounds, d.total_proofs(), d.total_steals());
+        println!("  dispatch              : {rounds} rounds, {proofs} proofs, {steals} steals");
+        let (quarantined, panics) = (d.quarantined, d.total_panics());
+        if panics > 0 || quarantined > 0 {
+            println!("  quarantined           : {quarantined} pairs ({panics} worker panics)");
         }
-        "stats" => {
-            let [path] = pos[..] else {
-                return err("usage: simgen stats <file>");
-            };
-            match load(path)? {
-                Circuit::Aig(aig) => {
-                    let depth = aig.levels().into_iter().max().unwrap_or(0);
-                    println!(
-                        "{path}: AIG `{}` — {} PIs, {} ANDs, {} POs, depth {}",
-                        aig.name(),
-                        aig.num_pis(),
-                        aig.num_ands(),
-                        aig.num_pos(),
-                        depth
-                    );
-                }
-                Circuit::Lut(net) => {
-                    println!(
-                        "{path}: LUT network `{}` — {} PIs, {} LUTs, {} POs, depth {}",
-                        net.name(),
-                        net.num_pis(),
-                        net.num_luts(),
-                        net.num_pos(),
-                        net.depth()
-                    );
-                }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "export" => {
-            let [input, output] = pos[..] else {
-                return err("usage: simgen export <in> <out.dot|out.v> [-k K]");
-            };
-            let net = load(input)?.into_lut(|aig| map_to_luts(aig, k));
-            let f = File::create(output)
-                .map_err(|e| CliError(format!("cannot create `{output}`: {e}")))?;
-            let mut w = BufWriter::new(f);
-            let ext = Path::new(output)
-                .extension()
-                .and_then(|e| e.to_str())
-                .map(str::to_ascii_lowercase);
-            match ext.as_deref() {
-                Some("dot") => simgen_netlist::export::write_dot(&net, &mut w)
-                    .map_err(|e| CliError(format!("{output}: {e}")))?,
-                Some("v") => simgen_netlist::export::write_verilog(&net, &mut w)
-                    .map_err(|e| CliError(format!("{output}: {e}")))?,
-                other => return err(format!("export target must be .dot or .v, got {other:?}")),
-            }
-            println!("wrote {output}");
-            Ok(ExitCode::SUCCESS)
-        }
-        "sat" => {
-            let [path] = pos[..] else {
-                return err("usage: simgen sat <file.cnf>");
-            };
-            let f = File::open(path).map_err(|e| CliError(format!("cannot open `{path}`: {e}")))?;
-            let cnf = Cnf::read_dimacs(BufReader::new(f))
-                .map_err(|e| CliError(format!("{path}: {e}")))?;
-            let mut solver = Solver::from_cnf(&cnf);
-            match solver.solve() {
-                SolveResult::Sat => {
-                    let model: Vec<String> = solver
-                        .model()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &b)| {
-                            if b {
-                                format!("{}", i + 1)
-                            } else {
-                                format!("-{}", i + 1)
-                            }
-                        })
-                        .collect();
-                    println!("s SATISFIABLE");
-                    println!("v {} 0", model.join(" "));
-                    Ok(ExitCode::from(10))
-                }
-                SolveResult::Unsat => {
-                    println!("s UNSATISFIABLE");
-                    Ok(ExitCode::from(20))
-                }
-                SolveResult::Unknown => {
-                    println!("s UNKNOWN");
-                    Ok(ExitCode::from(30))
-                }
-            }
-        }
-        "convert" | "map" => {
-            let [input, output] = pos[..] else {
-                return err(format!("usage: simgen {cmd} <in> <out> [-k K]"));
-            };
-            let circuit = load(input)?;
-            save(&circuit, output, k)?;
-            println!("wrote {output}");
-            Ok(ExitCode::SUCCESS)
-        }
-        "sweep" => {
-            let [path] = pos[..] else {
-                return err("usage: simgen sweep <file> [--strategy S] [--iters N] [-k K]");
-            };
-            let net = load(path)?.into_lut(|aig| map_to_luts(aig, k));
-            let strategy = flag_value(rest, "--strategy").unwrap_or("simgen");
-            let iters: usize = flag_value(rest, "--iters")
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad --iters `{v}`")))
-                })
-                .transpose()?
-                .unwrap_or(20);
-            let mut gen = make_strategy(strategy, seed)?;
-            let cfg = SweepConfig {
-                guided_iterations: iters,
-                jobs,
-                stall,
-                certify,
-                engine,
-                ..SweepConfig::default()
-            };
-            // The sweeper's reports are scheduling-invariant, so
-            // every --jobs value (including the default 1, which runs
-            // inline without threads) prints byte-identical classes
-            // and proof counts. A journaled run records counters
-            // unconditionally: the round snapshots must be truthful so
-            // that a later `--resume --stats-json` restores the same
-            // totals an uninterrupted run would report.
-            let mut ctx = RunContext {
-                deadline,
-                obs: Observer::with(
-                    stats_json.is_some() || profile || journal.is_some(),
-                    trace_path.is_some(),
-                ),
-                cache: proof_cache.as_ref(),
-                journal: journal.as_mut(),
-            };
-            #[allow(unused_mut)]
-            let mut sweeper = Sweeper::new(cfg);
-            #[cfg(feature = "fault-inject")]
-            if let Some(fseed) = fault_seed {
-                sweeper = sweeper.with_fault_plan(simgen_cec::FaultPlan::from_seed(fseed));
-            }
-            let report = sweeper.run(&net, gen.as_mut(), &mut ctx);
-            let run_report = sweep_run_report(
-                RunMeta {
-                    command: "sweep".to_string(),
-                    argv: args.to_vec(),
-                    design: design_info(&net, &design_name(path), path),
-                },
-                &cfg,
-                &report,
-                &ctx.obs,
-            );
-            write_observability(&run_report, &ctx.obs, stats_json, trace_path, profile)?;
+    }
+    // Certification failure outranks a mere interruption: an engine
+    // answer was rejected, which the caller must not mistake for an
+    // ordinary timeout.
+    let rejected = stats.certification_failures;
+    if rejected > 0 {
+        println!("  CERTIFICATION FAILED: {rejected} engine answer(s) rejected and quarantined");
+        return Ok(ExitCode::from(3));
+    }
+    if report.interrupted {
+        println!("  INTERRUPTED: deadline expired; classes above are partial");
+        return Ok(ExitCode::from(2));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cec(args: &Args) -> Result<ExitCode, CliError> {
+    let mut session = Session::new(args)?;
+    let (pa, pb) = (args.operands[0], args.operands[1]);
+    let na = load(pa)?.into_lut(|aig| map_to_luts(aig, session.k));
+    let nb = load(pb)?.into_lut(|aig| map_to_luts(aig, session.k));
+    let cfg = session.cfg;
+    let report = session.run(
+        (&na, pa),
+        |gen, ctx| check_equivalence(&na, &nb, gen, cfg, ctx).map_err(|e| CliError(e.to_string())),
+        cec_run_report,
+    )?;
+    let cert_failures = report.sweep_stats.certification_failures;
+    match report.verdict {
+        CecVerdict::Equivalent => {
             println!(
-                "{path}: {} LUTs | strategy {} | jobs {jobs}",
-                net.num_luts(),
-                gen.name()
+                "EQUIVALENT ({} sweep SAT calls)",
+                report.sweep_stats.sat_calls
             );
-            println!("  cost after simulation : {}", report.cost_after_sim);
-            println!("  SAT calls             : {}", report.stats.sat_calls);
-            println!("  SAT time              : {:?}", report.stats.sat_time);
-            println!(
-                "  sim phase time        : {:?}",
-                report.stats.total_sim_phase()
-            );
-            println!(
-                "  proven equivalent     : {}",
-                report.stats.proved_equivalent
-            );
-            println!("  disproved             : {}", report.stats.disproved);
-            println!("  unresolved            : {}", report.unresolved.len());
-            if let Some(d) = &report.stats.dispatch {
+            // An equivalence verdict built on top of rejected engine
+            // answers is not trustworthy, even though the output
+            // proofs themselves went through.
+            if cert_failures > 0 {
                 println!(
-                    "  dispatch              : {} rounds, {} proofs, {} steals",
-                    d.rounds,
-                    d.total_proofs(),
-                    d.total_steals()
-                );
-                if d.total_panics() > 0 || d.quarantined > 0 {
-                    println!(
-                        "  quarantined           : {} pairs ({} worker panics)",
-                        d.quarantined,
-                        d.total_panics()
-                    );
-                }
-            }
-            // Certification failure outranks a mere interruption:
-            // an engine answer was rejected, which the caller must
-            // not mistake for an ordinary timeout.
-            if report.stats.certification_failures > 0 {
-                println!(
-                    "  CERTIFICATION FAILED: {} engine answer(s) rejected and quarantined",
-                    report.stats.certification_failures
+                    "CERTIFICATION FAILED: {cert_failures} engine answer(s) rejected \
+                     during the sweep"
                 );
                 return Ok(ExitCode::from(3));
             }
-            if report.interrupted {
-                println!("  INTERRUPTED: deadline expired; classes above are partial");
-                return Ok(ExitCode::from(2));
-            }
             Ok(ExitCode::SUCCESS)
         }
-        "cec" => {
-            let [pa, pb] = pos[..] else {
-                return err("usage: simgen cec <a> <b> [--strategy S] [-k K]");
-            };
-            let na = load(pa)?.into_lut(|aig| map_to_luts(aig, k));
-            let nb = load(pb)?.into_lut(|aig| map_to_luts(aig, k));
-            let strategy = flag_value(rest, "--strategy").unwrap_or("simgen");
-            let mut gen = make_strategy(strategy, seed)?;
-            let cfg = SweepConfig {
-                jobs,
-                stall,
-                certify,
-                engine,
-                ..SweepConfig::default()
-            };
-            // See the sweep arm: journaled runs always count, so the
-            // journal's counter snapshots stay truthful for resume.
-            let mut ctx = RunContext {
-                deadline,
-                obs: Observer::with(
-                    stats_json.is_some() || profile || journal.is_some(),
-                    trace_path.is_some(),
-                ),
-                cache: proof_cache.as_ref(),
-                journal: journal.as_mut(),
-            };
-            let report = check_equivalence(&na, &nb, gen.as_mut(), cfg, &mut ctx)
-                .map_err(|e| CliError(e.to_string()))?;
-            let run_report = cec_run_report(
-                RunMeta {
-                    command: "cec".to_string(),
-                    argv: args.to_vec(),
-                    design: design_info(&na, &design_name(pa), pa),
-                },
-                &cfg,
-                &report,
-                &ctx.obs,
-            );
-            write_observability(&run_report, &ctx.obs, stats_json, trace_path, profile)?;
-            let cert_failures = report.sweep_stats.certification_failures;
-            match report.verdict {
-                CecVerdict::Equivalent => {
-                    println!(
-                        "EQUIVALENT ({} sweep SAT calls)",
-                        report.sweep_stats.sat_calls
-                    );
-                    // An equivalence verdict built on top of rejected
-                    // engine answers is not trustworthy, even though
-                    // the output proofs themselves went through.
-                    if cert_failures > 0 {
-                        println!(
-                            "CERTIFICATION FAILED: {cert_failures} engine answer(s) rejected \
-                             during the sweep"
-                        );
-                        return Ok(ExitCode::from(3));
-                    }
-                    Ok(ExitCode::SUCCESS)
-                }
-                CecVerdict::NotEquivalent { po_index, witness } => {
-                    // A counterexample is definitive: under --certify
-                    // it was replayed through the reference simulator
-                    // before this verdict was reached.
-                    let bits: String = witness.iter().map(|&b| if b { '1' } else { '0' }).collect();
-                    println!("NOT EQUIVALENT: output pair {po_index} differs on input {bits}");
-                    Ok(ExitCode::from(1))
-                }
-                CecVerdict::Inconclusive {
-                    unresolved_pairs,
-                    reason,
-                } => {
-                    let why = match reason {
-                        InconclusiveReason::DeadlineExpired => "deadline expired",
-                        InconclusiveReason::BudgetExhausted => "SAT budget exhausted",
-                        InconclusiveReason::ResourceExhausted => "memory budget exhausted",
-                        InconclusiveReason::CertificationFailed => "certification failed",
-                    };
-                    let pairs: Vec<String> =
-                        unresolved_pairs.iter().map(usize::to_string).collect();
-                    println!(
-                        "INCONCLUSIVE ({why}): {} unresolved output pair(s): {}",
-                        pairs.len(),
-                        pairs.join(" ")
-                    );
-                    println!("note: no inequivalence was found; the result is a sound partial one");
-                    if cert_failures > 0 {
-                        return Ok(ExitCode::from(3));
-                    }
-                    Ok(ExitCode::from(2))
-                }
-            }
+        CecVerdict::NotEquivalent { po_index, witness } => {
+            // A counterexample is definitive: under --certify it was
+            // replayed through the reference simulator before this
+            // verdict was reached.
+            let bits: String = witness.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            println!("NOT EQUIVALENT: output pair {po_index} differs on input {bits}");
+            Ok(ExitCode::from(1))
         }
-        "bench" => {
-            let [name, output] = pos[..] else {
-                return err("usage: simgen bench <name> <out>");
+        CecVerdict::Inconclusive {
+            unresolved_pairs,
+            reason,
+        } => {
+            let why = match reason {
+                InconclusiveReason::DeadlineExpired => "deadline expired",
+                InconclusiveReason::BudgetExhausted => "SAT budget exhausted",
+                InconclusiveReason::ResourceExhausted => "memory budget exhausted",
+                InconclusiveReason::CertificationFailed => "certification failed",
             };
-            let aig =
-                build_aig(name).ok_or_else(|| CliError(format!("unknown benchmark `{name}`")))?;
-            save(&Circuit::Aig(aig), output, k)?;
-            println!("wrote {output}");
-            Ok(ExitCode::SUCCESS)
+            let pairs: Vec<String> = unresolved_pairs.iter().map(usize::to_string).collect();
+            let (n, pairs) = (pairs.len(), pairs.join(" "));
+            println!("INCONCLUSIVE ({why}): {n} unresolved output pair(s): {pairs}");
+            println!("note: no inequivalence was found; the result is a sound partial one");
+            if cert_failures > 0 {
+                return Ok(ExitCode::from(3));
+            }
+            Ok(ExitCode::from(2))
         }
-        "list-benchmarks" => {
-            for b in all_benchmarks() {
-                println!("{:10} [{}]", b.name, b.suite);
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "serve" => {
-            if !pos.is_empty() {
-                return err("usage: simgen serve --socket PATH [--cache-dir DIR] \
-                     [--cache-budget BYTES] [--queue-limit N] [--checkpoint-dir DIR] \
-                     [--default-timeout SECS] [--mem-budget BYTES] [--stall-horizon SECS]");
-            }
-            let Some(socket) = flag_value(rest, "--socket") else {
-                return err("simgen serve needs --socket PATH");
-            };
-            let mut opts = simgen_serve::ServeOptions::new(socket);
-            opts.cache_budget = cache_budget;
-            if let Some(dir) = flag_value(rest, "--cache-dir") {
-                opts.cache_dir = Some(dir.into());
-            }
-            if let Some(v) = flag_value(rest, "--queue-limit") {
-                opts.queue_limit =
-                    v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError(format!(
-                            "bad --queue-limit value `{v}` (need a positive integer)"
-                        ))
-                    })?;
-            }
-            if let Some(dir) = flag_value(rest, "--checkpoint-dir") {
-                opts.checkpoint_dir = Some(dir.into());
-            }
-            // Deadline applied to jobs that don't name their own
-            // timeout, so one runaway proof can't wedge the executor.
-            opts.default_timeout = flag_value(rest, "--default-timeout")
-                .map(|v| parse_secs("--default-timeout", v, false))
-                .transpose()?
-                .map(|d| d.as_secs_f64());
-            // Per-job memory budget: jobs whose estimated resident set
-            // crosses it are cancelled with `resource_exhausted`
-            // instead of taking the daemon down with them.
-            opts.mem_budget = flag_value(rest, "--mem-budget")
-                .map(|v| {
-                    v.parse::<u64>().ok().filter(|&b| b >= 1).ok_or_else(|| {
-                        CliError(format!(
-                            "bad --mem-budget value `{v}` (need a positive byte count)"
-                        ))
-                    })
-                })
-                .transpose()?;
-            // Stall watchdog: a job making no proof progress for this
-            // long is killed and quarantined; the daemon keeps serving.
-            opts.stall_horizon = flag_value(rest, "--stall-horizon")
-                .map(|v| parse_secs("--stall-horizon", v, false))
-                .transpose()?
-                .map(|d| d.as_secs_f64());
-            simgen_serve::install_signal_handlers();
-            let server = simgen_serve::Server::start(opts)
-                .map_err(|e| CliError(format!("cannot start daemon: {e}")))?;
-            eprintln!("serve: listening on {socket} (SIGTERM drains and exits)");
-            let stats = server.stats_handle();
-            server.join();
-            use std::sync::atomic::Ordering::Relaxed;
-            eprintln!(
-                "serve: drained — {} jobs ({} hits, {} replayed), {} rejected, {} errors, \
-                 {} recovered",
-                stats.jobs_done.load(Relaxed),
-                stats.job_hits.load(Relaxed),
-                stats.replayed.load(Relaxed),
-                stats.rejected.load(Relaxed),
-                stats.errors.load(Relaxed),
-                stats.recovered.load(Relaxed),
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "status" => {
-            if !pos.is_empty() {
-                return err("usage: simgen status --socket PATH");
-            }
-            let Some(socket) = flag_value(rest, "--socket") else {
-                return err("simgen status needs --socket PATH");
-            };
-            let status = simgen_serve::query_status(Path::new(socket))
-                .map_err(|e| CliError(format!("status query to `{socket}`: {e}")))?;
-            println!("daemon at {socket}: healthy");
-            println!("  queue depth : {}", status.queue_depth);
-            println!("  jobs done   : {}", status.jobs_done);
-            println!("  job hits    : {}", status.job_hits);
-            println!("  replayed    : {}", status.replayed);
-            println!("  rejected    : {}", status.rejected);
-            println!("  errors      : {}", status.errors);
-            println!("  recovered   : {}", status.recovered);
-            println!("  retries     : {}", status.retries);
-            println!(
-                "  degraded    : {}",
-                if status.degraded {
-                    "yes (cache breaker open, memory-only)"
-                } else {
-                    "no"
-                }
-            );
-            Ok(ExitCode::SUCCESS)
-        }
-        "health" => {
-            // Resource-governance snapshot: queue pressure, breaker
-            // state, shed/cancel totals, memory headroom. Exit 1 when
-            // degraded so probes can alert on it.
-            if !pos.is_empty() {
-                return err("usage: simgen health --socket PATH");
-            }
-            let Some(socket) = flag_value(rest, "--socket") else {
-                return err("simgen health needs --socket PATH");
-            };
-            let health = simgen_serve::query_health(Path::new(socket))
-                .map_err(|e| CliError(format!("health query to `{socket}`: {e}")))?;
-            println!(
-                "daemon at {socket}: {}",
-                if health.degraded {
-                    "degraded (cache breaker open, memory-only)"
-                } else {
-                    "healthy"
-                }
-            );
-            println!("  queue depth       : {}", health.queue_depth);
-            println!("  jobs shed         : {}", health.jobs_shed);
-            println!("  jobs oom-cancelled: {}", health.jobs_oom_cancelled);
-            println!("  watchdog kills    : {}", health.watchdog_kills);
-            println!("  breaker trips     : {}", health.breaker_trips);
-            match (health.mem_budget, health.mem_headroom) {
-                (Some(budget), Some(headroom)) => {
-                    println!("  mem budget        : {budget} bytes");
-                    println!("  mem headroom      : {headroom} bytes");
-                }
-                _ => println!("  mem budget        : unlimited"),
-            }
-            Ok(if health.degraded {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            })
-        }
-        "cache" => {
-            // `simgen cache verify <dir>`: standalone integrity scrub
-            // of a persistent proof-cache directory. The daemon and
-            // the cached flows run the same scrub on open; this is
-            // the operator-facing version for cron jobs and triage.
-            match pos[..] {
-                ["verify", dir] => {
-                    let report = simgen_cache::scrub(dir)
-                        .map_err(|e| CliError(format!("cannot scrub `{dir}`: {e}")))?;
-                    println!(
-                        "{dir}: {} valid entr{}, {} quarantined",
-                        report.valid,
-                        if report.valid == 1 { "y" } else { "ies" },
-                        report.quarantined.len()
-                    );
-                    for path in &report.quarantined {
-                        println!("  quarantined {}", path.display());
-                    }
-                    if report.quarantined.is_empty() {
-                        Ok(ExitCode::SUCCESS)
-                    } else {
-                        Ok(ExitCode::from(1))
-                    }
-                }
-                _ => err("usage: simgen cache verify <dir>"),
-            }
-        }
-        "submit" => {
-            let [pa, pb] = pos[..] else {
-                return err("usage: simgen submit <a> <b> --socket PATH [--id X] \
-                     [--strategy S] [-k K] [--seed N] [--jobs N] [--timeout SECS] [--certify] \
-                     [--priority P] [--retry N] [--backoff MS]");
-            };
-            let Some(socket) = flag_value(rest, "--socket") else {
-                return err("simgen submit needs --socket PATH");
-            };
-            let retries: u32 = flag_value(rest, "--retry")
-                .map(|v| {
-                    v.parse().map_err(|_| {
-                        CliError(format!(
-                            "bad --retry value `{v}` (need a non-negative integer)"
-                        ))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let backoff_ms: u64 = flag_value(rest, "--backoff")
-                .map(|v| {
-                    v.parse::<u64>().ok().filter(|&ms| ms >= 1).ok_or_else(|| {
-                        CliError(format!(
-                            "bad --backoff value `{v}` (need a positive millisecond count)"
-                        ))
-                    })
-                })
-                .transpose()?
-                .unwrap_or(100);
-            // Scheduling-only: a higher priority is served first and
-            // sheds lower-priority queued work under pressure; it
-            // never changes the verdict or the report.
-            let priority: u8 = flag_value(rest, "--priority")
-                .map(|v| {
-                    v.parse::<u8>()
-                        .ok()
-                        .filter(|&p| p <= simgen_serve::MAX_PRIORITY)
-                        .ok_or_else(|| CliError(format!("bad --priority value `{v}` (need 0..=9)")))
-                })
-                .transpose()?
-                .unwrap_or(simgen_serve::DEFAULT_PRIORITY);
-            let request = simgen_serve::JobRequest {
-                id: flag_value(rest, "--id").unwrap_or("job").to_string(),
-                a: pa.to_string(),
-                b: pb.to_string(),
-                strategy: flag_value(rest, "--strategy")
-                    .unwrap_or("simgen")
-                    .to_string(),
-                seed,
-                k,
-                jobs,
-                timeout: timeout.map(|d| d.as_secs_f64()),
-                certify,
-                priority,
-            };
-            // `overloaded` means the daemon's queue was full at that
-            // instant — the one daemon answer that is worth retrying.
-            // Jittered exponential backoff so a burst of rejected
-            // clients doesn't re-converge on the same instant.
-            let mut attempt: u32 = 0;
-            let line = loop {
-                let line = simgen_serve::submit(Path::new(socket), &request)
-                    .map_err(|e| CliError(format!("submit to `{socket}`: {e}")))?;
-                let overloaded = simgen_obs::Json::parse(&line).is_ok_and(|resp| {
-                    resp.get("error").and_then(simgen_obs::Json::as_str) == Some("overloaded")
-                });
-                if !overloaded || attempt >= retries {
-                    break line;
-                }
-                attempt += 1;
-                let base = backoff_ms << (attempt - 1).min(6);
-                let jitter = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| u64::from(d.subsec_nanos()) % base.max(1));
-                eprintln!("submit: daemon overloaded, retry {attempt}/{retries} in {base} ms");
-                std::thread::sleep(Duration::from_millis(base + jitter));
-            };
-            // The raw response (JSON, report included) goes to stdout
-            // for scripting; the exit code mirrors `simgen cec`.
-            println!("{line}");
-            let resp = simgen_obs::Json::parse(&line)
-                .map_err(|e| CliError(format!("malformed daemon response: {e}")))?;
-            if let Some(msg) = resp.get("error").and_then(simgen_obs::Json::as_str) {
-                eprintln!("submit: daemon error: {msg}");
-                // EX_UNAVAILABLE-style: distinct from the verdict codes.
-                return Ok(ExitCode::from(69));
-            }
-            match resp.get("status").and_then(simgen_obs::Json::as_str) {
-                Some("equivalent") => Ok(ExitCode::SUCCESS),
-                Some("not_equivalent") => Ok(ExitCode::from(1)),
-                Some("inconclusive") => Ok(ExitCode::from(2)),
-                // Load-shed by the daemon (preempted or queue deadline
-                // passed): unavailable, like a daemon-side error.
-                Some("shed") => {
-                    eprintln!(
-                        "submit: job shed by the daemon ({})",
-                        resp.get("reason")
-                            .and_then(simgen_obs::Json::as_str)
-                            .unwrap_or("unknown")
-                    );
-                    Ok(ExitCode::from(69))
-                }
-                other => err(format!("daemon response without a status: {other:?}")),
-            }
-        }
-        other => err(format!("unknown command `{other}`")),
     }
 }
 
-fn print_help() {
-    println!(
-        "simgen — simulation pattern generation for equivalence checking
+fn bench(args: &Args) -> Result<ExitCode, CliError> {
+    let k = args.k()?;
+    let (name, output) = (args.operands[0], args.operands[1]);
+    let aig = build_aig(name).ok_or_else(|| CliError(format!("unknown benchmark `{name}`")))?;
+    save(&Circuit::Aig(aig), output, k)?;
+    println!("wrote {output}");
+    Ok(ExitCode::SUCCESS)
+}
 
-USAGE:
-  simgen stats <file>                      sizes/depth of a circuit file
-  simgen convert <in> <out> [-k K]         convert between aig/aag/bench/blif
-  simgen map <in> <out.blif> [-k K]        LUT-map an AIG file to BLIF
-  simgen export <in> <out.dot|out.v> [-k K]  Graphviz / structural Verilog
-  simgen sat <file.cnf>                    solve a DIMACS CNF (exit 10/20)
-  simgen sweep <file> [--strategy S] [--iters N] [-k K] [--seed N] [--jobs N]
-                      [--timeout SECS] [--stall SECS] [--certify]
-                      [--engine-policy P] [--no-incremental] [--rebuild-bloat N]
-                      [--checkpoint-dir DIR] [--resume]
-                      [--fault-seed N] [--stats-json PATH] [--trace PATH]
-                      [--profile]
-  simgen cec <a> <b> [--strategy S] [-k K] [--seed N] [--jobs N]
-                     [--timeout SECS] [--stall SECS] [--certify]
-                     [--engine-policy P] [--no-incremental] [--rebuild-bloat N]
-                     [--cache-dir DIR] [--cache-budget BYTES]
-                     [--checkpoint-dir DIR] [--resume]
-                     [--stats-json PATH] [--trace PATH] [--profile]
-  simgen serve --socket PATH [--cache-dir DIR] [--cache-budget BYTES]
-               [--queue-limit N] [--checkpoint-dir DIR] [--default-timeout SECS]
-               [--mem-budget BYTES] [--stall-horizon SECS]
-                                           run the CEC daemon (docs/serving.md)
-  simgen submit <a> <b> --socket PATH [--id X] [--strategy S] [-k K]
-                [--seed N] [--jobs N] [--timeout SECS] [--certify]
-                [--priority P] [--retry N] [--backoff MS]
-                                           send one job to a running daemon
-  simgen status --socket PATH              health/recovery stats of a daemon
-  simgen health --socket PATH              resource-governance snapshot
-  simgen cache verify <dir>                scrub a proof-cache directory
-  simgen bench <name> <out>                emit a built-in benchmark circuit
-  simgen list-benchmarks                   list the 42 built-in benchmarks
+fn list_benchmarks(_: &Args) -> Result<ExitCode, CliError> {
+    for b in all_benchmarks() {
+        println!("{:10} [{}]", b.name, b.suite);
+    }
+    Ok(ExitCode::SUCCESS)
+}
 
-Formats by extension: .aig (binary AIGER), .aag (ASCII AIGER),
-.bench (ISCAS), .blif. Strategies: simgen (default), revs, rand, 1dist.
---jobs/-j N runs the SAT-resolution phase on N worker threads and
-splits large simulation blocks across the same pool (results are
-byte-identical for any N); --jobs 0 auto-detects the core count.
-
-Engine policy: sweep/cec give each candidate pair that survives
-simulation one proof attempt, with the engines --engine-policy picks.
-`default` (also spelled `auto` or `sat-only`) runs one SAT attempt and
-never consults BDDs; `bdd-first` first tries BDDs within a 10 000-node
-limit and falls back to SAT when the limit trips. SAT queries share
-one long-lived assumption-scoped solver per fanin region, so later
-pairs in a region warm-start on the cone encoding, the learnt clauses
-and the proven equalities of earlier ones (docs/solving.md);
---no-incremental reverts to a cold solver per pair. --rebuild-bloat N
-restarts a region solver whose clause database grows past N times its
-live encoding (0 = never), bounding memory on long regions. Verdicts
-and engine-stripped reports are identical across policies and both
-solver modes — only effort counters (conflicts, warm_solves,
-clauses_reused) move.
-
-Proof cache: --cache-dir DIR makes sweep/cec answer structurally
-repeated queries from a persistent content-addressed store instead of
-the solver, bounded by --cache-budget BYTES (default 64 MiB, LRU).
-Cached counterexamples are replayed before reuse; under --certify a
-cached equivalence is only trusted after its stored DRAT proof passes
-the independent checker. `serve` keeps the same cache warm behind a
-unix socket; `submit` prints the daemon's JSON response and exits with
-the `cec` code mapping (69 for daemon-side errors, e.g. overloaded;
---retry N --backoff MS retries overloaded rejections with jittered
-exponential backoff first). Every on-disk entry is checksummed; open
-scrubs the directory and quarantines corrupt files (`cache verify`
-runs the same scrub standalone, exit 1 if anything was quarantined).
-
-Resource governance: `serve --mem-budget BYTES` cancels any job whose
-estimated resident set (clause database + lane tables + proof log)
-crosses the budget, answering `inconclusive`/`resource_exhausted`
-instead of dying of OOM; `--stall-horizon SECS` kills and quarantines
-jobs making no proof progress for that long. `submit --priority P`
-(0..=9, default 5) orders the queue; under pressure the daemon sheds
-the lowest-priority queued job with an explicit `shed` answer, and
-jobs whose queue wait exceeds their deadline are shed instead of run.
-Repeated cache I/O errors trip a circuit breaker to memory-only
-caching (`degraded` in `status`, periodic re-probe to recover).
-`health` reports queue depth, breaker state, shed/cancel/kill totals,
-and memory headroom, exiting 1 when degraded (docs/serving.md).
-
-Crash safety: --checkpoint-dir DIR journals every sweep round; after a
-crash, rerunning with --resume replays the journal and re-proves only
-the unresolved work, with a final report byte-identical to an
-uninterrupted run (docs/recovery.md). `serve --checkpoint-dir` also
-writes per-job manifests: a restarted daemon re-executes interrupted
-jobs (resuming their journals) before new work, retries transient
-failures with backoff, and reports recovery totals via `status`.
-
-Anytime operation: --timeout SECS bounds the whole run by a wall-clock
-deadline; --stall SECS aborts any single proof making no progress for
-that long. On expiry the tool reports the sound partial result it has.
-
-Trust-but-verify: --certify double-checks every engine answer — UNSAT
-proofs are re-validated by an independent DRAT checker, and every
-counterexample is replayed through the reference simulator — before
-any class is refined (see docs/certification.md). Pairs whose evidence
-fails the check are quarantined, never merged. --fault-seed N
-(requires building with --features fault-inject) deterministically
-injects worker faults for chaos testing; sweep only.
-
-Observability: --stats-json PATH writes a simgen-run-report/5 JSON
-document (schema: docs/observability.md); --trace PATH writes the
-event trace as JSON Lines; --profile prints per-phase folded stacks
-on stdout (pipe into a flamegraph tool).
-
-Exit codes for `cec`: 0 equivalent, 1 not equivalent (counterexample
-printed), 2 inconclusive (deadline or SAT budget ran out before all
-output pairs were resolved), 3 certification rejected an engine answer
-under --certify. `sweep` exits 2 if interrupted, 3 on certification
-failure."
+fn serve(args: &Args) -> Result<ExitCode, CliError> {
+    let socket = args.required("--socket");
+    let mut opts = simgen_serve::ServeOptions::new(socket);
+    opts.cache_dir = args.str("--cache-dir").map(Into::into);
+    opts.cache_budget = args.cache_budget()?;
+    if let Some(limit) = args.num("--queue-limit", 1.., "a positive integer")? {
+        opts.queue_limit = limit;
+    }
+    opts.checkpoint_dir = args.str("--checkpoint-dir").map(Into::into);
+    // Deadline applied to jobs that don't name their own timeout, so
+    // one runaway proof can't wedge the executor.
+    let default_timeout = args.secs("--default-timeout", false)?;
+    opts.default_timeout = default_timeout.map(|d| d.as_secs_f64());
+    // Per-job memory budget: jobs whose estimated resident set crosses
+    // it are cancelled with `resource_exhausted` instead of taking the
+    // daemon down with them.
+    opts.mem_budget = args.num("--mem-budget", 1.., "a positive byte count")?;
+    // Stall watchdog: a job making no proof progress for this long is
+    // killed and quarantined; the daemon keeps serving.
+    let stall_horizon = args.secs("--stall-horizon", false)?;
+    opts.stall_horizon = stall_horizon.map(|d| d.as_secs_f64());
+    simgen_serve::install_signal_handlers();
+    let server = simgen_serve::Server::start(opts)
+        .map_err(|e| CliError(format!("cannot start daemon: {e}")))?;
+    eprintln!("serve: listening on {socket} (SIGTERM drains and exits)");
+    let stats = server.stats_handle();
+    server.join();
+    use std::sync::atomic::Ordering::Relaxed;
+    eprintln!(
+        "serve: drained — {} jobs ({} hits, {} replayed), {} rejected, {} errors, \
+         {} recovered",
+        stats.jobs_done.load(Relaxed),
+        stats.job_hits.load(Relaxed),
+        stats.replayed.load(Relaxed),
+        stats.rejected.load(Relaxed),
+        stats.errors.load(Relaxed),
+        stats.recovered.load(Relaxed),
     );
+    Ok(ExitCode::SUCCESS)
+}
+
+fn status(args: &Args) -> Result<ExitCode, CliError> {
+    let socket = args.required("--socket");
+    let status = simgen_serve::query_status(Path::new(socket))
+        .map_err(|e| CliError(format!("status query to `{socket}`: {e}")))?;
+    println!("daemon at {socket}: healthy");
+    println!("  queue depth : {}", status.queue_depth);
+    println!("  jobs done   : {}", status.jobs_done);
+    println!("  job hits    : {}", status.job_hits);
+    println!("  replayed    : {}", status.replayed);
+    println!("  rejected    : {}", status.rejected);
+    println!("  errors      : {}", status.errors);
+    println!("  recovered   : {}", status.recovered);
+    println!("  retries     : {}", status.retries);
+    let degraded = match status.degraded {
+        true => "yes (cache breaker open, memory-only)",
+        false => "no",
+    };
+    println!("  degraded    : {degraded}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Resource-governance snapshot: queue pressure, breaker state,
+/// shed/cancel totals, memory headroom. Exit 1 when degraded so probes
+/// can alert on it.
+fn health(args: &Args) -> Result<ExitCode, CliError> {
+    let socket = args.required("--socket");
+    let health = simgen_serve::query_health(Path::new(socket))
+        .map_err(|e| CliError(format!("health query to `{socket}`: {e}")))?;
+    let state = match health.degraded {
+        true => "degraded (cache breaker open, memory-only)",
+        false => "healthy",
+    };
+    println!("daemon at {socket}: {state}");
+    println!("  queue depth       : {}", health.queue_depth);
+    println!("  jobs shed         : {}", health.jobs_shed);
+    println!("  jobs oom-cancelled: {}", health.jobs_oom_cancelled);
+    println!("  watchdog kills    : {}", health.watchdog_kills);
+    println!("  breaker trips     : {}", health.breaker_trips);
+    match (health.mem_budget, health.mem_headroom) {
+        (Some(budget), Some(headroom)) => {
+            println!("  mem budget        : {budget} bytes");
+            println!("  mem headroom      : {headroom} bytes");
+        }
+        _ => println!("  mem budget        : unlimited"),
+    }
+    Ok(ExitCode::from(u8::from(health.degraded)))
+}
+
+/// `simgen cache verify <dir>`: standalone integrity scrub of a
+/// persistent proof-cache directory. The daemon and the cached flows
+/// run the same scrub on open; this is the operator-facing version for
+/// cron jobs and triage.
+fn cache_verify(args: &Args) -> Result<ExitCode, CliError> {
+    let dir = args.operands[1];
+    let report =
+        simgen_cache::scrub(dir).map_err(|e| CliError(format!("cannot scrub `{dir}`: {e}")))?;
+    println!(
+        "{dir}: {} valid entr{}, {} quarantined",
+        report.valid,
+        if report.valid == 1 { "y" } else { "ies" },
+        report.quarantined.len()
+    );
+    for path in &report.quarantined {
+        println!("  quarantined {}", path.display());
+    }
+    Ok(ExitCode::from(u8::from(!report.quarantined.is_empty())))
+}
+
+fn submit(args: &Args) -> Result<ExitCode, CliError> {
+    let socket = args.required("--socket");
+    let retries = args.num("--retry", .., "a non-negative integer")?;
+    let backoff = args.num("--backoff", 1.., "a positive millisecond count")?;
+    let (retries, backoff_ms): (u32, u64) = (retries.unwrap_or(0), backoff.unwrap_or(100));
+    // Scheduling-only: a higher priority is served first and sheds
+    // lower-priority queued work under pressure; it never changes the
+    // verdict or the report.
+    let priority = args.num("--priority", ..=simgen_serve::MAX_PRIORITY, "0..=9")?;
+    let request = simgen_serve::JobRequest {
+        id: args.str("--id").unwrap_or("job").to_string(),
+        a: args.operands[0].to_string(),
+        b: args.operands[1].to_string(),
+        strategy: args.str("--strategy").unwrap_or("simgen").to_string(),
+        seed: args.seed()?,
+        k: args.k()?,
+        jobs: args.jobs()?,
+        timeout: args.secs("--timeout", true)?.map(|d| d.as_secs_f64()),
+        certify: args.has("--certify"),
+        priority: priority.unwrap_or(simgen_serve::DEFAULT_PRIORITY),
+    };
+    // `overloaded` means the daemon's queue was full at that instant —
+    // the one daemon answer that is worth retrying. Jittered
+    // exponential backoff so a burst of rejected clients doesn't
+    // re-converge on the same instant.
+    let mut attempt: u32 = 0;
+    let line = loop {
+        let line = simgen_serve::submit(Path::new(socket), &request)
+            .map_err(|e| CliError(format!("submit to `{socket}`: {e}")))?;
+        let overloaded = Json::parse(&line)
+            .is_ok_and(|resp| resp.get("error").and_then(Json::as_str) == Some("overloaded"));
+        if !overloaded || attempt >= retries {
+            break line;
+        }
+        attempt += 1;
+        let base = backoff_ms << (attempt - 1).min(6);
+        let jitter = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| u64::from(d.subsec_nanos()) % base.max(1));
+        eprintln!("submit: daemon overloaded, retry {attempt}/{retries} in {base} ms");
+        std::thread::sleep(Duration::from_millis(base + jitter));
+    };
+    // The raw response (JSON, report included) goes to stdout for
+    // scripting; the exit code mirrors `simgen cec`.
+    println!("{line}");
+    let resp =
+        Json::parse(&line).map_err(|e| CliError(format!("malformed daemon response: {e}")))?;
+    if let Some(msg) = resp.get("error").and_then(Json::as_str) {
+        eprintln!("submit: daemon error: {msg}");
+        // EX_UNAVAILABLE-style: distinct from the verdict codes.
+        return Ok(ExitCode::from(69));
+    }
+    match resp.get("status").and_then(Json::as_str) {
+        Some("equivalent") => Ok(ExitCode::SUCCESS),
+        Some("not_equivalent") => Ok(ExitCode::from(1)),
+        Some("inconclusive") => Ok(ExitCode::from(2)),
+        // Load-shed by the daemon (preempted or queue deadline passed):
+        // unavailable, like a daemon-side error.
+        Some("shed") => {
+            eprintln!(
+                "submit: job shed by the daemon ({})",
+                resp.get("reason")
+                    .and_then(Json::as_str)
+                    .unwrap_or("unknown")
+            );
+            Ok(ExitCode::from(69))
+        }
+        other => err(format!("daemon response without a status: {other:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -1102,14 +945,86 @@ mod tests {
         assert!(format_of("noext").is_err());
     }
 
+    /// Parses `argv` against its command's table entry.
+    fn parse(argv: &[String]) -> Args<'_> {
+        let cmd = COMMANDS.iter().find(|c| c.name == argv[0]).unwrap();
+        Args::parse(cmd, argv)
+            .expect("valid command line")
+            .expect("no --help")
+    }
+
     #[test]
     fn flag_parsing() {
-        let args = s(&["sweep.blif", "--strategy", "revs", "-k", "4", "-j", "8"]);
-        assert_eq!(flag_value(&args, "--strategy"), Some("revs"));
-        assert_eq!(flag_value(&args, "-k"), Some("4"));
-        assert_eq!(flag_value(&args, "--iters"), None);
-        assert_eq!(flag_value(&args, "-j"), Some("8"));
-        assert_eq!(positionals(&args, &VALUE_FLAGS), vec!["sweep.blif"]);
+        let argv = s(&[
+            "sweep",
+            "sweep.blif",
+            "--strategy",
+            "revs",
+            "-k",
+            "4",
+            "-j",
+            "8",
+        ]);
+        let args = parse(&argv);
+        assert_eq!(args.str("--strategy"), Some("revs"));
+        assert_eq!(args.str("-k"), Some("4"));
+        assert_eq!(args.str("--iters"), None);
+        assert_eq!(args.str("--jobs"), Some("8"));
+        assert_eq!(args.operands, vec!["sweep.blif"]);
+    }
+
+    #[test]
+    fn a_flag_value_is_never_read_as_a_flag() {
+        let argv = s(&["sweep", "x.blif", "--stats-json", "--profile"]);
+        let args = parse(&argv);
+        assert_eq!(args.str("--stats-json"), Some("--profile"));
+        assert!(!args.has("--profile"));
+        let argv = s(&["submit", "a", "b", "--socket", "s", "--id", "--certify"]);
+        let args = parse(&argv);
+        assert_eq!(args.str("--id"), Some("--certify"));
+        assert!(!args.has("--certify"));
+    }
+
+    #[test]
+    fn every_command_rejects_flags_it_does_not_read() {
+        let dir = std::env::temp_dir().join(format!("simgen_cli_grammar_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (a, b, socket) = (p("a.aag"), p("b.aag"), p("sock"));
+        for (argv, flag) in [
+            (s(&["stats", &a, "--jobs", "4"]), "--jobs"),
+            (s(&["sat", &p("f.cnf"), "--certify"]), "--certify"),
+            (
+                s(&["convert", &a, &b, "--stats-json", &p("r")]),
+                "--stats-json",
+            ),
+            (s(&["cec", &a, &b, "--iters", "5"]), "--iters"),
+            (
+                s(&["serve", "--socket", &socket, "--timeout", "5"]),
+                "--timeout",
+            ),
+            (s(&["status", "--socket", &socket, "--jobs", "2"]), "--jobs"),
+            (
+                s(&[
+                    "submit",
+                    &a,
+                    &b,
+                    "--socket",
+                    &socket,
+                    "--engine-policy",
+                    "bdd-first",
+                ]),
+                "--engine-policy",
+            ),
+        ] {
+            let msg = run(&argv).expect_err("an unread flag is a usage error").0;
+            let names_both = msg.contains(&format!("unknown option `{flag}`"))
+                && msg.contains(&format!("`simgen {}`", argv[0]));
+            assert!(names_both, "{argv:?}: {msg}");
+        }
+        // The parser failed before any file, socket or directory was
+        // touched: the inputs were never read and nothing was created.
+        assert!(!dir.exists());
     }
 
     #[test]

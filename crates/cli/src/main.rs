@@ -1,18 +1,6 @@
 //! `simgen` — command-line front end for the SimGen reproduction.
-//!
-//! ```text
-//! simgen stats <file>                      sizes/depth of a circuit file
-//! simgen convert <in> <out>                convert between aig/aag/bench/blif
-//! simgen map <in> <out> [-k K]             LUT-map an AIG file to BLIF
-//! simgen sweep <file> [--strategy S]       sweep and report SAT effort
-//! simgen cec <a> <b> [--strategy S]        check two designs for equivalence
-//! simgen bench <name> <out>                emit a built-in benchmark circuit
-//! simgen list-benchmarks                   list the 42 built-in benchmarks
-//! ```
-//!
-//! Formats are inferred from extensions: `.aig` (binary AIGER),
-//! `.aag` (ASCII AIGER), `.bench` (ISCAS), `.blif`. Strategies:
-//! `simgen` (default), `revs`, `rand`, `1dist`.
+//! `simgen help` lists every command with its operands and the flags
+//! it takes.
 
 use std::process::ExitCode;
 

@@ -13,8 +13,7 @@
 //! value — the polarity random simulation rarely exercises — while
 //! still keeping both polarities present in the class.
 
-use simgen_netlist::{LutNetwork, NodeId};
-use simgen_sim::signal_probabilities;
+use simgen_netlist::NodeId;
 
 /// Assigns alternating OUTgold values to a class, ordered by node id:
 /// the lowest id gets `0`, the next `1`, and so on.
@@ -36,10 +35,11 @@ pub fn uniform(class: &[NodeId], value: bool) -> Vec<(NodeId, bool)> {
 
 /// Topology-aware OUTgold (the paper's suggested extension): each
 /// target gets its statically *less probable* value per
-/// [`signal_probabilities`], so the requested behaviour is the one
-/// random patterns under-sample. If that leaves the class
-/// single-polarity (useless for splitting), the node whose
-/// probability is closest to ½ is flipped to restore both polarities.
+/// [`signal_probabilities`](simgen_sim::signal_probabilities), so the
+/// requested behaviour is the one random patterns under-sample. If
+/// that leaves the class single-polarity (useless for splitting), the
+/// node whose probability is closest to ½ is flipped to restore both
+/// polarities.
 ///
 /// `probs` are precomputed signal probabilities for the whole
 /// network (compute once per sweep, reuse across classes).
@@ -67,12 +67,6 @@ pub fn topology_aware(class: &[NodeId], probs: &[f64]) -> Vec<(NodeId, bool)> {
         golds[flip].1 = !golds[flip].1;
     }
     golds
-}
-
-/// Convenience wrapper computing probabilities internally (prefer
-/// precomputing with [`signal_probabilities`] in loops).
-pub fn topology_aware_of(net: &LutNetwork, class: &[NodeId]) -> Vec<(NodeId, bool)> {
-    topology_aware(class, &signal_probabilities(net))
 }
 
 /// Runtime-adaptive OUTgold (the paper's other suggested extension):

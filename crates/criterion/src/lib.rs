@@ -157,9 +157,6 @@ impl Criterion {
     pub fn configure_from_args(self) -> Self {
         self
     }
-
-    /// Upstream parity no-op (final summary hook).
-    pub fn final_summary(&self) {}
 }
 
 /// A group of benchmarks sharing a name prefix and sample size.

@@ -285,11 +285,6 @@ impl<T> FairQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True once [`FairQueue::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
 }
 
 #[cfg(test)]

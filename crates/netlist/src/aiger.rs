@@ -10,7 +10,7 @@
 //! with latches returns a parse error rather than silently dropping
 //! sequential behaviour.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 
 use crate::aig::{Aig, AigLit, AigVar};
 use crate::error::NetlistError;
@@ -394,16 +394,6 @@ fn read_symbols<'a>(aig: &mut Aig, lines: impl Iterator<Item = &'a str>) {
     if !comment_text.is_empty() {
         aig.set_name(comment_text);
     }
-}
-
-/// Reads an AIGER file from a buffered reader (convenience wrapper
-/// over [`read`]).
-///
-/// # Errors
-///
-/// Same as [`read`].
-pub fn read_buf<R: BufRead>(r: R) -> Result<Aig, NetlistError> {
-    read(r)
 }
 
 #[cfg(test)]

@@ -64,15 +64,6 @@ pub fn cone_pis(net: &LutNetwork, root: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// Membership bitmap for the fanin cone of `root`, indexed by node id.
-pub fn fanin_cone_mask(net: &LutNetwork, root: NodeId) -> Vec<bool> {
-    let mut mask = vec![false; net.len()];
-    for n in fanin_cone_dfs(net, root) {
-        mask[n.index()] = true;
-    }
-    mask
-}
-
 /// Membership bitmap of the transitive fanout cone of `root`
 /// (excluding `root` itself), indexed by node id.
 pub fn fanout_cone_mask(net: &LutNetwork, root: NodeId) -> Vec<bool> {

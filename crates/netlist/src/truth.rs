@@ -524,11 +524,6 @@ impl Cube {
         (!self.care & ((1u16 << arity) - 1) as u8).count_ones()
     }
 
-    /// Number of specified inputs.
-    pub fn specified_count(&self) -> u32 {
-        self.care.count_ones()
-    }
-
     /// True if the complete minterm `m` lies inside this cube.
     pub fn contains_minterm(&self, m: u64) -> bool {
         (m as u8 ^ self.values) & self.care == 0

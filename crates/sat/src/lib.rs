@@ -10,11 +10,8 @@
 //!   Luby restarts and learnt-clause reduction. Supports assumptions
 //!   and conflict budgets (both essential for sweeping, which issues
 //!   many small queries and must bail out of hard ones).
-//! * [`SatBackend`] — the incremental-solver surface consumers program
-//!   against (variables, clauses, assumption queries, budgets), so the
-//!   encoder and sweep provers are engine-agnostic.
 //! * [`Scope`] / [`ScopeMetrics`] — assumption-scoped miters over one
-//!   long-lived backend: activation-literal guarded clauses, per-scope
+//!   long-lived solver: activation-literal guarded clauses, per-scope
 //!   queries, retire-by-unit, and the clause-reuse counters the run
 //!   report exposes.
 //! * [`Cnf`] — a clause container with DIMACS read/write.
@@ -36,7 +33,6 @@
 //! assert_eq!(solver.value(b), Some(true));
 //! ```
 
-pub mod backend;
 pub mod cnf;
 pub mod drat;
 pub mod heap;
@@ -45,7 +41,6 @@ pub mod scope;
 pub mod solver;
 pub mod tseitin;
 
-pub use backend::SatBackend;
 pub use cnf::Cnf;
 pub use drat::{Certificate, DratError, ProofStep};
 pub use lit::{Lit, Var};

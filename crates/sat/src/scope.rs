@@ -1,5 +1,5 @@
 //! Assumption scopes: activation-literal miters over one long-lived
-//! backend.
+//! solver.
 //!
 //! Incremental sweeping keeps a single solver per fanin region and
 //! runs every candidate-pair miter through it. Each miter lives in a
@@ -19,22 +19,21 @@
 //!   learnt clause remains a logical consequence of the formula and
 //!   DRAT certificates stay checkable across the whole query history.
 
-use crate::backend::SatBackend;
 use crate::lit::Lit;
-use crate::solver::SolveResult;
+use crate::solver::{SolveResult, Solver};
 
-/// Reuse metrics of one scoped backend, in the units the run report's
+/// Reuse metrics of one scoped solver, in the units the run report's
 /// counters use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScopeMetrics {
-    /// Assumption scopes opened (one per miter routed to this backend).
+    /// Assumption scopes opened (one per miter routed to this solver).
     pub scopes_opened: u64,
     /// Learnt clauses already live at each scope open, summed — the
     /// knowledge later miters inherit from earlier ones. Zero for a
     /// cold (fresh-per-pair) solver, strictly positive once clause
     /// reuse actually happens.
     pub clauses_reused: u64,
-    /// Queries answered by a backend that had already served an
+    /// Queries answered by a solver that had already served an
     /// earlier pair (warm starts).
     pub warm_solves: u64,
 }
@@ -61,14 +60,14 @@ impl std::ops::Sub for ScopeMetrics {
     }
 }
 
-/// One activation-literal scope on a [`SatBackend`].
+/// One activation-literal scope on a [`Solver`].
 ///
 /// ```
-/// use simgen_sat::{Lit, Scope, ScopeMetrics, SolveResult, Solver, SatBackend};
+/// use simgen_sat::{Lit, Scope, ScopeMetrics, SolveResult, Solver};
 ///
 /// let mut s = Solver::new();
 /// let mut m = ScopeMetrics::default();
-/// let x = SatBackend::new_var(&mut s);
+/// let x = s.new_var();
 /// let scope = Scope::open(&mut s, &mut m);
 /// scope.add_clause(&mut s, &[Lit::pos(x)]);
 /// // Inside the scope x is forced; outside it is free.
@@ -84,11 +83,11 @@ pub struct Scope {
 impl Scope {
     /// Opens a scope: allocates the activation variable and records
     /// how much learnt knowledge the new miter starts with.
-    pub fn open<B: SatBackend>(backend: &mut B, metrics: &mut ScopeMetrics) -> Scope {
+    pub fn open(solver: &mut Solver, metrics: &mut ScopeMetrics) -> Scope {
         metrics.scopes_opened += 1;
-        metrics.clauses_reused += backend.num_learnts() as u64;
+        metrics.clauses_reused += solver.num_learnts() as u64;
         Scope {
-            act: backend.new_var(),
+            act: solver.new_var(),
         }
     }
 
@@ -99,31 +98,31 @@ impl Scope {
 
     /// Adds `clause` guarded by this scope (`¬act ∨ clause`): it only
     /// constrains queries that assume the scope's activation literal.
-    pub fn add_clause<B: SatBackend>(&self, backend: &mut B, clause: &[Lit]) -> bool {
+    pub fn add_clause(&self, solver: &mut Solver, clause: &[Lit]) -> bool {
         let mut guarded = Vec::with_capacity(clause.len() + 1);
         guarded.push(Lit::neg(self.act));
         guarded.extend_from_slice(clause);
-        backend.add_clause(&guarded)
+        solver.add_clause(&guarded)
     }
 
     /// Solves with this scope active plus any extra assumptions.
-    pub fn solve<B: SatBackend>(
+    pub fn solve(
         &self,
-        backend: &mut B,
+        solver: &mut Solver,
         extra_assumptions: &[Lit],
         conflict_budget: Option<u64>,
     ) -> SolveResult {
         let mut assumptions = Vec::with_capacity(extra_assumptions.len() + 1);
         assumptions.push(self.activation());
         assumptions.extend_from_slice(extra_assumptions);
-        backend.solve_limited(&assumptions, conflict_budget)
+        solver.solve_limited(&assumptions, conflict_budget)
     }
 
     /// Retires the scope: the unit `¬act` permanently satisfies every
     /// guarded clause, deactivating the miter while keeping the cone
     /// encoding and learnt clauses for the region's next pair.
-    pub fn retire<B: SatBackend>(self, backend: &mut B) {
-        backend.add_clause(&[Lit::neg(self.act)]);
+    pub fn retire(self, solver: &mut Solver) {
+        solver.add_clause(&[Lit::neg(self.act)]);
     }
 }
 
@@ -131,12 +130,11 @@ impl Scope {
 mod tests {
     use super::*;
     use crate::lit::Var;
-    use crate::solver::Solver;
 
     /// PHP(n, n-1) clauses over fresh variables — conflict fuel.
     fn scoped_pigeonhole(s: &mut Solver, scope: &Scope, n: u32) {
         let h = n - 1;
-        let vars: Vec<Var> = (0..n * h).map(|_| SatBackend::new_var(s)).collect();
+        let vars: Vec<Var> = (0..n * h).map(|_| s.new_var()).collect();
         let v = |i: u32, j: u32| vars[(i * h + j) as usize];
         for i in 0..n {
             let clause: Vec<Lit> = (0..h).map(|j| Lit::pos(v(i, j))).collect();
@@ -155,7 +153,7 @@ mod tests {
     fn scopes_isolate_contradictory_miters() {
         let mut s = Solver::new();
         let mut m = ScopeMetrics::default();
-        let x = SatBackend::new_var(&mut s);
+        let x = s.new_var();
         let pos = Scope::open(&mut s, &mut m);
         pos.add_clause(&mut s, &[Lit::pos(x)]);
         let neg = Scope::open(&mut s, &mut m);
@@ -174,7 +172,7 @@ mod tests {
     fn retiring_deactivates_without_asserting_the_negation() {
         let mut s = Solver::new();
         let mut m = ScopeMetrics::default();
-        let x = SatBackend::new_var(&mut s);
+        let x = s.new_var();
         let scope = Scope::open(&mut s, &mut m);
         scope.add_clause(&mut s, &[Lit::pos(x)]);
         assert_eq!(

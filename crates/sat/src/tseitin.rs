@@ -13,8 +13,8 @@
 
 use simgen_netlist::{LutNetwork, NodeId, NodeKind};
 
-use crate::backend::SatBackend;
 use crate::lit::{Lit, Var};
+use crate::solver::Solver;
 
 /// Incremental encoder mapping network nodes to solver variables.
 #[derive(Clone, Debug)]
@@ -42,12 +42,7 @@ impl NetworkEncoder {
     ///
     /// Panics if `node` does not belong to the network the encoder was
     /// created for.
-    pub fn encode_cone<B: SatBackend>(
-        &mut self,
-        net: &LutNetwork,
-        solver: &mut B,
-        node: NodeId,
-    ) -> Var {
+    pub fn encode_cone(&mut self, net: &LutNetwork, solver: &mut Solver, node: NodeId) -> Var {
         if let Some(v) = self.vars[node.index()] {
             return v;
         }
@@ -103,7 +98,7 @@ impl NetworkEncoder {
     /// unencoded PIs (outside every encoded cone) to `false`.
     ///
     /// Call only after a `Sat` answer.
-    pub fn extract_input_vector<B: SatBackend>(&self, net: &LutNetwork, solver: &B) -> Vec<bool> {
+    pub fn extract_input_vector(&self, net: &LutNetwork, solver: &Solver) -> Vec<bool> {
         net.pis()
             .iter()
             .map(|&pi| {

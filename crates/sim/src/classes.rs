@@ -124,19 +124,6 @@ impl EquivClasses {
     pub fn num_members(&self) -> usize {
         self.classes.iter().map(Vec::len).sum()
     }
-
-    /// Removes a class by index and returns it (used when a class is
-    /// fully resolved by SAT).
-    pub fn take_class(&mut self, index: usize) -> Vec<NodeId> {
-        self.classes.remove(index)
-    }
-
-    /// Replaces the class set wholesale (used after SAT-driven
-    /// merging restructures the partition).
-    pub fn set_classes(&mut self, classes: Vec<Vec<NodeId>>) {
-        self.classes = classes.into_iter().filter(|c| c.len() > 1).collect();
-        self.classes.sort_by_key(|c| c.iter().min().copied());
-    }
 }
 
 #[cfg(test)]

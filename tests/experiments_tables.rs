@@ -125,3 +125,27 @@ fn sat_reuse_table_matches_the_artifact() {
         "EXPERIMENTS.md sat_reuse should state {headline:?}"
     );
 }
+
+#[test]
+fn figure7_final_costs_match_the_artifact() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let report = Json::parse(&repo_file("results/BENCH_figure7.json")).expect("valid json");
+    let metrics = report.get("metrics").expect("metrics section");
+    for bmk in ["apex2", "cps"] {
+        let cells = table_row(&doc, "## Figure 7", &format!("| {bmk} |"));
+        let strategies = ["rands", "rands_revs", "rands_simgen"];
+        assert_eq!(cells.len(), strategies.len(), "{bmk}: {cells:?}");
+        for (cell, strategy) in cells.iter().zip(strategies) {
+            let key = format!("{bmk}_{strategy}_final_cost");
+            let cost = metrics
+                .get(&key)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{key} missing"));
+            assert_eq!(
+                leading_number(cell),
+                cost.to_string(),
+                "EXPERIMENTS.md Figure 7 vs results/BENCH_figure7.json {key}"
+            );
+        }
+    }
+}
