@@ -1,9 +1,10 @@
 //! Loading a circuit file in the format its extension names — the one
-//! loader the command-line tool and the serve daemon share.
+//! loader the command-line tool and the serve daemon share. It comes in
+//! two steps, [`read`] and [`parse`], so a caller can look at a file's
+//! bytes before (or instead of) parsing them.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader};
+use std::io;
 use std::path::Path;
 
 use crate::{aiger, bench_fmt, blif, Aig, LutNetwork, NetlistError};
@@ -37,6 +38,28 @@ impl Circuit {
         match self {
             Circuit::Aig(aig) => map(&aig),
             Circuit::Lut(net) => net,
+        }
+    }
+
+    /// Number of primary inputs.
+    pub fn num_pis(&self) -> usize {
+        match self {
+            Circuit::Aig(aig) => aig.num_pis(),
+            Circuit::Lut(net) => net.num_pis(),
+        }
+    }
+
+    /// Evaluates the primary outputs, in order, on one input
+    /// assignment. Mapping preserves PIs, POs and their functions, so
+    /// this agrees with `eval_pos` of the mapped network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != num_pis()`.
+    pub fn eval_pos(&self, inputs: &[bool]) -> Vec<bool> {
+        match self {
+            Circuit::Aig(aig) => aig.eval(inputs),
+            Circuit::Lut(net) => net.eval_pos(inputs),
         }
     }
 }
@@ -84,16 +107,24 @@ pub fn format_of(path: &str) -> Result<Format, LoadError> {
     }
 }
 
-/// Opens `path` and parses it, streamed through a buffered reader, in
-/// the format [`format_of`] infers. The open comes first, so a missing
-/// file is reported as such whatever its extension.
-pub fn load(path: &str) -> Result<Circuit, LoadError> {
-    let file = File::open(path).map_err(|e| LoadError::Open(path.to_string(), e))?;
-    let r = BufReader::new(file);
+/// Reads the whole file at `path`. Its format is not checked yet, so
+/// a missing file is reported as such whatever its extension.
+pub fn read(path: &str) -> Result<Vec<u8>, LoadError> {
+    std::fs::read(path).map_err(|e| LoadError::Open(path.to_string(), e))
+}
+
+/// Parses `bytes`, read from `path`, in the format [`format_of`] infers
+/// from the path.
+pub fn parse(path: &str, bytes: &[u8]) -> Result<Circuit, LoadError> {
     let circuit = match format_of(path)? {
-        Format::AigBinary | Format::AigAscii => aiger::read(r).map(Circuit::Aig),
-        Format::Bench => bench_fmt::read(r).map(Circuit::Aig),
-        Format::Blif => blif::read(r).map(Circuit::Lut),
+        Format::AigBinary | Format::AigAscii => aiger::read(bytes).map(Circuit::Aig),
+        Format::Bench => bench_fmt::read(bytes).map(Circuit::Aig),
+        Format::Blif => blif::read(bytes).map(Circuit::Lut),
     };
     circuit.map_err(|e| LoadError::Parse(path.to_string(), e))
+}
+
+/// [`read`] then [`parse`].
+pub fn load(path: &str) -> Result<Circuit, LoadError> {
+    parse(path, &read(path)?)
 }

@@ -31,6 +31,14 @@
 //! inequivalence (replay is always required for counterexamples; an
 //! entry that fails replay is evicted and the job re-proved live).
 //!
+//! Finding that entry needs the structural key, which needs both
+//! circuits parsed and mapped. The executor remembers, in memory, which
+//! key each request's exact file contents and config led to (the
+//! *request index*), so a repeat reads its two files and hashes them
+//! instead: an equivalent hit is answered without parsing, an
+//! inequivalent one parses both files to replay the witness but never
+//! maps them.
+//!
 //! Under `certify` the stored report is never trusted as a
 //! short-cut: the job re-runs against the pair-level cache, where
 //! every cached equivalence must pass the independent DRAT checker
@@ -80,7 +88,8 @@
 //! shedding/cancellation totals, and memory headroom.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -96,7 +105,7 @@ use simgen_cec::{
 use simgen_core::make_strategy;
 use simgen_dispatch::{FairQueue, Popped, PushError};
 use simgen_mapping::map_to_luts;
-use simgen_netlist::load::{load, LoadError};
+use simgen_netlist::load::{self, Circuit, LoadError};
 use simgen_netlist::LutNetwork;
 use simgen_obs::{atomic_write, Counter, Observer};
 
@@ -129,6 +138,9 @@ pub fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     let handler = on_signal as *const () as usize;
+    // SAFETY: `handler` is `on_signal`, an `extern "C" fn(i32)` as
+    // `signal` expects, and all it does is one atomic store, which is
+    // async-signal-safe.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
@@ -269,6 +281,9 @@ struct ExecCtx {
     default_timeout: Option<f64>,
     mem_budget: Option<u64>,
     stall_horizon: Option<f64>,
+    /// The request index: request key → structural job key. Only the
+    /// executor thread touches it.
+    index: HashMap<CacheKey, CacheKey>,
 }
 
 /// What every reader thread shares: the queue it feeds and everything
@@ -321,24 +336,25 @@ impl Server {
 
         let executor = {
             let queue = Arc::clone(&queue);
-            let ctx = ExecCtx {
+            let mut ctx = ExecCtx {
                 cache: Arc::clone(&cache),
                 stats: Arc::clone(&stats),
                 checkpoint: opts.checkpoint_dir.clone(),
                 default_timeout: opts.default_timeout,
                 mem_budget: opts.mem_budget,
                 stall_horizon: opts.stall_horizon,
+                index: HashMap::new(),
             };
             std::thread::spawn(move || {
                 // Jobs a previous incarnation died holding run first:
                 // the socket is already accepting, so resubmissions
                 // queue up behind the recovery and hit its cached
                 // results.
-                recover_interrupted(&ctx);
+                recover_interrupted(&mut ctx);
                 while let Some((_client, popped)) = queue.pop() {
                     match popped {
                         Popped::Ready(job) => {
-                            let line = execute_job(&ctx, &job.request);
+                            let line = execute_job(&mut ctx, &job.request);
                             write_line(&job.writer, &line);
                         }
                         // The job's own deadline passed while it
@@ -392,7 +408,7 @@ impl Server {
                             }));
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
+                            wait_for_connection(&listener, ACCEPT_BACKOFF);
                         }
                         Err(e) if accept_error_is_transient(&e) => {
                             std::thread::sleep(ACCEPT_BACKOFF);
@@ -452,8 +468,45 @@ impl Server {
     }
 }
 
-/// Pause after a transient accept error before accepting again.
+/// Pause after a transient accept error before accepting again, and
+/// the longest the accept loop waits for a connection before it
+/// re-checks the shutdown flags.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Blocks until `listener` has a connection to accept, a signal
+/// arrives or `timeout` passes, whichever is first. The listener stays
+/// nonblocking, so a spurious wake makes the next accept read
+/// `WouldBlock` and wait again.
+fn wait_for_connection(listener: &UnixListener, timeout: Duration) {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut pfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `pfd` is one live, exclusively borrowed `struct pollfd`
+    // and `nfds` is 1, so `poll` writes only within it. Its descriptor
+    // belongs to `listener`, which outlives the call. A failure
+    // (`EINTR` from a signal) needs no handling: the caller re-checks
+    // its flags and tries `accept` again either way.
+    unsafe {
+        poll(&mut pfd, 1, timeout_ms);
+    }
+}
 
 /// True for accept errors that mean "not now" rather than "never":
 /// the process or system is out of descriptors (`EMFILE`, `ENFILE`)
@@ -495,21 +548,48 @@ fn write_line(writer: &Arc<Mutex<UnixStream>>, line: &str) {
     }
 }
 
+/// Longest request line a connection may send, newline excluded. A
+/// request is two paths and a small config; a client that sends more
+/// without a newline gets an error and loses its connection, instead
+/// of making the daemon buffer without limit.
+const MAX_REQUEST_LINE: usize = 64 << 10;
+
 fn serve_connection(client: u64, stream: UnixStream, ctx: &ReaderCtx) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let writer = Arc::new(Mutex::new(stream));
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the limit at most: a line that never ends is
+        // caught without buffering it.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE {
+            let message = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+            write_line(&writer, &error_response(None, &message));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         // Health checks are answered right here on the reader thread:
         // they must stay responsive while the executor grinds through
         // a long job, and they never consume queue capacity.
-        if is_status_request(&line) {
+        if is_status_request(line) {
             write_line(
                 &writer,
                 &status_response(
@@ -519,7 +599,7 @@ fn serve_connection(client: u64, stream: UnixStream, ctx: &ReaderCtx) {
             );
             continue;
         }
-        if is_health_request(&line) {
+        if is_health_request(line) {
             write_line(
                 &writer,
                 &health_response(&ctx.stats.health(
@@ -530,7 +610,7 @@ fn serve_connection(client: u64, stream: UnixStream, ctx: &ReaderCtx) {
             );
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Err((id, msg)) => write_line(&writer, &error_response(id.as_deref(), &msg)),
             Ok(request) => {
                 let id = request.id.clone();
@@ -599,7 +679,7 @@ impl From<String> for JobError {
 }
 
 impl From<LoadError> for JobError {
-    /// Only a failed open can be transient; a file that opened but
+    /// Only a failed read can be transient; a file that was read but
     /// does not parse fails the same way on every retry.
     fn from(e: LoadError) -> JobError {
         JobError {
@@ -634,6 +714,84 @@ fn serve_job_key(a: &LutNetwork, b: &LutNetwork, request: &JobRequest) -> CacheK
     CacheKey(h.finalize())
 }
 
+/// Most requests the request index remembers. A full index is cleared;
+/// a forgotten request costs one parse and map, as a new one does.
+const REQUEST_INDEX_CAP: usize = 4096;
+
+/// A job's two circuit files, taken only as far as its answer needs:
+/// read always, parsed for a new request or a witness replay, mapped
+/// for a new request or a live run.
+struct JobFiles<'r> {
+    request: &'r JobRequest,
+    bytes: [Vec<u8>; 2],
+    circuits: Option<[Circuit; 2]>,
+    nets: Option<[LutNetwork; 2]>,
+}
+
+impl<'r> JobFiles<'r> {
+    /// Reads both files. The errors come in the order loading `a` in
+    /// full and then `b` gives them: when `b` cannot be read, a parse
+    /// failure of `a` is reported first.
+    fn read(request: &'r JobRequest) -> Result<JobFiles<'r>, LoadError> {
+        let a = load::read(&request.a)?;
+        let b = match load::read(&request.b) {
+            Ok(b) => b,
+            Err(e) => {
+                load::parse(&request.a, &a)?;
+                return Err(e);
+            }
+        };
+        Ok(JobFiles {
+            request,
+            bytes: [a, b],
+            circuits: None,
+            nets: None,
+        })
+    }
+
+    /// Content address of the request as submitted: each file's format
+    /// and exact bytes plus the verdict-relevant configuration. Parsing
+    /// and mapping are deterministic, so one request key always leads
+    /// to one [`serve_job_key`]; the request index relies on that.
+    /// `None` when a path names no known format (the parse reports it).
+    fn request_key(&self) -> Option<CacheKey> {
+        let mut h = Sha256::new();
+        h.update(b"simgen-serve-request/1\0");
+        let paths = [&self.request.a, &self.request.b];
+        for (path, bytes) in paths.into_iter().zip(&self.bytes) {
+            h.update(&[load::format_of(path).ok()? as u8]);
+            h.update(&(bytes.len() as u64).to_le_bytes());
+            h.update(bytes);
+        }
+        h.update(self.request.cache_config().as_bytes());
+        Some(CacheKey(h.finalize()))
+    }
+
+    fn circuits(&mut self) -> Result<&[Circuit; 2], LoadError> {
+        if self.circuits.is_none() {
+            let (request, [a, b]) = (self.request, &self.bytes);
+            self.circuits = Some([load::parse(&request.a, a)?, load::parse(&request.b, b)?]);
+        }
+        Ok(self.circuits.as_ref().expect("parsed above"))
+    }
+
+    /// The LUT networks the sweep runs on: AIGs mapped at the
+    /// request's `k`, LUT networks as read.
+    fn nets(&mut self) -> Result<&[LutNetwork; 2], LoadError> {
+        if self.nets.is_none() {
+            self.circuits()?;
+            let k = self.request.k;
+            let net = |circuit: &Circuit| match circuit {
+                Circuit::Aig(aig) => map_to_luts(aig, k),
+                Circuit::Lut(net) => net.clone(),
+            };
+            let [a, b] = self.circuits.as_ref().expect("parsed above");
+            self.nets = Some([net(a), net(b)]);
+        }
+        Ok(self.nets.as_ref().expect("mapped above"))
+    }
+}
+
 /// The run report's spelling of an inconclusive reason.
 fn reason_str(reason: InconclusiveReason) -> &'static str {
     match reason {
@@ -661,9 +819,11 @@ fn status_of(verdict: &CecVerdict) -> JobStatusLine {
     }
 }
 
-/// Replays a stored job-level inequivalence witness: the two networks
-/// must actually differ on it. Returns the first differing PO index.
-fn replay_job_witness(a: &LutNetwork, b: &LutNetwork, witness: &[bool]) -> Option<usize> {
+/// Replays a stored job-level inequivalence witness on the parsed
+/// circuits: they must actually differ on it. Returns the first
+/// differing PO index. Mapping keeps every PI, PO and PO function, so
+/// the mapped networks the sweep ran on give the same index.
+fn replay_job_witness([a, b]: &[Circuit; 2], witness: &[bool]) -> Option<usize> {
     if witness.len() != a.num_pis() || witness.len() != b.num_pis() {
         return None;
     }
@@ -709,8 +869,8 @@ fn retry_backoff(attempt: u32) -> Duration {
 /// finished (and cached) before any newly-submitted job. There is no
 /// client connection to answer; the point is the cache and journal
 /// state, which the client's resubmission then hits.
-fn recover_interrupted(ctx: &ExecCtx) {
-    let Some(checkpoint) = &ctx.checkpoint else {
+fn recover_interrupted(ctx: &mut ExecCtx) {
+    let Some(checkpoint) = ctx.checkpoint.clone() else {
         return;
     };
     let Ok(entries) = std::fs::read_dir(checkpoint.join("jobs")) else {
@@ -746,10 +906,10 @@ fn recover_interrupted(ctx: &ExecCtx) {
 
 /// Runs one job to a response line. This is the whole service policy:
 /// manifest write (when checkpointing), transient-failure retry with
-/// backoff, job-level lookup (with witness replay), fall-through to a
-/// live cached run, job-level store of conclusive verdicts, and
-/// checkpoint cleanup once the job has an answer.
-fn execute_job(ctx: &ExecCtx, request: &JobRequest) -> String {
+/// backoff, the request index, job-level lookup (with witness replay),
+/// fall-through to a live cached run, job-level store of conclusive
+/// verdicts, and checkpoint cleanup once the job has an answer.
+fn execute_job(ctx: &mut ExecCtx, request: &JobRequest) -> String {
     let tag = ctx.checkpoint.as_ref().map(|checkpoint| {
         let tag = job_tag(request);
         let path = manifest_path(checkpoint, &tag);
@@ -786,12 +946,32 @@ fn execute_job(ctx: &ExecCtx, request: &JobRequest) -> String {
     line
 }
 
-fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobError> {
+fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, JobError> {
     let cache: &ProofCache = &ctx.cache;
     let stats: &ServeStats = &ctx.stats;
-    let a = load(&request.a)?.into_lut(|aig| map_to_luts(aig, request.k));
-    let b = load(&request.b)?.into_lut(|aig| map_to_luts(aig, request.k));
-    let key = serve_job_key(&a, &b, request);
+    let mut files = JobFiles::read(request)?;
+    // A request seen before skips the parse and map that only serve
+    // to find its structural key. Never under certify, which re-proves
+    // every job and so needs the mapped networks anyway.
+    let request_key = if request.certify {
+        None
+    } else {
+        files.request_key()
+    };
+    let key = match request_key.and_then(|rk| ctx.index.get(&rk).copied()) {
+        Some(key) => key,
+        None => {
+            let [a, b] = files.nets()?;
+            let key = serve_job_key(a, b, request);
+            if let Some(rk) = request_key {
+                if ctx.index.len() >= REQUEST_INDEX_CAP {
+                    ctx.index.clear();
+                }
+                ctx.index.insert(rk, key);
+            }
+            key
+        }
+    };
     // Pin the job's own entry for the duration: LRU pressure from
     // concurrent inserts must not evict the answer (or the prior
     // entry being revalidated) out from under an admitted job.
@@ -824,7 +1004,7 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
                         // Counterexamples are replayed in every mode;
                         // a witness that no longer distinguishes the
                         // pair means the entry is poisoned.
-                        if let Some(po_index) = replay_job_witness(&a, &b, witness) {
+                        if let Some(po_index) = replay_job_witness(files.circuits()?, witness) {
                             stats.jobs_done.fetch_add(1, Ordering::Relaxed);
                             stats.job_hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(result_response(
@@ -850,6 +1030,7 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
     }
 
     // Live (but pair-cached) run.
+    let [a, b] = files.nets()?;
     let jobs = if request.jobs == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -891,7 +1072,7 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
         cache: Some(cache),
         journal: journal.as_mut(),
     };
-    let report = check_equivalence(&a, &b, gen.as_mut(), cfg, &mut run)
+    let report = check_equivalence(a, b, gen.as_mut(), cfg, &mut run)
         .map_err(|e| JobError::permanent(e.to_string()))?;
     let obs = run.obs;
 
@@ -948,7 +1129,7 @@ fn execute_job_inner(ctx: &ExecCtx, request: &JobRequest) -> Result<String, JobE
                 request.b.clone(),
                 request.cache_config(),
             ],
-            design: design_info(&a, &design_name(&request.a), &request.a),
+            design: design_info(a, &design_name(&request.a), &request.a),
         },
         &cfg,
         &report,

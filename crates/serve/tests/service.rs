@@ -192,6 +192,85 @@ fn inequivalence_hits_replay_the_stored_witness() {
 }
 
 #[test]
+fn a_file_rewritten_in_place_is_re_proved() {
+    let dir = temp_dir("rewrite");
+    let (and_p, or_p) = write_and_or(&dir);
+    let server = Server::start(ServeOptions::new(dir.join("sock"))).unwrap();
+
+    let first = parsed_submit(&server, &request("r1", &and_p, &or_p));
+    assert_eq!(
+        first.get("status").and_then(Json::as_str),
+        Some("not_equivalent")
+    );
+    assert_eq!(cache_of(&first), CacheOutcome::Miss.as_str());
+
+    // Same paths, new contents: the answer for the old bytes must not
+    // be served again.
+    let or_bytes = std::fs::read(&or_p).unwrap();
+    std::fs::copy(&and_p, &or_p).unwrap();
+    let second = parsed_submit(&server, &request("r2", &and_p, &or_p));
+    assert_eq!(
+        second.get("status").and_then(Json::as_str),
+        Some("equivalent"),
+        "{second:?}"
+    );
+    assert_eq!(cache_of(&second), CacheOutcome::Miss.as_str());
+
+    let third = parsed_submit(&server, &request("r3", &and_p, &or_p));
+    assert_eq!(
+        third.get("status").and_then(Json::as_str),
+        Some("equivalent")
+    );
+    assert_eq!(cache_of(&third), CacheOutcome::Hit.as_str());
+    assert_eq!(report_text(&second), report_text(&third));
+
+    // The old contents again: their own entry answers, untouched by the
+    // jobs on the rewritten file.
+    std::fs::write(&or_p, or_bytes).unwrap();
+    let fourth = parsed_submit(&server, &request("r4", &and_p, &or_p));
+    assert_eq!(
+        fourth.get("status").and_then(Json::as_str),
+        Some("not_equivalent"),
+        "{fourth:?}"
+    );
+    assert_eq!(cache_of(&fourth), CacheOutcome::Hit.as_str());
+    assert_eq!(report_text(&first), report_text(&fourth));
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let dir = temp_dir("longline");
+    let server = Server::start(ServeOptions::new(dir.join("sock"))).unwrap();
+
+    let mut stream = UnixStream::connect(server.socket()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    // The daemon may hang up before taking all of it; the write error
+    // that causes is expected.
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("an answer within the timeout");
+    let resp = Json::parse(line.trim_end()).unwrap();
+    assert_eq!(resp.get("id"), Some(&Json::Null));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("request line longer than 65536 bytes")
+    );
+
+    query_status(server.socket()).expect("the daemon still answers");
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn bad_requests_and_bad_jobs_get_error_responses() {
     let dir = temp_dir("err");
     let server = Server::start(ServeOptions::new(dir.join("sock"))).unwrap();
