@@ -164,7 +164,6 @@ pub fn run_strategy(
 /// random simulation, 20 guided iterations).
 pub fn experiment_config(run_sat: bool) -> SweepConfig {
     SweepConfig {
-        random_rounds: 1,
         random_batch: 64,
         guided_iterations: 20,
         sat_budget: Some(100_000),

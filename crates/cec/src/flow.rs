@@ -42,6 +42,19 @@ pub enum InconclusiveReason {
     CertificationFailed,
 }
 
+impl InconclusiveReason {
+    /// The snake_case name the run report and the daemon's status line
+    /// spell this reason with.
+    pub fn name(self) -> &'static str {
+        match self {
+            InconclusiveReason::DeadlineExpired => "deadline_expired",
+            InconclusiveReason::BudgetExhausted => "budget_exhausted",
+            InconclusiveReason::ResourceExhausted => "resource_exhausted",
+            InconclusiveReason::CertificationFailed => "certification_failed",
+        }
+    }
+}
+
 /// Verdict of a full CEC run.
 ///
 /// Three-valued on purpose: an anytime run that cannot finish must
@@ -659,7 +672,6 @@ mod tests {
         );
         assert_eq!(gen.name(), "const->SimGen");
         let cfg = SweepConfig {
-            random_rounds: 1,
             random_batch: 1,
             guided_iterations: 8,
             run_sat: false,

@@ -47,12 +47,11 @@ use std::io;
 use std::path::PathBuf;
 
 use simgen_cache::{job_key, Sha256};
-use simgen_dispatch::EngineMode;
+use simgen_dispatch::{EngineMode, EnginePolicy};
 use simgen_netlist::{LutNetwork, NodeId};
 use simgen_obs::{atomic_write, Counter, Json, Observer};
 
 use crate::prove::Verdict;
-use crate::report::echoed_node_limit;
 use crate::stats::{DispatchSummary, SweepStats};
 use crate::sweep::SweepConfig;
 
@@ -466,22 +465,24 @@ impl SweepJournal {
 /// (`jobs`, `stall`, `mem_budget`) are excluded — resuming under a
 /// different worker count or memory budget is explicitly supported.
 ///
-/// The `proof=` field predates [`EngineMode::BddOnly`]; it is derived
-/// from the engine mode and spelled as before so that journals written
-/// by earlier builds keep resuming. So is `budget_schedule=`, which
-/// spells the default BDD node limit `None`.
+/// Three fields keep the spelling of earlier builds so that the
+/// journals they wrote keep resuming: `random_rounds=1`, the one round
+/// of random simulation every sweep runs; `proof=`, derived from the
+/// engine mode; and `budget_schedule=`, which spells the default BDD
+/// node limit `None`.
 pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
     let roots: Vec<NodeId> = net.pos().iter().map(|po| po.node).collect();
+    let limit = cfg.engine.bdd_node_limit;
+    let node_limit = (limit != EnginePolicy::default().bdd_node_limit).then_some(limit);
     let mut h = Sha256::new();
     h.update(JOURNAL_SCHEMA.as_bytes());
     h.update(&[0]);
     h.update(&job_key(net, &roots).0);
     h.update(
         format!(
-            "random_rounds={};random_batch={};guided_iterations={};sat_budget={:?};\
+            "random_rounds=1;random_batch={};guided_iterations={};sat_budget={:?};\
              run_sat={};proof={};seed={};budget_schedule={:?};certify={};\
              engine_mode={};incremental={};rebuild_bloat={}",
-            cfg.random_rounds,
             cfg.random_batch,
             cfg.guided_iterations,
             cfg.sat_budget,
@@ -492,7 +493,7 @@ pub(crate) fn sweep_fingerprint(net: &LutNetwork, cfg: &SweepConfig) -> String {
                 "Sat"
             },
             cfg.seed,
-            echoed_node_limit(cfg),
+            node_limit,
             cfg.certify,
             cfg.engine.mode.name(),
             cfg.engine.incremental,
@@ -795,7 +796,7 @@ mod tests {
         );
         let knobs = SweepConfig {
             certify: true,
-            engine: simgen_dispatch::EnginePolicy {
+            engine: EnginePolicy {
                 incremental: false,
                 mode: EngineMode::BddFirst,
                 rebuild_bloat: 3,

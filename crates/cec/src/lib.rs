@@ -62,11 +62,9 @@ pub use journal::{PairRecord, RoundRecord, SweepJournal, CRASH_ENV, JOURNAL_FILE
 pub use parallel::{ParallelSweeper, Sweeper};
 pub use prove::{BddProver, PairProver, ProveOutcome, Verdict};
 pub use region::RegionMap;
-pub use report::{
-    cec_run_report, design_info, design_name, sweep_config_json, sweep_run_report, RunMeta,
-};
+pub use report::{cec_run_report, design_info, design_name, sweep_run_report, RunMeta};
 pub use simgen_cache::{job_key, pair_key, CacheKey, ProofCache};
-pub use simgen_dispatch::{Deadline, EngineMode, EnginePolicy, Progress, Watchdog};
+pub use simgen_dispatch::{Deadline, EngineMode, EnginePolicy, Progress, Watchdog, MAX_JOBS};
 #[cfg(feature = "fault-inject")]
 pub use simgen_dispatch::{FaultAction, FaultPlan};
 pub use stats::{DispatchSummary, IterationRecord, SweepStats, WorkerSummary};

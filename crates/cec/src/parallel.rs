@@ -52,8 +52,8 @@ use crate::prove::{BddProver, PairProver, ProveOutcome, Verdict};
 use crate::region::{cone_union, RegionMap, REBUILD_BASELINE_FLOOR};
 use crate::stats::{DispatchSummary, SweepStats, WorkerSummary};
 use crate::sweep::{
-    flush_counterexamples, record_exec_counters, record_merge, run_sim_phases, spawn_watchdog,
-    RunContext, SimPhases, SweepConfig, SweepReport,
+    flush_counterexamples, record_merge, run_sim_phases, spawn_watchdog, RunContext, SimPhases,
+    SweepConfig, SweepReport,
 };
 
 /// Everything a proof job hands back to the merge loop for one pair.
@@ -449,7 +449,6 @@ fn book_dispatched(
         summary.panics += 1;
         row.panics += 1;
         summary.quarantined += 1;
-        obs.recorder.add(Counter::ProofsQuarantined, 1);
         obs.trace.emit(
             "proof_quarantined",
             vec![
@@ -782,7 +781,6 @@ impl Sweeper {
                     break;
                 }
                 summary.rounds += 1;
-                obs.recorder.add(Counter::Rounds, 1);
                 obs.trace.emit(
                     "round_start",
                     vec![
@@ -944,14 +942,8 @@ impl Sweeper {
                         }
                     }
                     match verdict {
-                        Verdict::Equivalent => {
-                            stats.proved_equivalent += 1;
-                            obs.recorder.add(Counter::ProofsEquivalent, 1);
-                        }
-                        Verdict::Counterexample(_) => {
-                            stats.disproved += 1;
-                            obs.recorder.add(Counter::ProofsDisproved, 1);
-                        }
+                        Verdict::Equivalent => stats.proved_equivalent += 1,
+                        Verdict::Counterexample(_) => stats.disproved += 1,
                         // Panicked and skipped pairs count as undecided
                         // too.
                         Verdict::Undecided | Verdict::Panicked | Verdict::Skipped => {
@@ -962,7 +954,6 @@ impl Sweeper {
                             stats.certification_failures += 1;
                             stats.aborted += 1;
                             summary.quarantined += 1;
-                            obs.recorder.add(Counter::ProofsQuarantined, 1);
                             obs.trace.emit(
                                 "certification_failed",
                                 vec![
@@ -1010,7 +1001,6 @@ impl Sweeper {
         }
         stats.exec = sim.exec_stats();
         stats.pool = sim.pool_stats();
-        record_exec_counters(obs, &stats.exec);
 
         SweepReport {
             stats,

@@ -1,25 +1,21 @@
-//! Builders that turn a finished sweep or CEC run plus its
-//! [`Observer`] into the versioned [`RunReport`] document
-//! (`simgen-run-report/5`).
-//!
-//! The report shape is defined in `simgen-obs` (`docs/observability.md`
-//! spells it out field by field); this module owns the mapping from
-//! the engine's native statistics ([`SweepStats`], [`CecReport`],
-//! dispatch summaries, kernel counters) into that shape. Everything
-//! the builders copy out of `stats` is `--jobs`-invariant, so the
-//! deterministic form of the produced report is byte-identical for
-//! any worker count.
+//! The writer of the versioned [`RunReport`] (`simgen-run-report/6`):
+//! it lays a finished sweep or CEC run out as JSON straight from the
+//! engine's own statistics ([`SweepStats`], [`CecReport`], the
+//! [`DispatchSummary`], the kernel, executor and pool totals) and the
+//! run's [`Observer`]. `docs/observability.md` spells the document out
+//! field by field. Everything the writer takes from `stats` is
+//! `--jobs`-invariant, so the deterministic form of the report is
+//! byte-identical for any worker count.
 
-use simgen_dispatch::{EngineMode, EnginePolicy};
+use std::time::Duration;
+
 use simgen_netlist::LutNetwork;
-use simgen_obs::report::{
-    Design, DispatchSection, IterationRow, Outcome, PhaseTiming, RunReport, SatSection, SimSection,
-    SweepSection, TraceSummary, WorkerRow,
-};
-use simgen_obs::{Counter, Json, Observer, Phase};
+use simgen_obs::report::Design;
+use simgen_obs::{Counter, Json, Observer, Phase, RunReport};
+use simgen_sat::SolverStats;
 
 use crate::flow::{CecReport, CecVerdict, InconclusiveReason};
-use crate::stats::SweepStats;
+use crate::stats::{DispatchSummary, SweepStats};
 use crate::sweep::{SweepConfig, SweepReport};
 
 /// Run identity shared by both builders: what command ran, with what
@@ -57,195 +53,234 @@ pub fn design_info(net: &LutNetwork, name: &str, path: &str) -> Design {
     }
 }
 
-/// Serializes a [`SweepConfig`] into report `config` entries. Only
-/// `stall` is a duration, and it is configuration, not measurement, so
-/// it is written as a plain millisecond number (no `_ms` suffix: the
-/// suffix is reserved for measured times the deterministic form must
-/// strip).
-pub fn sweep_config_json(cfg: &SweepConfig) -> Vec<(String, Json)> {
-    let mut entries = vec![
-        (
-            "random_rounds".to_string(),
-            Json::U64(cfg.random_rounds as u64),
-        ),
-        (
-            "random_batch".to_string(),
-            Json::U64(cfg.random_batch as u64),
-        ),
-        (
-            "guided_iterations".to_string(),
-            Json::U64(cfg.guided_iterations as u64),
-        ),
-        (
-            "sat_budget".to_string(),
-            cfg.sat_budget.map_or(Json::Null, Json::U64),
-        ),
-        ("run_sat".to_string(), Json::Bool(cfg.run_sat)),
-        // The resolution engine family, derived from the engine mode
-        // (kept as its own key so reports stay comparable across
-        // schema-5 builds).
-        (
-            "proof".to_string(),
-            Json::Str(
-                if cfg.engine.mode == EngineMode::BddOnly {
-                    "bdd"
-                } else {
-                    "sat"
-                }
-                .to_string(),
-            ),
-        ),
-        ("seed".to_string(), Json::U64(cfg.seed)),
-        ("jobs".to_string(), Json::U64(cfg.jobs as u64)),
-    ];
-    let node_limit = echoed_node_limit(cfg).map_or(Json::Null, |limit| {
-        let mut obj = Json::obj();
-        obj.push("bdd_node_limit", Json::U64(limit as u64));
-        obj
-    });
-    entries.push(("budget_schedule".to_string(), node_limit));
-    entries.push((
-        "stall".to_string(),
-        cfg.stall
-            .map_or(Json::Null, |d| Json::F64(d.as_secs_f64() * 1e3)),
-    ));
-    entries.push(("certify".to_string(), Json::Bool(cfg.certify)));
-    entries.push((
-        "engine_mode".to_string(),
-        Json::Str(cfg.engine.mode.name().to_string()),
-    ));
-    entries.push((
-        "incremental".to_string(),
-        Json::Bool(cfg.engine.incremental),
-    ));
-    entries.push((
-        "rebuild_bloat".to_string(),
+/// The report's `config` object. Only `stall` is a duration, and it is
+/// configuration, not measurement, so it is written as a plain
+/// millisecond number (no `_ms` suffix: the suffix is reserved for
+/// measured times the deterministic form must strip).
+fn config_json(cfg: &SweepConfig) -> Json {
+    let mut config = Json::obj();
+    config.push("random_batch", Json::U64(cfg.random_batch as u64));
+    config.push("guided_iterations", Json::U64(cfg.guided_iterations as u64));
+    config.push("sat_budget", cfg.sat_budget.map_or(Json::Null, Json::U64));
+    config.push("run_sat", Json::Bool(cfg.run_sat));
+    config.push("seed", Json::U64(cfg.seed));
+    config.push("jobs", Json::U64(cfg.jobs as u64));
+    config.push(
+        "bdd_node_limit",
+        Json::U64(cfg.engine.bdd_node_limit as u64),
+    );
+    config.push("stall", cfg.stall.map_or(Json::Null, |d| Json::F64(ms(d))));
+    config.push("certify", Json::Bool(cfg.certify));
+    config.push("engine_mode", Json::Str(cfg.engine.mode.name().to_string()));
+    config.push("incremental", Json::Bool(cfg.engine.incremental));
+    config.push(
+        "rebuild_bloat",
         Json::U64(u64::from(cfg.engine.rebuild_bloat)),
-    ));
-    entries.push((
-        "mem_budget".to_string(),
-        cfg.mem_budget.map_or(Json::Null, Json::U64),
-    ));
-    entries
+    );
+    config.push("mem_budget", cfg.mem_budget.map_or(Json::Null, Json::U64));
+    config
 }
 
-/// The BDD node limit that the schema-5 `budget_schedule` config key
-/// and the journal fingerprint echo: `None` at the default limit, the
-/// only one a CLI or daemon run can have, so those runs write what
-/// earlier builds wrote.
-pub(crate) fn echoed_node_limit(cfg: &SweepConfig) -> Option<usize> {
-    let limit = cfg.engine.bdd_node_limit;
-    (limit != EnginePolicy::default().bdd_node_limit).then_some(limit)
-}
-
-fn ms(d: std::time::Duration) -> f64 {
+fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn phase_rows(obs: &Observer) -> Vec<PhaseTiming> {
-    Phase::ALL
-        .iter()
-        .filter_map(|&phase| {
-            let wall = obs.recorder.wall(phase);
-            let cpu = obs.recorder.cpu(phase);
-            (!wall.is_zero() || !cpu.is_zero()).then(|| PhaseTiming {
-                name: phase.name().to_string(),
-                wall_ms: ms(wall),
-                cpu_ms: ms(cpu),
-            })
-        })
-        .collect()
-}
-
-fn counter_rows(obs: &Observer) -> Vec<(&'static str, u64)> {
-    Counter::ALL
-        .iter()
-        .map(|&c| (c.name(), obs.recorder.get(c)))
-        .collect()
-}
-
-fn iteration_rows(stats: &SweepStats) -> Vec<IterationRow> {
-    stats
-        .history
-        .iter()
-        .map(|r| IterationRow {
-            iteration: r.iteration as u64,
-            cost: r.cost,
-            vectors: r.vectors as u64,
-            gen_ms: ms(r.gen_time),
-            sim_ms: ms(r.sim_time),
-        })
-        .collect()
-}
-
-fn sat_section(stats: &SweepStats, extra: Option<&simgen_sat::SolverStats>) -> SatSection {
-    let mut solver = stats.solver;
-    if let Some(extra) = extra {
-        solver += *extra;
+/// An object of counts, in the given key order.
+fn counts(fields: &[(&str, u64)]) -> Json {
+    let mut obj = Json::obj();
+    for &(key, n) in fields {
+        obj.push(key, Json::U64(n));
     }
-    SatSection {
-        calls: stats.sat_calls,
-        solves: solver.solves,
-        decisions: solver.decisions,
-        propagations: solver.propagations,
-        conflicts: solver.conflicts,
-        restarts: solver.restarts,
-        learned: solver.learned,
-        removed: solver.removed,
-        proof_clauses: solver.proof_clauses,
-        proof_bytes: solver.proof_bytes,
-        clause_db_bytes: solver.clause_db_bytes,
-        wall_ms: ms(stats.sat_time),
+    obj
+}
+
+/// The `outcome` object. A failed certification outranks every other
+/// exit (exit code 3, and a `certification_failures` detail): it means
+/// an engine produced an answer its own evidence does not support.
+fn outcome_json(
+    status: &str,
+    exit_code: u64,
+    interrupted: bool,
+    detail: Vec<(&str, Json)>,
+    certification_failures: u64,
+) -> Json {
+    let mut outcome = Json::obj();
+    outcome.push("status", Json::Str(status.to_string()));
+    let exit_code = if certification_failures > 0 {
+        3
+    } else {
+        exit_code
+    };
+    outcome.push("exit_code", Json::U64(exit_code));
+    outcome.push("interrupted", Json::Bool(interrupted));
+    for (key, value) in detail {
+        outcome.push(key, value);
     }
+    if certification_failures > 0 {
+        outcome.push("certification_failures", Json::U64(certification_failures));
+    }
+    outcome
 }
 
-fn dispatch_section(stats: &SweepStats) -> Option<DispatchSection> {
-    stats.dispatch.as_ref().map(|d| DispatchSection {
-        jobs: d.jobs as u64,
-        rounds: d.rounds,
-        quarantined: d.quarantined,
-        proofs: d.proofs,
-        conflicts: d.conflicts,
-        timeouts: d.timeouts,
-        panics: d.panics,
-        workers: d
-            .workers
-            .iter()
-            .map(|w| WorkerRow {
-                worker: w.worker as u64,
-                proofs: w.proofs,
-                conflicts: w.conflicts,
-                timeouts: w.timeouts,
-                steals: w.steals,
-                panics: w.panics,
-            })
-            .collect(),
-    })
+/// The `sweep` totals: the verdict counts from `stats`, the rest from
+/// the run's own report.
+fn sweep_json(
+    stats: &SweepStats,
+    cost_after_sim: u64,
+    unresolved: u64,
+    quarantined: u64,
+    proven_classes: u64,
+    patterns: u64,
+) -> Json {
+    counts(&[
+        ("cost_after_sim", cost_after_sim),
+        ("proved_equivalent", stats.proved_equivalent),
+        ("disproved", stats.disproved),
+        ("aborted", stats.aborted),
+        ("unresolved", unresolved),
+        ("quarantined", quarantined),
+        ("proven_classes", proven_classes),
+        ("patterns", patterns),
+    ])
 }
 
-fn sim_section(stats: &SweepStats) -> Option<SimSection> {
-    stats.kernel.as_ref().map(|kernel| SimSection {
-        kernel_nodes: kernel.nodes,
-        kernel_fused: kernel.fused,
-        kernel_tape_nodes: kernel.tape_nodes,
-        kernel_tape_ops: kernel.tape_ops,
-        exec_calls: stats.exec.exec_calls,
-        exec_words: stats.exec.exec_words,
-        exec_patterns: stats.exec.exec_patterns,
-        cone_exec_calls: stats.exec.cone_exec_calls,
-        scalar_pushes: stats.exec.scalar_pushes,
-        simd_width_bits: simgen_sim::active_simd_level().width_bits() as u64,
-        pool_dispatches: stats.pool.dispatches,
-        pool_tasks: stats.pool.tasks,
-        pool_lane_bytes: stats.pool.lane_bytes,
-    })
+/// The `sat` section: the sweep's internal proofs plus, for a CEC run,
+/// the output proofs' calls, solver totals and wall time.
+fn sat_json(stats: &SweepStats, (calls, solver, time): (u64, SolverStats, Duration)) -> Json {
+    let mut s = stats.solver;
+    s += solver;
+    let mut sat = counts(&[
+        ("calls", stats.sat_calls + calls),
+        ("solves", s.solves),
+        ("decisions", s.decisions),
+        ("propagations", s.propagations),
+        ("conflicts", s.conflicts),
+        ("restarts", s.restarts),
+        ("learned", s.learned),
+        ("removed", s.removed),
+        ("proof_clauses", s.proof_clauses),
+        ("proof_bytes", s.proof_bytes),
+        ("clause_db_bytes", s.clause_db_bytes),
+    ]);
+    sat.push("wall_ms", Json::F64(ms(stats.sat_time) + ms(time)));
+    sat
 }
 
-fn trace_summary(obs: &Observer) -> Option<TraceSummary> {
-    obs.trace.is_enabled().then(|| TraceSummary {
-        emitted: obs.trace.emitted(),
-        dropped: obs.trace.dropped(),
-    })
+/// The `dispatch` section. The totals are the summary's own
+/// merge-side fields; each worker row books the pairs that worker ran.
+/// Steals have no deterministic counterpart, so their total is the row
+/// sum, stripped from the deterministic form along with the rows.
+fn dispatch_json(d: &DispatchSummary) -> Json {
+    let mut dispatch = counts(&[
+        ("jobs", d.jobs as u64),
+        ("rounds", d.rounds),
+        ("quarantined", d.quarantined),
+    ]);
+    dispatch.push(
+        "totals",
+        counts(&[
+            ("proofs", d.proofs),
+            ("conflicts", d.conflicts),
+            ("timeouts", d.timeouts),
+            ("steals", d.total_steals()),
+            ("panics", d.panics),
+        ]),
+    );
+    let workers = d.workers.iter().map(|w| {
+        counts(&[
+            ("worker", w.worker as u64),
+            ("proofs", w.proofs),
+            ("conflicts", w.conflicts),
+            ("timeouts", w.timeouts),
+            ("steals", w.steals),
+            ("panics", w.panics),
+        ])
+    });
+    dispatch.push("workers", Json::Arr(workers.collect()));
+    dispatch
+}
+
+/// Writes the report: the header, `config` and `outcome`, then the
+/// sections both commands share.
+fn write(
+    meta: RunMeta,
+    config: &SweepConfig,
+    outcome: Json,
+    sweep: Json,
+    sat: Json,
+    stats: &SweepStats,
+    obs: &Observer,
+) -> RunReport {
+    let mut run = RunReport::new(meta.command, meta.argv, &meta.design);
+    run.push("config", config_json(config));
+    run.push("outcome", outcome);
+    let phases = Phase::ALL.iter().filter_map(|&phase| {
+        let (wall, cpu) = (obs.recorder.wall(phase), obs.recorder.cpu(phase));
+        (!wall.is_zero() || !cpu.is_zero()).then(|| {
+            let mut row = Json::obj();
+            row.push("name", Json::Str(phase.name().to_string()));
+            row.push("wall_ms", Json::F64(ms(wall)));
+            row.push("cpu_ms", Json::F64(ms(cpu)));
+            row
+        })
+    });
+    run.push("phases", Json::Arr(phases.collect()));
+    let iterations = stats.history.iter().map(|r| {
+        let mut row = counts(&[
+            ("iteration", r.iteration as u64),
+            ("cost", r.cost),
+            ("vectors", r.vectors as u64),
+        ]);
+        row.push("gen_ms", Json::F64(ms(r.gen_time)));
+        row.push("sim_ms", Json::F64(ms(r.sim_time)));
+        row
+    });
+    run.push("iterations", Json::Arr(iterations.collect()));
+    run.push("sweep", sweep);
+    run.push("sat", sat);
+    if let Some(dispatch) = &stats.dispatch {
+        run.push("dispatch", dispatch_json(dispatch));
+    }
+    if let Some(kernel) = &stats.kernel {
+        let (exec, pool) = (&stats.exec, &stats.pool);
+        let mut sim = Json::obj();
+        sim.push(
+            "kernel",
+            counts(&[
+                ("nodes", kernel.nodes),
+                ("fused", kernel.fused),
+                ("tape_nodes", kernel.tape_nodes),
+                ("tape_ops", kernel.tape_ops),
+            ]),
+        );
+        let simd_width_bits = simgen_sim::active_simd_level().width_bits() as u64;
+        for (key, n) in [
+            ("exec_calls", exec.exec_calls),
+            ("exec_words", exec.exec_words),
+            ("exec_patterns", exec.exec_patterns),
+            ("cone_exec_calls", exec.cone_exec_calls),
+            ("scalar_pushes", exec.scalar_pushes),
+            ("simd_width_bits", simd_width_bits),
+            ("pool_dispatches", pool.dispatches),
+            ("pool_tasks", pool.tasks),
+            ("pool_lane_bytes", pool.lane_bytes),
+        ] {
+            sim.push(key, Json::U64(n));
+        }
+        run.push("sim", sim);
+    }
+    let counters = Counter::ALL
+        .iter()
+        .map(|&c| (c.name(), obs.recorder.get(c)));
+    run.push("counters", counts(&counters.collect::<Vec<_>>()));
+    if obs.trace.is_enabled() {
+        let (emitted, dropped) = (obs.trace.emitted(), obs.trace.dropped());
+        run.push(
+            "trace",
+            counts(&[("emitted", emitted), ("dropped", dropped)]),
+        );
+    }
+    run
 }
 
 /// Builds the run report for a standalone sweep.
@@ -256,57 +291,23 @@ pub fn sweep_run_report(
     obs: &Observer,
 ) -> RunReport {
     let stats = &report.stats;
-    let mut outcome = if report.interrupted {
-        Outcome {
-            status: "interrupted".to_string(),
-            exit_code: 2,
-            interrupted: true,
-            detail: vec![(
-                "unresolved".to_string(),
-                Json::U64(report.unresolved.len() as u64),
-            )],
-        }
+    let unresolved = report.unresolved.len() as u64;
+    let outcome = if report.interrupted {
+        let detail = vec![("unresolved", Json::U64(unresolved))];
+        outcome_json("interrupted", 2, true, detail, stats.certification_failures)
     } else {
-        Outcome {
-            status: "complete".to_string(),
-            exit_code: 0,
-            interrupted: false,
-            detail: vec![],
-        }
+        outcome_json("complete", 0, false, vec![], stats.certification_failures)
     };
-    // A failed certification outranks every other exit: it means an
-    // engine produced an answer its own evidence does not support.
-    if stats.certification_failures > 0 {
-        outcome.exit_code = 3;
-        outcome.detail.push((
-            "certification_failures".to_string(),
-            Json::U64(stats.certification_failures),
-        ));
-    }
-    RunReport {
-        command: meta.command,
-        argv: meta.argv,
-        design: meta.design,
-        config: sweep_config_json(config),
-        outcome,
-        phases: phase_rows(obs),
-        iterations: iteration_rows(stats),
-        sweep: Some(SweepSection {
-            cost_after_sim: report.cost_after_sim,
-            proved_equivalent: stats.proved_equivalent,
-            disproved: stats.disproved,
-            aborted: stats.aborted,
-            unresolved: report.unresolved.len() as u64,
-            quarantined: report.quarantined.len() as u64,
-            proven_classes: report.proven_classes.len() as u64,
-            patterns: report.patterns.num_patterns() as u64,
-        }),
-        sat: Some(sat_section(stats, None)),
-        dispatch: dispatch_section(stats),
-        sim: sim_section(stats),
-        counters: counter_rows(obs),
-        trace: trace_summary(obs),
-    }
+    let sweep = sweep_json(
+        stats,
+        report.cost_after_sim,
+        unresolved,
+        report.quarantined.len() as u64,
+        report.proven_classes.len() as u64,
+        report.patterns.num_patterns() as u64,
+    );
+    let sat = sat_json(stats, Default::default());
+    write(meta, config, outcome, sweep, sat, stats, obs)
 }
 
 /// Builds the run report for a full two-network CEC run. The `sat`
@@ -319,87 +320,45 @@ pub fn cec_run_report(
     obs: &Observer,
 ) -> RunReport {
     let stats = &report.sweep_stats;
-    let mut outcome = match &report.verdict {
-        CecVerdict::Equivalent => Outcome {
-            status: "equivalent".to_string(),
-            exit_code: 0,
-            interrupted: false,
-            detail: vec![],
-        },
-        CecVerdict::NotEquivalent { po_index, .. } => Outcome {
-            status: "not_equivalent".to_string(),
-            exit_code: 1,
-            interrupted: false,
-            detail: vec![("po_index".to_string(), Json::U64(*po_index as u64))],
-        },
+    let failures = stats.certification_failures;
+    let outcome = match &report.verdict {
+        CecVerdict::Equivalent => outcome_json("equivalent", 0, false, vec![], failures),
+        // A replayed counterexample is definitive, so certification
+        // failures elsewhere in the run do not override exit 1.
+        CecVerdict::NotEquivalent { po_index, .. } => {
+            let detail = vec![("po_index", Json::U64(*po_index as u64))];
+            outcome_json("not_equivalent", 1, false, detail, 0)
+        }
         CecVerdict::Inconclusive {
             unresolved_pairs,
             reason,
-        } => Outcome {
-            status: "inconclusive".to_string(),
-            exit_code: 2,
-            interrupted: matches!(
+        } => {
+            let interrupted = matches!(
                 reason,
                 InconclusiveReason::DeadlineExpired | InconclusiveReason::ResourceExhausted
-            ),
-            detail: vec![
-                (
-                    "reason".to_string(),
-                    Json::Str(
-                        match reason {
-                            InconclusiveReason::DeadlineExpired => "deadline_expired",
-                            InconclusiveReason::BudgetExhausted => "budget_exhausted",
-                            InconclusiveReason::CertificationFailed => "certification_failed",
-                            InconclusiveReason::ResourceExhausted => "resource_exhausted",
-                        }
-                        .to_string(),
-                    ),
-                ),
-                (
-                    "unresolved".to_string(),
-                    Json::U64(unresolved_pairs.len() as u64),
-                ),
-            ],
-        },
+            );
+            let detail = vec![
+                ("reason", Json::Str(reason.name().to_string())),
+                ("unresolved", Json::U64(unresolved_pairs.len() as u64)),
+            ];
+            outcome_json("inconclusive", 2, interrupted, detail, failures)
+        }
     };
-    // Certification failures force exit 3 — except for NotEquivalent,
-    // whose witness was itself replay-certified and is definitive.
-    if stats.certification_failures > 0
-        && !matches!(report.verdict, CecVerdict::NotEquivalent { .. })
-    {
-        outcome.exit_code = 3;
-        outcome.detail.push((
-            "certification_failures".to_string(),
-            Json::U64(stats.certification_failures),
-        ));
-    }
-    let mut sat = sat_section(stats, Some(&report.output_solver));
-    sat.calls += report.output_sat_calls;
-    sat.wall_ms += ms(report.output_sat_time);
-    RunReport {
-        command: meta.command,
-        argv: meta.argv,
-        design: meta.design,
-        config: sweep_config_json(config),
-        outcome,
-        phases: phase_rows(obs),
-        iterations: iteration_rows(stats),
-        sweep: Some(SweepSection {
-            cost_after_sim: report.sweep_cost_after_sim,
-            proved_equivalent: stats.proved_equivalent,
-            disproved: stats.disproved,
-            aborted: stats.aborted,
-            unresolved: report.sweep_unresolved,
-            quarantined: report.sweep_quarantined,
-            proven_classes: report.sweep_proven_classes,
-            patterns: report.sweep_patterns,
-        }),
-        sat: Some(sat),
-        dispatch: dispatch_section(stats),
-        sim: sim_section(stats),
-        counters: counter_rows(obs),
-        trace: trace_summary(obs),
-    }
+    let sweep = sweep_json(
+        stats,
+        report.sweep_cost_after_sim,
+        report.sweep_unresolved,
+        report.sweep_quarantined,
+        report.sweep_proven_classes,
+        report.sweep_patterns,
+    );
+    let output = (
+        report.output_sat_calls,
+        report.output_solver,
+        report.output_sat_time,
+    );
+    let sat = sat_json(stats, output);
+    write(meta, config, outcome, sweep, sat, stats, obs)
 }
 
 #[cfg(test)]
@@ -409,6 +368,7 @@ mod tests {
     use crate::sweep::RunContext;
     use crate::Sweeper;
     use simgen_core::{SimGen, SimGenConfig};
+    use simgen_dispatch::EnginePolicy;
     use simgen_netlist::TruthTable;
 
     fn tiny_net() -> LutNetwork {
@@ -420,6 +380,14 @@ mod tests {
         net.add_po(x, "x");
         net.add_po(y, "y");
         net
+    }
+
+    /// The value at `path` in a report.
+    fn lookup<'j>(report: &'j Json, path: &[&str]) -> &'j Json {
+        path.iter().fold(report, |node, key| {
+            node.get(key)
+                .unwrap_or_else(|| panic!("report has no {path:?}"))
+        })
     }
 
     fn meta_for(net: &LutNetwork, command: &str) -> RunMeta {
@@ -443,14 +411,17 @@ mod tests {
             ..RunContext::default()
         };
         let sweep = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
-        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs);
-        RunReport::validate(&report.to_json()).expect("sweep report validates");
-        assert_eq!(report.outcome.status, "complete");
-        assert!(!report.phases.is_empty(), "enabled observer records phases");
-        assert!(report
-            .counters
-            .iter()
-            .any(|&(name, v)| name == "proofs_dispatched" && v > 0));
+        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs).to_json();
+        RunReport::validate(&report).expect("sweep report validates");
+        assert_eq!(
+            lookup(&report, &["outcome", "status"]).as_str(),
+            Some("complete")
+        );
+        assert!(
+            !report.get("phases").unwrap().items().unwrap().is_empty(),
+            "enabled observer records phases"
+        );
+        assert!(lookup(&report, &["counters", "proofs_dispatched"]).as_u64() > Some(0));
     }
 
     #[test]
@@ -464,14 +435,14 @@ mod tests {
         let mut gen = SimGen::new(SimGenConfig::default());
         let mut ctx = RunContext::default();
         let sweep = Sweeper::new(cfg).run(&net, &mut gen, &mut ctx);
-        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs);
-        RunReport::validate(&report.to_json()).expect("report validates without recording");
+        let report = sweep_run_report(meta_for(&net, "sweep"), &cfg, &sweep, &ctx.obs).to_json();
+        RunReport::validate(&report).expect("report validates without recording");
         // A disabled recorder never reads the clock, so no phases.
-        assert!(report.phases.is_empty());
+        assert!(report.get("phases").unwrap().items().unwrap().is_empty());
         // But engine-side stats (kernel shape, sweep totals) are
         // always collected.
-        assert!(report.sim.is_some());
-        assert_eq!(report.dispatch.as_ref().unwrap().jobs, 2);
+        assert!(report.get("sim").is_some());
+        assert_eq!(lookup(&report, &["dispatch", "jobs"]).as_u64(), Some(2));
     }
 
     #[test]
@@ -487,32 +458,37 @@ mod tests {
             ..RunContext::default()
         };
         let cec = check_equivalence(&net, &net.clone(), &mut gen, cfg, &mut ctx).unwrap();
-        let report = cec_run_report(meta_for(&net, "cec"), &cfg, &cec, &ctx.obs);
-        RunReport::validate(&report.to_json()).expect("cec report validates");
-        assert_eq!(report.outcome.status, "equivalent");
-        assert_eq!(report.outcome.exit_code, 0);
+        let report = cec_run_report(meta_for(&net, "cec"), &cfg, &cec, &ctx.obs).to_json();
+        RunReport::validate(&report).expect("cec report validates");
+        assert_eq!(
+            lookup(&report, &["outcome", "status"]).as_str(),
+            Some("equivalent")
+        );
+        assert_eq!(lookup(&report, &["outcome", "exit_code"]).as_u64(), Some(0));
         // The sat section folds the output proofs in on top of the
         // sweep's internal proofs.
-        assert!(report.sat.as_ref().unwrap().calls >= cec.output_sat_calls);
+        assert!(lookup(&report, &["sat", "calls"]).as_u64() >= Some(cec.output_sat_calls));
     }
 
     #[test]
     fn config_json_covers_every_field() {
-        let cfg = SweepConfig::default();
-        let entries = sweep_config_json(&cfg);
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        let config = config_json(&SweepConfig::default());
+        let keys: Vec<&str> = config
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(
             keys,
             [
-                "random_rounds",
                 "random_batch",
                 "guided_iterations",
                 "sat_budget",
                 "run_sat",
-                "proof",
                 "seed",
                 "jobs",
-                "budget_schedule",
+                "bdd_node_limit",
                 "stall",
                 "certify",
                 "engine_mode",
@@ -521,14 +497,10 @@ mod tests {
                 "mem_budget",
             ]
         );
-        assert!(matches!(
-            entries.iter().find(|(k, _)| k == "budget_schedule"),
-            Some((_, Json::Null))
-        ));
     }
 
     #[test]
-    fn only_a_custom_node_limit_is_echoed() {
+    fn node_limit_is_always_written() {
         let custom = SweepConfig {
             engine: EnginePolicy {
                 bdd_node_limit: 2_000_000,
@@ -536,16 +508,9 @@ mod tests {
             },
             ..SweepConfig::default()
         };
-        let echo = |cfg: &SweepConfig| {
-            let entries = sweep_config_json(cfg);
-            let (_, value) = entries
-                .into_iter()
-                .find(|(k, _)| k == "budget_schedule")
-                .expect("schema-5 key");
-            value.to_line()
-        };
-        assert_eq!(echo(&SweepConfig::default()), "null");
-        assert_eq!(echo(&custom), r#"{"bdd_node_limit":2000000}"#);
+        let limit = |cfg: &SweepConfig| config_json(cfg).get("bdd_node_limit").cloned();
+        assert_eq!(limit(&SweepConfig::default()), Some(Json::U64(10_000)));
+        assert_eq!(limit(&custom), Some(Json::U64(2_000_000)));
         let net = LutNetwork::new();
         assert_ne!(
             crate::journal::sweep_fingerprint(&net, &custom),
@@ -554,26 +519,28 @@ mod tests {
     }
 
     #[test]
-    fn proof_key_follows_the_engine_mode() {
-        let proof = |mode: EngineMode| {
-            let cfg = SweepConfig {
-                engine: EnginePolicy {
-                    mode,
+    fn dispatch_totals_come_from_merge_side_fields() {
+        // Totals are the summary's own (merge-accumulated) fields,
+        // never re-derived from the rows. Steals stay a row sum: they
+        // have no deterministic counterpart.
+        let summary = DispatchSummary {
+            jobs: 3,
+            rounds: 2,
+            proofs: 12,
+            workers: (0..3)
+                .map(|w| crate::stats::WorkerSummary {
+                    worker: w,
+                    // Row 0 disagrees with the totals.
+                    proofs: if w == 0 { 0 } else { 4 },
+                    steals: w as u64,
                     ..Default::default()
-                },
-                ..SweepConfig::default()
-            };
-            sweep_config_json(&cfg)
-                .into_iter()
-                .find(|(k, _)| k == "proof")
-                .map(|(_, v)| v)
+                })
+                .collect(),
+            ..DispatchSummary::default()
         };
-        for mode in [EngineMode::Sat, EngineMode::BddFirst] {
-            assert_eq!(proof(mode), Some(Json::Str("sat".to_string())), "{mode:?}");
-        }
-        assert_eq!(
-            proof(EngineMode::BddOnly),
-            Some(Json::Str("bdd".to_string()))
-        );
+        let totals = dispatch_json(&summary);
+        let totals = totals.get("totals").unwrap();
+        assert_eq!(totals.get("proofs").unwrap().as_u64(), Some(12));
+        assert_eq!(totals.get("steals").unwrap().as_u64(), Some(3));
     }
 }

@@ -23,9 +23,8 @@ use crate::stats::{IterationRecord, SweepStats};
 /// one round of random simulation, then 20 guided iterations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepConfig {
-    /// Rounds of random simulation before the guided phase.
-    pub random_rounds: usize,
-    /// Random vectors per round (64 = one machine word).
+    /// Random vectors of the one round of random simulation that opens
+    /// every sweep (64 = one machine word).
     pub random_batch: usize,
     /// Guided-generator iterations.
     pub guided_iterations: usize,
@@ -73,7 +72,6 @@ pub struct SweepConfig {
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
-            random_rounds: 1,
             random_batch: 64,
             guided_iterations: 20,
             sat_budget: Some(100_000),
@@ -183,18 +181,6 @@ pub(crate) fn spawn_watchdog(
     ))
 }
 
-/// Copies the simulator's execution totals into the deterministic
-/// counters (they are `--jobs`-invariant: blocks are word-split the
-/// same way for every worker count).
-pub(crate) fn record_exec_counters(obs: &mut Observer, exec: &simgen_sim::ExecStats) {
-    obs.recorder.add(Counter::SimExecCalls, exec.exec_calls);
-    obs.recorder.add(Counter::SimExecWords, exec.exec_words);
-    obs.recorder.add(Counter::SimPatterns, exec.exec_patterns);
-    obs.recorder
-        .add(Counter::ConeExecCalls, exec.cone_exec_calls);
-    obs.recorder.add(Counter::ScalarPushes, exec.scalar_pushes);
-}
-
 /// Output of the simulation half of a sweep (phases 1–2 of the
 /// paper's Figure 2).
 pub(crate) struct SimPhases {
@@ -208,7 +194,7 @@ pub(crate) struct SimPhases {
     pub classes: EquivClasses,
 }
 
-/// Phases 1–2: random simulation rounds, then guided iterations.
+/// Phases 1–2: one round of random simulation, then guided iterations.
 ///
 /// The deadline is polled between guided iterations (the only
 /// unbounded part); the mandatory random round always runs so the
@@ -226,13 +212,9 @@ pub(crate) fn run_sim_phases(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut iteration = 0usize;
 
-    // Phase 1: random simulation rounds.
-    let mut patterns = PatternSet::new(net.num_pis());
+    // Phase 1: one round of random simulation.
     let t = Instant::now();
-    for _ in 0..cfg.random_rounds.max(1) {
-        let batch = PatternSet::random(net.num_pis(), cfg.random_batch, &mut rng);
-        patterns.extend(&batch);
-    }
+    let mut patterns = PatternSet::random(net.num_pis(), cfg.random_batch, &mut rng);
     // Simulated incrementally so later single-vector pushes stay
     // O(nodes) instead of re-running the whole accumulated set. Large
     // random blocks are word-split across the worker pool; the lanes
@@ -240,12 +222,10 @@ pub(crate) fn run_sim_phases(
     let compile_start = obs.recorder.is_enabled().then(Instant::now);
     let mut sim = SimResult::empty(net);
     let compile_time = compile_start.map(|s| s.elapsed()).unwrap_or_default();
-    obs.recorder.add(Counter::KernelCompiles, 1);
     obs.recorder.add_wall(Phase::KernelCompile, compile_time);
     obs.recorder.add_cpu(Phase::KernelCompile, compile_time);
     let kernel = sim.kernel().summary();
     stats.kernel = Some(kernel);
-    obs.recorder.add(Counter::KernelTapeOps, kernel.tape_ops);
     obs.trace.emit(
         "kernel_compile",
         vec![
@@ -301,9 +281,6 @@ pub(crate) fn run_sim_phases(
         let sim_time = t.elapsed();
         stats.sim_time += sim_time;
         let cost = classes.cost();
-        obs.recorder.add(Counter::GuidedIterations, 1);
-        obs.recorder
-            .add(Counter::VectorsGenerated, vectors.len() as u64);
         obs.recorder.add_wall(Phase::GuidedGen, gen_time);
         obs.recorder.add_cpu(Phase::GuidedGen, gen_time);
         obs.recorder.add_wall(Phase::GuidedSim, sim_time);
@@ -362,7 +339,6 @@ pub(crate) fn flush_counterexamples(
 ) -> Vec<Vec<NodeId>> {
     let resim_start = obs.recorder.is_enabled().then(Instant::now);
     obs.recorder.add(Counter::ResimFlushes, 1);
-    obs.recorder.add(Counter::CexBuffered, pending.len() as u64);
     let first_new = sim.num_patterns();
     let block = PatternSet::from_vectors(net.num_pis(), pending);
     pending.clear();
@@ -591,7 +567,6 @@ mod tests {
         net.add_po(f2, "f2");
         // Tiny random phase so the pair likely collides.
         let cfg = SweepConfig {
-            random_rounds: 1,
             random_batch: 2,
             guided_iterations: 0,
             ..SweepConfig::default()
@@ -634,7 +609,6 @@ mod tests {
         // are coarse; SimGen iterations must strictly improve cost.
         let (net, _) = redundant_net();
         let cfg = SweepConfig {
-            random_rounds: 1,
             random_batch: 1,
             guided_iterations: 10,
             run_sat: false,
@@ -693,7 +667,6 @@ mod tests {
         net.add_po(f1, "f1");
         net.add_po(f2, "f2");
         let cfg = SweepConfig {
-            random_rounds: 1,
             random_batch: 1,
             guided_iterations: 2,
             ..SweepConfig::default()
@@ -861,7 +834,6 @@ mod tests {
             net.add_po(f, format!("f{k}"));
         }
         let cfg = SweepConfig {
-            random_rounds: 1,
             random_batch: 1,
             guided_iterations: 0,
             ..SweepConfig::default()

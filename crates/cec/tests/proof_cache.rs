@@ -42,7 +42,6 @@ fn mixed_net() -> LutNetwork {
 
 fn tight_cfg() -> SweepConfig {
     SweepConfig {
-        random_rounds: 1,
         random_batch: 2,
         guided_iterations: 0,
         seed: 5,

@@ -19,7 +19,7 @@ use std::time::Duration;
 use simgen_cec::{
     cec_run_report, check_equivalence, design_info, design_name, sweep_run_report, CecVerdict,
     Deadline, EngineMode, EnginePolicy, InconclusiveReason, ProofCache, RunContext, RunMeta,
-    SweepConfig, SweepJournal, Sweeper,
+    SweepConfig, SweepJournal, Sweeper, MAX_JOBS,
 };
 use simgen_core::{make_strategy, PatternGenerator};
 use simgen_mapping::map_to_luts;
@@ -284,13 +284,18 @@ impl<'a> Args<'a> {
         Ok(self.num("--seed", .., "an unsigned integer")?.unwrap_or(0))
     }
 
-    /// `--jobs 0` auto-detects the core count; any other value is
-    /// taken literally.
+    /// `--jobs` as given: 0..=[`MAX_JOBS`], 0 = auto. `submit` sends
+    /// it unresolved, so the daemon picks its own worker count.
+    fn jobs_flag(&self) -> Result<usize, CliError> {
+        let jobs = self.num("--jobs", ..=MAX_JOBS, &format!("0..={MAX_JOBS}; 0 = auto"))?;
+        Ok(jobs.unwrap_or(1))
+    }
+
+    /// `--jobs` for a local run: 0 auto-detects the core count.
     fn jobs(&self) -> Result<usize, CliError> {
-        let jobs = self.num("--jobs", .., "a non-negative integer; 0 = auto")?;
-        Ok(match jobs {
-            Some(0) => std::thread::available_parallelism().map_or(1, usize::from),
-            jobs => jobs.unwrap_or(1),
+        Ok(match self.jobs_flag()? {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            jobs => jobs,
         })
     }
 
@@ -872,7 +877,7 @@ fn submit(args: &Args) -> Result<ExitCode, CliError> {
         strategy: args.str("--strategy").unwrap_or("simgen").to_string(),
         seed: args.seed()?,
         k: args.k()?,
-        jobs: args.jobs()?,
+        jobs: args.jobs_flag()?,
         timeout: args.secs("--timeout", true)?.map(|d| d.as_secs_f64()),
         certify: args.has("--certify"),
         priority: priority.unwrap_or(simgen_serve::DEFAULT_PRIORITY),
@@ -1029,7 +1034,7 @@ mod tests {
 
     #[test]
     fn bad_jobs_value_is_rejected() {
-        for bad in ["-3", "many", "1.5"] {
+        for bad in ["-3", "many", "1.5", "1025"] {
             let res = run(&s(&["sweep", "x.blif", "--jobs", bad]));
             let msg = res.expect_err("jobs must be a non-negative integer").0;
             assert!(msg.contains("--jobs"), "unexpected error: {msg}");
@@ -1134,6 +1139,38 @@ mod tests {
         assert_eq!(code, ExitCode::SUCCESS);
         let code = run(&s(&["cec", &aag_s, &aag_s, "-j", "0"])).unwrap();
         assert_eq!(code, ExitCode::SUCCESS);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn submit_sends_jobs_zero_unresolved() {
+        use std::io::{BufRead, BufReader, Write};
+        let dir = std::env::temp_dir().join(format!("simgen_cli_submit_j0_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("sock");
+        let listener = std::os::unix::net::UnixListener::bind(&socket).unwrap();
+        // A stand-in daemon: keeps the request line, answers an error.
+        let daemon = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut line = String::new();
+            BufReader::new(&conn).read_line(&mut line).unwrap();
+            conn.write_all(b"{\"id\":\"job\",\"error\":\"stub\"}\n")
+                .unwrap();
+            line
+        });
+        let argv = s(&[
+            "submit",
+            "a.aag",
+            "b.aag",
+            "--socket",
+            socket.to_str().unwrap(),
+            "-j",
+            "0",
+        ]);
+        assert_eq!(run(&argv).unwrap(), ExitCode::from(69));
+        let request = simgen_obs::Json::parse(daemon.join().unwrap().trim()).unwrap();
+        let jobs = request.get("config").and_then(|c| c.get("jobs"));
+        assert_eq!(jobs.and_then(simgen_obs::Json::as_u64), Some(0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,7 +50,7 @@ fn fault_plans_quarantine_soundly_and_jobs_invariantly() {
                 totals.get("panics").unwrap().as_u64().unwrap() > 0,
                 "{tag}: the plan injects panics"
             );
-            for column in ["proofs", "conflicts", "timeouts", "escalations", "panics"] {
+            for column in ["proofs", "conflicts", "timeouts", "panics"] {
                 let sum: u64 = rows
                     .iter()
                     .map(|row| row.get(column).unwrap().as_u64().unwrap())

@@ -28,6 +28,11 @@ use simgen_obs::{Json, Trace};
 
 use crate::deadline::Deadline;
 
+/// Most workers a run may ask for. A sweep allocates per-worker state
+/// up front, so a worker count that arrives from outside the program
+/// (a flag, a daemon request) is checked against this bound first.
+pub const MAX_JOBS: usize = 1024;
+
 /// What one worker did, plus its final caller-owned state (where the
 /// sweeping layer keeps its per-worker BDD engine and busy-time spans).
 #[derive(Clone, Debug)]

@@ -29,7 +29,7 @@ mod policy;
 mod pool;
 
 pub use deadline::{Deadline, Progress, Watchdog};
-pub use executor::{run_ordered, DispatchOutcome, WorkerReport};
+pub use executor::{run_ordered, DispatchOutcome, WorkerReport, MAX_JOBS};
 pub use fair::{FairQueue, Popped, PushError, DEFAULT_PRIORITY, MAX_PRIORITY};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultAction, FaultPlan};

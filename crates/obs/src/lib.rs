@@ -1,22 +1,22 @@
 //! Observability for the SimGen reproduction: structured run reports,
 //! event tracing, and per-phase counters — zero-cost when disabled.
 //!
-//! Three PRs of engine work (parallel dispatch, anytime deadlines,
-//! compiled kernels) left their statistics scattered across
-//! `SweepStats`, `DispatchSummary`, `SolverStats`, and ad-hoc bench
-//! prints. This crate unifies them behind three small pieces:
+//! The engine keeps its own statistics (`SweepStats`,
+//! `DispatchSummary`, `SolverStats`, the kernel and pool totals); this
+//! crate adds what they lack and the document they are written into:
 //!
 //! * [`Recorder`] / [`LocalRecorder`] — per-phase wall/CPU timings and
-//!   deterministic counters. Worker threads record into plain
-//!   worker-owned locals (no locks, no atomics) that the orchestrator
-//!   merges at round barriers, so merged totals are independent of
-//!   `--jobs` and steal interleaving.
+//!   deterministic counters of events no engine statistic holds. The
+//!   orchestrating thread bumps the counters; worker threads record
+//!   busy spans into plain worker-owned locals (no locks, no atomics)
+//!   that the orchestrator merges at round barriers.
 //! * [`Trace`] — a bounded event ring (proofs dispatched and
 //!   quarantined, deadline trips, resim flushes, kernel compiles)
 //!   writable from any thread, drained to JSONL. Traces are
 //!   diagnostics: explicitly outside the determinism guarantee.
 //! * [`RunReport`] — the versioned JSON document
-//!   (`simgen-run-report/5`) every run can emit, with a
+//!   (`simgen-run-report/6`) every run can emit, written once from the
+//!   engine's statistics by `simgen_cec::report`, with a
 //!   [`deterministic_json`](RunReport::deterministic_json) form that
 //!   strips timing (`*_ms`) and scheduling fields and is required to
 //!   be byte-identical for any worker count, and an engine-stripped
@@ -46,10 +46,7 @@ pub use bench::BenchReport;
 pub use fsutil::atomic_write;
 pub use json::{Json, JsonError};
 pub use recorder::{Counter, LocalRecorder, Phase, Recorder};
-pub use report::{
-    Design, DispatchSection, IterationRow, Outcome, PhaseTiming, RunReport, SatSection, SimSection,
-    SweepSection, TraceSummary, WorkerRow,
-};
+pub use report::{Design, RunReport};
 pub use trace::{Trace, TraceEvent, DEFAULT_TRACE_CAPACITY};
 
 /// The pair of instrumentation handles threaded through a run: a

@@ -1,13 +1,13 @@
 //! Per-phase counters and span timings, recorded without locks.
 //!
-//! A sweep has one [`Recorder`] owned by the orchestrating thread.
-//! Worker threads never touch it: each worker owns a [`LocalRecorder`]
-//! (plain fields, no atomics, no locks) created from the recorder's
-//! template, and the orchestrator merges the locals back at the next
-//! round barrier with [`Recorder::merge`]. Merging is a sum over
-//! fixed-size arrays, so the merged totals are independent of worker
-//! count and steal interleaving — the property the byte-identical
-//! report guarantee rests on.
+//! A sweep has one [`Recorder`] owned by the orchestrating thread,
+//! which alone bumps the counters. Worker threads never touch it: each
+//! worker owns a [`LocalRecorder`] (plain busy-span durations, no
+//! atomics, no locks) created from the recorder's template, and the
+//! orchestrator merges the locals back at the next round barrier with
+//! [`Recorder::merge`]. Merging is a sum over fixed-size arrays, so the
+//! merged totals are independent of worker count and steal
+//! interleaving.
 //!
 //! Everything is gated on one `enabled` flag fixed at construction.
 //! Disabled recorders never call `Instant::now()` and every `add` is a
@@ -84,46 +84,16 @@ enum_with_names! {
     pub enum Counter {
         /// Candidate pairs handed to the proof engine.
         ProofsDispatched => "proofs_dispatched",
-        /// Pairs proved equivalent.
-        ProofsEquivalent => "proofs_equivalent",
-        /// Pairs disproved by a counterexample.
-        ProofsDisproved => "proofs_disproved",
         /// Pairs still undecided after their proof attempt.
         ProofsUndecided => "proofs_undecided",
-        /// Always 0: each pair gets one attempt. A fixed key of
-        /// report schema 5.
-        ProofsEscalated => "proofs_escalated",
-        /// Pairs quarantined: a prover panic or a failed
-        /// certification check.
-        ProofsQuarantined => "proofs_quarantined",
         /// Pairs skipped because the deadline expired first.
         ProofsSkipped => "proofs_skipped",
-        /// Dispatch rounds executed.
-        Rounds => "rounds",
-        /// Counterexample patterns buffered for batched resimulation.
-        CexBuffered => "cex_buffered",
         /// Batched resimulation flushes.
         ResimFlushes => "resim_flushes",
-        /// Times a phase boundary observed an expired deadline.
+        /// Times a phase boundary of the sweep found the deadline
+        /// expired. The watchdog thread's own trips are trace events
+        /// only.
         DeadlineTrips => "deadline_trips",
-        /// Guided-generation iterations completed.
-        GuidedIterations => "guided_iterations",
-        /// Guided vectors generated.
-        VectorsGenerated => "vectors_generated",
-        /// Netlist-to-kernel compilations.
-        KernelCompiles => "kernel_compiles",
-        /// Total Shannon-tape ops across compiled kernels.
-        KernelTapeOps => "kernel_tape_ops",
-        /// Kernel block executions (full-net or cone-restricted).
-        SimExecCalls => "sim_exec_calls",
-        /// Lane-words computed across all kernel executions.
-        SimExecWords => "sim_exec_words",
-        /// Patterns appended across all kernel block executions.
-        SimPatterns => "sim_patterns",
-        /// Cone-restricted executions among `sim_exec_calls`.
-        ConeExecCalls => "cone_exec_calls",
-        /// Single patterns pushed through the scalar path.
-        ScalarPushes => "scalar_pushes",
         /// Output-pair proofs dispatched (CEC only).
         OutputProofs => "output_proofs",
         /// DRAT certificates checked behind `Equivalent` answers
@@ -150,9 +120,6 @@ enum_with_names! {
         /// Cache entries discarded — LRU budget pressure or a failed
         /// revalidation.
         CacheEvictions => "cache_evictions",
-        /// Service jobs rejected with an explicit `overloaded` error
-        /// because the fair queue was full.
-        JobsRejected => "jobs_rejected",
         /// Assumption scopes opened on incremental region solvers
         /// (one per miter routed through a shared solver).
         ScopesOpened => "scopes_opened",
@@ -163,22 +130,11 @@ enum_with_names! {
         /// Pair proofs answered by a solver that had already solved an
         /// earlier miter (warm starts, the complement of cold starts).
         WarmSolves => "warm_solves",
-        /// Queued service jobs shed under overload: displaced by a
-        /// higher-priority submission or expired in the queue past
-        /// their deadline. Always answered explicitly, never dropped.
-        JobsShed => "jobs_shed",
         /// Jobs cancelled by the memory governor: their accounted
         /// footprint crossed `--mem-budget`, so they ended with a
         /// `resource-exhausted` verdict instead of OOM-killing the
         /// process.
         JobsOomCancelled => "jobs_oom_cancelled",
-        /// Times the persistent cache's circuit breaker tripped to
-        /// memory-only operation after repeated disk write failures.
-        BreakerTrips => "breaker_trips",
-        /// Hung jobs killed by the supervisor's watchdog: no progress
-        /// past the stall horizon, so the job was cancelled and its
-        /// manifest quarantined.
-        WatchdogKills => "watchdog_kills",
         /// Incremental region solvers rebuilt because their clause
         /// database bloated past the configured multiple of the
         /// post-seeding footprint (`rebuild_bloat`).
@@ -186,12 +142,11 @@ enum_with_names! {
     }
 }
 
-/// A worker-owned recorder: plain counters and busy-span durations,
-/// merged into the shared [`Recorder`] at the next round barrier.
+/// A worker-owned recorder of busy-span durations, merged into the
+/// shared [`Recorder`] at the next round barrier.
 #[derive(Clone, Debug)]
 pub struct LocalRecorder {
     enabled: bool,
-    counters: [u64; Counter::COUNT],
     busy: [Duration; Phase::COUNT],
 }
 
@@ -199,13 +154,6 @@ impl LocalRecorder {
     /// True when this recorder actually records.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Adds to a counter.
-    pub fn add(&mut self, counter: Counter, n: u64) {
-        if self.enabled {
-            self.counters[counter as usize] += n;
-        }
     }
 
     /// Opens a busy span for `phase`; the elapsed time lands in the
@@ -244,8 +192,8 @@ impl Drop for LocalSpan<'_> {
     }
 }
 
-/// The orchestrator-owned recorder: merged counters plus per-phase
-/// wall and CPU totals.
+/// The orchestrator-owned recorder: the counters plus per-phase wall
+/// and CPU totals.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     enabled: bool,
@@ -280,23 +228,18 @@ impl Recorder {
     pub fn local(&self) -> LocalRecorder {
         LocalRecorder {
             enabled: self.enabled,
-            counters: [0; Counter::COUNT],
             busy: [Duration::ZERO; Phase::COUNT],
         }
     }
 
-    /// Sums worker locals into the shared totals. Addition is
-    /// commutative, so the result is independent of worker order and
-    /// of how jobs were interleaved — call this at a round barrier and
-    /// the merged state is scheduling-invariant.
+    /// Sums worker locals' busy spans into the per-phase CPU totals.
+    /// Addition is commutative, so the result is independent of worker
+    /// order and of how jobs were interleaved.
     pub fn merge<'a>(&mut self, locals: impl IntoIterator<Item = &'a LocalRecorder>) {
         if !self.enabled {
             return;
         }
         for local in locals {
-            for (total, n) in self.counters.iter_mut().zip(local.counters) {
-                *total += n;
-            }
             for (total, d) in self.cpu.iter_mut().zip(local.busy) {
                 *total += d;
             }
@@ -402,13 +345,11 @@ mod tests {
             let _span = rec.span(Phase::RandomSim);
         }
         let mut local = rec.local();
-        local.add(Counter::CexBuffered, 3);
         {
             let _span = local.span(Phase::CexResim);
         }
         rec.merge([&local]);
         assert_eq!(rec.get(Counter::ProofsDispatched), 0);
-        assert_eq!(rec.get(Counter::CexBuffered), 0);
         assert_eq!(rec.wall(Phase::SatResolution), Duration::ZERO);
         assert_eq!(rec.cpu(Phase::CexResim), Duration::ZERO);
         assert!(rec.folded().is_empty());
@@ -419,10 +360,7 @@ mod tests {
         let template = Recorder::new(true);
         let mut a = template.local();
         let mut b = template.local();
-        a.add(Counter::ProofsEquivalent, 2);
         a.add_busy(Phase::SatResolution, Duration::from_millis(5));
-        b.add(Counter::ProofsEquivalent, 3);
-        b.add(Counter::ProofsDisproved, 1);
         b.add_busy(Phase::SatResolution, Duration::from_millis(7));
 
         let mut fwd = Recorder::new(true);
@@ -430,11 +368,6 @@ mod tests {
         let mut rev = Recorder::new(true);
         rev.merge([&b, &a]);
 
-        for &c in Counter::ALL {
-            assert_eq!(fwd.get(c), rev.get(c));
-        }
-        assert_eq!(fwd.get(Counter::ProofsEquivalent), 5);
-        assert_eq!(fwd.get(Counter::ProofsDisproved), 1);
         assert_eq!(fwd.cpu(Phase::SatResolution), Duration::from_millis(12));
         assert_eq!(rev.cpu(Phase::SatResolution), Duration::from_millis(12));
         // Wall time is the orchestrator's business, not the workers'.

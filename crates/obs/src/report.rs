@@ -1,15 +1,12 @@
 //! The versioned `RunReport` document: one JSON file per run unifying
 //! sweep, SAT, dispatch, simulation, and iteration statistics.
 //!
-//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/5"`; version
-//! 2 added the proof-cache and service counters, version 4 the
-//! incremental-SAT scope counters, version 5 the resource-governance
-//! counters — shed/OOM-cancel/breaker/watchdog — and the
-//! `mem_budget`/`stall` config keys). The
-//! field-by-field specification lives in `docs/observability.md`; this
-//! module is the single source of truth for serialization
-//! ([`RunReport::to_json`]), for the deterministic comparison form
-//! ([`RunReport::deterministic_json`]), and for structural validation
+//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/6"`). The
+//! field-by-field specification lives in `docs/observability.md`. The
+//! document is written once, straight from the engine's statistics, by
+//! `simgen_cec::report`; this module owns its header
+//! ([`RunReport::new`]), the deterministic comparison form
+//! ([`RunReport::deterministic_json`]) and structural validation
 //! ([`RunReport::validate`]).
 //!
 //! # Determinism contract
@@ -46,220 +43,12 @@ pub struct Design {
     pub pos: u64,
 }
 
-/// How the run ended.
-#[derive(Clone, Debug, Default)]
-pub struct Outcome {
-    /// `"complete"`, `"interrupted"`, `"equivalent"`,
-    /// `"not_equivalent"`, or `"inconclusive"`.
-    pub status: String,
-    /// The process exit code the CLI maps this outcome to (0/1/2, or
-    /// 3 when certification rejected an engine answer).
-    pub exit_code: u64,
-    /// True when a deadline or stall trip cut the run short.
-    pub interrupted: bool,
-    /// Outcome-specific extras (e.g. `reason` for inconclusive runs).
-    pub detail: Vec<(String, Json)>,
-}
-
-/// Wall/CPU attribution for one phase.
+/// The unified, versioned run report: one ordered JSON document. It
+/// opens with the schema, tool and run identity ([`RunReport::new`]);
+/// its writer (`simgen_cec::report`) appends the sections in order.
 #[derive(Clone, Debug)]
-pub struct PhaseTiming {
-    /// Phase path, e.g. `"sweep;sat"` (see `recorder::Phase`).
-    pub name: String,
-    /// Elapsed wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Summed worker busy time in milliseconds.
-    pub cpu_ms: f64,
-}
-
-/// One guided-generation iteration (SimGen's per-iteration cost curve).
-#[derive(Clone, Debug)]
-pub struct IterationRow {
-    /// Iteration index (0-based).
-    pub iteration: u64,
-    /// Remaining candidate-equivalence cost after this iteration.
-    pub cost: u64,
-    /// Guided vectors generated this iteration.
-    pub vectors: u64,
-    /// Generation time in milliseconds.
-    pub gen_ms: f64,
-    /// Simulation time in milliseconds.
-    pub sim_ms: f64,
-}
-
-/// Sweep-level outcome totals.
-#[derive(Clone, Debug, Default)]
-pub struct SweepSection {
-    /// Candidate cost left after the simulation phases.
-    pub cost_after_sim: u64,
-    /// Pairs proved equivalent by the proof engine.
-    pub proved_equivalent: u64,
-    /// Pairs disproved by counterexamples.
-    pub disproved: u64,
-    /// Pairs aborted (budget exhausted, undecided).
-    pub aborted: u64,
-    /// Pairs left unresolved at the end of the run.
-    pub unresolved: u64,
-    /// Pairs quarantined after prover panics.
-    pub quarantined: u64,
-    /// Equivalence classes fully proven.
-    pub proven_classes: u64,
-    /// Total simulation patterns accumulated.
-    pub patterns: u64,
-}
-
-/// Aggregated CDCL solver totals (deterministic across `--jobs`).
-#[derive(Clone, Debug, Default)]
-pub struct SatSection {
-    /// Prover invocations (SAT or BDD engine calls).
-    pub calls: u64,
-    /// CDCL solve() entries.
-    pub solves: u64,
-    /// Decisions.
-    pub decisions: u64,
-    /// Unit propagations.
-    pub propagations: u64,
-    /// Conflicts.
-    pub conflicts: u64,
-    /// Restarts.
-    pub restarts: u64,
-    /// Clauses learned.
-    pub learned: u64,
-    /// Learned clauses removed by reduction.
-    pub removed: u64,
-    /// Clauses recorded into DRAT proof logs (zero unless proof
-    /// logging was on).
-    pub proof_clauses: u64,
-    /// Bytes of DRAT proof text those clauses amount to.
-    pub proof_bytes: u64,
-    /// Estimated clause-database bytes live at the end of the run,
-    /// summed over every solver — the figure the memory governor
-    /// compares against `--mem-budget`. Engine-dependent (warm
-    /// solvers retain learnt clauses cold ones never build).
-    pub clause_db_bytes: u64,
-    /// Total wall time inside provers, milliseconds.
-    pub wall_ms: f64,
-}
-
-/// One worker's row in the dispatch section: the share of the totals
-/// produced by the pairs this worker ran. Which worker ran which pair
-/// depends on scheduling, so the rows are stripped from the
-/// deterministic form.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerRow {
-    /// Worker index.
-    pub worker: u64,
-    /// Pair proofs completed.
-    pub proofs: u64,
-    /// Conflicts spent in aborted (budget-limited) attempts.
-    pub conflicts: u64,
-    /// Pairs left undecided by their proof attempt.
-    pub timeouts: u64,
-    /// Jobs stolen from other workers.
-    pub steals: u64,
-    /// Pair proofs that panicked.
-    pub panics: u64,
-}
-
-/// Parallel-dispatch totals plus the per-worker breakdown.
-///
-/// The totals are the section's own fields, accumulated merge-side
-/// from per-pair results in pair order, so they are deterministic for
-/// any worker count. The rows split the same results by worker, so
-/// every column but `steals` sums to its total; steals have no
-/// deterministic counterpart, and their total is the row sum.
-#[derive(Clone, Debug, Default)]
-pub struct DispatchSection {
-    /// Worker count the run used.
-    pub jobs: u64,
-    /// Dispatch rounds executed.
-    pub rounds: u64,
-    /// Pairs quarantined.
-    pub quarantined: u64,
-    /// Proof jobs that ran to completion.
-    pub proofs: u64,
-    /// Conflicts spent in aborted (budget-limited) attempts.
-    pub conflicts: u64,
-    /// Pairs left undecided by their proof attempt.
-    pub timeouts: u64,
-    /// Steps that panicked (each quarantined its pair).
-    pub panics: u64,
-    /// Per-worker rows (stripped from the deterministic form).
-    pub workers: Vec<WorkerRow>,
-}
-
-/// Compiled-kernel shape and execution totals.
-#[derive(Clone, Debug, Default)]
-pub struct SimSection {
-    /// Nodes in the compiled kernel.
-    pub kernel_nodes: u64,
-    /// Nodes lowered to fused opcodes.
-    pub kernel_fused: u64,
-    /// Nodes lowered to Shannon tapes.
-    pub kernel_tape_nodes: u64,
-    /// Total tape ops.
-    pub kernel_tape_ops: u64,
-    /// Kernel block executions.
-    pub exec_calls: u64,
-    /// Lane-words computed.
-    pub exec_words: u64,
-    /// Patterns appended across block executions.
-    pub exec_patterns: u64,
-    /// Cone-restricted executions among `exec_calls`.
-    pub cone_exec_calls: u64,
-    /// Scalar single-pattern pushes.
-    pub scalar_pushes: u64,
-    /// Active SIMD width in bits (64/256/512). Host-dependent, so it
-    /// lives under the stripped scheduling keys.
-    pub simd_width_bits: u64,
-    /// Worker-pool dispatches by `simulate_lanes` (scheduling-
-    /// dependent: varies with `--jobs`; stripped).
-    pub pool_dispatches: u64,
-    /// Worker tasks enqueued by those dispatches (stripped).
-    pub pool_tasks: u64,
-    /// Peak lane-table bytes one simulation call allocated (word
-    /// counts pad to the active SIMD width, so stripped).
-    pub pool_lane_bytes: u64,
-}
-
-/// Trace-ring summary (scheduling-dependent; diagnostics only).
-#[derive(Clone, Debug, Default)]
-pub struct TraceSummary {
-    /// Events emitted over the run.
-    pub emitted: u64,
-    /// Events lost to ring overflow.
-    pub dropped: u64,
-}
-
-/// The unified, versioned run report.
-#[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    /// Subcommand that produced the report (`"sweep"` or `"cec"`).
-    pub command: String,
-    /// Command-line echo (stripped from the deterministic form).
-    pub argv: Vec<String>,
-    /// Design identity and size.
-    pub design: Design,
-    /// Effective configuration, key by key.
-    pub config: Vec<(String, Json)>,
-    /// How the run ended.
-    pub outcome: Outcome,
-    /// Per-phase wall/CPU breakdown.
-    pub phases: Vec<PhaseTiming>,
-    /// Per-iteration cost curve (empty when not recorded).
-    pub iterations: Vec<IterationRow>,
-    /// Sweep totals.
-    pub sweep: Option<SweepSection>,
-    /// SAT totals.
-    pub sat: Option<SatSection>,
-    /// Dispatch totals (parallel runs only).
-    pub dispatch: Option<DispatchSection>,
-    /// Simulation kernel totals.
-    pub sim: Option<SimSection>,
-    /// Deterministic counters, in fixed declaration order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Trace summary, when tracing was on.
-    pub trace: Option<TraceSummary>,
+    json: Json,
 }
 
 /// Keys stripped (with their subtrees) from the deterministic form,
@@ -318,13 +107,11 @@ const ENGINE_SAT_KEYS: &[&str] = &[
 ];
 
 /// Effort keys in `dispatch.totals`: a pair can finish within its
-/// conflict budget warm but run out of it cold. `escalations` is a
-/// schema-5 key that always reads 0.
-const ENGINE_DISPATCH_KEYS: &[&str] = &["conflicts", "timeouts", "escalations"];
+/// conflict budget warm but run out of it cold.
+const ENGINE_DISPATCH_KEYS: &[&str] = &["conflicts", "timeouts"];
 
 /// Counters that describe the engine policy's own behaviour.
 const ENGINE_COUNTER_KEYS: &[&str] = &[
-    "proofs_escalated",
     "scopes_opened",
     "clauses_reused",
     "warm_solves",
@@ -371,190 +158,52 @@ pub fn strip_engine_dependent(json: &mut Json) {
 
 impl RunReport {
     /// Schema identifier written into every report. Version 2 added
-    /// the proof-cache counters (`cache_*`, `jobs_rejected`); version
-    /// 3 added the `sim_patterns` counter, `sim.exec_patterns`, and
-    /// the stripped `sim.simd_width_bits`/`sim.pool_*` diagnostics;
-    /// version 4 added the incremental-SAT counters (`scopes_opened`,
-    /// `clauses_reused`, `warm_solves`) and the engine-policy config
-    /// keys; version 5 added the resource-governance counters
-    /// (`jobs_shed`, `jobs_oom_cancelled`, `breaker_trips`,
-    /// `watchdog_kills`, `solver_rebuilds`), the memory gauges
-    /// (`sat.clause_db_bytes`, stripped `sim.pool_lane_bytes`), and
-    /// the `mem_budget`/`rebuild_bloat` config keys.
-    pub const SCHEMA: &'static str = "simgen-run-report/5";
+    /// the proof-cache counters; version 3 `sim.exec_patterns` and the
+    /// stripped `sim.simd_width_bits`/`sim.pool_*` diagnostics; version
+    /// 4 the incremental-SAT counters and the engine-policy config
+    /// keys; version 5 the resource-governance counters, the memory
+    /// gauges (`sat.clause_db_bytes`, stripped `sim.pool_lane_bytes`)
+    /// and the `mem_budget`/`rebuild_bloat` config keys. Version 6
+    /// dropped 19 counters that repeated another key of the report or
+    /// were never bumped, the `escalations` column, `config.proof` and
+    /// `config.random_rounds`, and wrote `config.bdd_node_limit` in
+    /// place of `config.budget_schedule`.
+    pub const SCHEMA: &'static str = "simgen-run-report/6";
 
-    /// Serializes the full report.
-    pub fn to_json(&self) -> Json {
-        let mut root = Json::obj();
-        root.push("schema", Json::Str(Self::SCHEMA.to_string()));
+    /// Starts a report: the schema and tool header, then the command,
+    /// its argument echo and the design.
+    pub fn new(command: String, argv: Vec<String>, design: &Design) -> RunReport {
+        let mut json = Json::obj();
+        json.push("schema", Json::Str(Self::SCHEMA.to_string()));
         let mut tool = Json::obj();
         tool.push("name", Json::Str("simgen".to_string()));
         tool.push("version", Json::Str(env!("CARGO_PKG_VERSION").to_string()));
-        root.push("tool", tool);
-        root.push("command", Json::Str(self.command.clone()));
-        root.push(
-            "argv",
-            Json::Arr(self.argv.iter().map(|a| Json::Str(a.clone())).collect()),
-        );
+        json.push("tool", tool);
+        json.push("command", Json::Str(command));
+        json.push("argv", Json::Arr(argv.into_iter().map(Json::Str).collect()));
+        let mut d = Json::obj();
+        d.push("name", Json::Str(design.name.clone()));
+        d.push("path", Json::Str(design.path.clone()));
+        d.push("pis", Json::U64(design.pis));
+        d.push("nodes", Json::U64(design.nodes));
+        d.push("pos", Json::U64(design.pos));
+        json.push("design", d);
+        RunReport { json }
+    }
 
-        let mut design = Json::obj();
-        design.push("name", Json::Str(self.design.name.clone()));
-        design.push("path", Json::Str(self.design.path.clone()));
-        design.push("pis", Json::U64(self.design.pis));
-        design.push("nodes", Json::U64(self.design.nodes));
-        design.push("pos", Json::U64(self.design.pos));
-        root.push("design", design);
+    /// Appends a top-level section.
+    pub fn push(&mut self, key: &str, value: Json) {
+        self.json.push(key, value);
+    }
 
-        let mut config = Json::obj();
-        for (key, value) in &self.config {
-            config.push(key, value.clone());
-        }
-        root.push("config", config);
-
-        let mut outcome = Json::obj();
-        outcome.push("status", Json::Str(self.outcome.status.clone()));
-        outcome.push("exit_code", Json::U64(self.outcome.exit_code));
-        outcome.push("interrupted", Json::Bool(self.outcome.interrupted));
-        for (key, value) in &self.outcome.detail {
-            outcome.push(key, value.clone());
-        }
-        root.push("outcome", outcome);
-
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| {
-                let mut row = Json::obj();
-                row.push("name", Json::Str(p.name.clone()));
-                row.push("wall_ms", Json::F64(p.wall_ms));
-                row.push("cpu_ms", Json::F64(p.cpu_ms));
-                row
-            })
-            .collect();
-        root.push("phases", Json::Arr(phases));
-
-        let iterations = self
-            .iterations
-            .iter()
-            .map(|it| {
-                let mut row = Json::obj();
-                row.push("iteration", Json::U64(it.iteration));
-                row.push("cost", Json::U64(it.cost));
-                row.push("vectors", Json::U64(it.vectors));
-                row.push("gen_ms", Json::F64(it.gen_ms));
-                row.push("sim_ms", Json::F64(it.sim_ms));
-                row
-            })
-            .collect();
-        root.push("iterations", Json::Arr(iterations));
-
-        if let Some(sweep) = &self.sweep {
-            let mut s = Json::obj();
-            s.push("cost_after_sim", Json::U64(sweep.cost_after_sim));
-            s.push("proved_equivalent", Json::U64(sweep.proved_equivalent));
-            s.push("disproved", Json::U64(sweep.disproved));
-            s.push("aborted", Json::U64(sweep.aborted));
-            s.push("unresolved", Json::U64(sweep.unresolved));
-            s.push("quarantined", Json::U64(sweep.quarantined));
-            s.push("proven_classes", Json::U64(sweep.proven_classes));
-            s.push("patterns", Json::U64(sweep.patterns));
-            root.push("sweep", s);
-        }
-
-        if let Some(sat) = &self.sat {
-            let mut s = Json::obj();
-            s.push("calls", Json::U64(sat.calls));
-            s.push("solves", Json::U64(sat.solves));
-            s.push("decisions", Json::U64(sat.decisions));
-            s.push("propagations", Json::U64(sat.propagations));
-            s.push("conflicts", Json::U64(sat.conflicts));
-            s.push("restarts", Json::U64(sat.restarts));
-            s.push("learned", Json::U64(sat.learned));
-            s.push("removed", Json::U64(sat.removed));
-            s.push("proof_clauses", Json::U64(sat.proof_clauses));
-            s.push("proof_bytes", Json::U64(sat.proof_bytes));
-            s.push("clause_db_bytes", Json::U64(sat.clause_db_bytes));
-            s.push("wall_ms", Json::F64(sat.wall_ms));
-            root.push("sat", s);
-        }
-
-        if let Some(dispatch) = &self.dispatch {
-            let mut d = Json::obj();
-            d.push("jobs", Json::U64(dispatch.jobs));
-            d.push("rounds", Json::U64(dispatch.rounds));
-            d.push("quarantined", Json::U64(dispatch.quarantined));
-            let mut totals = Json::obj();
-            totals.push("proofs", Json::U64(dispatch.proofs));
-            totals.push("conflicts", Json::U64(dispatch.conflicts));
-            totals.push("timeouts", Json::U64(dispatch.timeouts));
-            // A schema-5 key: each pair gets one attempt, so no pair
-            // escalates.
-            totals.push("escalations", Json::U64(0));
-            // Steals are inherently scheduling-dependent, so the only
-            // honest total is the sum of the rows; it is stripped from
-            // the deterministic form along with them.
-            let steals = dispatch.workers.iter().map(|w| w.steals).sum::<u64>();
-            totals.push("steals", Json::U64(steals));
-            totals.push("panics", Json::U64(dispatch.panics));
-            d.push("totals", totals);
-            let workers = dispatch
-                .workers
-                .iter()
-                .map(|w| {
-                    let mut row = Json::obj();
-                    row.push("worker", Json::U64(w.worker));
-                    row.push("proofs", Json::U64(w.proofs));
-                    row.push("conflicts", Json::U64(w.conflicts));
-                    row.push("timeouts", Json::U64(w.timeouts));
-                    row.push("escalations", Json::U64(0));
-                    row.push("steals", Json::U64(w.steals));
-                    row.push("panics", Json::U64(w.panics));
-                    row
-                })
-                .collect();
-            d.push("workers", Json::Arr(workers));
-            root.push("dispatch", d);
-        }
-
-        if let Some(sim) = &self.sim {
-            let mut s = Json::obj();
-            let mut kernel = Json::obj();
-            kernel.push("nodes", Json::U64(sim.kernel_nodes));
-            kernel.push("fused", Json::U64(sim.kernel_fused));
-            kernel.push("tape_nodes", Json::U64(sim.kernel_tape_nodes));
-            kernel.push("tape_ops", Json::U64(sim.kernel_tape_ops));
-            s.push("kernel", kernel);
-            s.push("exec_calls", Json::U64(sim.exec_calls));
-            s.push("exec_words", Json::U64(sim.exec_words));
-            s.push("exec_patterns", Json::U64(sim.exec_patterns));
-            s.push("cone_exec_calls", Json::U64(sim.cone_exec_calls));
-            s.push("scalar_pushes", Json::U64(sim.scalar_pushes));
-            s.push("simd_width_bits", Json::U64(sim.simd_width_bits));
-            s.push("pool_dispatches", Json::U64(sim.pool_dispatches));
-            s.push("pool_tasks", Json::U64(sim.pool_tasks));
-            s.push("pool_lane_bytes", Json::U64(sim.pool_lane_bytes));
-            root.push("sim", s);
-        }
-
-        let mut counters = Json::obj();
-        for (name, value) in &self.counters {
-            counters.push(name, Json::U64(*value));
-        }
-        root.push("counters", counters);
-
-        if let Some(trace) = &self.trace {
-            let mut t = Json::obj();
-            t.push("emitted", Json::U64(trace.emitted));
-            t.push("dropped", Json::U64(trace.dropped));
-            root.push("trace", t);
-        }
-
-        root
+    /// The full report.
+    pub fn to_json(&self) -> Json {
+        self.json.clone()
     }
 
     /// The full report in the canonical pretty format.
     pub fn to_pretty(&self) -> String {
-        self.to_json().to_pretty()
+        self.json.to_pretty()
     }
 
     /// The report with timing and scheduling-dependent fields
@@ -566,10 +215,11 @@ impl RunReport {
         json.to_pretty()
     }
 
-    /// Structurally validates a parsed report against schema version 1.
-    /// Accepts both the full and the deterministic form (stripped
-    /// fields are optional; present fields must have the right type).
-    /// Returns every problem found, not just the first.
+    /// Structurally validates a parsed report against
+    /// [`RunReport::SCHEMA`]. Accepts both the full and the
+    /// deterministic form (stripped fields are optional; present fields
+    /// must have the right type). Returns every problem found, not just
+    /// the first.
     pub fn validate(json: &Json) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
         let Some(entries) = json.entries() else {
@@ -727,7 +377,7 @@ impl RunReport {
             match dispatch.get("totals") {
                 None => errors.push("dispatch: missing field totals".to_string()),
                 Some(totals) => {
-                    for key in ["proofs", "conflicts", "timeouts", "escalations", "panics"] {
+                    for key in ["proofs", "conflicts", "timeouts", "panics"] {
                         expect_u64(&mut errors, totals, "dispatch.totals", key);
                     }
                 }
@@ -791,106 +441,90 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Counter;
 
-    fn sample_report(jobs: u64) -> RunReport {
-        RunReport {
-            command: "sweep".to_string(),
-            argv: vec![
-                "sweep".into(),
-                "x.blif".into(),
-                "--jobs".into(),
-                jobs.to_string(),
-            ],
-            design: Design {
-                name: "x".into(),
-                path: "x.blif".into(),
-                pis: 8,
-                nodes: 40,
-                pos: 4,
-            },
-            config: vec![
-                ("strategy".to_string(), Json::Str("simgen".into())),
-                ("jobs".to_string(), Json::U64(jobs)),
-                ("seed".to_string(), Json::U64(7)),
-            ],
-            outcome: Outcome {
-                status: "complete".into(),
-                exit_code: 0,
-                interrupted: false,
-                detail: vec![],
-            },
-            phases: vec![PhaseTiming {
-                name: "sweep;sat".into(),
-                wall_ms: 12.5 * jobs as f64,
-                cpu_ms: 13.0,
-            }],
-            iterations: vec![IterationRow {
-                iteration: 0,
-                cost: 10,
-                vectors: 64,
-                gen_ms: 0.5,
-                sim_ms: 0.25,
-            }],
-            sweep: Some(SweepSection {
-                cost_after_sim: 10,
-                proved_equivalent: 9,
-                disproved: 1,
-                ..SweepSection::default()
-            }),
-            sat: Some(SatSection {
-                calls: 10,
-                conflicts: 123,
-                ..SatSection::default()
-            }),
-            dispatch: Some(DispatchSection {
-                jobs,
-                rounds: 2,
-                quarantined: 0,
-                proofs: 12,
-                // The same 12 proofs split across however many
-                // workers ran — totals stay invariant, steals don't.
-                workers: (0..jobs)
-                    .map(|w| WorkerRow {
-                        worker: w,
-                        proofs: 12 / jobs,
-                        steals: w,
-                        ..WorkerRow::default()
-                    })
-                    .collect(),
-                ..DispatchSection::default()
-            }),
-            sim: Some(SimSection {
-                kernel_nodes: 40,
-                exec_calls: 6,
-                exec_patterns: 384,
-                simd_width_bits: 256,
-                // Scheduling-dependent: the parallel path engages a
-                // different number of times per --jobs value, and lane
-                // padding follows the host SIMD width.
-                pool_dispatches: jobs,
-                pool_tasks: jobs * 3,
-                pool_lane_bytes: 4096 * jobs,
-                ..SimSection::default()
-            }),
-            counters: vec![(Counter::ProofsDispatched.name(), 10)],
-            trace: Some(TraceSummary {
-                emitted: 99 * jobs,
-                dropped: 0,
-            }),
+    /// A report laid out as its writer lays it out, from a JSON
+    /// literal. `jobs` moves only timing and scheduling fields; `warm`
+    /// moves only the engine-policy echo and the solver-effort fields.
+    fn sample_report(jobs: u64, warm: bool) -> RunReport {
+        let argv = ["sweep", "x.blif", "--jobs", &jobs.to_string()].map(String::from);
+        let design = Design {
+            name: "x".into(),
+            path: "x.blif".into(),
+            pis: 8,
+            nodes: 40,
+            pos: 4,
+        };
+        let mut report = RunReport::new("sweep".to_string(), argv.to_vec(), &design);
+        // The same 12 proofs split across however many workers ran —
+        // totals stay invariant, steals don't.
+        let workers: Vec<String> = (0..jobs)
+            .map(|w| {
+                let proofs = 12 / jobs;
+                format!(
+                    r#"{{"worker": {w}, "proofs": {proofs}, "conflicts": 0, "timeouts": 0,
+                        "steals": {w}, "panics": 0}}"#
+                )
+            })
+            .collect();
+        let workers = workers.join(", ");
+        let steals: u64 = (0..jobs).sum();
+        let wall = 12.5 * jobs as f64;
+        // Scheduling-dependent: the parallel path engages a different
+        // number of times per --jobs value, and lane padding follows
+        // the host SIMD width.
+        let (pool_tasks, lane_bytes, emitted) = (jobs * 3, 4096 * jobs, 99 * jobs);
+        // A warm solver retains learnt clauses a cold one never
+        // accumulates.
+        let (solves, conflicts, clause_db, dispatch_conflicts) = match warm {
+            true => (11, 17, 9000, 0),
+            false => (29, 123, 400, 40),
+        };
+        let (scopes, reused, warm_solves) = match warm {
+            true => (10, 57, 9),
+            false => (0, 0, 0),
+        };
+        let body = format!(
+            r#"{{
+  "config": {{"strategy": "simgen", "jobs": {jobs}, "seed": 7,
+              "engine_mode": "default", "incremental": {warm}}},
+  "outcome": {{"status": "complete", "exit_code": 0, "interrupted": false}},
+  "phases": [{{"name": "sweep;sat", "wall_ms": {wall:?}, "cpu_ms": 13.0}}],
+  "iterations": [{{"iteration": 0, "cost": 10, "vectors": 64, "gen_ms": 0.5, "sim_ms": 0.25}}],
+  "sweep": {{"cost_after_sim": 10, "proved_equivalent": 9, "disproved": 1, "aborted": 0,
+             "unresolved": 0, "quarantined": 0, "proven_classes": 0, "patterns": 0}},
+  "sat": {{"calls": 10, "solves": {solves}, "decisions": 0, "propagations": 0,
+           "conflicts": {conflicts}, "restarts": 0, "learned": 0, "removed": 0,
+           "proof_clauses": 0, "proof_bytes": 0, "clause_db_bytes": {clause_db}, "wall_ms": 0.0}},
+  "dispatch": {{"jobs": {jobs}, "rounds": 2, "quarantined": 0,
+                "totals": {{"proofs": 12, "conflicts": {dispatch_conflicts}, "timeouts": 0,
+                            "steals": {steals}, "panics": 0}},
+                "workers": [{workers}]}},
+  "sim": {{"kernel": {{"nodes": 40, "fused": 0, "tape_nodes": 0, "tape_ops": 0}},
+           "exec_calls": 6, "exec_words": 0, "exec_patterns": 384, "cone_exec_calls": 0,
+           "scalar_pushes": 0, "simd_width_bits": 256, "pool_dispatches": {jobs},
+           "pool_tasks": {pool_tasks}, "pool_lane_bytes": {lane_bytes}}},
+  "counters": {{"proofs_dispatched": 10, "scopes_opened": {scopes},
+                "clauses_reused": {reused}, "warm_solves": {warm_solves}}},
+  "trace": {{"emitted": {emitted}, "dropped": 0}}
+}}"#
+        );
+        let body = Json::parse(&body).expect("sample report parses");
+        for (key, value) in body.entries().expect("sample report is an object") {
+            report.push(key, value.clone());
         }
+        report
     }
 
     #[test]
     fn full_report_validates() {
-        let json = sample_report(2).to_json();
+        let json = sample_report(2, true).to_json();
         RunReport::validate(&json).expect("sample report is schema-valid");
     }
 
     #[test]
     fn deterministic_form_validates_and_ignores_jobs() {
-        let one = sample_report(1);
-        let four = sample_report(4);
+        let one = sample_report(1, true);
+        let four = sample_report(4, true);
         assert_ne!(one.to_pretty(), four.to_pretty());
         let det1 = one.deterministic_json();
         let det4 = four.deterministic_json();
@@ -914,34 +548,7 @@ mod tests {
     fn engine_stripped_form_ignores_solver_effort() {
         // Two runs of one workload under different engine policies:
         // identical verdicts, different solver effort and policy echo.
-        let make = |warm: bool| {
-            let mut report = sample_report(2);
-            report
-                .config
-                .push(("engine_mode".to_string(), Json::Str("default".into())));
-            report
-                .config
-                .push(("incremental".to_string(), Json::Bool(warm)));
-            if let Some(sat) = report.sat.as_mut() {
-                sat.conflicts = if warm { 17 } else { 123 };
-                sat.solves = if warm { 11 } else { 29 };
-                // A warm solver retains learnt clauses a cold one
-                // never accumulates.
-                sat.clause_db_bytes = if warm { 9000 } else { 400 };
-            }
-            if let Some(d) = report.dispatch.as_mut() {
-                d.conflicts = if warm { 0 } else { 40 };
-            }
-            report.counters = vec![
-                (Counter::ProofsDispatched.name(), 10),
-                (Counter::ProofsEscalated.name(), if warm { 0 } else { 2 }),
-                (Counter::ScopesOpened.name(), if warm { 10 } else { 0 }),
-                (Counter::ClausesReused.name(), if warm { 57 } else { 0 }),
-                (Counter::WarmSolves.name(), if warm { 9 } else { 0 }),
-            ];
-            report
-        };
-        let (warm, cold) = (make(true), make(false));
+        let (warm, cold) = (sample_report(2, true), sample_report(2, false));
         assert_ne!(warm.deterministic_json(), cold.deterministic_json());
         let strip = |r: &RunReport| {
             let mut json = r.to_json();
@@ -955,25 +562,9 @@ mod tests {
         assert!(text.contains("\"proofs_dispatched\""));
         assert!(text.contains("\"proved_equivalent\""));
         assert!(!text.contains("\"conflicts\""));
-        assert!(!text.contains("\"escalations\""));
         assert!(!text.contains("\"warm_solves\""));
         assert!(!text.contains("\"engine_mode\""));
         assert!(!text.contains("\"clause_db_bytes\""));
-    }
-
-    #[test]
-    fn dispatch_totals_come_from_merge_side_fields() {
-        // Totals are the section's own (merge-accumulated) fields,
-        // never re-derived from the rows. Steals stay a row sum: they
-        // have no deterministic counterpart.
-        let mut report = sample_report(3);
-        if let Some(d) = report.dispatch.as_mut() {
-            d.workers[0].proofs = 0; // a row that disagrees with the totals
-        }
-        let json = report.to_json();
-        let totals = json.get("dispatch").unwrap().get("totals").unwrap();
-        assert_eq!(totals.get("proofs").unwrap().as_u64(), Some(12));
-        assert_eq!(totals.get("steals").unwrap().as_u64(), Some(3));
     }
 
     #[test]
@@ -990,11 +581,11 @@ mod tests {
 
     #[test]
     fn validator_catches_wrong_types() {
-        let mut json = sample_report(1).to_json();
+        let mut json = sample_report(1, true).to_json();
         // Corrupt a counter to a string.
         if let Some(counters) = json.entries().and_then(|_| json.get("counters")).cloned() {
             let mut counters = counters;
-            counters.push("proofs_equivalent", Json::Str("many".into()));
+            counters.push("cache_hits", Json::Str("many".into()));
             if let Json::Obj(entries) = &mut json {
                 for (k, v) in entries.iter_mut() {
                     if k == "counters" {
@@ -1004,12 +595,12 @@ mod tests {
             }
         }
         let errors = RunReport::validate(&json).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("proofs_equivalent")));
+        assert!(errors.iter().any(|e| e.contains("cache_hits")));
     }
 
     #[test]
     fn round_trip_through_parser_is_lossless() {
-        let text = sample_report(2).to_pretty();
+        let text = sample_report(2, true).to_pretty();
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed.to_pretty(), text);
     }

@@ -107,7 +107,7 @@ use simgen_dispatch::{FairQueue, Popped, PushError};
 use simgen_mapping::map_to_luts;
 use simgen_netlist::load::{self, Circuit, LoadError};
 use simgen_netlist::LutNetwork;
-use simgen_obs::{atomic_write, Counter, Observer};
+use simgen_obs::{atomic_write, Counter, Observer, RunReport};
 
 use crate::protocol::{
     error_response, health_response, is_health_request, is_status_request, parse_request,
@@ -700,7 +700,8 @@ fn is_transient_io(kind: std::io::ErrorKind) -> bool {
 }
 
 /// Content address of a whole job: structural hashes of both circuits
-/// (PO order included) plus the verdict-relevant configuration. The
+/// (PO order included), the verdict-relevant configuration, and the
+/// schema of the run report the entry stores. The
 /// circuit *paths* are deliberately not part of the identity — the
 /// same pair of designs submitted from different file names shares
 /// the entry.
@@ -708,6 +709,8 @@ fn serve_job_key(a: &LutNetwork, b: &LutNetwork, request: &JobRequest) -> CacheK
     let roots = |net: &LutNetwork| -> Vec<_> { net.pos().iter().map(|po| po.node).collect() };
     let mut h = Sha256::new();
     h.update(b"simgen-serve-job/1\0");
+    h.update(RunReport::SCHEMA.as_bytes());
+    h.update(&[0]);
     h.update(&job_key(a, &roots(a)).0);
     h.update(&job_key(b, &roots(b)).0);
     h.update(request.cache_config().as_bytes());
@@ -792,16 +795,6 @@ impl<'r> JobFiles<'r> {
     }
 }
 
-/// The run report's spelling of an inconclusive reason.
-fn reason_str(reason: InconclusiveReason) -> &'static str {
-    match reason {
-        InconclusiveReason::DeadlineExpired => "deadline_expired",
-        InconclusiveReason::BudgetExhausted => "budget_exhausted",
-        InconclusiveReason::ResourceExhausted => "resource_exhausted",
-        InconclusiveReason::CertificationFailed => "certification_failed",
-    }
-}
-
 fn status_of(verdict: &CecVerdict) -> JobStatusLine {
     match verdict {
         CecVerdict::Equivalent => JobStatusLine::Equivalent,
@@ -814,7 +807,7 @@ fn status_of(verdict: &CecVerdict) -> JobStatusLine {
             reason,
         } => JobStatusLine::Inconclusive {
             unresolved: unresolved_pairs.len(),
-            reason: reason_str(*reason).to_string(),
+            reason: reason.name().to_string(),
         },
     }
 }
@@ -1068,7 +1061,9 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
     });
     let mut run = RunContext {
         deadline: deadline.clone(),
-        obs: Observer::enabled(),
+        // Counters only: the daemon answers with the deterministic
+        // report, which has no trace section.
+        obs: Observer::with(true, false),
         cache: Some(cache),
         journal: journal.as_mut(),
     };

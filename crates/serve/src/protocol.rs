@@ -163,10 +163,12 @@ pub fn parse_request(line: &str) -> Result<JobRequest, ParseFailure> {
             }
             "jobs" => {
                 // 0 is meaningful: auto-detect cores at execution time.
+                let max = simgen_dispatch::MAX_JOBS;
                 req.jobs = value
                     .as_u64()
-                    .ok_or_else(|| fail("`jobs` must be a u64 (0 = auto)"))?
-                    as usize;
+                    .and_then(|n| usize::try_from(n).ok())
+                    .filter(|&n| n <= max)
+                    .ok_or_else(|| fail(&format!("`jobs` must be 0..={max} (0 = auto)")))?;
             }
             "timeout" => {
                 let secs = match value {
@@ -492,6 +494,20 @@ mod tests {
         hi.priority = 9;
         // Priority must not change the job's cache identity.
         assert_eq!(hi.cache_config(), lo.cache_config());
+    }
+
+    #[test]
+    fn jobs_is_bounded() {
+        let jobs = |n: usize| {
+            let line = format!(r#"{{"id":"j","a":"x.aig","b":"y.aig","config":{{"jobs":{n}}}}}"#);
+            parse_request(&line).map(|req| req.jobs)
+        };
+        let max = simgen_dispatch::MAX_JOBS;
+        assert_eq!(jobs(0), Ok(0), "0 = auto");
+        assert_eq!(jobs(max), Ok(max));
+        let (id, msg) = jobs(max + 1).unwrap_err();
+        assert_eq!(id.as_deref(), Some("j"));
+        assert_eq!(msg, "`jobs` must be 0..=1024 (0 = auto)");
     }
 
     #[test]

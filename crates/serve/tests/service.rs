@@ -274,9 +274,13 @@ fn an_overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
 fn bad_requests_and_bad_jobs_get_error_responses() {
     let dir = temp_dir("err");
     let server = Server::start(ServeOptions::new(dir.join("sock"))).unwrap();
+    let (a, b) = write_and_or(&dir);
 
     // Malformed JSON line → error with null id, connection stays up.
     let mut stream = UnixStream::connect(server.socket()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
     stream.write_all(b"this is not json\n").unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();
@@ -284,6 +288,23 @@ fn bad_requests_and_bad_jobs_get_error_responses() {
     let resp = Json::parse(line.trim_end()).unwrap();
     assert_eq!(resp.get("id"), Some(&Json::Null));
     assert!(resp.get("error").is_some());
+
+    // One worker row per requested worker would overflow the
+    // allocation: an out-of-range `jobs` is refused before queueing.
+    let huge = JobRequest {
+        jobs: 1 << 60,
+        ..request("huge", &a, &b)
+    };
+    stream.write_all(huge.to_line().as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).expect("an answer within 10 s");
+    let resp = Json::parse(line.trim_end()).unwrap();
+    assert_eq!(resp.get("id").and_then(Json::as_str), Some("huge"));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("`jobs` must be 0..=1024 (0 = auto)")
+    );
 
     // Same connection still serves well-formed requests.
     let req = request("missing", "/nonexistent/a.aig", "/nonexistent/b.aig");

@@ -88,8 +88,8 @@ const WARMTH_COUNTERS: &[&str] = &[
 ];
 
 /// Pretty-prints `report` minus the warmth-dependent telemetry: the
-/// whole `sat` and `dispatch` sections (pure solver effort) and the
-/// [`WARMTH_COUNTERS`] keys of `counters`.
+/// whole `sat` section and all of `dispatch` but its round count (pure
+/// solver effort), and the [`WARMTH_COUNTERS`] keys of `counters`.
 fn stripped(report: &Json) -> String {
     let Some(entries) = report.entries() else {
         return report.to_pretty();
@@ -97,7 +97,14 @@ fn stripped(report: &Json) -> String {
     let mut out = Json::obj();
     for (key, value) in entries {
         match key.as_str() {
-            "sat" | "dispatch" => {}
+            "sat" => {}
+            "dispatch" => {
+                let mut dispatch = Json::obj();
+                if let Some(rounds) = value.get("rounds") {
+                    dispatch.push("rounds", rounds.clone());
+                }
+                out.push(key, dispatch);
+            }
             "counters" => {
                 let mut counters = Json::obj();
                 for (k, v) in value.entries().unwrap_or(&[]) {
