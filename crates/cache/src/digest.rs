@@ -143,24 +143,21 @@ impl Sha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(d: [u8; 32]) -> String {
-        d.iter().map(|b| format!("{b:02x}")).collect()
-    }
+    use crate::record::hex;
 
     /// FIPS 180-4 / RFC 6234 test vectors.
     #[test]
     fn known_answer_vectors() {
         assert_eq!(
-            hex(Sha256::digest(b"")),
+            hex(&Sha256::digest(b"")),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
         assert_eq!(
-            hex(Sha256::digest(b"abc")),
+            hex(&Sha256::digest(b"abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
         assert_eq!(
-            hex(Sha256::digest(
+            hex(&Sha256::digest(
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
@@ -172,7 +169,7 @@ mod tests {
             h.update(&chunk);
         }
         assert_eq!(
-            hex(h.finalize()),
+            hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }

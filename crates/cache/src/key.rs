@@ -22,7 +22,7 @@ pub struct CacheKey(pub [u8; 32]);
 impl CacheKey {
     /// Lowercase hex form — the on-disk entry file stem.
     pub fn hex(&self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        crate::record::hex(&self.0)
     }
 
     /// Parses the 64-char lowercase hex form.
@@ -35,12 +35,6 @@ impl CacheKey {
             *byte = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()?;
         }
         Some(CacheKey(out))
-    }
-}
-
-impl std::fmt::Display for CacheKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.hex())
     }
 }
 

@@ -15,6 +15,8 @@
 //! * [`store`] — [`ProofCache`], the LRU byte-budgeted map from
 //!   [`CacheKey`] to [`CacheEntry`], optionally persisted with
 //!   atomic tmp+rename write-through.
+//! * [`record`] — the sealed JSON-line codec of cache entry files and
+//!   `simgen_cec`'s sweep journal, with their hex and bit encodings.
 //! * [`digest`] — a self-contained SHA-256 (the environment has no
 //!   registry access).
 //!
@@ -32,6 +34,7 @@ pub mod digest;
 pub mod fault;
 pub mod key;
 pub mod proof;
+pub mod record;
 pub mod store;
 
 pub use digest::Sha256;
@@ -40,6 +43,6 @@ pub use fault::DiskFaultPlan;
 pub use key::{cone_key, job_key, pair_key, CacheKey};
 pub use proof::{serialize_certificate, verify_proof, OwnedCertificate, ProofParseError};
 pub use store::{
-    scrub, scrub_with_quarantine_budget, CacheEntry, CachedVerdict, PinGuard, ProofCache,
-    ScrubReport, DEFAULT_QUARANTINE_BUDGET, ENTRY_SCHEMA, ENTRY_SCHEMA_V1, QUARANTINE_DIR,
+    scrub, CacheEntry, CachedVerdict, PinGuard, ProofCache, ScrubReport, DEFAULT_QUARANTINE_BUDGET,
+    ENTRY_SCHEMA, QUARANTINE_DIR,
 };

@@ -10,17 +10,17 @@
 //! persistent variant writes every entry through to
 //! `<dir>/<hex>.entry` with an atomic tmp+rename so concurrent
 //! readers (or a crash) never observe a torn entry, and deletes the
-//! file when the entry is evicted.
+//! file when the entry is evicted, so the directory holds the live set.
 //!
 //! The store itself never *trusts* anything: deciding whether a hit
 //! may be used (certify replay, witness replay) is the caller's job —
 //! see `simgen_cec`'s cached sweep hooks. What the store guarantees
-//! is integrity plumbing: every on-disk entry carries its own SHA-256
-//! body checksum and the key it was stored under, [`scrub`] (run
-//! automatically on every [`ProofCache::persistent`] open) moves
-//! anything that fails either check into a `quarantine/` subdirectory
-//! instead of serving it, and [`ProofCache::evict`] lets a caller
-//! discard an entry whose evidence failed replay.
+//! is integrity plumbing: every entry file is one sealed record
+//! ([`crate::record`]) that embeds the key it was stored under,
+//! opening a directory reads each entry file once and moves any that
+//! fails to open into a `quarantine/` subdirectory instead of serving
+//! it, and [`ProofCache::evict`] lets a caller discard an entry whose
+//! evidence failed replay.
 //!
 //! Long-running jobs can [`ProofCache::pin`] the entries they depend
 //! on: pinned entries are exempt from LRU eviction (but not from
@@ -32,20 +32,17 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use simgen_obs::atomic_write;
+use simgen_obs::{atomic_write, Json};
 
-use crate::digest::Sha256;
 use crate::key::CacheKey;
+use crate::record::{bits_from_string, bits_to_string, open_line, seal};
 
-/// Magic first line of an on-disk entry file: key-stamped and
-/// checksummed.
-pub const ENTRY_SCHEMA: &str = "simgen-cache-entry/2";
+/// The `schema` of an entry file's record. Files of any other schema,
+/// including the line-oriented `simgen-cache-entry/2` of earlier
+/// builds, do not open and are quarantined.
+pub const ENTRY_SCHEMA: &str = "simgen-cache-entry/3";
 
-/// The pre-checksum schema, still accepted on load (its only
-/// integrity check is parseability).
-pub const ENTRY_SCHEMA_V1: &str = "simgen-cache-entry/1";
-
-/// Subdirectory corrupt entry files are moved into by [`scrub`].
+/// Subdirectory entry files that fail to open are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Fixed per-entry accounting overhead (key, map slot, bookkeeping).
@@ -60,9 +57,9 @@ const BREAKER_THRESHOLD: u32 = 3;
 /// time-based so degraded-mode behavior is deterministic under test.
 const BREAKER_PROBE_INTERVAL: u64 = 16;
 
-/// Default byte budget for the `quarantine/` subdirectory: [`scrub`]
-/// rotates the oldest quarantined files out past this, so a flaky
-/// disk that corrupts entries on every restart cannot fill the
+/// Default byte budget for the `quarantine/` subdirectory: opening a
+/// directory rotates the oldest quarantined files out past this, so a
+/// flaky disk that corrupts entries on every restart cannot fill the
 /// volume with forensic copies.
 pub const DEFAULT_QUARANTINE_BUDGET: u64 = 4 << 20;
 
@@ -149,65 +146,64 @@ struct Inner {
     fault_plan: Option<crate::fault::DiskFaultPlan>,
 }
 
-/// What a [`scrub`] pass found in a cache directory.
+/// What opening a cache directory found in it.
 #[derive(Debug, Default)]
 pub struct ScrubReport {
-    /// Entry files that passed the key and checksum verification.
+    /// Entry files that opened.
     pub valid: usize,
-    /// New (quarantine) locations of the files that failed it.
+    /// New (quarantine) locations of the files that did not.
     pub quarantined: Vec<PathBuf>,
     /// Old quarantined files deleted to keep `quarantine/` under its
     /// byte budget (oldest first).
     pub rotated: usize,
 }
 
-/// Verifies every `*.entry` file under `dir`: the file name must be a
-/// valid key, the body checksum must match (schema v2), and the body
-/// must parse. Failures are moved — not deleted — into
-/// `dir/quarantine/` so an operator can inspect them; nothing
-/// quarantined is ever loaded or served. Files without the `.entry`
-/// extension are ignored. The quarantine directory itself is then
-/// rotated down to [`DEFAULT_QUARANTINE_BUDGET`] bytes, oldest files
-/// first, so repeated corruption cannot fill the volume.
+/// Reads every `*.entry` file under `dir` (created if missing) once. A
+/// file opens when its name is a key and its bytes are one sealed
+/// record of [`ENTRY_SCHEMA`] embedding that key; any other is moved —
+/// not deleted — into `dir/quarantine/`, which is then rotated down to
+/// [`DEFAULT_QUARANTINE_BUDGET`] bytes. [`ProofCache::persistent`] makes
+/// the same pass and loads what opens; `scrub` keeps nothing.
 pub fn scrub(dir: impl AsRef<Path>) -> io::Result<ScrubReport> {
-    scrub_with_quarantine_budget(dir, DEFAULT_QUARANTINE_BUDGET)
+    scan(dir.as_ref(), DEFAULT_QUARANTINE_BUDGET, |_, _| {})
 }
 
-/// [`scrub`] with an explicit quarantine byte budget.
-pub fn scrub_with_quarantine_budget(
-    dir: impl AsRef<Path>,
+/// The pass behind [`scrub`], in file-name order, handing each file
+/// that opens to `keep`. Files without the `.entry` extension are
+/// ignored; the quarantine keeps its newest `quarantine_budget` bytes.
+fn scan(
+    dir: &Path,
     quarantine_budget: u64,
+    mut keep: impl FnMut(CacheKey, CacheEntry),
 ) -> io::Result<ScrubReport> {
-    let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let mut report = ScrubReport::default();
-    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)?
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == "entry"))
         .collect();
-    names.sort();
-    for path in names {
+    paths.sort();
+    let qdir = dir.join(QUARANTINE_DIR);
+    for path in paths {
         let key = path
             .file_stem()
             .and_then(|s| s.to_str())
             .and_then(CacheKey::from_hex);
-        let ok = key.is_some_and(|key| {
-            std::fs::read(&path)
-                .ok()
-                .and_then(|bytes| parse_entry_file(&key, &bytes))
-                .is_some()
+        let opened = key.and_then(|key| {
+            let bytes = std::fs::read(&path).ok()?;
+            Some((key, open_entry(&key, &bytes)?))
         });
-        if ok {
+        if let Some((key, entry)) = opened {
             report.valid += 1;
+            keep(key, entry);
             continue;
         }
-        let qdir = dir.join(QUARANTINE_DIR);
         std::fs::create_dir_all(&qdir)?;
         let dest = qdir.join(path.file_name().expect("entry files have names"));
         std::fs::rename(&path, &dest)?;
         report.quarantined.push(dest);
     }
-    report.rotated = rotate_quarantine(&dir.join(QUARANTINE_DIR), quarantine_budget)?;
+    report.rotated = rotate_quarantine(&qdir, quarantine_budget)?;
     Ok(report)
 }
 
@@ -275,47 +271,25 @@ impl ProofCache {
         }
     }
 
-    /// A disk-backed cache rooted at `dir` (created if missing). The
-    /// directory is [`scrub`]bed first — corrupt entry files are
-    /// quarantined, never loaded — then the surviving `*.entry` files
-    /// are loaded in file-name order. Inserts write through and
-    /// evictions delete, so the directory mirrors the live set.
+    /// A disk-backed cache rooted at `dir`, opened in the pass [`scrub`]
+    /// makes and loaded with what opens, in file-name order. The
+    /// directory is bound first, so an entry the budget evicts or
+    /// refuses at open loses its file: inserts write through, evictions
+    /// delete, and the directory holds the live set.
     pub fn persistent(dir: impl Into<PathBuf>, budget: u64) -> io::Result<ProofCache> {
-        ProofCache::persistent_scrubbed(dir, budget).map(|(cache, _)| cache)
-    }
-
-    /// [`ProofCache::persistent`], also returning what the startup
-    /// scrub found.
-    pub fn persistent_scrubbed(
-        dir: impl Into<PathBuf>,
-        budget: u64,
-    ) -> io::Result<(ProofCache, ScrubReport)> {
         let dir = dir.into();
-        let report = scrub(&dir)?;
         let cache = ProofCache::in_memory(budget);
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == "entry"))
-            .collect();
-        names.sort();
-        for path in names {
-            let Some(key) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(CacheKey::from_hex)
-            else {
-                continue;
-            };
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            if let Some(entry) = parse_entry_file(&key, &bytes) {
+        cache.inner.lock().unwrap().dir = Some(dir.clone());
+        scan(&dir, DEFAULT_QUARANTINE_BUDGET, |key, entry| {
+            if entry.cost() > budget {
+                // Never loadable at this budget: gone, as if evicted.
+                let _ = std::fs::remove_file(entry_path(&dir, &key));
+            } else {
                 // In-memory insert only — no point rewriting the file.
                 cache.insert_inner(key, entry, false);
             }
-        }
-        cache.inner.lock().unwrap().dir = Some(dir);
-        Ok((cache, report))
+        })?;
+        Ok(cache)
     }
 
     /// Looks up `key`, refreshing its recency. Returns a clone — the
@@ -433,10 +407,7 @@ impl ProofCache {
                 ));
             }
         }
-        atomic_write(
-            dir.join(format!("{}.entry", key.hex())),
-            entry_text(key, entry),
-        )
+        atomic_write(entry_path(dir, key), entry_record(key, entry))
     }
 
     /// Installs a deterministic disk-fault plan: subsequent
@@ -504,7 +475,7 @@ impl ProofCache {
             Some(slot) => {
                 inner.bytes -= slot.cost;
                 if let Some(dir) = &inner.dir {
-                    let _ = std::fs::remove_file(dir.join(format!("{}.entry", key.hex())));
+                    let _ = std::fs::remove_file(entry_path(dir, key));
                 }
                 true
             }
@@ -553,158 +524,55 @@ impl std::fmt::Debug for ProofCache {
     }
 }
 
-/// Serializes an entry to the on-disk text form: the schema line, the
-/// key the entry is stored under, a SHA-256 checksum of the body, and
-/// the body itself (length-prefixed sections so the arbitrary proof
-/// and report bytes embed safely). The key line lets [`scrub`] catch
-/// an entry renamed onto the wrong address; the checksum catches any
-/// body corruption.
-fn entry_text(key: &CacheKey, entry: &CacheEntry) -> Vec<u8> {
-    let body = body_text(entry);
-    let mut out = Vec::new();
-    out.extend_from_slice(ENTRY_SCHEMA.as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(format!("key {}\n", key.hex()).as_bytes());
-    out.extend_from_slice(format!("sum {}\n", hex_digest(&body)).as_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Where the entry stored under `key` lives in `dir`.
+fn entry_path(dir: &Path, key: &CacheKey) -> PathBuf {
+    dir.join(format!("{}.entry", key.hex()))
 }
 
-/// Hex SHA-256 of `bytes`.
-fn hex_digest(bytes: &[u8]) -> String {
-    Sha256::digest(bytes)
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
-}
-
-/// The verdict/report body shared by both schema versions.
-fn body_text(entry: &CacheEntry) -> Vec<u8> {
-    let mut out = Vec::new();
+/// An entry's file: one sealed record of the schema, the key it is
+/// stored under (which catches a file renamed onto the wrong address),
+/// the verdict with its proof or witness, and a job entry's report.
+fn entry_record(key: &CacheKey, entry: &CacheEntry) -> String {
+    let mut record = Json::obj();
+    record.push("schema", Json::Str(ENTRY_SCHEMA.to_string()));
+    record.push("key", Json::Str(key.hex()));
     match &entry.verdict {
         CachedVerdict::Equivalent { proof } => {
-            out.extend_from_slice(b"verdict equivalent\n");
-            out.extend_from_slice(format!("proof {}\n", proof.len()).as_bytes());
-            out.extend_from_slice(proof);
-            out.push(b'\n');
+            record.push("verdict", Json::Str("equivalent".to_string()));
+            // `simgen-proof/1` is ASCII: bytes that are not UTF-8 never
+            // parse as a proof, before or after the replacement.
+            let proof = String::from_utf8_lossy(proof).into_owned();
+            record.push("proof", Json::Str(proof));
         }
         CachedVerdict::NotEquivalent { witness } => {
-            out.extend_from_slice(b"verdict not-equivalent\n");
-            out.extend_from_slice(b"witness ");
-            out.extend(witness.iter().map(|&b| if b { b'1' } else { b'0' }));
-            out.push(b'\n');
+            record.push("verdict", Json::Str("not_equivalent".to_string()));
+            record.push("witness", Json::Str(bits_to_string(witness)));
         }
     }
     if let Some(report) = &entry.report {
-        out.extend_from_slice(format!("report {}\n", report.len()).as_bytes());
-        out.extend_from_slice(report.as_bytes());
-        out.push(b'\n');
+        record.push("report", Json::Str(report.clone()));
     }
-    out.extend_from_slice(b"end\n");
-    out
+    seal(record) + "\n"
 }
 
-/// Parses and verifies a full on-disk entry file; `None` for
-/// anything malformed, checksum-mismatched, or stored under a key
-/// other than `expected`. Legacy v1 files (no key or checksum line)
-/// are accepted when their body parses.
-fn parse_entry_file(expected: &CacheKey, bytes: &[u8]) -> Option<CacheEntry> {
-    let mut rest = bytes;
-    let mut line = || -> Option<&[u8]> {
-        let pos = rest.iter().position(|&b| b == b'\n')?;
-        let (l, r) = rest.split_at(pos);
-        rest = &r[1..];
-        Some(l)
-    };
-    match line()? {
-        schema if schema == ENTRY_SCHEMA.as_bytes() => {
-            let key_line = std::str::from_utf8(line()?).ok()?;
-            if key_line.strip_prefix("key ")? != expected.hex() {
-                return None;
-            }
-            let sum_line = std::str::from_utf8(line()?).ok()?;
-            if sum_line.strip_prefix("sum ")? != hex_digest(rest) {
-                return None;
-            }
-            parse_body(rest)
-        }
-        schema if schema == ENTRY_SCHEMA_V1.as_bytes() => parse_body(rest),
-        _ => None,
+/// The entry stored under `key`, if `bytes` are UTF-8 and one sealed
+/// record of [`ENTRY_SCHEMA`] that embeds `key`.
+fn open_entry(key: &CacheKey, bytes: &[u8]) -> Option<CacheEntry> {
+    let record = open_line(std::str::from_utf8(bytes).ok()?)?;
+    let text = |name: &str| record.get(name).and_then(Json::as_str);
+    if text("schema")? != ENTRY_SCHEMA || text("key")? != key.hex() {
+        return None;
     }
-}
-
-/// Parses the verdict/report body; `None` for anything malformed.
-fn parse_body(bytes: &[u8]) -> Option<CacheEntry> {
-    let mut rest = bytes;
-    let mut line = || -> Option<&[u8]> {
-        let pos = rest.iter().position(|&b| b == b'\n')?;
-        let (l, r) = rest.split_at(pos);
-        rest = &r[1..];
-        Some(l)
-    };
-    let verdict_line = std::str::from_utf8(line()?).ok()?;
-    let take_blob = |rest: &mut &[u8], header: &str| -> Option<Vec<u8>> {
-        let len: usize = header.parse().ok()?;
-        if rest.len() < len + 1 || rest[len] != b'\n' {
-            return None;
-        }
-        let blob = rest[..len].to_vec();
-        *rest = &rest[len + 1..];
-        Some(blob)
-    };
-    let verdict = match verdict_line.strip_prefix("verdict ")? {
-        "equivalent" => {
-            let header = {
-                let pos = rest.iter().position(|&b| b == b'\n')?;
-                let (l, r) = rest.split_at(pos);
-                rest = &r[1..];
-                std::str::from_utf8(l).ok()?
-            };
-            let proof = take_blob(&mut rest, header.strip_prefix("proof ")?)?;
-            CachedVerdict::Equivalent { proof }
-        }
-        "not-equivalent" => {
-            let pos = rest.iter().position(|&b| b == b'\n')?;
-            let (l, r) = rest.split_at(pos);
-            rest = &r[1..];
-            let bits = std::str::from_utf8(l).ok()?.strip_prefix("witness ")?;
-            let witness = bits
-                .chars()
-                .map(|c| match c {
-                    '0' => Some(false),
-                    '1' => Some(true),
-                    _ => None,
-                })
-                .collect::<Option<Vec<bool>>>()?;
-            CachedVerdict::NotEquivalent { witness }
-        }
+    let verdict = match text("verdict")? {
+        "equivalent" => CachedVerdict::Equivalent {
+            proof: text("proof")?.as_bytes().to_vec(),
+        },
+        "not_equivalent" => CachedVerdict::NotEquivalent {
+            witness: bits_from_string(text("witness")?)?,
+        },
         _ => return None,
     };
-    // Optional report section, then the end marker.
-    let next = {
-        let pos = rest.iter().position(|&b| b == b'\n')?;
-        let (l, r) = rest.split_at(pos);
-        rest = &r[1..];
-        std::str::from_utf8(l).ok()?
-    };
-    let report = if let Some(header) = next.strip_prefix("report ") {
-        let blob = take_blob(&mut rest, header)?;
-        let text = String::from_utf8(blob).ok()?;
-        let pos = rest.iter().position(|&b| b == b'\n')?;
-        let (l, r) = rest.split_at(pos);
-        rest = &r[1..];
-        if l != b"end" {
-            return None;
-        }
-        Some(text)
-    } else if next == "end" {
-        None
-    } else {
-        return None;
-    };
-    if !rest.is_empty() {
-        return None;
-    }
+    let report = text("report").map(str::to_string);
     Some(CacheEntry { verdict, report })
 }
 
@@ -777,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_text_roundtrip() {
+    fn entry_record_roundtrip() {
         for entry in [
             eq_entry(0),
             eq_entry(100),
@@ -792,9 +660,10 @@ mod tests {
                 report: Some("{\n  \"schema\": \"x\"\n}".to_string()),
             },
         ] {
-            let text = entry_text(&key(1), &entry);
+            let text = entry_record(&key(1), &entry);
+            assert_eq!(text.lines().count(), 1, "one sealed line: {text}");
             assert_eq!(
-                parse_entry_file(&key(1), &text),
+                open_entry(&key(1), text.as_bytes()),
                 Some(entry.clone()),
                 "{entry:?}"
             );
@@ -802,22 +671,22 @@ mod tests {
     }
 
     #[test]
-    fn malformed_entry_text_is_rejected() {
-        let good = entry_text(&key(1), &eq_entry(20));
+    fn malformed_entry_records_are_rejected() {
+        let good = entry_record(&key(1), &eq_entry(20));
         assert!(
-            parse_entry_file(&key(1), &good[..good.len() - 5]).is_none(),
+            open_entry(&key(1), &good.as_bytes()[..good.len() - 5]).is_none(),
             "truncated"
         );
-        assert!(parse_entry_file(&key(1), b"garbage").is_none());
-        assert!(parse_entry_file(&key(1), b"").is_none());
-        let mut trailing = good.clone();
-        trailing.extend_from_slice(b"extra");
-        assert!(parse_entry_file(&key(1), &trailing).is_none(), "trailing");
-        let bad_len = String::from_utf8(good)
-            .unwrap()
-            .replacen("proof 20", "proof 9999", 1);
+        assert!(open_entry(&key(1), b"garbage").is_none());
+        assert!(open_entry(&key(1), b"").is_none());
+        let trailing = format!("{good}extra");
         assert!(
-            parse_entry_file(&key(1), bad_len.as_bytes()).is_none(),
+            open_entry(&key(1), trailing.as_bytes()).is_none(),
+            "trailing"
+        );
+        let edited = good.replacen("xxxxx", "xxxxy", 1);
+        assert!(
+            open_entry(&key(1), edited.as_bytes()).is_none(),
             "body edit breaks the checksum"
         );
     }
@@ -825,25 +694,16 @@ mod tests {
     #[test]
     fn key_mismatch_and_bit_flips_fail_verification() {
         let entry = eq_entry(20);
-        let text = entry_text(&key(1), &entry);
-        // The same bytes under a different address: the key line
+        let text = entry_record(&key(1), &entry).into_bytes();
+        // The same bytes under a different address: the embedded key
         // catches a renamed (or hash-collided) file.
-        assert!(parse_entry_file(&key(2), &text).is_none(), "wrong key");
-        // Any single corrupted body byte breaks the checksum.
-        let mut flipped = text.clone();
-        let last = flipped.len() - 2;
-        flipped[last] ^= 0x01;
-        assert!(parse_entry_file(&key(1), &flipped).is_none(), "bit flip");
-    }
-
-    #[test]
-    fn legacy_v1_entries_still_parse() {
-        let entry = eq_entry(8);
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(ENTRY_SCHEMA_V1.as_bytes());
-        v1.push(b'\n');
-        v1.extend_from_slice(&body_text(&entry));
-        assert_eq!(parse_entry_file(&key(1), &v1), Some(entry));
+        assert!(open_entry(&key(2), &text).is_none(), "wrong key");
+        // Any single corrupted byte, wherever it is, fails the open.
+        for at in 0..text.len() {
+            let mut flipped = text.clone();
+            flipped[at] ^= 0x01;
+            assert!(open_entry(&key(1), &flipped).is_none(), "bit flip at {at}");
+        }
     }
 
     #[test]
@@ -886,26 +746,65 @@ mod tests {
             cache.insert(key(2), eq_entry(8));
         }
         // Corrupt one stored file and drop unrelated garbage files.
-        let entry_path = dir.join(format!("{}.entry", key(1).hex()));
-        std::fs::write(&entry_path, b"scrambled").unwrap();
+        let corrupt = entry_path(&dir, &key(1));
+        std::fs::write(&corrupt, b"scrambled").unwrap();
         std::fs::write(dir.join("README"), b"not an entry").unwrap();
         std::fs::write(dir.join("zz.entry"), b"bad name and body").unwrap();
-        let (cache, report) = ProofCache::persistent_scrubbed(&dir, 1 << 20).unwrap();
+        let cache = ProofCache::persistent(&dir, 1 << 20).unwrap();
         assert_eq!(cache.len(), 1, "only the intact entry loads");
         assert!(cache.lookup(&key(2)).is_some());
-        assert_eq!(report.valid, 1);
-        assert_eq!(report.quarantined.len(), 2);
         // The corrupt files moved — they are gone from the cache dir
         // but preserved under quarantine/ for inspection.
-        assert!(!entry_path.exists());
-        for q in &report.quarantined {
-            assert!(q.exists());
-            assert_eq!(q.parent().unwrap(), dir.join(QUARANTINE_DIR));
-        }
+        assert!(!corrupt.exists());
+        assert!(dir.join("README").exists(), "other files are ignored");
+        let quarantined = std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap();
+        assert_eq!(quarantined.count(), 2);
         // A second open finds a clean directory.
-        let (_, report) = ProofCache::persistent_scrubbed(&dir, 1 << 20).unwrap();
+        let report = scrub(&dir).unwrap();
         assert_eq!(report.valid, 1);
         assert!(report.quarantined.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_entry_evicted_at_open_loses_its_file() {
+        let dir = std::env::temp_dir().join(format!("simgen_cache_o_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ProofCache::persistent(&dir, 1 << 20).unwrap();
+        for n in 1..=20 {
+            cache.insert(key(n), eq_entry(8));
+        }
+        let files = || scrub(&dir).unwrap().valid;
+        assert_eq!(files(), 20);
+        // Reopened at a budget that fits five: the load evicts fifteen,
+        // and their files go with them.
+        let cache = ProofCache::persistent(&dir, 5 * eq_entry(8).cost()).unwrap();
+        assert_eq!((cache.len(), files()), (5, 5));
+        // An entry larger than the whole budget goes the same way.
+        let cache = ProofCache::persistent(&dir, eq_entry(0).cost()).unwrap();
+        assert_eq!((cache.len(), files()), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_of_the_earlier_line_format_are_quarantined() {
+        let dir = std::env::temp_dir().join(format!("simgen_cache_v2_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A well-formed `simgen-cache-entry/2` file, checksum and all.
+        let body = "verdict equivalent\nproof 0\n\nend\n";
+        let sum = crate::record::hex(&crate::digest::Sha256::digest(body.as_bytes()));
+        let v2 = format!(
+            "simgen-cache-entry/2\nkey {}\nsum {sum}\n{body}",
+            key(1).hex()
+        );
+        let path = entry_path(&dir, &key(1));
+        std::fs::write(&path, &v2).unwrap();
+        assert_eq!(scrub(&dir).unwrap().quarantined.len(), 1);
+        std::fs::write(&path, &v2).unwrap();
+        let cache = ProofCache::persistent(&dir, 1 << 20).unwrap();
+        assert!(cache.lookup(&key(1)).is_none());
+        assert!(!path.exists(), "quarantined at open");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -988,7 +887,7 @@ mod tests {
             std::fs::write(qdir.join(name), [b'x'; 10]).unwrap();
         }
         // Budget fits two 10-byte files: the three oldest go.
-        let report = scrub_with_quarantine_budget(&dir, 20).unwrap();
+        let report = scan(&dir, 20, |_, _| {}).unwrap();
         assert_eq!(report.rotated, 3);
         let mut left: Vec<String> = std::fs::read_dir(&qdir)
             .unwrap()
@@ -997,7 +896,7 @@ mod tests {
         left.sort();
         assert_eq!(left, vec!["d.entry", "e.entry"], "oldest rotated first");
         // Already under budget: a second pass rotates nothing.
-        let report = scrub_with_quarantine_budget(&dir, 20).unwrap();
+        let report = scan(&dir, 20, |_, _| {}).unwrap();
         assert_eq!(report.rotated, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

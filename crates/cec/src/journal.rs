@@ -6,10 +6,11 @@
 //! counterexample witnesses), how many pairs were dispatched to
 //! workers, a signature of the surviving equivalence-class partition,
 //! and cumulative snapshots of the deterministic counters and sweep
-//! statistics. The journal is a checksummed JSONL file rewritten with
-//! [`simgen_obs::atomic_write`] on each commit, so a crash at any
-//! instant leaves either the previous complete journal or the new one
-//! — never a torn record.
+//! statistics. The journal is a file of sealed JSON lines
+//! ([`simgen_cache::record`], the format of cache entry files too)
+//! rewritten with [`simgen_obs::atomic_write`] on each commit, so a
+//! crash at any instant leaves either the previous complete journal or
+//! the new one — never a torn record.
 //!
 //! ## Resume semantics
 //!
@@ -46,6 +47,7 @@
 use std::io;
 use std::path::PathBuf;
 
+use simgen_cache::record::{bits_from_string, bits_to_string, hex, open_line, seal};
 use simgen_cache::{job_key, Sha256};
 use simgen_dispatch::{EngineMode, EnginePolicy};
 use simgen_netlist::{LutNetwork, NodeId};
@@ -539,51 +541,6 @@ pub(crate) fn restore_counters(obs: &mut Observer, counters: &[(String, u64)]) {
             }
         }
     }
-}
-
-/// Serializes a record to its sealed line form: the payload JSON with
-/// a `sum` field (SHA-256 over the payload serialization) appended.
-fn seal(mut payload: Json) -> String {
-    let body = payload.to_line();
-    payload.push("sum", Json::Str(hex(&Sha256::digest(body.as_bytes()))));
-    payload.to_line()
-}
-
-/// Parses and checksum-verifies one sealed line.
-fn open_line(line: &str) -> Option<Json> {
-    let json = Json::parse(line).ok()?;
-    let entries = json.entries()?;
-    let (last_key, last_value) = entries.last()?;
-    if last_key != "sum" {
-        return None;
-    }
-    let sum = last_value.as_str()?;
-    let mut payload = Json::obj();
-    for (key, value) in &entries[..entries.len() - 1] {
-        payload.push(key, value.clone());
-    }
-    if hex(&Sha256::digest(payload.to_line().as_bytes())) != sum {
-        return None;
-    }
-    Some(payload)
-}
-
-fn bits_to_string(bits: &[bool]) -> String {
-    bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
-}
-
-fn bits_from_string(text: &str) -> Option<Vec<bool>> {
-    text.chars()
-        .map(|c| match c {
-            '0' => Some(false),
-            '1' => Some(true),
-            _ => None,
-        })
-        .collect()
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// See [`CRASH_ENV`]. SIGKILL leaves no chance for cleanup — exactly

@@ -710,7 +710,7 @@ fn cec(args: &Args) -> Result<ExitCode, CliError> {
             // A counterexample is definitive: under --certify it was
             // replayed through the reference simulator before this
             // verdict was reached.
-            let bits: String = witness.iter().map(|&b| if b { '1' } else { '0' }).collect();
+            let bits = simgen_cache::record::bits_to_string(&witness);
             println!("NOT EQUIVALENT: output pair {po_index} differs on input {bits}");
             Ok(ExitCode::from(1))
         }
@@ -805,7 +805,6 @@ fn status(args: &Args) -> Result<ExitCode, CliError> {
     println!("  rejected    : {}", status.rejected);
     println!("  errors      : {}", status.errors);
     println!("  recovered   : {}", status.recovered);
-    println!("  retries     : {}", status.retries);
     let degraded = match status.degraded {
         true => "yes (cache breaker open, memory-only)",
         false => "no",

@@ -68,8 +68,7 @@ impl Circuit {
 /// user-facing message.
 #[derive(Debug)]
 pub enum LoadError {
-    /// The file could not be opened. The I/O error keeps its kind, so
-    /// a caller can tell transient failures from permanent ones.
+    /// The file could not be opened or read.
     Open(String, io::Error),
     /// The path's extension names no supported format.
     Format(String),

@@ -54,8 +54,8 @@ fn read_response<R: Read>(r: &mut R) -> std::io::Result<String> {
 }
 
 /// Sends one raw JSONL line to the daemon at `socket` and returns the
-/// raw response line. (`write_all` already retries `EINTR`; the read
-/// side goes through [`read_response`].)
+/// raw response line. (`write_all` already resumes after `EINTR`; the
+/// read side goes through [`read_response`].)
 fn send_line(socket: &Path, line: &str) -> std::io::Result<String> {
     let mut stream = UnixStream::connect(socket)?;
     stream.write_all(line.as_bytes())?;

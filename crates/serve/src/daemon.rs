@@ -47,18 +47,15 @@
 //! ## Supervision and crash recovery
 //!
 //! With [`ServeOptions::checkpoint_dir`] set the daemon survives its
-//! own death. Before a job executes, its request line is written to a
-//! manifest (`<dir>/jobs/<tag>.job`, `tag` = hash of the request);
-//! the job's sweep writes a round-barrier journal under
-//! `<dir>/sweeps/<tag>/`; both are removed when the job completes. A
-//! restarted daemon finds the orphaned manifests, re-executes each
-//! interrupted job *before* popping new work — resuming its sweep
-//! from the journal, so certified rounds are never re-proven — and
-//! lands the result in the cache for the client's resubmission to
-//! hit. Transient failures (interrupted/timed-out file opens) are
-//! retried with exponential backoff instead of answered with an
-//! error; the `status` protocol verb reports health, queue depth, and
-//! the recovery/retry totals.
+//! own death. Right before a job's live run, its request line is
+//! written to a manifest (`<dir>/jobs/<tag>.job`, `tag` = hash of the
+//! request), and the run journals its rounds under
+//! `<dir>/sweeps/<tag>/`; both are removed once the job has an answer.
+//! A restarted daemon re-executes each orphaned manifest *before*
+//! popping new work — resuming its sweep from the journal, so
+//! certified rounds are never re-proven — and lands the result in the
+//! cache for the client's resubmission to hit. The `status` verb
+//! reports health, queue depth, and the recovery totals.
 //!
 //! ## Resource governance and graceful degradation
 //!
@@ -97,6 +94,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use simgen_cache::record::hex;
 use simgen_cache::{job_key, CacheEntry, CacheKey, CachedVerdict, ProofCache, Sha256};
 use simgen_cec::{
     cec_run_report, check_equivalence, design_info, design_name, estimate_resident, CecVerdict,
@@ -220,8 +218,6 @@ pub struct ServeStats {
     /// Interrupted jobs re-executed from their manifests after a
     /// restart.
     pub recovered: AtomicU64,
-    /// Transient-failure retries across all jobs.
-    pub retries: AtomicU64,
     /// Jobs answered `shed`: evicted from a full queue by a
     /// higher-priority submission, or expired past their deadline
     /// while queued.
@@ -246,7 +242,6 @@ impl ServeStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             recovered: self.recovered.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             degraded,
         }
     }
@@ -652,53 +647,6 @@ fn serve_connection(client: u64, stream: UnixStream, ctx: &ReaderCtx) {
     }
 }
 
-/// A job failure, classified for the retry policy. Permanent failures
-/// (malformed circuits, unknown strategies, PO mismatches) are
-/// answered immediately — retrying cannot change the outcome.
-/// Transient ones (an interrupted or timed-out file open, e.g. a
-/// network filesystem hiccup) are retried with backoff before the
-/// daemon gives up.
-struct JobError {
-    message: String,
-    transient: bool,
-}
-
-impl JobError {
-    fn permanent(message: impl Into<String>) -> JobError {
-        JobError {
-            message: message.into(),
-            transient: false,
-        }
-    }
-}
-
-impl From<String> for JobError {
-    fn from(message: String) -> JobError {
-        JobError::permanent(message)
-    }
-}
-
-impl From<LoadError> for JobError {
-    /// Only a failed read can be transient; a file that was read but
-    /// does not parse fails the same way on every retry.
-    fn from(e: LoadError) -> JobError {
-        JobError {
-            transient: matches!(&e, LoadError::Open(_, io) if is_transient_io(io.kind())),
-            message: e.to_string(),
-        }
-    }
-}
-
-/// Whether an I/O failure kind is worth retrying.
-fn is_transient_io(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::TimedOut
-            | std::io::ErrorKind::WouldBlock
-    )
-}
-
 /// Content address of a whole job: structural hashes of both circuits
 /// (PO order included), the verdict-relevant configuration, and the
 /// schema of the run report the entry stores. The
@@ -825,14 +773,11 @@ fn replay_job_witness([a, b]: &[Circuit; 2], witness: &[bool]) -> Option<usize> 
     outs_a.iter().zip(&outs_b).position(|(x, y)| x != y)
 }
 
-/// Stable identity of a request for checkpoint bookkeeping: the
-/// manifest and journal names must be computable *without* loading
-/// the circuits, so cleanup works even when a load fails.
+/// Stable identity of a request for checkpoint bookkeeping, computed
+/// from the request line alone: recovery finds a job's journal
+/// without loading its circuits.
 fn job_tag(request: &JobRequest) -> String {
-    Sha256::digest(request.to_line().as_bytes())
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect()
+    hex(&Sha256::digest(request.to_line().as_bytes()))
 }
 
 fn manifest_path(checkpoint: &Path, tag: &str) -> PathBuf {
@@ -843,18 +788,32 @@ fn journal_dir(checkpoint: &Path, tag: &str) -> PathBuf {
     checkpoint.join("sweeps").join(tag)
 }
 
-/// Maximum transient-failure retries per job.
-const MAX_RETRIES: u32 = 3;
+/// A live run's checkpoint state: its manifest, written on creation,
+/// and its sweep journal directory. Both are removed when the guard
+/// drops, which is once the job has an answer — even an error is an
+/// answer, and a restart would only fail the job again.
+struct Checkpoint {
+    dir: PathBuf,
+    tag: String,
+}
 
-/// Exponential backoff with clock-derived jitter: 25 ms doubling per
-/// attempt, plus up to one base period of jitter so retry storms from
-/// parallel daemons decorrelate.
-fn retry_backoff(attempt: u32) -> Duration {
-    let base = 25u64 << attempt.saturating_sub(1).min(4);
-    let jitter = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| u64::from(d.subsec_nanos()) % base);
-    Duration::from_millis(base + jitter)
+impl Checkpoint {
+    fn write(dir: &Path, request: &JobRequest) -> Checkpoint {
+        let tag = job_tag(request);
+        // Best-effort, like every checkpoint write: a full disk
+        // degrades recovery, never the answer.
+        let _ = std::fs::create_dir_all(dir.join("jobs"));
+        let _ = atomic_write(manifest_path(dir, &tag), request.to_line().as_bytes());
+        let dir = dir.to_path_buf();
+        Checkpoint { dir, tag }
+    }
+}
+
+impl Drop for Checkpoint {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(manifest_path(&self.dir, &self.tag));
+        let _ = std::fs::remove_dir_all(journal_dir(&self.dir, &self.tag));
+    }
 }
 
 /// Re-executes jobs whose manifests a dead daemon left behind. Runs
@@ -878,71 +837,39 @@ fn recover_interrupted(ctx: &mut ExecCtx) {
         let request = std::fs::read_to_string(&path)
             .ok()
             .and_then(|line| parse_request(line.trim()).ok());
-        match request {
-            Some(request) => {
-                // execute_job rewrites the manifest (at its canonical
-                // tag-derived path), resumes the job's journal, and
-                // removes both on completion. The scanned path is
-                // removed separately in case it was renamed by hand.
-                let _ = execute_job(ctx, &request);
-                let _ = std::fs::remove_file(&path);
-                ctx.stats.recovered.fetch_add(1, Ordering::Relaxed);
-            }
+        let Some(request) = request else {
             // An unreadable manifest cannot be re-run; drop it so it
             // is not rediscovered on every restart.
-            None => {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
+            let _ = std::fs::remove_file(&path);
+            continue;
+        };
+        // A live run rewrites the manifest at its canonical path,
+        // resumes the job's journal and removes both; a job the cache
+        // now answers touches neither. So the scanned manifest and the
+        // journal go here either way.
+        let _ = execute_job(ctx, &request);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(journal_dir(&checkpoint, &job_tag(&request)));
+        ctx.stats.recovered.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Runs one job to a response line. This is the whole service policy:
-/// manifest write (when checkpointing), transient-failure retry with
-/// backoff, the request index, job-level lookup (with witness replay),
-/// fall-through to a live cached run, job-level store of conclusive
-/// verdicts, and checkpoint cleanup once the job has an answer.
+/// the request index, job-level lookup (with witness replay),
+/// fall-through to a live cached run (checkpointed when a checkpoint
+/// directory is set), and job-level store of conclusive verdicts. A
+/// failure is answered with an error line at once.
 fn execute_job(ctx: &mut ExecCtx, request: &JobRequest) -> String {
-    let tag = ctx.checkpoint.as_ref().map(|checkpoint| {
-        let tag = job_tag(request);
-        let path = manifest_path(checkpoint, &tag);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        // Best-effort, like every checkpoint write: a full disk
-        // degrades recovery, never the answer.
-        let _ = atomic_write(path, request.to_line().as_bytes());
-        tag
-    });
-    let mut attempt = 0;
-    let line = loop {
-        match execute_job_inner(ctx, request) {
-            Ok(line) => break line,
-            Err(e) if e.transient && attempt < MAX_RETRIES => {
-                attempt += 1;
-                ctx.stats.retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(retry_backoff(attempt));
-            }
-            Err(e) => {
-                ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-                break error_response(Some(&request.id), &e.message);
-            }
-        }
-    };
-    // The job has an answer (even a permanent error is an answer — a
-    // restart loop would just fail it again): its checkpoint state is
-    // garbage now.
-    if let (Some(checkpoint), Some(tag)) = (&ctx.checkpoint, &tag) {
-        let _ = std::fs::remove_file(manifest_path(checkpoint, tag));
-        let _ = std::fs::remove_dir_all(journal_dir(checkpoint, tag));
-    }
-    line
+    execute_job_inner(ctx, request).unwrap_or_else(|message| {
+        ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+        error_response(Some(&request.id), &message)
+    })
 }
 
-fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, JobError> {
+fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, String> {
     let cache: &ProofCache = &ctx.cache;
     let stats: &ServeStats = &ctx.stats;
-    let mut files = JobFiles::read(request)?;
+    let mut files = JobFiles::read(request).map_err(|e| e.to_string())?;
     // A request seen before skips the parse and map that only serve
     // to find its structural key. Never under certify, which re-proves
     // every job and so needs the mapped networks anyway.
@@ -954,7 +881,7 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
     let key = match request_key.and_then(|rk| ctx.index.get(&rk).copied()) {
         Some(key) => key,
         None => {
-            let [a, b] = files.nets()?;
+            let [a, b] = files.nets().map_err(|e| e.to_string())?;
             let key = serve_job_key(a, b, request);
             if let Some(rk) = request_key {
                 if ctx.index.len() >= REQUEST_INDEX_CAP {
@@ -997,7 +924,8 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
                         // Counterexamples are replayed in every mode;
                         // a witness that no longer distinguishes the
                         // pair means the entry is poisoned.
-                        if let Some(po_index) = replay_job_witness(files.circuits()?, witness) {
+                        let circuits = files.circuits().map_err(|e| e.to_string())?;
+                        if let Some(po_index) = replay_job_witness(circuits, witness) {
                             stats.jobs_done.fetch_add(1, Ordering::Relaxed);
                             stats.job_hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(result_response(
@@ -1023,7 +951,7 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
     }
 
     // Live (but pair-cached) run.
-    let [a, b] = files.nets()?;
+    let [a, b] = files.nets().map_err(|e| e.to_string())?;
     let jobs = if request.jobs == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
@@ -1053,12 +981,17 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
         .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
         .map(Deadline::after)
         .unwrap_or_default();
-    // Journal the sweep under the job's tag so a daemon killed
-    // mid-job resumes from the last complete round instead of from
-    // scratch. Journal failure degrades to an unjournaled run.
-    let mut journal = ctx.checkpoint.as_ref().and_then(|checkpoint| {
-        SweepJournal::create(journal_dir(checkpoint, &job_tag(request)), true).ok()
-    });
+    // Checkpoint the live run: a manifest recovery finds, and the
+    // sweep's journal under the job's tag, so a daemon killed mid-job
+    // resumes from the last complete round instead of from scratch.
+    // Journal failure degrades to an unjournaled run.
+    let checkpoint = ctx
+        .checkpoint
+        .as_deref()
+        .map(|dir| Checkpoint::write(dir, request));
+    let mut journal = checkpoint
+        .as_ref()
+        .and_then(|c| SweepJournal::create(journal_dir(&c.dir, &c.tag), true).ok());
     let mut run = RunContext {
         deadline: deadline.clone(),
         // Counters only: the daemon answers with the deterministic
@@ -1067,8 +1000,7 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
         cache: Some(cache),
         journal: journal.as_mut(),
     };
-    let report = check_equivalence(a, b, gen.as_mut(), cfg, &mut run)
-        .map_err(|e| JobError::permanent(e.to_string()))?;
+    let report = check_equivalence(a, b, gen.as_mut(), cfg, &mut run).map_err(|e| e.to_string())?;
     let obs = run.obs;
 
     // Governance bookkeeping. The resident estimate feeds the `health`
@@ -1096,11 +1028,11 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
             // known-stalling job, and reclassify the summary line —
             // the embedded report keeps the verdict's own reason.
             stats.watchdog_kills.fetch_add(1, Ordering::Relaxed);
-            if let Some(checkpoint) = &ctx.checkpoint {
-                let quarantine = checkpoint.join("quarantine");
+            if let Some(checkpoint) = &checkpoint {
+                let quarantine = checkpoint.dir.join("quarantine");
                 let _ = std::fs::create_dir_all(&quarantine);
                 let _ = atomic_write(
-                    quarantine.join(format!("{}.job", job_tag(request))),
+                    quarantine.join(format!("{}.job", checkpoint.tag)),
                     request.to_line().as_bytes(),
                 );
             }

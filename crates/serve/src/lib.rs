@@ -20,9 +20,9 @@
 //!   wraps.
 //!
 //! With a checkpoint directory configured the daemon is also a
-//! supervisor: interrupted jobs are journaled, recovered, and resumed
-//! on restart, transient failures are retried with backoff, and the
-//! `status` verb reports health and recovery totals.
+//! supervisor: jobs that run live are journaled, and interrupted ones
+//! are recovered and resumed on restart; the `status` verb reports
+//! health and recovery totals.
 //!
 //! The daemon also governs its own resources instead of dying under
 //! pressure: per-job memory budgets cancel runaway jobs with an

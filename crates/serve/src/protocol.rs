@@ -5,6 +5,7 @@
 //! the two circuit paths) and defaulting about everything else, so a
 //! minimal request is just `{"id":"j1","a":"a.aig","b":"b.aig"}`.
 
+use simgen_cache::record::bits_to_string;
 use simgen_obs::Json;
 
 /// A parsed equivalence-checking job request.
@@ -219,8 +220,6 @@ pub struct StatusReport {
     /// Interrupted jobs re-executed from their manifests after a
     /// daemon restart.
     pub recovered: u64,
-    /// Transient-failure retries across all jobs.
-    pub retries: u64,
     /// True while the persistent cache's circuit breaker is open: the
     /// daemon is serving from memory only and fresh proofs are not
     /// being written through to disk.
@@ -256,7 +255,6 @@ pub fn status_response(report: &StatusReport) -> String {
     resp.push("rejected", Json::U64(report.rejected));
     resp.push("errors", Json::U64(report.errors));
     resp.push("recovered", Json::U64(report.recovered));
-    resp.push("retries", Json::U64(report.retries));
     resp.push("degraded", Json::Bool(report.degraded));
     resp.to_line()
 }
@@ -277,7 +275,6 @@ pub fn parse_status_response(line: &str) -> Option<StatusReport> {
         rejected: field("rejected")?,
         errors: field("errors")?,
         recovered: field("recovered")?,
-        retries: field("retries")?,
         // Absent in responses from pre-breaker daemons: not degraded.
         degraded: matches!(json.get("degraded"), Some(Json::Bool(true))),
     })
@@ -429,8 +426,7 @@ pub fn result_response(
         JobStatusLine::NotEquivalent { po_index, witness } => {
             resp.push("status", Json::Str("not_equivalent".to_string()));
             resp.push("po_index", Json::U64(*po_index as u64));
-            let bits: String = witness.iter().map(|&b| if b { '1' } else { '0' }).collect();
-            resp.push("witness", Json::Str(bits));
+            resp.push("witness", Json::Str(bits_to_string(witness)));
         }
         JobStatusLine::Inconclusive { unresolved, reason } => {
             resp.push("status", Json::Str("inconclusive".to_string()));
@@ -559,7 +555,6 @@ mod tests {
             rejected: 2,
             errors: 1,
             recovered: 5,
-            retries: 7,
             degraded: true,
         };
         assert_eq!(

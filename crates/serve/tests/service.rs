@@ -839,3 +839,67 @@ fn persistent_cache_survives_a_daemon_restart() {
     server.join();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs `req` on a fresh daemon over `dir`'s cache, checkpointing into
+/// `checkpoint` if given; returns the cache label and the final status.
+fn serve_once(
+    dir: &std::path::Path,
+    checkpoint: Option<&std::path::Path>,
+    req: &JobRequest,
+) -> (String, simgen_serve::StatusReport) {
+    let mut opts = ServeOptions::new(dir.join("sock"));
+    opts.cache_dir = Some(dir.join("cache"));
+    opts.checkpoint_dir = checkpoint.map(std::path::Path::to_path_buf);
+    let server = Server::start(opts).unwrap();
+    let cache = cache_of(&parsed_submit(&server, req)).to_string();
+    let status = query_status(server.socket()).expect("status answered");
+    server.shutdown();
+    server.join();
+    (cache, status)
+}
+
+/// How many entries `dir` holds (0 when it does not exist).
+fn entry_count(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |rd| rd.count())
+}
+
+#[test]
+fn a_cache_hit_writes_no_checkpoint() {
+    let dir = temp_dir("hitckpt");
+    let req = request(
+        "c",
+        &write_bench(&dir, "a", "e64"),
+        &write_bench(&dir, "b", "e64"),
+    );
+    assert_eq!(serve_once(&dir, None, &req).0, "miss");
+    // Over the warm cache the job runs nothing live, so it has nothing
+    // to checkpoint.
+    let checkpoint = dir.join("checkpoint");
+    std::fs::create_dir_all(&checkpoint).unwrap();
+    assert_eq!(serve_once(&dir, Some(&checkpoint), &req).0, "hit");
+    assert_eq!(entry_count(&checkpoint), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recovering_a_job_the_cache_answers_clears_its_checkpoint() {
+    let dir = temp_dir("recohit");
+    let req = request(
+        "c",
+        &write_bench(&dir, "a", "e64"),
+        &write_bench(&dir, "b", "e64"),
+    );
+    assert_eq!(serve_once(&dir, None, &req).0, "miss");
+    // A daemon that died after caching the answer but before clearing
+    // its checkpoint leaves a manifest and a journal directory behind.
+    let (jobs, sweeps) = (dir.join("checkpoint/jobs"), dir.join("checkpoint/sweeps"));
+    let tag = simgen_cache::record::hex(&simgen_cache::Sha256::digest(req.to_line().as_bytes()));
+    std::fs::create_dir_all(sweeps.join(tag)).unwrap();
+    std::fs::create_dir_all(&jobs).unwrap();
+    std::fs::write(jobs.join("orphan.job"), req.to_line()).unwrap();
+    // Recovery runs before any submitted job, so the answer follows it.
+    let (cache, status) = serve_once(&dir, Some(&dir.join("checkpoint")), &req);
+    assert_eq!((cache.as_str(), status.recovered), ("hit", 1));
+    assert_eq!((entry_count(&jobs), entry_count(&sweeps)), (0, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
