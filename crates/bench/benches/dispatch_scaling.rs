@@ -2,8 +2,10 @@
 //! at `--jobs` 1, 2, 4 and 8 on 42-suite circuits miter'd against
 //! restructured variants of themselves. The proof outcomes are
 //! identical at every worker count (the dispatch engine is
-//! scheduling-invariant), so any wall-time difference is pure
-//! parallel speedup of the SAT-resolution phase.
+//! scheduling-invariant), so any wall-time difference is parallel
+//! speedup of the SAT-resolution phase. Each of these miters is one
+//! fanin region, so a warm round is one job and the curve stays flat
+//! until a connected miter is split into several jobs.
 //!
 //! Accepts `--jobs N` after `cargo bench ... --` (0 = auto-detect,
 //! the CLI convention); the resolved count joins the default 1/2/4/8

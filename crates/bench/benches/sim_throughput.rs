@@ -1,27 +1,20 @@
 //! Simulation throughput: compiled opcode kernels vs the original
-//! cube-cover interpreter, plus the parallel and cone-restricted
-//! paths, on a >10k-node random LUT network.
+//! cube-cover interpreter, plus the cone-restricted path, on a
+//! >10k-node random LUT network. Simulation runs on one thread.
 //!
 //! Besides the criterion samples, the bench writes a one-shot summary
 //! to `BENCH_sim.json` at the repository root (schema
 //! `simgen-bench-report/2`): patterns/second for every mode, the
-//! headline compiled-vs-interpreter speedup, per-`jobs` scaling
-//! efficiency (speedup over jobs=1 divided by `min(jobs, cores)`, so
-//! 1.0 is perfect scaling and oversubscribed runs are not penalized
-//! for lacking cores), and the single-thread SIMD speedup of the
-//! widest supported kernel over the forced-scalar 64-bit path.
-//!
-//! Accepts `--jobs N` after `cargo bench ... --` (0 = auto-detect,
-//! the CLI convention); the resolved count is added to the benched
-//! worker sweep when it is not already part of the default 1/2/4/8.
+//! headline compiled-vs-interpreter speedup, and the SIMD speedup of
+//! the widest supported kernel over the forced-scalar 64-bit path.
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use simgen_bench::{jobs_arg, write_bench_report, BenchReport, Json};
+use simgen_bench::{write_bench_report, BenchReport, Json};
 use simgen_netlist::{LutNetwork, NodeId, TruthTable};
 use simgen_sim::{
     active_simd_level, reference_lanes, CompiledNet, PatternSet, SimResult, SimdLevel,
@@ -75,18 +68,6 @@ fn best_pps<F: FnMut()>(reps: usize, patterns: usize, mut f: F) -> f64 {
     patterns as f64 / best.as_secs_f64()
 }
 
-/// The default parallel sweep, possibly extended by a `--jobs` flag.
-fn jobs_sweep() -> Vec<usize> {
-    let mut sweep = vec![2usize, 4, 8];
-    if let Some(jobs) = jobs_arg() {
-        if jobs != 1 && !sweep.contains(&jobs) {
-            sweep.push(jobs);
-            sweep.sort_unstable();
-        }
-    }
-    sweep
-}
-
 fn write_summary(net: &LutNetwork, pats: &PatternSet) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let base = SimResult::empty(net); // compile once, outside timing
@@ -95,33 +76,9 @@ fn write_summary(net: &LutNetwork, pats: &PatternSet) {
     });
     let compiled = best_pps(5, NUM_PATTERNS, || {
         let mut s = base.clone();
-        s.extend_patterns_jobs(net, pats, 1);
+        s.extend_patterns(net, pats);
         std::hint::black_box(&s);
     });
-    // The kernel caps its fan-out at the execution resources that
-    // exist (pool workers + the helping caller), so two `jobs` values
-    // clamping to the same effective worker count run byte-identical
-    // schedules. Measure each distinct effective count once and share
-    // the number — re-timing identical configurations would only
-    // report scheduler noise as fake (anti-)scaling.
-    let mut parallel: Vec<(usize, f64)> = Vec::new();
-    let mut measured: Vec<(usize, f64)> = vec![(1, compiled)];
-    for jobs in jobs_sweep() {
-        let effective = jobs.min(cores);
-        let pps = match measured.iter().find(|(e, _)| *e == effective) {
-            Some(&(_, pps)) => pps,
-            None => {
-                let pps = best_pps(5, NUM_PATTERNS, || {
-                    let mut s = base.clone();
-                    s.extend_patterns_jobs(net, pats, jobs);
-                    std::hint::black_box(&s);
-                });
-                measured.push((effective, pps));
-                pps
-            }
-        };
-        parallel.push((jobs, pps));
-    }
     let roots: Vec<NodeId> = net
         .node_ids()
         .filter(|n| !net.is_pi(*n))
@@ -129,7 +86,7 @@ fn write_summary(net: &LutNetwork, pats: &PatternSet) {
         .collect();
     let cone = best_pps(5, NUM_PATTERNS, || {
         let mut s = base.clone();
-        s.extend_patterns_cone(net, pats, &roots, 1);
+        s.extend_patterns_cone(net, pats, &roots);
         std::hint::black_box(&s);
     });
 
@@ -139,10 +96,10 @@ fn write_summary(net: &LutNetwork, pats: &PatternSet) {
     let order: Vec<NodeId> = net.node_ids().collect();
     let level = active_simd_level();
     let scalar_pps = best_pps(9, NUM_PATTERNS, || {
-        std::hint::black_box(kernel.simulate_lanes_at(pats, &order, 1, SimdLevel::Scalar));
+        std::hint::black_box(kernel.simulate_lanes_at(pats, &order, SimdLevel::Scalar));
     });
     let wide_pps = best_pps(9, NUM_PATTERNS, || {
-        std::hint::black_box(kernel.simulate_lanes_at(pats, &order, 1, level));
+        std::hint::black_box(kernel.simulate_lanes_at(pats, &order, level));
     });
     let simd_speedup = wide_pps / scalar_pps;
 
@@ -154,21 +111,6 @@ fn write_summary(net: &LutNetwork, pats: &PatternSet) {
     report.param("cores", Json::U64(cores as u64));
     report.metric("interpreter_patterns_per_sec", Json::F64(interp));
     report.metric("compiled_patterns_per_sec", Json::F64(compiled));
-    for (jobs, pps) in &parallel {
-        report.metric(
-            &format!("compiled_jobs{jobs}_patterns_per_sec"),
-            Json::F64(*pps),
-        );
-    }
-    // Efficiency vs jobs=1, normalized by the workers that can really
-    // run: on a machine with fewer cores than `jobs` the ideal
-    // speedup is `cores`, not `jobs`.
-    for (jobs, pps) in &parallel {
-        report.metric(
-            &format!("scaling_efficiency_jobs{jobs}"),
-            Json::F64((pps / compiled) / (*jobs).min(cores).max(1) as f64),
-        );
-    }
     report.metric("cone_restricted_patterns_per_sec", Json::F64(cone));
     report.metric("compiled_vs_interpreter_speedup", Json::F64(speedup));
     report.metric("simd_width", Json::U64(level.width_bits() as u64));
@@ -194,17 +136,13 @@ fn bench_sim_throughput(c: &mut Criterion) {
     group.bench_function("interpreter", |b| {
         b.iter(|| std::hint::black_box(reference_lanes(&net, &pats)))
     });
-    let mut sweep = vec![1usize];
-    sweep.extend(jobs_sweep());
-    for jobs in sweep {
-        group.bench_with_input(BenchmarkId::new("compiled", jobs), &jobs, |b, &jobs| {
-            b.iter(|| {
-                let mut s = base.clone();
-                s.extend_patterns_jobs(&net, &pats, jobs);
-                s
-            })
-        });
-    }
+    group.bench_function("compiled", |b| {
+        b.iter(|| {
+            let mut s = base.clone();
+            s.extend_patterns(&net, &pats);
+            s
+        })
+    });
     let roots: Vec<NodeId> = net
         .node_ids()
         .filter(|n| !net.is_pi(*n))
@@ -213,7 +151,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
     group.bench_function("cone_restricted", |b| {
         b.iter(|| {
             let mut s = base.clone();
-            s.extend_patterns_cone(&net, &pats, &roots, 1);
+            s.extend_patterns_cone(&net, &pats, &roots);
             s
         })
     });

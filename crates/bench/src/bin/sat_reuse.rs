@@ -15,7 +15,7 @@ use simgen_bench::{jobs_arg, write_bench_report, BenchReport, Json};
 use simgen_cec::{EnginePolicy, RunContext, SweepConfig, Sweeper};
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
-use simgen_netlist::{miter::combine, LutNetwork, NodeId};
+use simgen_netlist::{miter::combine, LutNetwork};
 use simgen_obs::{Counter, Observer};
 use simgen_workloads::{build_aig, rewrite::restructure};
 
@@ -26,32 +26,6 @@ fn miter_of(name: &str, seed: u64) -> LutNetwork {
     combine(&map_to_luts(&aig, 6), &map_to_luts(&variant, 6))
         .expect("matched interfaces")
         .network
-}
-
-/// Appends `src` into `dst` as a structurally disjoint island, so its
-/// cones form a separate fanin region with its own shared solver.
-fn append_island(dst: &mut LutNetwork, src: &LutNetwork, tag: &str) {
-    let mut map: Vec<Option<NodeId>> = vec![None; src.len()];
-    for node in src.node_ids() {
-        let new = if src.is_pi(node) {
-            dst.add_pi(format!("{tag}_pi{}", node.index()))
-        } else {
-            let fanins: Vec<NodeId> = src
-                .fanins(node)
-                .iter()
-                .map(|f| map[f.index()].expect("topological order"))
-                .collect();
-            dst.add_lut(fanins, *src.truth_table(node).expect("LUT"))
-                .expect("valid LUT")
-        };
-        map[node.index()] = Some(new);
-    }
-    for po in src.pos() {
-        dst.add_po(
-            map[po.node.index()].expect("driver mapped"),
-            format!("{tag}_{}", po.name),
-        );
-    }
 }
 
 struct ModeRow {
@@ -98,7 +72,7 @@ fn main() {
     let jobs = jobs_arg().unwrap_or(2);
     let mut net = miter_of("e64", 11);
     let second = miter_of("dec", 37);
-    append_island(&mut net, &second, "dec");
+    net.append_island(&second, "dec");
 
     println!("Warm (incremental region solvers) vs cold (fresh solver per pair),");
     println!("two disjoint benchmark miters, jobs={jobs}:\n");

@@ -2,8 +2,8 @@
 //!
 //! The bench artifacts at the repository root are part of the perf
 //! trajectory — CI diffs them across commits — so their shape is held
-//! to the `simgen-bench-report/2` schema here, including the scaling
-//! and SIMD metrics version 2 introduced. If `sim_throughput` ever
+//! to the `simgen-bench-report/2` schema here, including the SIMD
+//! metrics version 2 introduced. If `sim_throughput` ever
 //! stops emitting a field this test names, the regression is caught
 //! at test time, not when a CI diff silently loses a column.
 
@@ -29,18 +29,12 @@ fn bench_sim_validates_against_schema() {
 }
 
 #[test]
-fn bench_sim_has_scaling_and_simd_metrics() {
+fn bench_sim_has_throughput_and_simd_metrics() {
     let json = load_bench_sim();
     let metrics = json.get("metrics").expect("metrics object");
     for key in [
         "interpreter_patterns_per_sec",
         "compiled_patterns_per_sec",
-        "compiled_jobs2_patterns_per_sec",
-        "compiled_jobs4_patterns_per_sec",
-        "compiled_jobs8_patterns_per_sec",
-        "scaling_efficiency_jobs2",
-        "scaling_efficiency_jobs4",
-        "scaling_efficiency_jobs8",
         "cone_restricted_patterns_per_sec",
         "compiled_vs_interpreter_speedup",
         "simd_speedup",

@@ -292,15 +292,6 @@ pub fn check_equivalence(
             },
         }
     };
-    if matches!(
-        verdict,
-        CecVerdict::Inconclusive {
-            reason: InconclusiveReason::ResourceExhausted,
-            ..
-        }
-    ) {
-        obs.recorder.add(Counter::JobsOomCancelled, 1);
-    }
     // Output-proof certification failures fold into the run-wide
     // counter the report builders key exit code 3 on.
     let mut sweep_stats = sweep.stats;

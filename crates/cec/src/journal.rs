@@ -242,7 +242,7 @@ pub struct RoundRecord {
     pub round: u64,
     /// Resolved pairs, in the round's deterministic pair order.
     pub pairs: Vec<PairRecord>,
-    /// Pairs dispatched to the worker pool (the rest were answered by
+    /// Pairs dispatched to a prover (the rest were answered by
     /// the proof cache) — advances the global fault-plan job index.
     pub dispatched: u64,
     /// Signature of the surviving class partition after the round's

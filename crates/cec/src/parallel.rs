@@ -4,13 +4,15 @@
 //! Phases 1–2 (random + guided simulation) run in
 //! [`crate::sweep`]. Phase 3 resolves the surviving candidates in
 //! synchronised *rounds*: every candidate pair `(rep, candᵢ)` of every
-//! surviving class is listed in a deterministic order, dispatched
-//! across a work-stealing worker pool
-//! ([`simgen_dispatch::run_ordered`]; `jobs = 1` runs inline), and the
-//! results are merged back **in pair order**. Pairs are grouped into
-//! one job per fanin region ([`RegionMap`]); a region's pairs share
-//! one assumption-scoped [`PairProver`] (under `--no-incremental`,
-//! every pair is its own job). Provers are seeded with the
+//! surviving class is listed in a deterministic order, grouped into
+//! jobs, run by [`simgen_dispatch::run_ordered`], and the results are
+//! merged back **in pair order**. Pairs are grouped into one job per
+//! fanin region ([`RegionMap`]); a region's pairs share one
+//! assumption-scoped [`PairProver`] (under `--no-incremental`, every
+//! pair is its own job). `--jobs` threads take a round's jobs, so a
+//! miter that is one fanin region proves each warm round on one
+//! thread; cold rounds and inputs with several regions spread across
+//! threads. Provers are seeded with the
 //! equivalences proven in *earlier rounds*, and a job asserts each
 //! equality it proves before its next pair (fraig within the round).
 //! A job runs its pairs serially in global pair order, so a pair's
@@ -406,7 +408,6 @@ impl RoundState {
         patterns: &mut PatternSet,
         sim: &mut SimResult,
         stats: &mut SweepStats,
-        jobs: usize,
         obs: &mut Observer,
     ) {
         for class in &mut self.work {
@@ -423,7 +424,6 @@ impl RoundState {
                 std::mem::take(&mut self.work),
                 &mut self.pending,
                 &mut self.benched,
-                jobs,
                 obs,
             );
             let elapsed = t.elapsed();
@@ -443,7 +443,6 @@ fn book_dispatched(
     summary: &mut DispatchSummary,
     obs: &mut Observer,
 ) {
-    obs.recorder.add(Counter::ProofsDispatched, 1);
     let row = &mut summary.workers[out.worker];
     if let Some(message) = &out.panic {
         summary.panics += 1;
@@ -724,7 +723,7 @@ impl Sweeper {
                             state.apply(rep, cand, &p.verdict, generator);
                         }
                         next_job_index += record.dispatched as usize;
-                        state.end_round(net, &mut patterns, &mut sim, &mut stats, jobs, obs);
+                        state.end_round(net, &mut patterns, &mut sim, &mut stats, obs);
                         replayed_rounds += 1;
                         // Restore the barrier's cumulative snapshots:
                         // from here the observable state is identical
@@ -791,7 +790,7 @@ impl Sweeper {
 
                 // Orchestrator-side cache pass, in pair order: pairs a
                 // trusted entry answers skip dispatch entirely; the
-                // rest go to the worker pool. Lookup order (and hence
+                // rest go to the workers. Lookup order (and hence
                 // the cache counters) never depends on scheduling.
                 let resolutions: Vec<Option<Verdict>> = match sweep_cache.as_mut() {
                     Some(sc) => pairs
@@ -880,14 +879,10 @@ impl Sweeper {
                     },
                 );
                 // Round barrier: merge the workers' CPU spans (sum is
-                // order-independent) and their steal counts. Every
-                // other column of a worker's row is booked below,
+                // order-independent). A worker's row is booked below,
                 // from the outcomes it produced.
                 obs.recorder
                     .merge(outcome.workers.iter().map(|r| &r.state.local));
-                for report in &outcome.workers {
-                    summary.workers[report.worker].steals += report.stolen;
-                }
                 // Per-pair slots keyed by global pair index: a region
                 // job returns its pairs grouped, not in global pair
                 // order. `None` = never started (deadline skip).
@@ -972,7 +967,7 @@ impl Sweeper {
                         });
                     }
                 }
-                state.end_round(net, &mut patterns, &mut sim, &mut stats, jobs, obs);
+                state.end_round(net, &mut patterns, &mut sim, &mut stats, obs);
                 // Round barrier durability point: everything merged
                 // above survives a crash from here on.
                 if let Some(j) = journal.as_deref_mut() {

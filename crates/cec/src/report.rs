@@ -1,7 +1,7 @@
-//! The writer of the versioned [`RunReport`] (`simgen-run-report/6`):
+//! The writer of the versioned [`RunReport`] (`simgen-run-report/7`):
 //! it lays a finished sweep or CEC run out as JSON straight from the
 //! engine's own statistics ([`SweepStats`], [`CecReport`], the
-//! [`DispatchSummary`], the kernel, executor and pool totals) and the
+//! [`DispatchSummary`], the kernel and executor totals) and the
 //! run's [`Observer`]. `docs/observability.md` spells the document out
 //! field by field. Everything the writer takes from `stats` is
 //! `--jobs`-invariant, so the deterministic form of the report is
@@ -168,8 +168,6 @@ fn sat_json(stats: &SweepStats, (calls, solver, time): (u64, SolverStats, Durati
 
 /// The `dispatch` section. The totals are the summary's own
 /// merge-side fields; each worker row books the pairs that worker ran.
-/// Steals have no deterministic counterpart, so their total is the row
-/// sum, stripped from the deterministic form along with the rows.
 fn dispatch_json(d: &DispatchSummary) -> Json {
     let mut dispatch = counts(&[
         ("jobs", d.jobs as u64),
@@ -182,7 +180,6 @@ fn dispatch_json(d: &DispatchSummary) -> Json {
             ("proofs", d.proofs),
             ("conflicts", d.conflicts),
             ("timeouts", d.timeouts),
-            ("steals", d.total_steals()),
             ("panics", d.panics),
         ]),
     );
@@ -192,7 +189,6 @@ fn dispatch_json(d: &DispatchSummary) -> Json {
             ("proofs", w.proofs),
             ("conflicts", w.conflicts),
             ("timeouts", w.timeouts),
-            ("steals", w.steals),
             ("panics", w.panics),
         ])
     });
@@ -261,8 +257,6 @@ fn write(
             ("cone_exec_calls", exec.cone_exec_calls),
             ("scalar_pushes", exec.scalar_pushes),
             ("simd_width_bits", simd_width_bits),
-            ("pool_dispatches", pool.dispatches),
-            ("pool_tasks", pool.tasks),
             ("pool_lane_bytes", pool.lane_bytes),
         ] {
             sim.push(key, Json::U64(n));
@@ -421,7 +415,7 @@ mod tests {
             !report.get("phases").unwrap().items().unwrap().is_empty(),
             "enabled observer records phases"
         );
-        assert!(lookup(&report, &["counters", "proofs_dispatched"]).as_u64() > Some(0));
+        assert!(lookup(&report, &["dispatch", "totals", "proofs"]).as_u64() > Some(0));
     }
 
     #[test]
@@ -521,8 +515,7 @@ mod tests {
     #[test]
     fn dispatch_totals_come_from_merge_side_fields() {
         // Totals are the summary's own (merge-accumulated) fields,
-        // never re-derived from the rows. Steals stay a row sum: they
-        // have no deterministic counterpart.
+        // never re-derived from the rows.
         let summary = DispatchSummary {
             jobs: 3,
             rounds: 2,
@@ -532,7 +525,6 @@ mod tests {
                     worker: w,
                     // Row 0 disagrees with the totals.
                     proofs: if w == 0 { 0 } else { 4 },
-                    steals: w as u64,
                     ..Default::default()
                 })
                 .collect(),
@@ -541,6 +533,5 @@ mod tests {
         let totals = dispatch_json(&summary);
         let totals = totals.get("totals").unwrap();
         assert_eq!(totals.get("proofs").unwrap().as_u64(), Some(12));
-        assert_eq!(totals.get("steals").unwrap().as_u64(), Some(3));
     }
 }

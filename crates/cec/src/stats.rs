@@ -43,11 +43,9 @@ pub struct SweepStats {
     /// Simulation-executor work totals (kernel executions, lane words,
     /// scalar pushes), harvested at the end of the sweep.
     pub exec: simgen_sim::ExecStats,
-    /// Worker-pool dispatch totals from the compiled kernel. Unlike
-    /// [`SweepStats::exec`] these are scheduling diagnostics — how
-    /// often simulation actually fanned out and into how many range
-    /// tasks — so they vary with `--jobs` and are stripped from
-    /// deterministic report forms.
+    /// Lane-table footprint from the compiled kernel, which feeds the
+    /// memory governor. It follows the host SIMD width, so it is
+    /// stripped from deterministic report forms.
     pub pool: simgen_sim::PoolStats,
     /// Pairs proven equivalent by SAT.
     pub proved_equivalent: u64,
@@ -73,11 +71,11 @@ pub struct SweepStats {
 /// What one dispatch worker contributed across all proof rounds.
 ///
 /// The merge books every dispatched pair's result into the row of the
-/// worker that ran it, so apart from `steals` the rows partition the
-/// [`DispatchSummary`] totals (rounds replayed from a journal restore
-/// the totals only). Which worker ran which pair, and how many jobs it
-/// stole, depend on scheduling: the rows are diagnostics, and the
-/// deterministic totals live directly on [`DispatchSummary`].
+/// worker that ran it, so the rows partition the [`DispatchSummary`]
+/// totals (rounds replayed from a journal restore the totals only).
+/// Which worker ran which pair depends on scheduling: the rows are
+/// diagnostics, and the deterministic totals live directly on
+/// [`DispatchSummary`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSummary {
     /// Worker index.
@@ -89,8 +87,6 @@ pub struct WorkerSummary {
     /// Pairs left undecided: their SAT budget ran out, or their BDDs
     /// outgrew the node limit under BDD-only.
     pub timeouts: u64,
-    /// Jobs stolen from other workers' queues (scheduling-dependent).
-    pub steals: u64,
     /// Pair proofs that panicked on this worker; each one
     /// quarantined its pair.
     pub panics: u64,
@@ -146,10 +142,11 @@ impl DispatchSummary {
         self.timeouts
     }
 
-    /// Total steals across workers. Steals are scheduling-dependent,
-    /// so this is the one total that still sums the worker rows.
+    /// Always 0: workers take jobs from one shared cursor and never
+    /// steal. It exists only for `e2ebench/src/api.rs`, the benchmark's
+    /// frozen door into the library.
     pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
+        0
     }
 
     /// Total panicked proof jobs (deterministic, merge-side).
@@ -215,7 +212,6 @@ mod tests {
                     worker: 0,
                     proofs: 4,
                     panics: 1,
-                    steals: 2,
                     ..WorkerSummary::default()
                 },
                 WorkerSummary {
@@ -235,7 +231,6 @@ mod tests {
         };
         assert_eq!(summary.total_panics(), 3);
         assert_eq!(summary.total_proofs(), 23);
-        assert_eq!(summary.total_steals(), 2);
         assert_eq!(summary.total_timeouts(), 1);
         // Quarantined covers panicked, deadline-skipped and
         // certification-failed pairs, so it is tracked independently

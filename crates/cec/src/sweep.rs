@@ -35,9 +35,10 @@ pub struct SweepConfig {
     pub run_sat: bool,
     /// Seed for the random-simulation RNG.
     pub seed: u64,
-    /// Worker threads for the resolution rounds and for large
-    /// simulation blocks. `1` runs every round inline on the calling
-    /// thread; any value yields the same report.
+    /// Most threads a resolution round runs its jobs on (one job per
+    /// fanin region, or per pair under `--no-incremental`). `1` runs
+    /// every round inline on the calling thread; any value yields the
+    /// same report. Simulation always runs on the calling thread.
     pub jobs: usize,
     /// Per-pair stall threshold: when no pair resolves for this long,
     /// the watchdog interrupts whatever is in flight (the stuck pair
@@ -216,9 +217,7 @@ pub(crate) fn run_sim_phases(
     let t = Instant::now();
     let mut patterns = PatternSet::random(net.num_pis(), cfg.random_batch, &mut rng);
     // Simulated incrementally so later single-vector pushes stay
-    // O(nodes) instead of re-running the whole accumulated set. Large
-    // random blocks are word-split across the worker pool; the lanes
-    // are byte-identical for every jobs value.
+    // O(nodes) instead of re-running the whole accumulated set.
     let compile_start = obs.recorder.is_enabled().then(Instant::now);
     let mut sim = SimResult::empty(net);
     let compile_time = compile_start.map(|s| s.elapsed()).unwrap_or_default();
@@ -235,7 +234,7 @@ pub(crate) fn run_sim_phases(
             ("tape_ops", Json::U64(kernel.tape_ops)),
         ],
     );
-    sim.extend_patterns_jobs(net, &patterns, cfg.jobs.max(1));
+    sim.extend_patterns(net, &patterns);
     generator.observe_simulation(&sim);
     let mut classes = EquivClasses::initial(net, &sim);
     let sim_time = t.elapsed();
@@ -326,7 +325,6 @@ pub(crate) fn run_sim_phases(
 ///
 /// Returns the refined working classes. `pending` and `benched` are
 /// drained.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn flush_counterexamples(
     net: &LutNetwork,
     patterns: &mut PatternSet,
@@ -334,7 +332,6 @@ pub(crate) fn flush_counterexamples(
     work: Vec<Vec<NodeId>>,
     pending: &mut Vec<Vec<bool>>,
     benched: &mut Vec<(NodeId, NodeId)>,
-    jobs: usize,
     obs: &mut Observer,
 ) -> Vec<Vec<NodeId>> {
     let resim_start = obs.recorder.is_enabled().then(Instant::now);
@@ -356,7 +353,7 @@ pub(crate) fn flush_counterexamples(
             ("roots", Json::U64(roots.len() as u64)),
         ],
     );
-    sim.extend_patterns_cone(net, &block, &roots, jobs);
+    sim.extend_patterns_cone(net, &block, &roots);
 
     // Delta partition keyed on (origin class rep, newly appended
     // signature words). Exact, because simulation only advances at
@@ -739,7 +736,7 @@ mod tests {
         // The cone-restricted, delta-keyed partition inside
         // `flush_counterexamples` must equal a from-scratch
         // full-signature partition of the same universe after a full
-        // (all-node) resimulation — for any job count.
+        // (all-node) resimulation.
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let mut net = LutNetwork::new();
         let pis: Vec<NodeId> = (0..4).map(|i| net.add_pi(format!("p{i}"))).collect();
@@ -757,8 +754,8 @@ mod tests {
         net.add_po(*pool.last().unwrap(), "f");
 
         // Two patterns leave plenty of multi-member classes.
-        let patterns = PatternSet::random(net.num_pis(), 2, &mut rng);
-        let sim = simgen_sim::simulate(&net, &patterns);
+        let mut patterns = PatternSet::random(net.num_pis(), 2, &mut rng);
+        let mut sim = simgen_sim::simulate(&net, &patterns);
         let classes = EquivClasses::initial(&net, &sim);
         let mut work = classes.classes().to_vec();
         assert!(!work.is_empty(), "test net must leave collisions");
@@ -787,29 +784,24 @@ mod tests {
             .collect();
         let expected = partition_by_signature(&universe, &sim_full);
 
-        for jobs in [1usize, 2, 4] {
-            let mut patterns_j = patterns.clone();
-            let mut sim_j = sim.clone();
-            let mut pending = pending_proto.clone();
-            let mut benched = benched_proto.clone();
-            let got = flush_counterexamples(
-                &net,
-                &mut patterns_j,
-                &mut sim_j,
-                work.clone(),
-                &mut pending,
-                &mut benched,
-                jobs,
-                &mut Observer::disabled(),
-            );
-            assert_eq!(got, expected, "jobs={jobs}");
-            assert!(pending.is_empty() && benched.is_empty());
-            assert_eq!(patterns_j.num_patterns(), 72);
-            // Universe signatures are fully extended and match the
-            // all-node resimulation bit for bit.
-            for &n in &universe {
-                assert_eq!(sim_j.signature(n), sim_full.signature(n));
-            }
+        let mut pending = pending_proto;
+        let mut benched = benched_proto;
+        let got = flush_counterexamples(
+            &net,
+            &mut patterns,
+            &mut sim,
+            work,
+            &mut pending,
+            &mut benched,
+            &mut Observer::disabled(),
+        );
+        assert_eq!(got, expected);
+        assert!(pending.is_empty() && benched.is_empty());
+        assert_eq!(patterns.num_patterns(), 72);
+        // Universe signatures are fully extended and match the
+        // all-node resimulation bit for bit.
+        for &n in &universe {
+            assert_eq!(sim.signature(n), sim_full.signature(n));
         }
     }
 

@@ -42,6 +42,20 @@ fn workload() -> LutNetwork {
     combine(&left, &right).expect("matched interfaces").network
 }
 
+/// `workload()` with a `dec` miter appended as a disjoint island:
+/// every warm round holds one job per island, so at jobs 2 and 4 the
+/// proofs run on several threads instead of inline.
+fn two_region_workload() -> LutNetwork {
+    let aig = build_aig("dec").expect("known benchmark");
+    let variant = restructure(&aig, 0.4, 37);
+    let island = combine(&map_to_luts(&aig, 6), &map_to_luts(&variant, 6))
+        .expect("matched interfaces")
+        .network;
+    let mut net = workload();
+    net.append_island(&island, "dec");
+    net
+}
+
 fn run(net: &LutNetwork, jobs: usize, plan: Option<FaultPlan>) -> (SweepReport, String) {
     let cfg = SweepConfig {
         guided_iterations: 2,
@@ -86,8 +100,13 @@ fn class_map(classes: &[Vec<NodeId>]) -> HashMap<NodeId, usize> {
 
 #[test]
 fn faults_only_degrade_never_flip() {
-    let net = workload();
-    let (clean, _) = run(&net, 2, None);
+    for net in [workload(), two_region_workload()] {
+        faults_only_degrade_never_flip_on(&net);
+    }
+}
+
+fn faults_only_degrade_never_flip_on(net: &LutNetwork) {
+    let (clean, _) = run(net, 2, None);
     assert!(
         clean.stats.proved_equivalent > 0,
         "workload sanity: provable pairs exist"
@@ -100,7 +119,7 @@ fn faults_only_degrade_never_flip() {
 
     for seed in FAULT_SEEDS {
         let plan = FaultPlan::from_seed(seed);
-        let (faulty, _) = run(&net, 2, Some(plan));
+        let (faulty, _) = run(net, 2, Some(plan));
 
         // Soundness: everything merged under faults was merged by the
         // clean run too (which resolved all pairs, so this subset
@@ -166,12 +185,17 @@ fn faults_only_degrade_never_flip() {
 
 #[test]
 fn fault_runs_are_byte_identical_across_jobs() {
-    let net = workload();
+    for net in [workload(), two_region_workload()] {
+        fault_runs_are_byte_identical_across_jobs_on(&net);
+    }
+}
+
+fn fault_runs_are_byte_identical_across_jobs_on(net: &LutNetwork) {
     for seed in FAULT_SEEDS {
         let plan = FaultPlan::from_seed(seed);
         let mut first: Option<(SweepReport, String)> = None;
         for jobs in JOB_COUNTS {
-            let (report, json) = run(&net, jobs, Some(plan));
+            let (report, json) = run(net, jobs, Some(plan));
             match &first {
                 None => first = Some((report, json)),
                 Some((r1, j1)) => {

@@ -110,6 +110,15 @@ fn workload(name: &str, seed: u64) -> LutNetwork {
         .network
 }
 
+/// Two seeded miters joined as disjoint islands. Every warm round
+/// holds one job per island, so at jobs 2 and 4 the proofs run on
+/// several threads instead of inline.
+fn two_region_workload(first: &str, second: &str, seed: u64) -> LutNetwork {
+    let mut net = workload(first, seed);
+    net.append_island(&workload(second, seed + 4), second);
+    net
+}
+
 fn norm(mut classes: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     for c in classes.iter_mut() {
         c.sort();
@@ -181,16 +190,21 @@ fn assert_classes_agree_on_random_inputs(net: &LutNetwork, classes: &[Vec<NodeId
 /// SAT. Below the limit BDD-first never calls SAT.
 #[test]
 fn sweeps_match_brute_force_oracle_across_workloads() {
-    // (benchmark, seed, whether its miter's BDDs trip the limit)
+    // (benchmark, seed, whether its miter's BDDs trip the limit); `+`
+    // joins two benchmarks' miters as disjoint islands.
     let circuits = [
         ("e64", 11u64, true),
         ("e64", 19, true),
         ("priority", 23, false),
         ("priority", 31, false),
         ("dec", 37, false),
+        ("dec+dec", 37, false),
     ];
     for (name, seed, trips) in circuits {
-        let net = workload(name, seed);
+        let net = match name.split_once('+') {
+            Some((first, second)) => two_region_workload(first, second, seed),
+            None => workload(name, seed),
+        };
         let oracle = oracle_classes(&net);
         let mut sat_calls = 0;
         for mode in [EngineMode::Sat, EngineMode::BddFirst, EngineMode::BddOnly] {

@@ -1,6 +1,6 @@
 //! Golden `RunReport`: a checked-in deterministic report under
 //! `results/` that every build re-validates against the
-//! `simgen-run-report/6` schema and regenerates bit-for-bit.
+//! `simgen-run-report/7` schema and regenerates bit-for-bit.
 //!
 //! The golden file is the anchor for the append-only perf trajectory:
 //! if a change alters the deterministic form (field added, renamed,
@@ -72,7 +72,7 @@ fn golden_report_matches_and_validates() {
         .unwrap_or_else(|e| panic!("read {}: {e}; run with SIMGEN_BLESS=1 once", path.display()));
 
     // 1. The checked-in artifact still parses and satisfies the
-    //    simgen-run-report/6 schema.
+    //    simgen-run-report/7 schema.
     let json = Json::parse(&on_disk).expect("golden report parses");
     RunReport::validate(&json).expect("golden report is schema-valid");
 

@@ -26,7 +26,7 @@ use simgen_cec::{
 };
 use simgen_core::{SimGen, SimGenConfig};
 use simgen_mapping::map_to_luts;
-use simgen_netlist::{miter::combine, LutNetwork, NodeId};
+use simgen_netlist::{miter::combine, LutNetwork};
 use simgen_obs::{report::strip_engine_dependent, Counter, Json, Observer};
 use simgen_workloads::{build_aig, rewrite::restructure};
 
@@ -40,37 +40,13 @@ fn miter_of(name: &str, seed: u64) -> LutNetwork {
     combine(&left, &right).expect("matched interfaces").network
 }
 
-/// Appends `src` into `dst` as a structurally disjoint island: fresh
-/// PIs, no shared nodes, so its cones land in their own fanin region.
-fn append_island(dst: &mut LutNetwork, src: &LutNetwork, tag: &str) {
-    let mut map: Vec<Option<NodeId>> = vec![None; src.len()];
-    for node in src.node_ids() {
-        let new = if src.is_pi(node) {
-            dst.add_pi(format!("{tag}_pi{}", node.index()))
-        } else {
-            let fanins: Vec<NodeId> = src
-                .fanins(node)
-                .iter()
-                .map(|f| map[f.index()].expect("topological order"))
-                .collect();
-            let tt = *src.truth_table(node).expect("LUT node");
-            dst.add_lut(fanins, tt).expect("valid LUT")
-        };
-        map[node.index()] = Some(new);
-    }
-    for po in src.pos() {
-        let driver = map[po.node.index()].expect("driver mapped");
-        dst.add_po(driver, format!("{tag}_{}", po.name));
-    }
-}
-
 /// Two disjoint benchmark miters in one network — at least two fanin
 /// regions, each with many candidate pairs for the region solver to
 /// warm-start across.
 fn multi_region_workload() -> LutNetwork {
     let mut net = miter_of("e64", 11);
     let second = miter_of("dec", 37);
-    append_island(&mut net, &second, "dec");
+    net.append_island(&second, "dec");
     net
 }
 

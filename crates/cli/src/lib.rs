@@ -360,7 +360,10 @@ Formats by extension: .aig (binary AIGER), .aag (ASCII AIGER),
 .bench (ISCAS), .blif. Strategies: simgen (default), revs, rand, 1dist.
 A command rejects any flag it does not list above; -j is --jobs.
 
---jobs 0 uses every core; results never depend on --jobs. --timeout
+--jobs 0 uses every core; results never depend on --jobs. A warm
+round is one proof job per fanin region, so --jobs parallelizes
+--no-incremental rounds and inputs with several regions; a connected
+miter proves on one thread, and simulation always does. --timeout
 bounds the whole run (0 = already expired) and --stall any one proof;
 on expiry the sound partial result is reported. --engine-policy is
 default (also auto or sat-only: one SAT attempt per pair) or bdd-first
@@ -654,8 +657,8 @@ fn sweep(args: &Args) -> Result<ExitCode, CliError> {
     println!("  disproved             : {}", stats.disproved);
     println!("  unresolved            : {}", report.unresolved.len());
     if let Some(d) = &stats.dispatch {
-        let (rounds, proofs, steals) = (d.rounds, d.total_proofs(), d.total_steals());
-        println!("  dispatch              : {rounds} rounds, {proofs} proofs, {steals} steals");
+        let (rounds, proofs) = (d.rounds, d.total_proofs());
+        println!("  dispatch              : {rounds} rounds, {proofs} proofs");
         let (quarantined, panics) = (d.quarantined, d.total_panics());
         if panics > 0 || quarantined > 0 {
             println!("  quarantined           : {quarantined} pairs ({panics} worker panics)");

@@ -1,28 +1,29 @@
-//! The work-stealing executor.
+//! The ordered executor.
 //!
-//! Jobs are dealt round-robin into per-worker deques. A worker pops
-//! from the *front* of its own deque (cache-friendly FIFO over its
-//! shard) and, when dry, steals from the *back* of a victim's deque —
-//! the classic owner/thief split that keeps contention on opposite
-//! ends. No work is ever created after launch, so a worker may exit
-//! as soon as one full scan over every deque comes up empty.
+//! A round with several jobs runs on scoped threads that take job
+//! indices from one shared atomic cursor: whichever thread is free
+//! claims the next job, so an unbalanced list needs no stealing. No
+//! work is created after launch, so a thread exits as soon as the
+//! cursor passes the end of the list. A round with one job, or
+//! `jobs <= 1`, runs the same loop inline on the calling thread.
 //!
 //! Results carry their input index and are re-assembled in input
 //! order before returning, which is what makes a sweep built on top
 //! scheduling-invariant.
 //!
-//! An expired **deadline** stops workers from *starting* new jobs;
-//! everything not yet begun comes back as `None`. In-flight jobs are
-//! interrupted through the deadline's shared flag, not killed, so
-//! their results are still sound.
+//! A job claimed while the **deadline** reads expired is not started
+//! and comes back as `None`; a stall trip that the watchdog lowers
+//! again costs only the jobs claimed while it was raised. In-flight
+//! jobs are interrupted through the deadline's shared flag, not
+//! killed, so their results are still sound.
 //!
 //! A `step` that **panics** is not caught here. The panic reaches the
-//! caller once every worker task has been joined, so callers that
-//! want a failing job isolated catch panics inside their step — the
-//! sweep does, around each pair proof.
+//! caller, with the step's own payload, once every thread has been
+//! joined, so callers that want a failing job isolated catch panics
+//! inside their step — the sweep does, around each pair proof.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simgen_obs::{Json, Trace};
 
@@ -41,8 +42,6 @@ pub struct WorkerReport<S> {
     pub worker: usize,
     /// Jobs this worker executed.
     pub executed: u64,
-    /// Jobs this worker stole from other workers' deques.
-    pub stolen: u64,
     /// Final worker state.
     pub state: S,
 }
@@ -51,32 +50,33 @@ pub struct WorkerReport<S> {
 #[derive(Clone, Debug)]
 pub struct DispatchOutcome<R, S> {
     /// One result per input job, **in input order** — independent of
-    /// worker count and steal interleaving. `None` marks a job the
-    /// deadline skipped.
+    /// worker count and scheduling. `None` marks a job the deadline
+    /// skipped.
     pub results: Vec<Option<R>>,
     /// Per-worker execution reports, indexed by worker id.
     pub workers: Vec<WorkerReport<S>>,
 }
 
-/// What one worker hands back when its drain loop ends: its report
-/// plus its `(input index, result)` pairs.
+/// What one worker hands back when its loop ends: its report plus its
+/// `(input index, result)` pairs.
 type WorkerOutput<S, R> = (WorkerReport<S>, Vec<(usize, R)>);
 
-/// Runs `step` over `items` on `jobs` workers and returns one result
-/// per item, in input order.
+/// Runs `step` over `items` on up to `jobs` workers and returns one
+/// result per item, in input order.
 ///
 /// `init(worker)` builds each worker's private state once, on the
 /// worker's own thread (provers are neither `Send` nor cheap — they
-/// must be born where they work). `jobs <= 1` runs everything inline
-/// on the calling thread with no synchronisation at all. `deadline`,
-/// if given, is checked before each job is started; jobs never started
-/// come back as `None`, and one `jobs_skipped` event with their count
-/// lands in `trace`.
+/// must be born where they work). `jobs <= 1`, or a single item, runs
+/// everything inline on the calling thread. Otherwise
+/// `min(jobs, items, available_parallelism)` scoped threads take items
+/// from one shared cursor. `deadline`, if given, is checked before
+/// each job is started; jobs never started come back as `None`, and
+/// one `jobs_skipped` event with their count lands in `trace`.
 ///
 /// # Panics
 ///
-/// A panicking `step` propagates: inline at once, on the threaded path
-/// after every worker task has finished, so no borrow escapes.
+/// A panicking `step` propagates with its own payload: inline at once,
+/// on the threaded path after every thread has been joined.
 pub fn run_ordered<J, R, S, I, F>(
     jobs: usize,
     items: Vec<J>,
@@ -92,87 +92,48 @@ where
     I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, &J) -> R + Sync,
 {
-    let expired = || deadline.is_some_and(Deadline::expired);
-    let jobs = jobs.max(1).min(items.len().max(1));
-    let outputs: Vec<WorkerOutput<S, R>> = if jobs == 1 {
-        let mut state = init(0);
-        let mut out = Vec::with_capacity(items.len());
-        for (index, item) in items.iter().enumerate() {
-            if !expired() {
+    // Relaxed suffices: the cursor publishes no data. Items are shared
+    // read-only, the read-modify-write hands each index out once, and
+    // results come back through the thread joins.
+    let cursor = AtomicUsize::new(0);
+    let work = |worker: usize| -> WorkerOutput<S, R> {
+        let mut state = init(worker);
+        let mut out = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else { break };
+            if !deadline.is_some_and(Deadline::expired) {
                 out.push((index, step(&mut state, item)));
             }
         }
         let report = WorkerReport {
-            worker: 0,
+            worker,
             executed: out.len() as u64,
-            stolen: 0,
             state,
         };
-        vec![(report, out)]
+        (report, out)
+    };
+    let threads = if jobs <= 1 || items.len() <= 1 {
+        1
     } else {
-        // Deal jobs round-robin so each worker starts with a contiguous
-        // slice of the (deterministically ordered) pair list interleaved
-        // across the pool.
-        let mut queues: Vec<Mutex<VecDeque<(usize, &J)>>> =
-            (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, item) in items.iter().enumerate() {
-            queues[i % jobs]
-                .get_mut()
-                .expect("unshared yet")
-                .push_back((i, item));
-        }
-        let (queues, init, step, expired) = (&queues, &init, &step, &expired);
-
-        // Workers are *logical*: each is one task on the persistent
-        // shared pool, not a freshly spawned OS thread. The pool joins
-        // every task before `scope` returns — also when a step panics —
-        // so the borrows of `queues`, `init` and `step` below are sound.
-        let collected: Mutex<Vec<WorkerOutput<S, R>>> = Mutex::new(Vec::with_capacity(jobs));
-        crate::pool::shared_pool().scope(|scope| {
-            for w in 0..jobs {
-                let collected = &collected;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut stolen = 0u64;
-                    loop {
-                        // Stop *starting* work once the deadline is
-                        // gone; unclaimed jobs surface as skipped.
-                        if expired() {
-                            break;
-                        }
-                        // Own shard first (front), then steal (back). The
-                        // own-shard guard must be released before stealing:
-                        // two workers that each held their own lock while
-                        // taking the other's would deadlock.
-                        let own = queues[w].lock().expect("queue poisoned").pop_front();
-                        let job = own.or_else(|| {
-                            (1..jobs).find_map(|off| {
-                                let victim = (w + off) % jobs;
-                                let job = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if job.is_some() {
-                                    stolen += 1;
-                                }
-                                job
-                            })
-                        });
-                        let Some((idx, item)) = job else { break };
-                        out.push((idx, step(&mut state, item)));
-                    }
-                    let report = WorkerReport {
-                        worker: w,
-                        executed: out.len() as u64,
-                        stolen,
-                        state,
-                    };
-                    collected
-                        .lock()
-                        .expect("collector poisoned")
-                        .push((report, out));
-                });
-            }
+        // More threads than cores only time-slice the same work.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        jobs.min(items.len()).min(cores)
+    };
+    let outputs: Vec<WorkerOutput<S, R>> = if threads == 1 {
+        vec![work(0)]
+    } else {
+        // Join every thread before re-raising, so the caller gets the
+        // step's own panic payload rather than the scope's.
+        let joined: Vec<std::thread::Result<WorkerOutput<S, R>>> = std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || work(w))).collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        collected.into_inner().expect("collector poisoned")
+        joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     };
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let mut workers: Vec<WorkerReport<S>> = Vec::with_capacity(outputs.len());
@@ -182,7 +143,6 @@ where
             results[i] = Some(result);
         }
     }
-    workers.sort_by_key(|r| r.worker);
     let skipped = results.iter().filter(|r| r.is_none()).count();
     if skipped > 0 {
         trace.emit("jobs_skipped", vec![("count", Json::U64(skipped as u64))]);
@@ -193,7 +153,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{mpsc, Mutex};
     use std::time::Duration;
 
     /// Unwraps every result, panicking on a skipped job.
@@ -256,7 +216,6 @@ mod tests {
             },
         );
         assert_eq!(out.workers.len(), 1);
-        assert_eq!(out.workers[0].stolen, 0);
         assert_eq!(all_done(out), vec![1, 2, 3]);
     }
 
@@ -316,34 +275,91 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_loads_get_stolen() {
-        // Worker 0's shard (round-robin: even indices) is made slow;
-        // the other worker finishes its shard and must steal. A tiny
-        // sleep makes starvation overwhelmingly likely rather than
-        // certain, so retry a few times to avoid flakiness.
-        for _ in 0..5 {
-            let slow_hits = AtomicU64::new(0);
+    fn two_workers_run_at_the_same_time() {
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        // Jobs 0 and 1 each announce themselves and then wait for the
+        // other: one thread running both would wait on itself, so the
+        // rendezvous only completes when two threads hold one each.
+        let (to_one, from_zero) = mpsc::channel();
+        let (to_zero, from_one) = mpsc::channel();
+        let inbox = [Mutex::new(from_one), Mutex::new(from_zero)];
+        let outbox = [to_one, to_zero];
+        let out = run_ordered(
+            2,
+            (0..6usize).collect::<Vec<_>>(),
+            None,
+            &Trace::disabled(),
+            |_| (),
+            |_, &x| {
+                if x < 2 {
+                    outbox[x].send(()).expect("partner alive");
+                    let met = inbox[x]
+                        .lock()
+                        .expect("inbox poisoned")
+                        .recv_timeout(Duration::from_secs(30));
+                    assert!(met.is_ok(), "job {x} never met its partner");
+                }
+                x
+            },
+        );
+        assert_eq!(out.workers.len(), 2);
+        assert_eq!(all_done(out), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn threads_skip_only_jobs_claimed_while_tripped() {
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return;
+        }
+        // Jobs 0 and 1 meet, then job 0 trips the deadline and tells
+        // job 1, which returns only after the signal. Both threads
+        // therefore claim their next job with the flag as job 0 left
+        // it: lowered again (a stall trip the watchdog cleared), every
+        // later job runs; still raised, every later job is skipped.
+        for clear in [true, false] {
+            let deadline = Deadline::never();
+            let (to_one, from_zero) = mpsc::channel();
+            let (to_zero, from_one) = mpsc::channel();
+            let inbox = [Mutex::new(from_one), Mutex::new(from_zero)];
+            let outbox = [to_one, to_zero];
+            let wait = |x: usize| {
+                let got = inbox[x]
+                    .lock()
+                    .expect("inbox poisoned")
+                    .recv_timeout(Duration::from_secs(30));
+                assert!(got.is_ok(), "job {x} never heard from its partner");
+            };
             let out = run_ordered(
                 2,
-                (0..64u64).collect::<Vec<_>>(),
-                None,
+                (0..8usize).collect::<Vec<_>>(),
+                Some(&deadline),
                 &Trace::disabled(),
                 |_| (),
-                |_, x| {
-                    if x % 2 == 0 {
-                        slow_hits.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(2));
+                |_, &x| {
+                    if x < 2 {
+                        outbox[x].send(()).expect("partner alive");
+                        wait(x);
                     }
-                    *x
+                    if x == 0 {
+                        deadline.trip();
+                        if clear {
+                            deadline.clear_if_not_due();
+                        }
+                        outbox[0].send(()).expect("partner alive");
+                    } else if x == 1 {
+                        wait(1);
+                    }
+                    x
                 },
             );
-            let stolen: u64 = out.workers.iter().map(|w| w.stolen).sum();
-            assert_eq!(all_done(out), (0..64).collect::<Vec<_>>());
-            if stolen > 0 {
-                return;
+            assert_eq!(out.workers.len(), 2);
+            for (i, result) in out.results.iter().enumerate() {
+                let runs = i < 2 || clear;
+                assert_eq!(*result, runs.then_some(i), "job {i}, clear={clear}");
             }
         }
-        panic!("no steal observed across 5 heavily unbalanced runs");
     }
 
     #[test]
@@ -356,10 +372,16 @@ mod tests {
                     None,
                     &Trace::disabled(),
                     |_| (),
-                    |_, x| assert_ne!(*x, 3, "boom"),
+                    |_, x| {
+                        if *x == 3 {
+                            panic!("boom");
+                        }
+                    },
                 )
             });
-            assert!(caller.join().is_err(), "jobs={jobs}");
+            let payload = caller.join().expect_err("the step's panic propagates");
+            let message = payload.downcast_ref::<&str>().copied();
+            assert_eq!(message, Some("boom"), "jobs={jobs}");
         }
     }
 

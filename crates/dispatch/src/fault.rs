@@ -5,7 +5,7 @@
 //! A [`FaultPlan`] is a pure function from `(seed, job index)` to a
 //! [`FaultAction`]: it holds no mutable state, so the same seed
 //! produces the same faults at the same job indices regardless of
-//! worker count, stealing order or wall-clock timing. That is what
+//! worker count, thread scheduling or wall-clock timing. That is what
 //! lets the chaos suite demand *byte-identical* deterministic run
 //! reports across `--jobs` values while panicking workers, stalling
 //! jobs and spuriously reporting `Unknown`: the faults are part of

@@ -1,5 +1,5 @@
-//! Parallel proof dispatch: a work-stealing scheduler for candidate
-//! equivalence pairs, plus the [`EnginePolicy`] that picks which proof
+//! Proof dispatch: an ordered executor that runs a round's jobs on
+//! scoped threads, plus the [`EnginePolicy`] that picks which proof
 //! engine resolves each pair.
 //!
 //! The crate is deliberately domain-agnostic: the executor runs any
@@ -7,17 +7,19 @@
 //! **in input order**, so a sweeping layer built on top produces
 //! identical output regardless of worker count or scheduling. Worker
 //! state (`State`) is where callers keep per-worker engines (the
-//! sweep's BDD engine under the BDD-first and BDD-only modes).
+//! sweep's BDD engine under the BDD-first and BDD-only modes). A round
+//! with one job — every warm-solver round on a miter that is one fanin
+//! region — runs inline on the calling thread.
 //!
 //! Determinism contract: everything about the returned
 //! [`DispatchOutcome::results`] is a pure function of the job list —
-//! only the per-worker execution/steal counters depend on scheduling.
+//! only which worker executed which job depends on scheduling.
 //!
 //! Resilience contract: an expired [`Deadline`] stops new jobs from
 //! starting (their result slot is `None`) while the [`Watchdog`]
 //! interrupts whatever is already in flight through the shared flag. A
 //! panicking step is not caught by the executor: it reaches the caller
-//! once every worker has been joined. The sweep isolates panics itself,
+//! once every thread has been joined. The sweep isolates panics itself,
 //! one pair at a time.
 
 mod deadline;
@@ -26,7 +28,6 @@ mod fair;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
 mod policy;
-mod pool;
 
 pub use deadline::{Deadline, Progress, Watchdog};
 pub use executor::{run_ordered, DispatchOutcome, WorkerReport, MAX_JOBS};
@@ -34,4 +35,3 @@ pub use fair::{FairQueue, Popped, PushError, DEFAULT_PRIORITY, MAX_PRIORITY};
 #[cfg(feature = "fault-inject")]
 pub use fault::{FaultAction, FaultPlan};
 pub use policy::{EngineMode, EnginePolicy};
-pub use pool::{shared_pool, Scope, WorkerPool};

@@ -162,6 +162,28 @@ impl LutNetwork {
         });
     }
 
+    /// Appends a copy of `src` as a structurally disjoint island: fresh
+    /// PIs named `{tag}_pi{i}`, its LUTs over them, and its POs renamed
+    /// `{tag}_{name}`. The copy shares no node with the rest of the
+    /// network, so its cones form a fanin region of their own.
+    pub fn append_island(&mut self, src: &LutNetwork, tag: &str) {
+        let mut map: Vec<NodeId> = Vec::with_capacity(src.len());
+        for node in &src.nodes {
+            let new = match &node.kind {
+                NodeKind::Pi { .. } => self.add_pi(format!("{tag}_pi{}", map.len())),
+                NodeKind::Lut { fanins, tt } => {
+                    let fanins = fanins.iter().map(|f| map[f.index()]).collect();
+                    self.add_lut(fanins, *tt)
+                        .expect("a valid network stays valid")
+                }
+            };
+            map.push(new);
+        }
+        for po in &src.pos {
+            self.add_po(map[po.node.index()], format!("{tag}_{}", po.name));
+        }
+    }
+
     /// Total node count (PIs + LUTs).
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -15,7 +15,7 @@
 //!   writable from any thread, drained to JSONL. Traces are
 //!   diagnostics: explicitly outside the determinism guarantee.
 //! * [`RunReport`] — the versioned JSON document
-//!   (`simgen-run-report/6`) every run can emit, written once from the
+//!   (`simgen-run-report/7`) every run can emit, written once from the
 //!   engine's statistics by `simgen_cec::report`, with a
 //!   [`deterministic_json`](RunReport::deterministic_json) form that
 //!   strips timing (`*_ms`) and scheduling fields and is required to

@@ -6,8 +6,7 @@
 //! atomics, no locks) created from the recorder's template, and the
 //! orchestrator merges the locals back at the next round barrier with
 //! [`Recorder::merge`]. Merging is a sum over fixed-size arrays, so the
-//! merged totals are independent of worker count and steal
-//! interleaving.
+//! merged totals are independent of worker count and scheduling.
 //!
 //! Everything is gated on one `enabled` flag fixed at construction.
 //! Disabled recorders never call `Instant::now()` and every `add` is a
@@ -82,8 +81,6 @@ enum_with_names! {
     /// what lets the `counters` section of a report stay byte-identical
     /// across `--jobs`.
     pub enum Counter {
-        /// Candidate pairs handed to the proof engine.
-        ProofsDispatched => "proofs_dispatched",
         /// Pairs still undecided after their proof attempt.
         ProofsUndecided => "proofs_undecided",
         /// Pairs skipped because the deadline expired first.
@@ -130,11 +127,6 @@ enum_with_names! {
         /// Pair proofs answered by a solver that had already solved an
         /// earlier miter (warm starts, the complement of cold starts).
         WarmSolves => "warm_solves",
-        /// Jobs cancelled by the memory governor: their accounted
-        /// footprint crossed `--mem-budget`, so they ended with a
-        /// `resource-exhausted` verdict instead of OOM-killing the
-        /// process.
-        JobsOomCancelled => "jobs_oom_cancelled",
         /// Incremental region solvers rebuilt because their clause
         /// database bloated past the configured multiple of the
         /// post-seeding footprint (`rebuild_bloat`).
@@ -339,7 +331,7 @@ mod tests {
     #[test]
     fn disabled_recorder_ignores_everything() {
         let mut rec = Recorder::disabled();
-        rec.add(Counter::ProofsDispatched, 5);
+        rec.add(Counter::ProofsUndecided, 5);
         rec.add_wall(Phase::SatResolution, Duration::from_secs(1));
         {
             let _span = rec.span(Phase::RandomSim);
@@ -349,7 +341,7 @@ mod tests {
             let _span = local.span(Phase::CexResim);
         }
         rec.merge([&local]);
-        assert_eq!(rec.get(Counter::ProofsDispatched), 0);
+        assert_eq!(rec.get(Counter::ProofsUndecided), 0);
         assert_eq!(rec.wall(Phase::SatResolution), Duration::ZERO);
         assert_eq!(rec.cpu(Phase::CexResim), Duration::ZERO);
         assert!(rec.folded().is_empty());

@@ -1,7 +1,7 @@
 //! The versioned `RunReport` document: one JSON file per run unifying
 //! sweep, SAT, dispatch, simulation, and iteration statistics.
 //!
-//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/6"`). The
+//! Schema id: [`RunReport::SCHEMA`] (`"simgen-run-report/7"`). The
 //! field-by-field specification lives in `docs/observability.md`. The
 //! document is written once, straight from the engine's statistics, by
 //! `simgen_cec::report`; this module owns its header
@@ -18,8 +18,8 @@
 //!   durations, is named with an `_ms` suffix;
 //! * **scheduling** — worker count and anything attributed to a
 //!   specific worker: the `jobs` keys, per-worker `workers` arrays,
-//!   `steals` counts, the `argv` echo (it contains `--jobs`), and the
-//!   `trace` summary (event retention depends on interleaving).
+//!   the `argv` echo (it contains `--jobs`), and the `trace` summary
+//!   (event retention depends on interleaving).
 //!
 //! [`RunReport::deterministic_json`] strips exactly those fields,
 //! recursively. Everything that remains — counters, per-iteration
@@ -53,18 +53,15 @@ pub struct RunReport {
 
 /// Keys stripped (with their subtrees) from the deterministic form,
 /// in addition to every key with an `_ms` suffix. `simd_width_bits`
-/// is host-dependent and `pool_*` vary with `--jobs`, so all three
-/// join the scheduling keys.
+/// is host-dependent and `pool_lane_bytes` follows it (lanes are
+/// padded to the SIMD width), so both join the scheduling keys.
 const SCHEDULING_KEYS: &[&str] = &[
     "argv",
     "jobs",
-    "steals",
     "workers",
     "trace",
     "t_us",
     "simd_width_bits",
-    "pool_dispatches",
-    "pool_tasks",
     "pool_lane_bytes",
 ];
 
@@ -167,8 +164,12 @@ impl RunReport {
     /// dropped 19 counters that repeated another key of the report or
     /// were never bumped, the `escalations` column, `config.proof` and
     /// `config.random_rounds`, and wrote `config.bdd_node_limit` in
-    /// place of `config.budget_schedule`.
-    pub const SCHEMA: &'static str = "simgen-run-report/6";
+    /// place of `config.budget_schedule`. Version 7 dropped the steal
+    /// counts of `dispatch` and `sim.pool_dispatches`/`sim.pool_tasks`
+    /// with the work-stealing pool, and the `proofs_dispatched` and
+    /// `jobs_oom_cancelled` counters, which restated
+    /// `dispatch.totals` and `outcome.reason`.
+    pub const SCHEMA: &'static str = "simgen-run-report/7";
 
     /// Starts a report: the schema and tool header, then the command,
     /// its argument echo and the design.
@@ -404,12 +405,7 @@ impl RunReport {
             }
             // Stripped from the deterministic form, so optional; when
             // present they must be non-negative integers.
-            for key in [
-                "simd_width_bits",
-                "pool_dispatches",
-                "pool_tasks",
-                "pool_lane_bytes",
-            ] {
+            for key in ["simd_width_bits", "pool_lane_bytes"] {
                 if let Some(v) = sim.get(key) {
                     if v.as_u64().is_none() {
                         errors.push(format!("sim: field {key} is not a non-negative integer"));
@@ -456,23 +452,20 @@ mod tests {
         };
         let mut report = RunReport::new("sweep".to_string(), argv.to_vec(), &design);
         // The same 12 proofs split across however many workers ran —
-        // totals stay invariant, steals don't.
+        // totals stay invariant, rows don't.
         let workers: Vec<String> = (0..jobs)
             .map(|w| {
                 let proofs = 12 / jobs;
                 format!(
                     r#"{{"worker": {w}, "proofs": {proofs}, "conflicts": 0, "timeouts": 0,
-                        "steals": {w}, "panics": 0}}"#
+                        "panics": 0}}"#
                 )
             })
             .collect();
         let workers = workers.join(", ");
-        let steals: u64 = (0..jobs).sum();
         let wall = 12.5 * jobs as f64;
-        // Scheduling-dependent: the parallel path engages a different
-        // number of times per --jobs value, and lane padding follows
-        // the host SIMD width.
-        let (pool_tasks, lane_bytes, emitted) = (jobs * 3, 4096 * jobs, 99 * jobs);
+        // Host-dependent: lane padding follows the SIMD width.
+        let (lane_bytes, emitted) = (4096 * jobs, 99 * jobs);
         // A warm solver retains learnt clauses a cold one never
         // accumulates.
         let (solves, conflicts, clause_db, dispatch_conflicts) = match warm {
@@ -497,13 +490,12 @@ mod tests {
            "proof_clauses": 0, "proof_bytes": 0, "clause_db_bytes": {clause_db}, "wall_ms": 0.0}},
   "dispatch": {{"jobs": {jobs}, "rounds": 2, "quarantined": 0,
                 "totals": {{"proofs": 12, "conflicts": {dispatch_conflicts}, "timeouts": 0,
-                            "steals": {steals}, "panics": 0}},
+                            "panics": 0}},
                 "workers": [{workers}]}},
   "sim": {{"kernel": {{"nodes": 40, "fused": 0, "tape_nodes": 0, "tape_ops": 0}},
            "exec_calls": 6, "exec_words": 0, "exec_patterns": 384, "cone_exec_calls": 0,
-           "scalar_pushes": 0, "simd_width_bits": 256, "pool_dispatches": {jobs},
-           "pool_tasks": {pool_tasks}, "pool_lane_bytes": {lane_bytes}}},
-  "counters": {{"proofs_dispatched": 10, "scopes_opened": {scopes},
+           "scalar_pushes": 0, "simd_width_bits": 256, "pool_lane_bytes": {lane_bytes}}},
+  "counters": {{"proofs_undecided": 0, "scopes_opened": {scopes},
                 "clauses_reused": {reused}, "warm_solves": {warm_solves}}},
   "trace": {{"emitted": {emitted}, "dropped": 0}}
 }}"#
@@ -536,7 +528,7 @@ mod tests {
         assert!(!text.contains("\"workers\""));
         assert!(!text.contains("\"argv\""));
         assert!(!text.contains("\"trace\""));
-        assert!(!text.contains("\"pool_dispatches\""));
+        assert!(!text.contains("\"pool_lane_bytes\""));
         assert!(!text.contains("\"simd_width_bits\""));
         assert!(
             text.contains("\"exec_patterns\""),
@@ -559,7 +551,7 @@ mod tests {
         assert_eq!(text, strip(&cold), "engine-stripped forms must agree");
         // Verdict-bearing fields survive; effort fields do not.
         assert!(text.contains("\"calls\""));
-        assert!(text.contains("\"proofs_dispatched\""));
+        assert!(text.contains("\"proofs_undecided\""));
         assert!(text.contains("\"proved_equivalent\""));
         assert!(!text.contains("\"conflicts\""));
         assert!(!text.contains("\"warm_solves\""));

@@ -76,7 +76,6 @@ const STALL_HORIZON: f64 = 30.0;
 /// the report (verdict, design, config, sweep resolution, iteration
 /// trajectory, simulation counters) must still match byte-for-byte.
 const WARMTH_COUNTERS: &[&str] = &[
-    "proofs_dispatched",
     "cache_hits",
     "cache_misses",
     "cache_replays",

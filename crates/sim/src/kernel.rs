@@ -16,21 +16,14 @@
 //! operation depending on the active [`SimdLevel`] — with ragged block
 //! tails finished scalar.
 //!
-//! Large pattern sets are additionally split across the persistent
-//! [`simgen_dispatch::shared_pool`]: all lanes are allocated up front
-//! at full length, every worker runs the same levelized order over a
-//! disjoint, cache-line-aligned word range of that shared allocation
-//! (a node's word `w` depends only on fanin words `w`, so range-local
-//! execution is race-free by construction), and each worker keeps its
-//! scratch registers in a thread-local arena. No splice, no shared
-//! scratch, no cross-worker cache-line writes — the result is
-//! byte-identical for any worker count because every word of every
-//! lane is computed by exactly one deterministic expression.
+//! Simulation runs on the calling thread: all lanes are allocated up
+//! front at full length, the levelized order is evaluated block by
+//! block over that allocation, and Shannon-tape scratch registers live
+//! in a thread-local arena.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simgen_dispatch::shared_pool;
 use simgen_netlist::{LutNetwork, NodeId, NodeKind, TruthTable};
 
 use crate::patterns::PatternSet;
@@ -45,12 +38,8 @@ use crate::simd::{active_simd_level, SimdLevel, SimdWord, U64x4, U64x8, Unroll};
 /// aligned.
 pub(crate) const BLOCK_WORDS: usize = 64;
 
-/// Minimum pattern words each worker must receive before the parallel
-/// path engages; below this the dispatch overhead dominates.
-pub(crate) const MIN_WORDS_PER_JOB: usize = 4;
-
-/// `u64` words per 64-byte cache line. Worker range boundaries are
-/// rounded up to this so no two workers ever write the same line.
+/// `u64` words per 64-byte cache line, the alignment unit of the
+/// scratch arena.
 const LINE_WORDS: usize = 8;
 
 /// Widest Shannon tape the register-resident path handles. Tapes
@@ -65,12 +54,6 @@ const REG_TAPE_MAX: usize = 32;
 /// tape path, amortizing op decode without spilling the register file
 /// out of L1 (`REG_TAPE_MAX × TAPE_UNROLL` packs ≤ 8 KiB at 512-bit).
 const TAPE_UNROLL: usize = 4;
-
-/// Node-words (`order.len() * num_words`) below which `simulate_lanes`
-/// always runs inline on the caller: a small resim finishes faster
-/// than a pool handoff, and the sweeps' cone-restricted flushes are
-/// full of such calls.
-const PARALLEL_MIN_WORK: usize = 4096;
 
 /// A fused two-input bitwise operation. `AndNot`/`OrNot` absorb one
 /// input complement so every 2-support function that is not a
@@ -265,18 +248,13 @@ pub struct KernelSummary {
     pub scratch: u64,
 }
 
-/// Scheduling-dependent execution diagnostics of one [`CompiledNet`]:
-/// how often the parallel path engaged and how many worker tasks it
-/// enqueued. Unlike [`crate::ExecStats`] these values *do* depend on
-/// `jobs` and input sizes crossing the inline threshold, so reports
-/// keep them under the scheduling keys that `strip_nondeterministic`
-/// removes.
+/// Memory diagnostics of one [`CompiledNet`], the simulation side of
+/// the memory governor's footprint estimate.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// `simulate_lanes` calls that dispatched to the worker pool
-    /// (calls below the inline threshold contribute nothing).
-    pub dispatches: u64,
-    /// Worker tasks enqueued across those dispatches.
+    /// Always 0: simulation runs on the calling thread. It exists only
+    /// for `e2ebench/src/api.rs`, the benchmark's frozen door into the
+    /// library.
     pub tasks: u64,
     /// Peak bytes of lane storage a single `simulate_lanes` call
     /// allocated (one `u64` word lane per ordered node). The
@@ -295,10 +273,6 @@ pub struct CompiledNet {
     ops: Vec<Op>,
     /// Scratch registers needed by the widest tape.
     num_scratch: usize,
-    /// Parallel-path engagements (see [`PoolStats`]).
-    sim_dispatches: AtomicU64,
-    /// Worker tasks enqueued by those engagements.
-    sim_tasks: AtomicU64,
     /// Peak lane-table allocation of one `simulate_lanes` call.
     sim_lane_bytes: AtomicU64,
 }
@@ -312,29 +286,24 @@ struct CacheLine([u64; LINE_WORDS]);
 thread_local! {
     /// Per-thread scratch arena for Shannon-tape registers: grown once
     /// to the widest tape seen on this thread, then reused by every
-    /// `simulate_lanes` chunk the thread executes. Replaces the
-    /// per-call `vec![vec![0u64; BLOCK_WORDS]; num_scratch]` churn.
+    /// `simulate_lanes` call the thread makes. Replaces the per-call
+    /// `vec![vec![0u64; BLOCK_WORDS]; num_scratch]` churn.
     static SCRATCH: RefCell<Vec<CacheLine>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Shared view of the preallocated full-length lanes, passed to
-/// workers as raw pointers. A null entry means the node is outside
-/// the simulated `order` and has no lane.
+/// Raw-pointer view of the preallocated full-length lanes: a node's
+/// kernel writes its own lane while reading its fanins' lanes, which
+/// one `&mut [Vec<u64>]` cannot lend at once. A null entry means the
+/// node is outside the simulated `order` and has no lane.
 ///
 /// Safety contract (upheld by `simulate_lanes_at`): all pointers stay
 /// valid for the table's lifetime, every present lane is `words` long,
-/// and concurrent workers only touch disjoint word ranges — each
-/// worker evaluates the whole levelized order over its own range, so
-/// even its *reads* stay range-local.
+/// and a node's lane is written only after its fanins' lanes, never
+/// while one of its own read slices is alive.
 struct LaneTable {
     ptrs: Vec<*mut u64>,
     words: usize,
 }
-
-// SAFETY: see the struct docs — range disjointness makes concurrent
-// access data-race-free.
-unsafe impl Send for LaneTable {}
-unsafe impl Sync for LaneTable {}
 
 impl LaneTable {
     fn new(lanes: &mut [Vec<u64>], words: usize) -> LaneTable {
@@ -355,7 +324,7 @@ impl LaneTable {
     /// Reads lane `idx` over `[x0, x1)`.
     ///
     /// Safety: caller must not hold a `write` slice of the same node,
-    /// and `[x0, x1)` must lie inside the caller's word range.
+    /// and `[x0, x1)` must lie inside the lane.
     #[inline(always)]
     unsafe fn read(&self, idx: usize, x0: usize, x1: usize) -> &[u64] {
         debug_assert!(x0 <= x1 && x1 <= self.words);
@@ -366,8 +335,8 @@ impl LaneTable {
 
     /// Writes lane `idx` over `[x0, x1)`.
     ///
-    /// Safety: `[x0, x1)` must lie inside the caller's word range, and
-    /// each node is written at most once per range (levelized order).
+    /// Safety: `[x0, x1)` must lie inside the lane, and each node is
+    /// written at most once per block (levelized order).
     #[inline(always)]
     #[allow(clippy::mut_from_ref)]
     unsafe fn write(&self, idx: usize, x0: usize, x1: usize) -> &mut [u64] {
@@ -376,32 +345,6 @@ impl LaneTable {
         debug_assert!(!ptr.is_null(), "write of absent lane {idx}");
         std::slice::from_raw_parts_mut(ptr.add(x0), x1 - x0)
     }
-}
-
-/// Splits `[0, num_words)` into up to `jobs` balanced ranges whose
-/// interior boundaries are rounded up to cache-line multiples
-/// ([`LINE_WORDS`]), so adjacent workers never write the same line.
-fn plan_ranges(num_words: usize, jobs: usize) -> Vec<(usize, usize)> {
-    let max_jobs = (num_words / MIN_WORDS_PER_JOB.max(1)).max(1);
-    let jobs = jobs.max(1).min(max_jobs);
-    if jobs == 1 {
-        return vec![(0, num_words)];
-    }
-    let mut ranges = Vec::with_capacity(jobs);
-    let mut start = 0usize;
-    for j in 0..jobs {
-        let end = if j + 1 == jobs {
-            num_words
-        } else {
-            (num_words * (j + 1) / jobs).div_ceil(LINE_WORDS) * LINE_WORDS
-        }
-        .min(num_words);
-        if end > start {
-            ranges.push((start, end));
-        }
-        start = end;
-    }
-    ranges
 }
 
 /// Tape-construction state for one node.
@@ -589,8 +532,6 @@ impl CompiledNet {
             kernels,
             ops,
             num_scratch,
-            sim_dispatches: AtomicU64::new(0),
-            sim_tasks: AtomicU64::new(0),
             sim_lane_bytes: AtomicU64::new(0),
         }
     }
@@ -628,12 +569,11 @@ impl CompiledNet {
         summary
     }
 
-    /// Scheduling-dependent pool diagnostics accumulated by
+    /// Memory diagnostics accumulated by
     /// [`CompiledNet::simulate_lanes`] calls on this net.
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
-            dispatches: self.sim_dispatches.load(Ordering::Relaxed),
-            tasks: self.sim_tasks.load(Ordering::Relaxed),
+            tasks: 0,
             lane_bytes: self.sim_lane_bytes.load(Ordering::Relaxed),
         }
     }
@@ -645,29 +585,21 @@ impl CompiledNet {
     ///
     /// Returns one lane per node — empty for nodes outside `order` —
     /// with tail bits beyond `patterns.num_patterns()` masked to zero.
-    pub fn simulate_lanes(
-        &self,
-        patterns: &PatternSet,
-        order: &[NodeId],
-        jobs: usize,
-    ) -> Vec<Vec<u64>> {
-        self.simulate_lanes_at(patterns, order, jobs, active_simd_level())
+    pub fn simulate_lanes(&self, patterns: &PatternSet, order: &[NodeId]) -> Vec<Vec<u64>> {
+        self.simulate_lanes_at(patterns, order, active_simd_level())
     }
 
     /// [`CompiledNet::simulate_lanes`] with an explicit SIMD width —
     /// the hook differential tests and the widening benchmark use to
     /// pin a level regardless of detection or `SIMGEN_SIMD`.
     ///
-    /// All lanes are preallocated at full length; with `jobs > 1` and
-    /// enough work, disjoint cache-line-aligned word ranges go to the
-    /// persistent worker pool (the caller helps). Every word of every
-    /// lane is computed by exactly one deterministic expression, so
-    /// the result is byte-identical for any `jobs` *and* any `level`.
+    /// Every word of every lane is computed by exactly one
+    /// deterministic expression, so the result is byte-identical for
+    /// any `level`.
     pub fn simulate_lanes_at(
         &self,
         patterns: &PatternSet,
         order: &[NodeId],
-        jobs: usize,
         level: SimdLevel,
     ) -> Vec<Vec<u64>> {
         let num_words = patterns.num_words();
@@ -680,34 +612,8 @@ impl CompiledNet {
         if num_words == 0 {
             return lanes;
         }
-        // Small-input fast path: a pool handoff costs more than just
-        // computing a tiny resim right here on the caller. Larger
-        // inputs still cap the fan-out at the execution resources that
-        // actually exist (pool workers + the helping caller):
-        // oversubscribing only slices the words thinner, and each
-        // extra range re-walks the whole node order for less work.
-        let jobs = if order.len().saturating_mul(num_words) < PARALLEL_MIN_WORK {
-            1
-        } else {
-            jobs.min(shared_pool().threads() + 1)
-        };
         let table = LaneTable::new(&mut lanes, num_words);
-        let ranges = plan_ranges(num_words, jobs);
-        if ranges.len() <= 1 {
-            self.execute_range(patterns, &table, order, 0, num_words, level);
-        } else {
-            self.sim_dispatches.fetch_add(1, Ordering::Relaxed);
-            self.sim_tasks
-                .fetch_add(ranges.len() as u64, Ordering::Relaxed);
-            let table = &table;
-            shared_pool().scope(|scope| {
-                for &(w0, w1) in &ranges {
-                    scope.spawn(move || {
-                        self.execute_range(patterns, table, order, w0, w1, level);
-                    });
-                }
-            });
-        }
+        self.execute(patterns, &table, order, level);
         // Mask the tail of the final global word so signatures stay
         // comparable; PI lanes inherit the mask from the pattern set.
         let mask = tail_mask(patterns.num_patterns());
@@ -721,19 +627,17 @@ impl CompiledNet {
         lanes
     }
 
-    /// Executes the word range `[w0, w1)` at `level`, borrowing this
+    /// Executes every word of the lanes at `level`, borrowing this
     /// thread's scratch arena. On x86-64 the wide levels route through
     /// `#[target_feature]` wrappers when the CPU has the feature, and
     /// fall back to the portable pack code when it does not (a forced
     /// `SIMGEN_SIMD=wide512` on an AVX2 machine still computes the
     /// same bytes, just without 512-bit instructions).
-    fn execute_range(
+    fn execute(
         &self,
         patterns: &PatternSet,
         table: &LaneTable,
         order: &[NodeId],
-        w0: usize,
-        w1: usize,
         level: SimdLevel,
     ) {
         SCRATCH.with(|cell| {
@@ -751,91 +655,79 @@ impl CompiledNet {
                 )
             };
             match level {
-                SimdLevel::Scalar => {
-                    self.execute_range_w::<u64>(patterns, table, order, w0, w1, scratch)
-                }
+                SimdLevel::Scalar => self.execute_w::<u64>(patterns, table, order, scratch),
                 SimdLevel::Wide256 => {
                     #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx2") {
                         // SAFETY: avx2 confirmed present at runtime.
-                        return unsafe {
-                            self.execute_range_avx2(patterns, table, order, w0, w1, scratch)
-                        };
+                        return unsafe { self.execute_avx2(patterns, table, order, scratch) };
                     }
-                    self.execute_range_w::<U64x4>(patterns, table, order, w0, w1, scratch)
+                    self.execute_w::<U64x4>(patterns, table, order, scratch)
                 }
                 SimdLevel::Wide512 => {
                     #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx512f") {
                         // SAFETY: avx512f confirmed present at runtime.
-                        return unsafe {
-                            self.execute_range_avx512(patterns, table, order, w0, w1, scratch)
-                        };
+                        return unsafe { self.execute_avx512(patterns, table, order, scratch) };
                     }
-                    self.execute_range_w::<U64x8>(patterns, table, order, w0, w1, scratch)
+                    self.execute_w::<U64x8>(patterns, table, order, scratch)
                 }
             }
         })
     }
 
-    /// `execute_range_w::<U64x4>` compiled with AVX2 enabled, turning
-    /// the portable 4-lane array loops into `ymm` instructions.
+    /// `execute_w::<U64x4>` compiled with AVX2 enabled, turning the
+    /// portable 4-lane array loops into `ymm` instructions.
     ///
     /// # Safety
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn execute_range_avx2(
+    unsafe fn execute_avx2(
         &self,
         patterns: &PatternSet,
         table: &LaneTable,
         order: &[NodeId],
-        w0: usize,
-        w1: usize,
         scratch: &mut [u64],
     ) {
-        self.execute_range_w::<U64x4>(patterns, table, order, w0, w1, scratch)
+        self.execute_w::<U64x4>(patterns, table, order, scratch)
     }
 
-    /// `execute_range_w::<U64x8>` compiled with AVX-512F enabled.
+    /// `execute_w::<U64x8>` compiled with AVX-512F enabled.
     ///
     /// # Safety
     /// The CPU must support AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn execute_range_avx512(
+    unsafe fn execute_avx512(
         &self,
         patterns: &PatternSet,
         table: &LaneTable,
         order: &[NodeId],
-        w0: usize,
-        w1: usize,
         scratch: &mut [u64],
     ) {
-        self.execute_range_w::<U64x8>(patterns, table, order, w0, w1, scratch)
+        self.execute_w::<U64x8>(patterns, table, order, scratch)
     }
 
-    /// Cache-blocked execution of `[w0, w1)`, `W::LANES` words per
-    /// step. A block tail shorter than a pack finishes scalar — only
-    /// the last block of a range can be ragged, so the overwhelming
-    /// majority of words go through the wide path.
+    /// Cache-blocked execution of every lane word, `W::LANES` words
+    /// per step. A block tail shorter than a pack finishes scalar —
+    /// only the last block can be ragged, so the overwhelming majority
+    /// of words go through the wide path.
     ///
     /// `#[inline(always)]` (with the whole call chain below it) is
     /// what lets the `#[target_feature]` wrappers propagate their
     /// enabled features into these loops.
     #[inline(always)]
-    fn execute_range_w<W: SimdWord>(
+    fn execute_w<W: SimdWord>(
         &self,
         patterns: &PatternSet,
         table: &LaneTable,
         order: &[NodeId],
-        w0: usize,
-        w1: usize,
         scratch: &mut [u64],
     ) {
-        let mut b0 = w0;
-        while b0 < w1 {
-            let b1 = (b0 + BLOCK_WORDS).min(w1);
+        let mut b0 = 0;
+        while b0 < table.words {
+            let b1 = (b0 + BLOCK_WORDS).min(table.words);
             let bv = b0 + (b1 - b0) / W::LANES * W::LANES;
             for &id in order {
                 if bv > b0 {
@@ -863,10 +755,10 @@ impl CompiledNet {
     ) {
         let idx = id.index();
         let len = x1 - x0;
-        // SAFETY (all table accesses): `[x0, x1)` lies inside this
-        // worker's word range; fanins are distinct nodes already fully
-        // written for this range by the levelized order, and `idx`
-        // itself is written exactly once here.
+        // SAFETY (all table accesses): `[x0, x1)` lies inside the
+        // lanes; fanins are distinct nodes already fully written for
+        // this block by the levelized order, and `idx` itself is
+        // written exactly once here.
         match self.kernels[idx] {
             NodeKernel::Pi { index } => {
                 let src = &patterns.lane(index as usize)[x0..x1];
@@ -957,8 +849,8 @@ impl CompiledNet {
 /// register file and stores the result register to node `idx`'s lane.
 ///
 /// # Safety contract (inherited from `exec_node_w`)
-/// `[x, x + W::LANES)` lies inside the calling worker's word range and
-/// every fanin the ops read is already written for that range.
+/// `[x, x + W::LANES)` lies inside the lanes and every fanin the ops
+/// read is already written for that block.
 #[inline(always)]
 fn eval_tape_column<W: SimdWord>(
     table: &LaneTable,
@@ -1053,7 +945,7 @@ mod tests {
             let kernel = CompiledNet::compile(&net);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 100);
             let patterns = PatternSet::random(6, 200, &mut rng);
-            let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net), 1);
+            let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net));
             for p in 0..200 {
                 let scalar = net.eval(&patterns.vector(p));
                 for id in net.node_ids() {
@@ -1118,7 +1010,7 @@ mod tests {
             let f = net.add_lut(pis, tt).unwrap();
             net.add_po(f, "f");
             let kernel = CompiledNet::compile(&net);
-            let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net), 1);
+            let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net));
             for (m, v) in vectors.iter().enumerate() {
                 let expect = net.eval(v)[f.index()];
                 let got = (lanes[f.index()][0] >> m) & 1 == 1;
@@ -1136,30 +1028,14 @@ mod tests {
         let root = net.node_ids().last().unwrap();
         let mask = simgen_netlist::cone::multi_fanin_cone_mask(&net, &[root]);
         let order = levelized_order(&net, &mask);
-        let lanes = kernel.simulate_lanes(&patterns, &order, 1);
-        let full = kernel.simulate_lanes(&patterns, &all_nodes(&net), 1);
+        let lanes = kernel.simulate_lanes(&patterns, &order);
+        let full = kernel.simulate_lanes(&patterns, &all_nodes(&net));
         for id in net.node_ids() {
             if mask[id.index()] {
                 assert_eq!(lanes[id.index()], full[id.index()], "cone node {id}");
             } else {
                 assert!(lanes[id.index()].is_empty(), "non-cone node {id}");
             }
-        }
-    }
-
-    #[test]
-    fn parallel_lanes_are_byte_identical() {
-        let net = random_network(21, 8, 120, 6);
-        let kernel = CompiledNet::compile(&net);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        // Enough words (40) to engage several workers, plus a ragged
-        // tail bit count.
-        let patterns = PatternSet::random(8, 2530, &mut rng);
-        let order = all_nodes(&net);
-        let serial = kernel.simulate_lanes(&patterns, &order, 1);
-        for jobs in [2usize, 3, 4, 8] {
-            let par = kernel.simulate_lanes(&patterns, &order, jobs);
-            assert_eq!(par, serial, "jobs {jobs}");
         }
     }
 

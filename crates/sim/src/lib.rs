@@ -45,7 +45,7 @@ pub use patterns::PatternSet;
 pub use probability::signal_probabilities;
 pub use replay::{replay_distinguishes, Replayer};
 pub use simd::{active_simd_level, SimdLevel, SimdWord, U64x4, U64x8};
-pub use simulator::{simulate, simulate_jobs, ExecStats, SimResult};
+pub use simulator::{simulate, ExecStats, SimResult};
 
 #[cfg(any(test, feature = "reference"))]
 pub use simulator::{reference_lanes, simulate_reference};

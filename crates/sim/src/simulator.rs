@@ -22,8 +22,7 @@ use crate::patterns::{splice_bits, PatternSet};
 /// computed, and how many went through the cone-restricted or scalar
 /// paths. Counted at call granularity (one bump per block, not per
 /// word), so keeping them always-on costs nothing measurable; the
-/// observability layer copies them into run reports. All values are
-/// independent of the `jobs` word-splitting.
+/// observability layer copies them into run reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Kernel block executions (full-net or cone-restricted).
@@ -79,10 +78,9 @@ impl SimResult {
         self.exec
     }
 
-    /// Scheduling-dependent worker-pool diagnostics of the backing
-    /// kernel (see [`crate::PoolStats`]): unlike [`ExecStats`] these
-    /// are *not* jobs-invariant, so reports keep them under the
-    /// stripped scheduling keys.
+    /// Memory diagnostics of the backing kernel (see
+    /// [`crate::PoolStats`]): lane sizes follow the host SIMD width,
+    /// so reports keep them under the stripped scheduling keys.
     pub fn pool_stats(&self) -> crate::PoolStats {
         self.kernel.pool_stats()
     }
@@ -147,14 +145,7 @@ impl SimResult {
     /// Appends a whole pattern block incrementally (word-parallel
     /// simulation of just the new block).
     pub fn extend_patterns(&mut self, net: &LutNetwork, patterns: &PatternSet) {
-        self.extend_patterns_jobs(net, patterns, 1);
-    }
-
-    /// Like [`SimResult::extend_patterns`], splitting the block's
-    /// word range across up to `jobs` workers when it is large enough.
-    /// The result is byte-identical for every `jobs` value.
-    pub fn extend_patterns_jobs(&mut self, net: &LutNetwork, patterns: &PatternSet, jobs: usize) {
-        self.extend_block(net, patterns, None, jobs);
+        self.extend_block(net, patterns, None);
     }
 
     /// Appends a batch of single input vectors as one word-parallel
@@ -174,7 +165,7 @@ impl SimResult {
             return;
         }
         let block = PatternSet::from_vectors(net.num_pis(), vectors);
-        self.extend_block(net, &block, None, 1);
+        self.extend_block(net, &block, None);
     }
 
     /// Cone-restricted incremental resimulation: appends the block
@@ -195,10 +186,9 @@ impl SimResult {
         net: &LutNetwork,
         patterns: &PatternSet,
         roots: &[NodeId],
-        jobs: usize,
     ) {
         let mask = multi_fanin_cone_mask(net, roots);
-        self.extend_block(net, patterns, Some(&mask), jobs);
+        self.extend_block(net, patterns, Some(&mask));
     }
 
     /// [`SimResult::extend_vectors`] restricted to the fanin cones of
@@ -208,26 +198,19 @@ impl SimResult {
         net: &LutNetwork,
         vectors: &[Vec<bool>],
         roots: &[NodeId],
-        jobs: usize,
     ) {
         if vectors.is_empty() {
             return;
         }
         let block = PatternSet::from_vectors(net.num_pis(), vectors);
-        self.extend_patterns_cone(net, &block, roots, jobs);
+        self.extend_patterns_cone(net, &block, roots);
     }
 
     /// Shared block-append path: simulates `patterns` through the
     /// compiled kernels (optionally restricted to `mask` in levelized
-    /// order, optionally word-split across `jobs` workers) and
-    /// splices the new lane words onto the accumulated signatures.
-    fn extend_block(
-        &mut self,
-        net: &LutNetwork,
-        patterns: &PatternSet,
-        mask: Option<&[bool]>,
-        jobs: usize,
-    ) {
+    /// order) and splices the new lane words onto the accumulated
+    /// signatures.
+    fn extend_block(&mut self, net: &LutNetwork, patterns: &PatternSet, mask: Option<&[bool]>) {
         let added = patterns.num_patterns();
         if added == 0 {
             return;
@@ -241,7 +224,7 @@ impl SimResult {
             None => net.node_ids().collect(),
             Some(mask) => levelized_order(net, mask),
         };
-        let block_lanes = self.kernel.simulate_lanes(patterns, &order, jobs);
+        let block_lanes = self.kernel.simulate_lanes(patterns, &order);
         let old_words = self.num_patterns.div_ceil(64);
         for &id in &order {
             let lane = &mut self.lanes[id.index()];
@@ -305,16 +288,8 @@ impl SimResult {
 ///
 /// Panics if `patterns.num_pis()` differs from the network's PI count.
 pub fn simulate(net: &LutNetwork, patterns: &PatternSet) -> SimResult {
-    simulate_jobs(net, patterns, 1)
-}
-
-/// [`simulate`] with the pattern words split across up to `jobs`
-/// workers ([`simgen_dispatch`]'s pool); each worker runs the same
-/// levelized kernel tape over a disjoint word range, so the result is
-/// byte-identical for every `jobs` value.
-pub fn simulate_jobs(net: &LutNetwork, patterns: &PatternSet, jobs: usize) -> SimResult {
     let mut sim = SimResult::empty(net);
-    sim.extend_block(net, patterns, None, jobs);
+    sim.extend_patterns(net, patterns);
     sim
 }
 
@@ -548,17 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_extension_is_byte_identical() {
-        let net = random_network(23, 7, 60);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
-        let patterns = PatternSet::random(7, 1000, &mut rng);
-        let serial = simulate(&net, &patterns);
-        for jobs in [2usize, 4, 8] {
-            assert_eq!(simulate_jobs(&net, &patterns, jobs), serial, "jobs {jobs}");
-        }
-    }
-
-    #[test]
     fn cone_restricted_extension_matches_full_on_cone_nodes() {
         let net = random_network(31, 6, 40);
         let mut rng = rand::rngs::StdRng::seed_from_u64(32);
@@ -576,7 +540,7 @@ mod tests {
             .collect();
         let mask = multi_fanin_cone_mask(&net, &roots);
         let mut cone = simulate(&net, &base);
-        cone.extend_patterns_cone(&net, &extra, &roots, 1);
+        cone.extend_patterns_cone(&net, &extra, &roots);
 
         assert_eq!(cone.num_patterns(), full.num_patterns());
         for id in net.node_ids() {
@@ -608,14 +572,9 @@ mod tests {
         assert_eq!(sim.exec_stats().scalar_pushes, 1);
 
         let roots: Vec<NodeId> = net.node_ids().rev().take(1).collect();
-        sim.extend_vectors_cone(&net, &[patterns.vector(1)], &roots, 1);
+        sim.extend_vectors_cone(&net, &[patterns.vector(1)], &roots);
         assert_eq!(sim.exec_stats().exec_calls, 2);
         assert_eq!(sim.exec_stats().cone_exec_calls, 1);
-
-        // Stats are word-split invariant, like the lanes themselves.
-        let serial = simulate_jobs(&net, &patterns, 1);
-        let parallel = simulate_jobs(&net, &patterns, 4);
-        assert_eq!(serial.exec_stats(), parallel.exec_stats());
 
         let summary = sim.kernel().summary();
         assert_eq!(summary.nodes, net.len() as u64);

@@ -14,7 +14,7 @@ use simgen_sim::signal_probabilities;
 use simgen_sim::EquivClasses;
 use simgen_sim::PatternSet;
 use simgen_sim::{reference_lanes, CompiledNet, SimdLevel};
-use simgen_sim::{simulate, simulate_jobs, simulate_reference, SimResult};
+use simgen_sim::{simulate, simulate_reference, SimResult};
 
 #[derive(Clone, Debug)]
 struct NetSpec {
@@ -108,11 +108,10 @@ proptest! {
         spec in arb_wide_net(),
         seed in any::<u64>(),
         chunks in prop::collection::vec(1usize..70, 1..6),
-        jobs in 1usize..5,
     ) {
         // Three independent evaluators must agree bit for bit on any
-        // network: the compiled opcode kernels (serial and parallel,
-        // fed in arbitrary unaligned chunks), the original cube-cover
+        // network: the compiled opcode kernels (whole and fed in
+        // arbitrary unaligned chunks), the original cube-cover
         // interpreter, and the scalar `net.eval` path.
         let net = build(&spec);
         let total: usize = chunks.iter().sum();
@@ -120,7 +119,7 @@ proptest! {
         let pats = PatternSet::random(net.num_pis(), total, &mut rng);
 
         let reference = simulate_reference(&net, &pats);
-        let compiled = simulate_jobs(&net, &pats, jobs);
+        let compiled = simulate(&net, &pats);
         prop_assert_eq!(&compiled, &reference, "compiled vs interpreter");
 
         let mut inc = SimResult::empty(&net);
@@ -152,14 +151,14 @@ proptest! {
     }
 
     #[test]
-    fn simd_levels_and_jobs_are_byte_identical(
+    fn simd_levels_are_byte_identical(
         spec in arb_wide_net(),
         seed in any::<u64>(),
         n in 1usize..200,
         root_step in 1usize..5,
     ) {
-        // Every (SIMD level, jobs) combination of the compiled kernels
-        // must produce byte-identical lanes, equal to the cube-cover
+        // Every SIMD level of the compiled kernels must produce
+        // byte-identical lanes, equal to the cube-cover
         // interpreter, on the full node order *and* on cone-restricted
         // levelized orders — with unaligned pattern counts so the
         // tail-word masking is exercised at every width. A forced
@@ -179,25 +178,20 @@ proptest! {
         let mask = multi_fanin_cone_mask(&net, &roots);
         let cone = levelized_order(&net, &mask);
         for level in [SimdLevel::Scalar, SimdLevel::Wide256, SimdLevel::Wide512] {
-            for jobs in [1usize, 2, 4, 8] {
-                let lanes = kernel.simulate_lanes_at(&pats, &full, jobs, level);
-                prop_assert_eq!(
-                    &lanes, &expected,
-                    "full order, {:?} x jobs {}", level, jobs
-                );
-                let restricted = kernel.simulate_lanes_at(&pats, &cone, jobs, level);
-                for id in net.node_ids() {
-                    if mask[id.index()] {
-                        prop_assert_eq!(
-                            &restricted[id.index()], &expected[id.index()],
-                            "cone lane {} at {:?} x jobs {}", id, level, jobs
-                        );
-                    } else {
-                        prop_assert!(
-                            restricted[id.index()].is_empty(),
-                            "node {} outside the cone must stay empty", id
-                        );
-                    }
+            let lanes = kernel.simulate_lanes_at(&pats, &full, level);
+            prop_assert_eq!(&lanes, &expected, "full order, {:?}", level);
+            let restricted = kernel.simulate_lanes_at(&pats, &cone, level);
+            for id in net.node_ids() {
+                if mask[id.index()] {
+                    prop_assert_eq!(
+                        &restricted[id.index()], &expected[id.index()],
+                        "cone lane {} at {:?}", id, level
+                    );
+                } else {
+                    prop_assert!(
+                        restricted[id.index()].is_empty(),
+                        "node {} outside the cone must stay empty", id
+                    );
                 }
             }
         }
