@@ -25,6 +25,8 @@
 //! assert_eq!(f, g, "canonical form makes equivalence a pointer check");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod manager;
 pub mod netbdd;
 

@@ -25,9 +25,10 @@ fn bench_simulation(c: &mut Criterion) {
         let mut sim = SimResult::empty(&net);
         sim.extend_patterns(&net, &patterns);
         let v = patterns.vector(0);
+        let mut scratch = Vec::new();
         b.iter(|| {
             let mut s = sim.clone();
-            s.push_pattern(&net, &v);
+            s.push_pattern_with(&net, &v, &mut scratch);
             s.num_patterns()
         });
     });

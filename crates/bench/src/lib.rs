@@ -14,6 +14,8 @@
 //! Criterion micro-benches of the underlying kernels live in
 //! `benches/`. All runs are seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use simgen_cec::{RunContext, SweepConfig, SweepReport, Sweeper, SwitchOnPlateau};

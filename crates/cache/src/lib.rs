@@ -29,6 +29,8 @@
 //! also trusts the CNF encoding of the cone. Entries that fail either
 //! check are evicted and the query falls through to a live proof.
 
+#![forbid(unsafe_code)]
+
 pub mod digest;
 #[cfg(feature = "fault-inject")]
 pub mod fault;
@@ -43,6 +45,6 @@ pub use fault::DiskFaultPlan;
 pub use key::{cone_key, job_key, pair_key, CacheKey};
 pub use proof::{serialize_certificate, verify_proof, OwnedCertificate, ProofParseError};
 pub use store::{
-    scrub, CacheEntry, CachedVerdict, PinGuard, ProofCache, ScrubReport, DEFAULT_QUARANTINE_BUDGET,
+    scrub, CacheEntry, CachedVerdict, ProofCache, ScrubReport, DEFAULT_QUARANTINE_BUDGET,
     ENTRY_SCHEMA, QUARANTINE_DIR,
 };

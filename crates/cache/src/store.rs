@@ -22,10 +22,10 @@
 //! it, and [`ProofCache::evict`] lets a caller discard an entry whose
 //! evidence failed replay.
 //!
-//! Long-running jobs can [`ProofCache::pin`] the entries they depend
-//! on: pinned entries are exempt from LRU eviction (but not from
-//! [`ProofCache::evict`] — a poisoned entry must never be served,
-//! pinned or not).
+//! LRU eviction never removes the key being inserted. That is all a
+//! daemon job needs: its executor is the only thread that looks up or
+//! inserts while the job runs, a hit returns before any insert, and a
+//! miss inserts its job key last.
 
 use std::collections::HashMap;
 use std::io;
@@ -127,8 +127,6 @@ struct Inner {
     bytes: u64,
     tick: u64,
     dir: Option<PathBuf>,
-    /// Pin refcounts: keys present here are exempt from LRU eviction.
-    pins: HashMap<CacheKey, usize>,
     /// Consecutive write-through failures; reset by any success.
     disk_failures: u32,
     /// Persistence circuit breaker: while open, inserts skip the disk
@@ -258,7 +256,6 @@ impl ProofCache {
                 bytes: 0,
                 tick: 0,
                 dir: None,
-                pins: HashMap::new(),
                 disk_failures: 0,
                 breaker_open: false,
                 breaker_trips: 0,
@@ -338,14 +335,13 @@ impl ProofCache {
         let mut evicted = 0;
         while inner.bytes > self.budget {
             // O(n) LRU scan: entry counts are small (budget-bounded)
-            // and insertion is off the hot proving path. Pinned
-            // entries are never victims; if everything left is
-            // pinned, the cache runs over budget rather than pull an
-            // entry out from under an admitted job.
+            // and insertion is off the hot proving path. The key being
+            // inserted is never the victim; it fits the budget on its
+            // own, since larger entries were refused above.
             let victim = inner
                 .slots
                 .iter()
-                .filter(|(k, _)| **k != key && !inner.pins.contains_key(*k))
+                .filter(|(k, _)| **k != key)
                 .min_by_key(|(_, s)| s.stamp)
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
@@ -433,38 +429,9 @@ impl ProofCache {
         self.inner.lock().unwrap().breaker_trips
     }
 
-    /// Marks `key` in use by an admitted job: while the pin refcount
-    /// is nonzero the entry is exempt from LRU eviction. Pinning a
-    /// key with no entry is allowed — it protects an entry inserted
-    /// later under that key.
-    pub fn pin(&self, key: &CacheKey) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner.pins.entry(*key).or_insert(0) += 1;
-    }
-
-    /// Releases one [`ProofCache::pin`]; the entry becomes evictable
-    /// again when the refcount reaches zero.
-    pub fn unpin(&self, key: &CacheKey) {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(count) = inner.pins.get_mut(key) {
-            *count -= 1;
-            if *count == 0 {
-                inner.pins.remove(key);
-            }
-        }
-    }
-
-    /// RAII [`ProofCache::pin`]: the key stays pinned until the guard
-    /// drops, panic or not.
-    pub fn pin_scope(&self, key: CacheKey) -> PinGuard<'_> {
-        self.pin(&key);
-        PinGuard { cache: self, key }
-    }
-
     /// Discards `key` (memory and disk). Returns whether it was
     /// present. This is the replay-failure path: an entry whose
-    /// evidence did not check out must never be served again — which
-    /// is why, unlike LRU eviction, this overrides any pins.
+    /// evidence did not check out must never be served again.
     pub fn evict(&self, key: &CacheKey) -> bool {
         let mut inner = self.inner.lock().unwrap();
         Self::remove_locked(&mut inner, key)
@@ -496,19 +463,6 @@ impl ProofCache {
     /// Accounted bytes of the live entries.
     pub fn bytes(&self) -> u64 {
         self.inner.lock().unwrap().bytes
-    }
-}
-
-/// Keeps a key pinned for a lexical scope — see
-/// [`ProofCache::pin_scope`].
-pub struct PinGuard<'a> {
-    cache: &'a ProofCache,
-    key: CacheKey,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.cache.unpin(&self.key);
     }
 }
 
@@ -806,75 +760,6 @@ mod tests {
         assert!(cache.lookup(&key(1)).is_none());
         assert!(!path.exists(), "quarantined at open");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pinned_entries_survive_lru_pressure() {
-        let one = eq_entry(0).cost();
-        let cache = ProofCache::in_memory(3 * one);
-        for n in 1..=3 {
-            cache.insert(key(n), eq_entry(0));
-        }
-        // 1 is the LRU victim-to-be; pinning exempts it, so pressure
-        // falls on 2 instead.
-        cache.pin(&key(1));
-        cache.insert(key(4), eq_entry(0));
-        assert!(cache.lookup(&key(1)).is_some(), "pinned entry kept");
-        assert!(cache.lookup(&key(2)).is_none(), "next-LRU evicted");
-        // Unpinning (refcount to zero) makes 1 evictable again. The
-        // lookups above refreshed 1 and re-aged nothing else, so
-        // evict 3 and 4 first to leave 1 the oldest.
-        cache.unpin(&key(1));
-        cache.insert(key(3), eq_entry(0));
-        cache.insert(key(4), eq_entry(0));
-        cache.insert(key(5), eq_entry(0));
-        assert!(cache.lookup(&key(1)).is_none(), "unpinned entry evicts");
-    }
-
-    #[test]
-    fn pin_refcounts_and_guard_scope() {
-        let one = eq_entry(0).cost();
-        let cache = ProofCache::in_memory(2 * one);
-        cache.insert(key(1), eq_entry(0));
-        cache.pin(&key(1));
-        {
-            let _guard = cache.pin_scope(key(1));
-            cache.unpin(&key(1));
-            // Still held by the guard.
-            cache.insert(key(2), eq_entry(0));
-            cache.insert(key(3), eq_entry(0));
-            assert!(cache.lookup(&key(1)).is_some(), "guard still pins");
-        }
-        // Guard dropped: refcount is zero, eviction may proceed.
-        cache.insert(key(4), eq_entry(0));
-        cache.insert(key(5), eq_entry(0));
-        cache.insert(key(6), eq_entry(0));
-        assert!(cache.lookup(&key(1)).is_none());
-    }
-
-    #[test]
-    fn explicit_evict_overrides_pin() {
-        // A poisoned entry (failed replay) must never be served, even
-        // while a job holds a pin on its key.
-        let cache = ProofCache::in_memory(1 << 20);
-        cache.insert(key(1), eq_entry(0));
-        let _guard = cache.pin_scope(key(1));
-        assert!(cache.evict(&key(1)));
-        assert!(cache.lookup(&key(1)).is_none());
-    }
-
-    #[test]
-    fn fully_pinned_cache_stops_evicting() {
-        let one = eq_entry(0).cost();
-        let cache = ProofCache::in_memory(one);
-        cache.insert(key(1), eq_entry(0));
-        cache.pin(&key(1));
-        // Over budget with nothing evictable: the insert succeeds and
-        // evicts zero rather than spinning or dropping the pin.
-        assert_eq!(cache.insert(key(2), eq_entry(0)), 0);
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_some());
-        assert!(cache.bytes() > one);
     }
 
     #[test]

@@ -146,20 +146,21 @@ impl<'c> SweepCache<'c> {
         proof: Option<Vec<u8>>,
         obs: &mut Observer,
     ) {
+        let (key, support) = match verdict {
+            Verdict::Equivalent | Verdict::Counterexample(_) => pair_key(net, a, b),
+            _ => return,
+        };
         let verdict = match verdict {
-            Verdict::Equivalent => CachedVerdict::Equivalent {
-                proof: proof.unwrap_or_default(),
-            },
             Verdict::Counterexample(full) => {
-                let (_, support) = pair_key(net, a, b);
                 let Some(witness) = narrow_witness(net, &support, full) else {
                     return;
                 };
                 CachedVerdict::NotEquivalent { witness }
             }
-            _ => return,
+            _ => CachedVerdict::Equivalent {
+                proof: proof.unwrap_or_default(),
+            },
         };
-        let key = pair_key(net, a, b).0;
         let evicted = self.cache.insert(key, CacheEntry::pair(verdict));
         obs.recorder.add(Counter::CacheEvictions, evicted as u64);
     }

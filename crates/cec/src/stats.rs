@@ -44,8 +44,10 @@ pub struct SweepStats {
     /// scalar pushes), harvested at the end of the sweep.
     pub exec: simgen_sim::ExecStats,
     /// Lane-table footprint from the compiled kernel, which feeds the
-    /// memory governor. It follows the host SIMD width, so it is
-    /// stripped from deterministic report forms.
+    /// memory governor: `order.len() × num_patterns.div_ceil(64) × 8`
+    /// of the largest block, the same at every SIMD level. Stripped
+    /// from deterministic report forms until the report schema next
+    /// changes.
     pub pool: simgen_sim::PoolStats,
     /// Pairs proven equivalent by SAT.
     pub proved_equivalent: u64,

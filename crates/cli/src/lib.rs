@@ -7,6 +7,8 @@
 //! command's handler. Usage errors and `simgen help` are generated
 //! from the same table.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};

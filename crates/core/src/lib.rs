@@ -55,6 +55,8 @@
 //! assert_ne!(vals[and.index()], vals[or.index()]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod decision;
 pub mod engine;
 pub mod generator;

@@ -13,6 +13,8 @@
 //! reports, no statistical regression — just honest wall-clock
 //! numbers on stdout.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

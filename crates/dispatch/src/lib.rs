@@ -22,6 +22,8 @@
 //! once every thread has been joined. The sweep isolates panics itself,
 //! one pair at a time.
 
+#![forbid(unsafe_code)]
+
 mod deadline;
 mod executor;
 mod fair;

@@ -27,8 +27,10 @@
 //! assert_eq!(net.eval_pos(&[true, true, false]), vec![true]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cuts;
 pub mod map;
 
 pub use cuts::{enumerate_cuts, Cut, CutSet};
-pub use map::{map_to_luts, map_to_luts_with, MapObjective, MapStats};
+pub use map::map_to_luts;

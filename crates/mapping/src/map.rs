@@ -8,29 +8,6 @@ use simgen_netlist::{LutNetwork, NodeId, TruthTable};
 
 use crate::cuts::enumerate_cuts;
 
-/// The covering objective: what the per-node cut choice optimizes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MapObjective {
-    /// Minimize LUT-level depth (ABC's default `if` behaviour), with
-    /// area flow as the tie-break.
-    #[default]
-    Depth,
-    /// Minimize estimated area (area flow), with depth as the
-    /// tie-break — trades levels for fewer LUTs.
-    Area,
-}
-
-/// Summary statistics of a mapping run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MapStats {
-    /// Number of LUTs in the result.
-    pub luts: usize,
-    /// LUT-level depth of the result.
-    pub depth: u32,
-    /// The cut size limit used.
-    pub k: usize,
-}
-
 /// Maps an AIG into a K-LUT network (the `if -K k` equivalent).
 ///
 /// Covering is depth-oriented: each needed node is realized by its
@@ -43,32 +20,7 @@ pub struct MapStats {
 ///
 /// Panics if `k` is outside `1..=6`.
 pub fn map_to_luts(aig: &Aig, k: usize) -> LutNetwork {
-    map_to_luts_with(aig, k, MapObjective::Depth)
-}
-
-/// Like [`map_to_luts`] with an explicit covering objective.
-///
-/// # Panics
-///
-/// Panics if `k` is outside `1..=6`.
-pub fn map_to_luts_with(aig: &Aig, k: usize, objective: MapObjective) -> LutNetwork {
     let sets = enumerate_cuts(aig, k, 8);
-    let pick = |v: usize| -> &crate::cuts::Cut {
-        let cuts = &sets[v].cuts;
-        match objective {
-            MapObjective::Depth => &cuts[0],
-            MapObjective::Area => cuts
-                .iter()
-                .min_by(|x, y| {
-                    x.area_flow
-                        .partial_cmp(&y.area_flow)
-                        .expect("flows are finite")
-                        .then(x.depth.cmp(&y.depth))
-                        .then(x.leaves.len().cmp(&y.leaves.len()))
-                })
-                .expect("enumerated nodes have cuts"),
-        }
-    };
 
     // Mark the AND nodes that must be realized as LUTs, and in which
     // phase. Internal cut leaves are always consumed positively; a
@@ -95,7 +47,7 @@ pub fn map_to_luts_with(aig: &Aig, k: usize, objective: MapObjective) -> LutNetw
             continue;
         }
         required[v.0 as usize] = true;
-        for &leaf in &pick(v.0 as usize).leaves {
+        for &leaf in &sets[v.0 as usize].best().leaves {
             if aig.is_and(leaf) {
                 pos_needed[leaf.0 as usize] = true;
                 if !required[leaf.0 as usize] {
@@ -116,7 +68,7 @@ pub fn map_to_luts_with(aig: &Aig, k: usize, objective: MapObjective) -> LutNetw
             continue;
         }
         let var = AigVar(v as u32);
-        let cut = pick(v);
+        let cut = sets[v].best();
         let fanins: Vec<NodeId> = cut
             .leaves
             .iter()
@@ -227,15 +179,6 @@ fn lit_tt(aig: &Aig, l: AigLit, arity: usize, memo: &mut HashMap<u32, TruthTable
         base.negate()
     } else {
         base
-    }
-}
-
-/// Computes [`MapStats`] for a mapped network.
-pub fn stats_of(net: &LutNetwork, k: usize) -> MapStats {
-    MapStats {
-        luts: net.num_luts(),
-        depth: net.depth(),
-        k,
     }
 }
 
@@ -394,66 +337,5 @@ mod tests {
             let ev = mm & 4 == 4;
             assert_eq!(tt.eval(mm), if sv { tv } else { ev });
         }
-    }
-
-    #[test]
-    fn area_mode_never_uses_more_luts_on_trees() {
-        // On fanout-free trees both objectives coincide; on shared
-        // logic area mode may trade depth for LUT count. Check the
-        // contract: both modes stay functionally equivalent and the
-        // area mode's LUT count is never dramatically worse.
-        for seed in 0..6 {
-            let g = random_aig(seed + 40, 7, 120, 4);
-            let depth_net = map_to_luts_with(&g, 6, MapObjective::Depth);
-            let area_net = map_to_luts_with(&g, 6, MapObjective::Area);
-            assert_equivalent(&g, &depth_net);
-            assert_equivalent(&g, &area_net);
-            assert!(
-                area_net.num_luts() <= depth_net.num_luts() + depth_net.num_luts() / 4 + 2,
-                "area mode should not blow up area: {} vs {}",
-                area_net.num_luts(),
-                depth_net.num_luts()
-            );
-        }
-    }
-
-    #[test]
-    fn objectives_trade_depth_for_area() {
-        // Accumulate evidence across seeds: area mode's total LUT
-        // count must be <= depth mode's, and depth mode's total depth
-        // must be <= area mode's.
-        let mut luts = (0usize, 0usize);
-        let mut depth = (0u32, 0u32);
-        for seed in 0..10 {
-            let g = random_aig(seed + 90, 8, 200, 6);
-            let d = map_to_luts_with(&g, 6, MapObjective::Depth);
-            let a = map_to_luts_with(&g, 6, MapObjective::Area);
-            luts.0 += d.num_luts();
-            luts.1 += a.num_luts();
-            depth.0 += d.depth();
-            depth.1 += a.depth();
-        }
-        assert!(
-            luts.1 <= luts.0,
-            "area mode total luts {} vs {}",
-            luts.1,
-            luts.0
-        );
-        assert!(
-            depth.0 <= depth.1,
-            "depth mode total depth {} vs {}",
-            depth.0,
-            depth.1
-        );
-    }
-
-    #[test]
-    fn stats_reflect_network() {
-        let g = random_aig(7, 8, 100, 3);
-        let net = map_to_luts(&g, 6);
-        let st = stats_of(&net, 6);
-        assert_eq!(st.luts, net.num_luts());
-        assert_eq!(st.depth, net.depth());
-        assert_eq!(st.k, 6);
     }
 }

@@ -37,6 +37,8 @@
 //! assert_eq!(net.level(or), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aig;
 pub mod aiger;
 pub mod bench_fmt;

@@ -35,6 +35,8 @@
 //! every instrumentation site a branch over a dead flag: no clock
 //! reads, no allocation, nothing measurable in `sim_throughput`.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod fsutil;
 pub mod json;

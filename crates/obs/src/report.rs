@@ -53,8 +53,10 @@ pub struct RunReport {
 
 /// Keys stripped (with their subtrees) from the deterministic form,
 /// in addition to every key with an `_ms` suffix. `simd_width_bits`
-/// is host-dependent and `pool_lane_bytes` follows it (lanes are
-/// padded to the SIMD width), so both join the scheduling keys.
+/// is host-dependent. `pool_lane_bytes` is not: it is
+/// `order.len() × num_patterns.div_ceil(64) × 8` of the largest block
+/// at every SIMD level, but it stays stripped until the report schema
+/// next changes, so stripped reports keep their form.
 const SCHEDULING_KEYS: &[&str] = &[
     "argv",
     "jobs",
@@ -464,7 +466,7 @@ mod tests {
             .collect();
         let workers = workers.join(", ");
         let wall = 12.5 * jobs as f64;
-        // Host-dependent: lane padding follows the SIMD width.
+        // Stripped scheduling keys may differ between the two reports.
         let (lane_bytes, emitted) = (4096 * jobs, 99 * jobs);
         // A warm solver retains learnt clauses a cold one never
         // accumulates.

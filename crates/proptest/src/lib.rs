@@ -10,6 +10,8 @@
 //! with the assertion message. Cases are generated from a
 //! deterministic per-test seed, so failures reproduce exactly.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 
 pub mod strategy {

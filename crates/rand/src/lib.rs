@@ -11,6 +11,8 @@
 //! `StdRng`; all in-repo consumers treat seeds as opaque, so only
 //! determinism (same seed → same stream) matters.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Types that can be sampled uniformly from the generator's raw

@@ -33,6 +33,8 @@
 //! assert_eq!(solver.value(b), Some(true));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cnf;
 pub mod drat;
 pub mod heap;

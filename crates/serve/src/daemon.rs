@@ -892,11 +892,6 @@ fn execute_job_inner(ctx: &mut ExecCtx, request: &JobRequest) -> Result<String, 
             key
         }
     };
-    // Pin the job's own entry for the duration: LRU pressure from
-    // concurrent inserts must not evict the answer (or the prior
-    // entry being revalidated) out from under an admitted job.
-    let _pin = cache.pin_scope(key);
-
     // Job-level fast path. Never taken under certify: a stored report
     // carries no checkable evidence, so certified jobs always re-run
     // against the pair cache (where DRAT replay gates every reuse).

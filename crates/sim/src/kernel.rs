@@ -10,18 +10,19 @@
 //! bits so shared subfunctions are computed once).
 //!
 //! Execution is cache-blocked: the pattern words are processed in
-//! blocks of `BLOCK_WORDS` (16), with all nodes evaluated per block, so
+//! blocks of `BLOCK_WORDS` (64), with all nodes evaluated per block, so
 //! the fanin lanes a node reads are still resident in cache. Within a
 //! block each kernel step runs [`SimdWord`]-wide — 1, 4 or 8 words per
 //! operation depending on the active [`SimdLevel`] — with ragged block
 //! tails finished scalar.
 //!
-//! Simulation runs on the calling thread: all lanes are allocated up
-//! front at full length, the levelized order is evaluated block by
-//! block over that allocation, and Shannon-tape scratch registers live
-//! in a thread-local arena.
+//! Simulation runs on the calling thread over one flat lane table per
+//! call: the lane of `order[p]` is words `p·words..(p+1)·words`. A
+//! levelized order lists every fanin before its node, so splitting the
+//! table at the node's lane lends that lane mutably and every fanin
+//! lane shared. Shannon-tape intermediates live in stack register
+//! files.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simgen_netlist::{LutNetwork, NodeId, NodeKind, TruthTable};
@@ -32,27 +33,19 @@ use crate::simd::{active_simd_level, SimdLevel, SimdWord, U64x4, U64x8, Unroll};
 /// Words processed per cache block. 64 words (512 B per lane) keeps a
 /// couple hundred hot lanes inside L2 while giving every node eight
 /// full 512-bit pack iterations per block — wide enough that the
-/// per-node fixed costs (opcode dispatch, lane-pointer loads, slice
-/// setup) amortize instead of drowning the SIMD win. Must stay a
-/// multiple of [`LINE_WORDS`] so scratch registers remain cache-line
-/// aligned.
+/// per-node fixed costs (opcode dispatch, lane lookups, slice setup)
+/// amortize instead of drowning the SIMD win.
 pub(crate) const BLOCK_WORDS: usize = 64;
 
-/// `u64` words per 64-byte cache line, the alignment unit of the
-/// scratch arena.
-const LINE_WORDS: usize = 8;
-
-/// Widest Shannon tape the register-resident path handles. Tapes
-/// needing at most this many scratch registers evaluate pack-by-pack
-/// with every intermediate held in a `[W; REG_TAPE_MAX]` on the stack
-/// — no arena stores, no result copy — which is nearly every tape a
-/// 6-LUT produces. Wider tapes (pathological truth tables only) fall
-/// back to the arena path.
+/// Scratch registers a Shannon tape may use. Every tape evaluates
+/// pack by pack with each intermediate held in a `[W; REG_TAPE_MAX]`
+/// on the stack and its result stored straight to the node lane;
+/// [`CompiledNet::compile`] asserts that no tape needs more.
 const REG_TAPE_MAX: usize = 32;
 
-/// Pack columns evaluated per op-list walk in the register-resident
-/// tape path, amortizing op decode without spilling the register file
-/// out of L1 (`REG_TAPE_MAX × TAPE_UNROLL` packs ≤ 8 KiB at 512-bit).
+/// Pack columns evaluated per op-list walk of a tape, amortizing op
+/// decode without spilling the register file out of L1
+/// (`REG_TAPE_MAX × TAPE_UNROLL` packs ≤ 8 KiB at 512-bit).
 const TAPE_UNROLL: usize = 4;
 
 /// A fused two-input bitwise operation. `AndNot`/`OrNot` absorb one
@@ -257,10 +250,9 @@ pub struct PoolStats {
     /// library.
     pub tasks: u64,
     /// Peak bytes of lane storage a single `simulate_lanes` call
-    /// allocated (one `u64` word lane per ordered node). The
-    /// simulation side of per-job memory accounting; a high-water
-    /// mark, not a running sum. Word counts are padded to the active
-    /// SIMD width, so this stays under the scheduling strip keys.
+    /// allocated: `order.len() × num_patterns.div_ceil(64) × 8`, the
+    /// same at every SIMD level. The simulation side of per-job memory
+    /// accounting; a high-water mark, not a running sum.
     pub lane_bytes: u64,
 }
 
@@ -277,73 +269,41 @@ pub struct CompiledNet {
     sim_lane_bytes: AtomicU64,
 }
 
-/// One 64-byte cache line of scratch words. The arena is a `Vec` of
-/// these so every scratch register starts on its own line.
-#[derive(Clone, Copy)]
-#[repr(C, align(64))]
-struct CacheLine([u64; LINE_WORDS]);
-
-thread_local! {
-    /// Per-thread scratch arena for Shannon-tape registers: grown once
-    /// to the widest tape seen on this thread, then reused by every
-    /// `simulate_lanes` call the thread makes. Replaces the per-call
-    /// `vec![vec![0u64; BLOCK_WORDS]; num_scratch]` churn.
-    static SCRATCH: RefCell<Vec<CacheLine>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Raw-pointer view of the preallocated full-length lanes: a node's
-/// kernel writes its own lane while reading its fanins' lanes, which
-/// one `&mut [Vec<u64>]` cannot lend at once. A null entry means the
-/// node is outside the simulated `order` and has no lane.
-///
-/// Safety contract (upheld by `simulate_lanes_at`): all pointers stay
-/// valid for the table's lifetime, every present lane is `words` long,
-/// and a node's lane is written only after its fanins' lanes, never
-/// while one of its own read slices is alive.
-struct LaneTable {
-    ptrs: Vec<*mut u64>,
+/// The lanes a node may read while its own lane is being written: the
+/// head of the flat lane table up to that lane, which holds every
+/// fanin's lane because the order is levelized.
+struct Fanins<'a> {
+    /// Lanes of `order[..p]` for the node at position `p`.
+    done: &'a [u64],
+    /// Position of each node in the order (`u32::MAX` outside it).
+    pos: &'a [u32],
     words: usize,
 }
 
-impl LaneTable {
-    fn new(lanes: &mut [Vec<u64>], words: usize) -> LaneTable {
-        let ptrs = lanes
-            .iter_mut()
-            .map(|lane| {
-                if lane.is_empty() {
-                    std::ptr::null_mut()
-                } else {
-                    debug_assert_eq!(lane.len(), words);
-                    lane.as_mut_ptr()
-                }
-            })
-            .collect();
-        LaneTable { ptrs, words }
-    }
-
-    /// Reads lane `idx` over `[x0, x1)`.
-    ///
-    /// Safety: caller must not hold a `write` slice of the same node,
-    /// and `[x0, x1)` must lie inside the lane.
+impl Fanins<'_> {
+    /// Words `[x0, x1)` of the lane of `node`.
     #[inline(always)]
-    unsafe fn read(&self, idx: usize, x0: usize, x1: usize) -> &[u64] {
-        debug_assert!(x0 <= x1 && x1 <= self.words);
-        let ptr = self.ptrs[idx];
-        debug_assert!(!ptr.is_null(), "read of absent lane {idx}");
-        std::slice::from_raw_parts(ptr.add(x0), x1 - x0)
+    fn lane(&self, node: u32, x0: usize, x1: usize) -> &[u64] {
+        let base = self.pos[node as usize] as usize * self.words;
+        &self.done[base + x0..base + x1]
     }
+}
 
-    /// Writes lane `idx` over `[x0, x1)`.
-    ///
-    /// Safety: `[x0, x1)` must lie inside the lane, and each node is
-    /// written at most once per block (levelized order).
+/// Stack register files of the tape path for packs of `W`, zeroed once
+/// per simulation call. Tapes are SSA, so a register is always written
+/// before it is read and a stale value is never observed.
+struct TapeRegs<W: SimdWord> {
+    pack: [W; REG_TAPE_MAX],
+    column: [Unroll<W, TAPE_UNROLL>; REG_TAPE_MAX],
+}
+
+impl<W: SimdWord> TapeRegs<W> {
     #[inline(always)]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn write(&self, idx: usize, x0: usize, x1: usize) -> &mut [u64] {
-        debug_assert!(x0 <= x1 && x1 <= self.words);
-        let ptr = self.ptrs[idx];
-        debug_assert!(!ptr.is_null(), "write of absent lane {idx}");
-        std::slice::from_raw_parts_mut(ptr.add(x0), x1 - x0)
+    fn new() -> Self {
+        TapeRegs {
+            pack: [W::zero(); REG_TAPE_MAX],
+            column: [Unroll::zero(); REG_TAPE_MAX],
+        }
     }
 }
 
@@ -527,6 +487,19 @@ impl CompiledNet {
             };
             kernels.push(kernel);
         }
+        // A tape of a LUT of at most 6 inputs (`MAX_ARITY`) needs at
+        // most 29 registers. Shannon splits on the highest support
+        // variable while the support has 3 or more variables, so at
+        // most 1 + 2 + 4 + 8 = 15 muxes exist, and all 15 only when the
+        // deepest ones split x2 off functions of exactly x0..x2. Their
+        // leaves are then functions of x0 and x1, 14 of which are not a
+        // bare literal (a literal reads the fanin lane, no register).
+        // With M ≤ 14 muxes there are at most M + 1 leaves, so
+        // 2M + 1 ≤ 29 registers.
+        assert!(
+            num_scratch <= REG_TAPE_MAX,
+            "a tape needs {num_scratch} scratch registers, more than {REG_TAPE_MAX}"
+        );
         CompiledNet {
             num_nodes,
             kernels,
@@ -583,9 +556,11 @@ impl CompiledNet {
     /// [`simgen_netlist::levels::levelized_order`] of a fanin cone),
     /// at the process-wide [`active_simd_level`].
     ///
-    /// Returns one lane per node — empty for nodes outside `order` —
-    /// with tail bits beyond `patterns.num_patterns()` masked to zero.
-    pub fn simulate_lanes(&self, patterns: &PatternSet, order: &[NodeId]) -> Vec<Vec<u64>> {
+    /// Returns one flat lane table: with `words =
+    /// patterns.num_words()`, the lane of `order[p]` is
+    /// `table[p * words..(p + 1) * words]`, with tail bits beyond
+    /// `patterns.num_patterns()` masked to zero.
+    pub fn simulate_lanes(&self, patterns: &PatternSet, order: &[NodeId]) -> Vec<u64> {
         self.simulate_lanes_at(patterns, order, active_simd_level())
     }
 
@@ -601,112 +576,93 @@ impl CompiledNet {
         patterns: &PatternSet,
         order: &[NodeId],
         level: SimdLevel,
-    ) -> Vec<Vec<u64>> {
-        let num_words = patterns.num_words();
-        let mut lanes: Vec<Vec<u64>> = vec![Vec::new(); self.num_nodes];
-        for &id in order {
-            lanes[id.index()] = vec![0u64; num_words];
-        }
+    ) -> Vec<u64> {
+        let words = patterns.num_words();
+        let mut table = vec![0u64; order.len() * words];
         self.sim_lane_bytes
-            .fetch_max((order.len() * num_words * 8) as u64, Ordering::Relaxed);
-        if num_words == 0 {
-            return lanes;
+            .fetch_max((table.len() * 8) as u64, Ordering::Relaxed);
+        if words == 0 {
+            return table;
         }
-        let table = LaneTable::new(&mut lanes, num_words);
-        self.execute(patterns, &table, order, level);
+        let mut pos = vec![u32::MAX; self.num_nodes];
+        for (p, &id) in order.iter().enumerate() {
+            pos[id.index()] = p as u32;
+        }
+        self.execute(patterns, &mut table, order, &pos, level);
         // Mask the tail of the final global word so signatures stay
         // comparable; PI lanes inherit the mask from the pattern set.
         let mask = tail_mask(patterns.num_patterns());
         if mask != u64::MAX {
-            for &id in order {
-                if let Some(last) = lanes[id.index()].last_mut() {
-                    *last &= mask;
-                }
+            for lane in table.chunks_exact_mut(words) {
+                lane[words - 1] &= mask;
             }
         }
-        lanes
+        table
     }
 
-    /// Executes every word of the lanes at `level`, borrowing this
-    /// thread's scratch arena. On x86-64 the wide levels route through
-    /// `#[target_feature]` wrappers when the CPU has the feature, and
-    /// fall back to the portable pack code when it does not (a forced
-    /// `SIMGEN_SIMD=wide512` on an AVX2 machine still computes the
-    /// same bytes, just without 512-bit instructions).
+    /// Executes every word of the lane table at `level`. On x86-64 the
+    /// wide levels route through `#[target_feature]` functions when
+    /// the CPU has the feature, and fall back to the portable pack code
+    /// when it does not (a forced `SIMGEN_SIMD=wide512` on an AVX2
+    /// machine still computes the same bytes, just without 512-bit
+    /// instructions).
+    #[allow(unsafe_code)]
     fn execute(
         &self,
         patterns: &PatternSet,
-        table: &LaneTable,
+        table: &mut [u64],
         order: &[NodeId],
+        pos: &[u32],
         level: SimdLevel,
     ) {
-        SCRATCH.with(|cell| {
-            let mut arena = cell.borrow_mut();
-            let lines = self.num_scratch * (BLOCK_WORDS / LINE_WORDS);
-            if arena.len() < lines {
-                arena.resize(lines, CacheLine([0; LINE_WORDS]));
-            }
-            // SAFETY: CacheLine is repr(C) over [u64; LINE_WORDS], so
-            // the arena is a contiguous run of initialised u64s.
-            let scratch: &mut [u64] = unsafe {
-                std::slice::from_raw_parts_mut(
-                    arena.as_mut_ptr().cast::<u64>(),
-                    arena.len() * LINE_WORDS,
-                )
-            };
-            match level {
-                SimdLevel::Scalar => self.execute_w::<u64>(patterns, table, order, scratch),
-                SimdLevel::Wide256 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: avx2 confirmed present at runtime.
-                        return unsafe { self.execute_avx2(patterns, table, order, scratch) };
-                    }
-                    self.execute_w::<U64x4>(patterns, table, order, scratch)
+        match level {
+            SimdLevel::Scalar => self.execute_w::<u64>(patterns, table, order, pos),
+            SimdLevel::Wide256 => {
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: avx2 confirmed present at runtime.
+                    return unsafe { self.execute_avx2(patterns, table, order, pos) };
                 }
-                SimdLevel::Wide512 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx512f") {
-                        // SAFETY: avx512f confirmed present at runtime.
-                        return unsafe { self.execute_avx512(patterns, table, order, scratch) };
-                    }
-                    self.execute_w::<U64x8>(patterns, table, order, scratch)
-                }
+                self.execute_w::<U64x4>(patterns, table, order, pos)
             }
-        })
+            SimdLevel::Wide512 => {
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    // SAFETY: avx512f confirmed present at runtime.
+                    return unsafe { self.execute_avx512(patterns, table, order, pos) };
+                }
+                self.execute_w::<U64x8>(patterns, table, order, pos)
+            }
+        }
     }
 
     /// `execute_w::<U64x4>` compiled with AVX2 enabled, turning the
-    /// portable 4-lane array loops into `ymm` instructions.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
+    /// portable 4-lane array loops into `ymm` instructions. Calling it
+    /// is only sound on a CPU with AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn execute_avx2(
+    fn execute_avx2(
         &self,
         patterns: &PatternSet,
-        table: &LaneTable,
+        table: &mut [u64],
         order: &[NodeId],
-        scratch: &mut [u64],
+        pos: &[u32],
     ) {
-        self.execute_w::<U64x4>(patterns, table, order, scratch)
+        self.execute_w::<U64x4>(patterns, table, order, pos)
     }
 
-    /// `execute_w::<U64x8>` compiled with AVX-512F enabled.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
+    /// `execute_w::<U64x8>` compiled with AVX-512F enabled. Calling it
+    /// is only sound on a CPU with AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn execute_avx512(
+    fn execute_avx512(
         &self,
         patterns: &PatternSet,
-        table: &LaneTable,
+        table: &mut [u64],
         order: &[NodeId],
-        scratch: &mut [u64],
+        pos: &[u32],
     ) {
-        self.execute_w::<U64x8>(patterns, table, order, scratch)
+        self.execute_w::<U64x8>(patterns, table, order, pos)
     }
 
     /// Cache-blocked execution of every lane word, `W::LANES` words
@@ -715,170 +671,108 @@ impl CompiledNet {
     /// of words go through the wide path.
     ///
     /// `#[inline(always)]` (with the whole call chain below it) is
-    /// what lets the `#[target_feature]` wrappers propagate their
+    /// what lets the `#[target_feature]` functions propagate their
     /// enabled features into these loops.
     #[inline(always)]
     fn execute_w<W: SimdWord>(
         &self,
         patterns: &PatternSet,
-        table: &LaneTable,
+        table: &mut [u64],
         order: &[NodeId],
-        scratch: &mut [u64],
+        pos: &[u32],
     ) {
+        let words = patterns.num_words();
+        let mut regs = TapeRegs::<W>::new();
+        let mut tail_regs = TapeRegs::<u64>::new();
         let mut b0 = 0;
-        while b0 < table.words {
-            let b1 = (b0 + BLOCK_WORDS).min(table.words);
+        while b0 < words {
+            let b1 = (b0 + BLOCK_WORDS).min(words);
             let bv = b0 + (b1 - b0) / W::LANES * W::LANES;
-            for &id in order {
+            for (p, &id) in order.iter().enumerate() {
+                let (done, rest) = table.split_at_mut(p * words);
+                let fanins = Fanins { done, pos, words };
                 if bv > b0 {
-                    self.exec_node_w::<W>(patterns, table, scratch, id, b0, bv);
+                    self.exec_node_w(patterns, &fanins, &mut regs, id, b0, &mut rest[b0..bv]);
                 }
                 if b1 > bv {
-                    self.exec_node_w::<u64>(patterns, table, scratch, id, bv, b1);
+                    self.exec_node_w(patterns, &fanins, &mut tail_regs, id, bv, &mut rest[bv..b1]);
                 }
             }
             b0 = b1;
         }
     }
 
-    /// Evaluates one node's kernel over words `[x0, x1)`, whose length
-    /// is a multiple of `W::LANES`.
+    /// Evaluates one node's kernel into `dst`, its lane's words
+    /// `[x0, x0 + dst.len())`, whose length is a multiple of
+    /// `W::LANES`.
     #[inline(always)]
     fn exec_node_w<W: SimdWord>(
         &self,
         patterns: &PatternSet,
-        table: &LaneTable,
-        scratch: &mut [u64],
+        fanins: &Fanins,
+        regs: &mut TapeRegs<W>,
         id: NodeId,
         x0: usize,
-        x1: usize,
+        dst: &mut [u64],
     ) {
-        let idx = id.index();
-        let len = x1 - x0;
-        // SAFETY (all table accesses): `[x0, x1)` lies inside the
-        // lanes; fanins are distinct nodes already fully written for
-        // this block by the levelized order, and `idx` itself is
-        // written exactly once here.
-        match self.kernels[idx] {
+        let x1 = x0 + dst.len();
+        let lane = move |node: u32| fanins.lane(node, x0, x1);
+        match self.kernels[id.index()] {
             NodeKernel::Pi { index } => {
-                let src = &patterns.lane(index as usize)[x0..x1];
-                let out = unsafe { table.write(idx, x0, x1) };
-                out.copy_from_slice(src);
+                dst.copy_from_slice(&patterns.lane(index as usize)[x0..x1]);
             }
             NodeKernel::Const { value } => {
-                let out = unsafe { table.write(idx, x0, x1) };
-                fill_w::<W>(out, if value { W::ones() } else { W::zero() });
+                fill_w::<W>(dst, if value { W::ones() } else { W::zero() });
             }
-            NodeKernel::Unary { negate, a } => {
-                let av = unsafe { table.read(a as usize, x0, x1) };
-                let out = unsafe { table.write(idx, x0, x1) };
-                if negate {
-                    map1::<W>(av, out, |x| x.not());
-                } else {
-                    out.copy_from_slice(av);
-                }
-            }
-            NodeKernel::Binary { op, a, b } => {
-                let av = unsafe { table.read(a as usize, x0, x1) };
-                let bv = unsafe { table.read(b as usize, x0, x1) };
-                let out = unsafe { table.write(idx, x0, x1) };
-                op.apply_slices::<W>(av, bv, out);
-            }
-            NodeKernel::Mux { s, t, e } => {
-                let sv = unsafe { table.read(s as usize, x0, x1) };
-                let tv = unsafe { table.read(t as usize, x0, x1) };
-                let ev = unsafe { table.read(e as usize, x0, x1) };
-                let out = unsafe { table.write(idx, x0, x1) };
-                map3::<W>(sv, tv, ev, out, W::mux);
-            }
+            NodeKernel::Unary { negate: true, a } => map1::<W>(lane(a), dst, |x| x.not()),
+            NodeKernel::Unary { negate: false, a } => dst.copy_from_slice(lane(a)),
+            NodeKernel::Binary { op, a, b } => op.apply_slices::<W>(lane(a), lane(b), dst),
+            NodeKernel::Mux { s, t, e } => map3::<W>(lane(s), lane(t), lane(e), dst, W::mux),
             NodeKernel::Tape { start, end, out } => {
+                // Columns are `TAPE_UNROLL` packs wide so one walk of
+                // the op list (decode, operand resolution) is amortized
+                // over four vector steps.
                 let n = self.num_nodes as u32;
                 let ops = &self.ops[start as usize..end as usize];
-                if self.num_scratch <= REG_TAPE_MAX {
-                    // Register-resident evaluation: intermediates in a
-                    // stack array instead of the arena, the final
-                    // value stored straight to the node lane — no
-                    // scratch traffic, no result copy. Columns are
-                    // `TAPE_UNROLL` packs wide so one walk of the op
-                    // list (decode, operand resolution) is amortized
-                    // over four vector steps.
-                    let stride = W::LANES * TAPE_UNROLL;
-                    let mut x = x0;
-                    while x + stride <= x1 {
-                        eval_tape_column::<Unroll<W, TAPE_UNROLL>>(table, ops, n, out, idx, x);
-                        x += stride;
-                    }
-                    while x < x1 {
-                        eval_tape_column::<W>(table, ops, n, out, idx, x);
-                        x += W::LANES;
-                    }
-                    return;
+                let stride = W::LANES * TAPE_UNROLL;
+                let mut x = 0;
+                while x + stride <= dst.len() {
+                    eval_tape_column(fanins, ops, n, &mut regs.column, out, x0 + x)
+                        .store(&mut dst[x..]);
+                    x += stride;
                 }
-                for op in ops {
-                    let dsti = (op.dst - n) as usize;
-                    let (slo, shi) = scratch.split_at_mut(dsti * BLOCK_WORDS);
-                    let dst = &mut shi[..len];
-                    // SSA guarantee: inputs are node lanes or scratch
-                    // registers strictly below `dst`, so `slo` covers
-                    // every scratch read.
-                    let rd = |reg: u32| -> &[u64] {
-                        if reg < n {
-                            unsafe { table.read(reg as usize, x0, x1) }
-                        } else {
-                            &slo[(reg - n) as usize * BLOCK_WORDS..][..len]
-                        }
-                    };
-                    match op.kind {
-                        OpKind::Const0 => fill_w::<W>(dst, W::zero()),
-                        OpKind::Const1 => fill_w::<W>(dst, W::ones()),
-                        OpKind::Not => map1::<W>(rd(op.a), dst, |x| x.not()),
-                        OpKind::Binary(bin) => bin.apply_slices::<W>(rd(op.a), rd(op.b), dst),
-                        OpKind::Mux => map3::<W>(rd(op.a), rd(op.b), rd(op.c), dst, W::mux),
-                    }
+                while x < dst.len() {
+                    eval_tape_column(fanins, ops, n, &mut regs.pack, out, x0 + x)
+                        .store(&mut dst[x..]);
+                    x += W::LANES;
                 }
-                let result = &scratch[out as usize * BLOCK_WORDS..][..len];
-                let dst = unsafe { table.write(idx, x0, x1) };
-                dst.copy_from_slice(result);
             }
         }
     }
 }
 
-/// One column of the register-resident tape path: evaluates every op
-/// over words `[x, x + W::LANES)` with intermediates in a stack
-/// register file and stores the result register to node `idx`'s lane.
-///
-/// # Safety contract (inherited from `exec_node_w`)
-/// `[x, x + W::LANES)` lies inside the lanes and every fanin the ops
-/// read is already written for that block.
+/// One column of a tape: evaluates every op over words
+/// `[x, x + W::LANES)` with intermediates in `regs` and returns
+/// register `out`. Tapes are SSA — `TapeBuilder` only emits reads of
+/// registers an earlier op wrote, and `out` is the last op's
+/// destination — so no register is read before this column wrote it.
 #[inline(always)]
 fn eval_tape_column<W: SimdWord>(
-    table: &LaneTable,
+    fanins: &Fanins,
     ops: &[Op],
     n: u32,
+    regs: &mut [W; REG_TAPE_MAX],
     out: u32,
-    idx: usize,
     x: usize,
-) {
-    // Deliberately uninitialized: zeroing the worst-case register file
-    // (8 KiB at 512-bit × TAPE_UNROLL) per column would cost more than
-    // the tape itself. Sound because tapes are SSA — `TapeBuilder`
-    // only ever emits reads of registers an earlier op wrote, and
-    // `out` is the last op's destination.
-    let mut regs: [std::mem::MaybeUninit<W>; REG_TAPE_MAX] =
-        [std::mem::MaybeUninit::uninit(); REG_TAPE_MAX];
+) -> W {
     for op in ops {
         macro_rules! rd {
             ($reg:expr) => {{
                 let reg = $reg;
                 if reg < n {
-                    W::load(unsafe { table.read(reg as usize, x, x + W::LANES) })
+                    W::load(fanins.lane(reg, x, x + W::LANES))
                 } else {
-                    debug_assert!(((reg - n) as usize) < REG_TAPE_MAX);
-                    // SAFETY: SSA — written by an earlier op; register
-                    // indices were bounds-checked against
-                    // `num_scratch <= REG_TAPE_MAX` by the caller.
-                    unsafe { regs.get_unchecked((reg - n) as usize).assume_init() }
+                    regs[(reg - n) as usize]
                 }
             }};
         }
@@ -889,13 +783,9 @@ fn eval_tape_column<W: SimdWord>(
             OpKind::Binary(bin) => bin.apply_w(rd!(op.a), rd!(op.b)),
             OpKind::Mux => W::mux(rd!(op.a), rd!(op.b), rd!(op.c)),
         };
-        debug_assert!(((op.dst - n) as usize) < REG_TAPE_MAX);
-        // SAFETY: destination register index < num_scratch <= REG_TAPE_MAX.
-        *unsafe { regs.get_unchecked_mut((op.dst - n) as usize) } = std::mem::MaybeUninit::new(v);
+        regs[(op.dst - n) as usize] = v;
     }
-    let dst = unsafe { table.write(idx, x, x + W::LANES) };
-    // SAFETY: SSA — `out` is the final op's destination register.
-    unsafe { regs[out as usize].assume_init() }.store(dst);
+    regs[out as usize]
 }
 
 /// Mask covering the valid bits of the last signature word.
@@ -945,11 +835,12 @@ mod tests {
             let kernel = CompiledNet::compile(&net);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 100);
             let patterns = PatternSet::random(6, 200, &mut rng);
+            let words = patterns.num_words();
             let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net));
             for p in 0..200 {
                 let scalar = net.eval(&patterns.vector(p));
                 for id in net.node_ids() {
-                    let bit = (lanes[id.index()][p / 64] >> (p % 64)) & 1 == 1;
+                    let bit = (lanes[id.index() * words + p / 64] >> (p % 64)) & 1 == 1;
                     assert_eq!(bit, scalar[id.index()], "seed {seed} node {id} pat {p}");
                 }
             }
@@ -1013,7 +904,9 @@ mod tests {
             let lanes = kernel.simulate_lanes(&patterns, &all_nodes(&net));
             for (m, v) in vectors.iter().enumerate() {
                 let expect = net.eval(v)[f.index()];
-                let got = (lanes[f.index()][0] >> m) & 1 == 1;
+                // One word per lane, and the full order puts `f` at
+                // position `f.index()`.
+                let got = (lanes[f.index()] >> m) & 1 == 1;
                 assert_eq!(got, expect, "bits {bits:08b} minterm {m}");
             }
         }
@@ -1028,14 +921,16 @@ mod tests {
         let root = net.node_ids().last().unwrap();
         let mask = simgen_netlist::cone::multi_fanin_cone_mask(&net, &[root]);
         let order = levelized_order(&net, &mask);
+        let words = patterns.num_words();
         let lanes = kernel.simulate_lanes(&patterns, &order);
         let full = kernel.simulate_lanes(&patterns, &all_nodes(&net));
-        for id in net.node_ids() {
-            if mask[id.index()] {
-                assert_eq!(lanes[id.index()], full[id.index()], "cone node {id}");
-            } else {
-                assert!(lanes[id.index()].is_empty(), "non-cone node {id}");
-            }
+        // Only cone nodes get a lane.
+        assert_eq!(order.len(), mask.iter().filter(|&&m| m).count());
+        assert_eq!(lanes.len(), order.len() * words);
+        for (lane, &id) in lanes.chunks_exact(words).zip(&order) {
+            assert!(mask[id.index()], "non-cone node {id}");
+            let at = id.index() * words;
+            assert_eq!(lane, &full[at..at + words], "cone node {id}");
         }
     }
 
@@ -1057,6 +952,50 @@ mod tests {
                 "{} ops for {} tape nodes",
                 kernel.tape_len(),
                 tape_nodes
+            );
+        }
+    }
+
+    /// A network of one 6-input LUT per table, all over the same six
+    /// PIs.
+    fn six_input_luts(tables: impl IntoIterator<Item = u64>) -> LutNetwork {
+        let mut net = LutNetwork::new();
+        let pis: Vec<NodeId> = (0..6).map(|i| net.add_pi(format!("p{i}"))).collect();
+        for bits in tables {
+            let tt = TruthTable::from_bits(6, bits).unwrap();
+            let f = net.add_lut(pis.clone(), tt).unwrap();
+            net.add_po(f, "f");
+        }
+        net
+    }
+
+    #[test]
+    fn six_input_tapes_fit_the_register_file() {
+        // A table whose tape needs 29 registers, the most a ≤ 6-input
+        // LUT can need (the argument is at the assert in `compile`).
+        let widest = CompiledNet::compile(&six_input_luts([0x59e6_d07f_8f3b_1842]));
+        assert_eq!(widest.summary().scratch, 29);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let tables: Vec<u64> = (0..10_000).map(|_| rng.gen()).collect();
+        let kernel = CompiledNet::compile(&six_input_luts(tables));
+        assert_eq!(kernel.summary().tape_nodes, 10_000);
+        assert!(kernel.summary().scratch <= 29, "{:?}", kernel.summary());
+    }
+
+    #[test]
+    fn lane_bytes_do_not_depend_on_the_simd_level() {
+        let net = random_network(12, 6, 30, 6);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        // 3 words: ragged at every width.
+        let patterns = PatternSet::random(6, 150, &mut rng);
+        let order = all_nodes(&net);
+        for level in [SimdLevel::Scalar, SimdLevel::Wide256, SimdLevel::Wide512] {
+            let kernel = CompiledNet::compile(&net);
+            kernel.simulate_lanes_at(&patterns, &order, level);
+            assert_eq!(
+                kernel.pool_stats().lane_bytes,
+                (order.len() * 3 * 8) as u64,
+                "{level:?}"
             );
         }
     }

@@ -31,6 +31,8 @@
 //! assert_eq!(classes.cost(), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod classes;
 pub mod kernel;
 pub mod patterns;
@@ -43,7 +45,7 @@ pub use classes::EquivClasses;
 pub use kernel::{CompiledNet, KernelSummary, PoolStats};
 pub use patterns::PatternSet;
 pub use probability::signal_probabilities;
-pub use replay::{replay_distinguishes, Replayer};
+pub use replay::Replayer;
 pub use simd::{active_simd_level, SimdLevel, SimdWord, U64x4, U64x8};
 pub use simulator::{simulate, ExecStats, SimResult};
 

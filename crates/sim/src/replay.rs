@@ -46,12 +46,6 @@ impl Replayer {
     }
 }
 
-/// One-shot form of [`Replayer::distinguishes`] for callers without a
-/// buffer to reuse.
-pub fn replay_distinguishes(net: &LutNetwork, inputs: &[bool], a: NodeId, b: NodeId) -> bool {
-    Replayer::new().distinguishes(net, inputs, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,10 +66,11 @@ mod tests {
     #[test]
     fn genuine_counterexample_replays() {
         let (net, x, y, _) = net();
+        let mut r = Replayer::new();
         // a=1, b=0: AND=0, OR=1 — distinguishes.
-        assert!(replay_distinguishes(&net, &[true, false], x, y));
+        assert!(r.distinguishes(&net, &[true, false], x, y));
         // a=1, b=1: AND=1, OR=1 — does not.
-        assert!(!replay_distinguishes(&net, &[true, true], x, y));
+        assert!(!r.distinguishes(&net, &[true, true], x, y));
     }
 
     #[test]

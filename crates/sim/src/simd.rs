@@ -187,16 +187,11 @@ macro_rules! simd_pack {
 
             #[inline(always)]
             fn load(src: &[u64]) -> Self {
-                assert!(src.len() >= $lanes);
-                // SAFETY: length asserted; unaligned read is fine for
-                // u64 arrays and lowers to one vector load.
-                $name(unsafe { (src.as_ptr() as *const [u64; $lanes]).read_unaligned() })
+                $name(src[..$lanes].try_into().expect("slice of pack length"))
             }
             #[inline(always)]
             fn store(self, dst: &mut [u64]) {
-                assert!(dst.len() >= $lanes);
-                // SAFETY: length asserted.
-                unsafe { (dst.as_mut_ptr() as *mut [u64; $lanes]).write_unaligned(self.0) }
+                dst[..$lanes].copy_from_slice(&self.0);
             }
             #[inline(always)]
             fn zero() -> Self {

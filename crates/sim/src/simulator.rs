@@ -79,8 +79,7 @@ impl SimResult {
     }
 
     /// Memory diagnostics of the backing kernel (see
-    /// [`crate::PoolStats`]): lane sizes follow the host SIMD width,
-    /// so reports keep them under the stripped scheduling keys.
+    /// [`crate::PoolStats`]).
     pub fn pool_stats(&self) -> crate::PoolStats {
         self.kernel.pool_stats()
     }
@@ -98,18 +97,6 @@ impl SimResult {
     /// Number of nodes covered by this result.
     pub fn num_nodes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Appends one pattern incrementally. Allocates a scalar
-    /// evaluation buffer per call; hot loops should use
-    /// [`SimResult::push_pattern_with`] with a reused buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vector.len()` differs from the network's PI count.
-    pub fn push_pattern(&mut self, net: &LutNetwork, vector: &[bool]) {
-        let mut scratch = Vec::new();
-        self.push_pattern_with(net, vector, &mut scratch);
     }
 
     /// Appends one pattern incrementally: a scalar evaluation of the
@@ -148,26 +135,6 @@ impl SimResult {
         self.extend_block(net, patterns, None);
     }
 
-    /// Appends a batch of single input vectors as one word-parallel
-    /// resimulation: the vectors are packed into 64-bit pattern words
-    /// and simulated as a block, instead of one O(nodes) scalar
-    /// evaluation per vector. This is the shared entry point for
-    /// counterexample resimulation — both the serial sweeper and the
-    /// parallel dispatch engine accumulate counterexamples and flush
-    /// them through here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vector's length differs from the network's PI
-    /// count.
-    pub fn extend_vectors(&mut self, net: &LutNetwork, vectors: &[Vec<bool>]) {
-        if vectors.is_empty() {
-            return;
-        }
-        let block = PatternSet::from_vectors(net.num_pis(), vectors);
-        self.extend_block(net, &block, None);
-    }
-
     /// Cone-restricted incremental resimulation: appends the block
     /// computing new lane words **only** for nodes in the union of
     /// fanin cones of `roots`, leaving every other lane untouched
@@ -191,25 +158,10 @@ impl SimResult {
         self.extend_block(net, patterns, Some(&mask));
     }
 
-    /// [`SimResult::extend_vectors`] restricted to the fanin cones of
-    /// `roots` (see [`SimResult::extend_patterns_cone`]).
-    pub fn extend_vectors_cone(
-        &mut self,
-        net: &LutNetwork,
-        vectors: &[Vec<bool>],
-        roots: &[NodeId],
-    ) {
-        if vectors.is_empty() {
-            return;
-        }
-        let block = PatternSet::from_vectors(net.num_pis(), vectors);
-        self.extend_patterns_cone(net, &block, roots);
-    }
-
     /// Shared block-append path: simulates `patterns` through the
     /// compiled kernels (optionally restricted to `mask` in levelized
-    /// order) and splices the new lane words onto the accumulated
-    /// signatures.
+    /// order) and splices the new lane words straight from the flat
+    /// lane table onto the accumulated signatures.
     fn extend_block(&mut self, net: &LutNetwork, patterns: &PatternSet, mask: Option<&[bool]>) {
         let added = patterns.num_patterns();
         if added == 0 {
@@ -224,9 +176,9 @@ impl SimResult {
             None => net.node_ids().collect(),
             Some(mask) => levelized_order(net, mask),
         };
-        let block_lanes = self.kernel.simulate_lanes(patterns, &order);
+        let table = self.kernel.simulate_lanes(patterns, &order);
         let old_words = self.num_patterns.div_ceil(64);
-        for &id in &order {
+        for (&id, block) in order.iter().zip(table.chunks_exact(patterns.num_words())) {
             let lane = &mut self.lanes[id.index()];
             debug_assert_eq!(
                 lane.len(),
@@ -234,7 +186,7 @@ impl SimResult {
                 "stale lane for {id}: cone-restricted extensions must \
                  only ever shrink the root set"
             );
-            splice_bits(lane, self.num_patterns, &block_lanes[id.index()], added);
+            splice_bits(lane, self.num_patterns, block, added);
         }
         self.num_patterns += added;
         self.exec.exec_calls += 1;
@@ -502,20 +454,22 @@ mod tests {
     }
 
     #[test]
-    fn extend_vectors_matches_single_pushes() {
+    fn vector_blocks_match_single_pushes() {
         let net = random_network(17, 5, 24);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let patterns = PatternSet::random(5, 100, &mut rng);
         let all: Vec<Vec<bool>> = (0..100).map(|p| patterns.vector(p)).collect();
         let mut pushed = SimResult::empty(&net);
+        let mut scratch = Vec::new();
         for v in &all {
-            pushed.push_pattern(&net, v);
+            pushed.push_pattern_with(&net, v, &mut scratch);
         }
         // Batched in uneven chunks (empty, single, word, partial).
         let mut batched = SimResult::empty(&net);
         let mut done = 0;
         for chunk in [0usize, 1, 64, 13, 22] {
-            batched.extend_vectors(&net, &all[done..done + chunk]);
+            let block = PatternSet::from_vectors(5, &all[done..done + chunk]);
+            batched.extend_patterns(&net, &block);
             done += chunk;
         }
         assert_eq!(done, 100);
@@ -568,11 +522,12 @@ mod tests {
         assert_eq!(stats.exec_patterns, 128);
         assert_eq!(stats.cone_exec_calls, 0);
 
-        sim.push_pattern(&net, &patterns.vector(0));
+        sim.push_pattern_with(&net, &patterns.vector(0), &mut Vec::new());
         assert_eq!(sim.exec_stats().scalar_pushes, 1);
 
         let roots: Vec<NodeId> = net.node_ids().rev().take(1).collect();
-        sim.extend_vectors_cone(&net, &[patterns.vector(1)], &roots);
+        let block = PatternSet::from_vectors(5, &[patterns.vector(1)]);
+        sim.extend_patterns_cone(&net, &block, &roots);
         assert_eq!(sim.exec_stats().exec_calls, 2);
         assert_eq!(sim.exec_stats().cone_exec_calls, 1);
 

@@ -126,7 +126,7 @@ proptest! {
         let mut done = 0;
         for &c in &chunks {
             let vectors: Vec<Vec<bool>> = (done..done + c).map(|p| pats.vector(p)).collect();
-            inc.extend_vectors(&net, &vectors);
+            inc.extend_patterns(&net, &PatternSet::from_vectors(net.num_pis(), &vectors));
             done += c;
         }
         prop_assert_eq!(&inc, &reference, "chunked compiled vs interpreter");
@@ -168,6 +168,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let pats = PatternSet::random(net.num_pis(), n, &mut rng);
         let expected = reference_lanes(&net, &pats);
+        let words = pats.num_words();
         let kernel = CompiledNet::compile(&net);
         let full: Vec<NodeId> = net.node_ids().collect();
         let roots: Vec<NodeId> = net
@@ -177,22 +178,24 @@ proptest! {
             .collect();
         let mask = multi_fanin_cone_mask(&net, &roots);
         let cone = levelized_order(&net, &mask);
+        // The lane of `order[p]` sits at `p * words`: the full order
+        // lays the lanes out as the interpreter's, concatenated.
+        let expected_flat = expected.concat();
+        let cone_nodes = mask.iter().filter(|&&m| m).count();
         for level in [SimdLevel::Scalar, SimdLevel::Wide256, SimdLevel::Wide512] {
             let lanes = kernel.simulate_lanes_at(&pats, &full, level);
-            prop_assert_eq!(&lanes, &expected, "full order, {:?}", level);
+            prop_assert_eq!(&lanes, &expected_flat, "full order, {:?}", level);
             let restricted = kernel.simulate_lanes_at(&pats, &cone, level);
-            for id in net.node_ids() {
-                if mask[id.index()] {
-                    prop_assert_eq!(
-                        &restricted[id.index()], &expected[id.index()],
-                        "cone lane {} at {:?}", id, level
-                    );
-                } else {
-                    prop_assert!(
-                        restricted[id.index()].is_empty(),
-                        "node {} outside the cone must stay empty", id
-                    );
-                }
+            prop_assert_eq!(
+                restricted.len(), cone_nodes * words,
+                "nodes outside the cone must get no lane at {:?}", level
+            );
+            for (lane, &id) in restricted.chunks_exact(words).zip(&cone) {
+                prop_assert!(mask[id.index()], "node {} outside the cone got a lane", id);
+                prop_assert_eq!(
+                    lane, &expected[id.index()][..],
+                    "cone lane {} at {:?}", id, level
+                );
             }
         }
     }

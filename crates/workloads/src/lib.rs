@@ -24,6 +24,8 @@
 //! assert_eq!(inst.name, "cordic");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod instance;
 pub mod rewrite;

@@ -1,4 +1,7 @@
 //! Umbrella crate re-exporting the SimGen workspace crates.
+
+#![forbid(unsafe_code)]
+
 pub use simgen_bdd as bdd;
 pub use simgen_cec as cec;
 pub use simgen_core as core;
