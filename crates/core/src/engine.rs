@@ -11,7 +11,6 @@
 
 use rand::Rng;
 
-use simgen_netlist::cone::fanin_cone_into;
 use simgen_netlist::{LutNetwork, NodeId};
 
 use crate::decision::{decide, Decision, DecisionStrategy, MffcDepths};
@@ -68,6 +67,8 @@ impl GenResult {
 /// touches only the nodes it visits: the cone list, cone mask and
 /// `exhausted` mask are reset by walking the cone list when the target
 /// is done, and the implication queue is left empty by every pass.
+/// It reads the network's structure through the implicator's flat
+/// view, built once per engine.
 #[derive(Debug)]
 pub struct InputVectorGenerator<'n> {
     net: &'n LutNetwork,
@@ -161,16 +162,10 @@ impl<'n> InputVectorGenerator<'n> {
             assignments += 1;
             // Line 6: the DFS fanin cone (its PIs are the goal set).
             // `in_cone` is its visited set and, below, its region mask.
-            fanin_cone_into(
-                self.net,
-                target,
-                &mut self.in_cone,
-                &mut self.stack,
-                &mut self.cone,
-            );
-            let net = self.net;
+            let view = self.implicator.view();
+            view.fanin_cone(target, &mut self.in_cone, &mut self.stack, &mut self.cone);
             self.cone_pis
-                .extend(self.cone.iter().copied().filter(|&n| net.is_pi(n)));
+                .extend(self.cone.iter().copied().filter(|&n| view.is_pi(n)));
 
             // Seed propagation with every already-assigned cone node
             // (not just the target): earlier targets may have assigned
@@ -302,16 +297,13 @@ impl<'n> InputVectorGenerator<'n> {
     /// (saturated in a previous decision attempt) are skipped so the
     /// loop always terminates.
     fn latest_updated(&self) -> Option<NodeId> {
+        let view = self.implicator.view();
         for &n in self.values.trail().iter().rev() {
-            if !self.in_cone[n.index()] || self.net.is_pi(n) || self.exhausted[n.index()] {
+            if !self.in_cone[n.index()] || view.is_pi(n) || self.exhausted[n.index()] {
                 continue;
             }
             debug_assert!(self.values.is_assigned(n));
-            let has_free_fanin = self
-                .net
-                .fanins(n)
-                .iter()
-                .any(|&f| !self.values.is_assigned(f));
+            let has_free_fanin = view.fanins(n).iter().any(|&f| !self.values.is_assigned(f));
             if has_free_fanin {
                 return Some(n);
             }

@@ -19,8 +19,9 @@
 use simgen_netlist::truth::MAX_ARITY;
 use simgen_netlist::{LutNetwork, NodeId};
 
-use crate::rows::{members, PinAssignment, Row, RowDb, RowSetId, OUTPUT_PIN};
+use crate::rows::{matching, members, read_pins, Row, RowDb, RowSetId, OUTPUT_PIN};
 use crate::tv::{Value, ValueMap};
+use crate::view::NetView;
 
 /// Which implication variant to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -54,6 +55,10 @@ impl Propagation {
 /// needs, so that a pass allocates nothing and touches only the gates
 /// it visits:
 ///
+/// * the network's flat view (fanins and fanouts in compressed sparse
+///   rows, a PI flag per node), built once per engine; the passes read
+///   the structure only through it, and so does the generation engine
+///   that owns this implicator;
 /// * the LIFO queue and its membership mask, which every pass leaves
 ///   empty and all-false (the queue is empty at a fixpoint and is
 ///   drained on a conflict);
@@ -62,6 +67,7 @@ impl Propagation {
 #[derive(Debug)]
 pub struct Implicator<'n> {
     net: &'n LutNetwork,
+    view: NetView,
     db: RowDb,
     row_sets: Vec<Option<RowSetId>>,
     queue: Vec<NodeId>,
@@ -79,6 +85,7 @@ impl<'n> Implicator<'n> {
     pub fn with_rows(net: &'n LutNetwork, db: RowDb) -> Self {
         Implicator {
             net,
+            view: NetView::new(net),
             db,
             row_sets: vec![None; net.len()],
             queue: Vec::new(),
@@ -89,6 +96,11 @@ impl<'n> Implicator<'n> {
     /// Releases the row cache for reuse by a later engine.
     pub fn into_rows(self) -> RowDb {
         self.db
+    }
+
+    /// The flat view of the network.
+    pub(crate) fn view(&self) -> &NetView {
+        &self.view
     }
 
     /// The rows of `gate`'s function, on-set rows first.
@@ -135,9 +147,11 @@ impl<'n> Implicator<'n> {
         while let Some(gate) = self.queue.pop() {
             self.in_queue[gate.index()] = false;
             let id = self.row_set(gate);
-            let rows = self.db.get(id);
-            let matching = PinAssignment::of(self.net, values, gate).matching(rows);
-            if matching == 0 {
+            let rows = self.db.masks(id);
+            let fanins = self.view.fanins(gate);
+            let (care, pins) = read_pins(values, gate, fanins);
+            let compatible = matching(care, pins, rows.iter().copied());
+            if compatible == 0 {
                 for n in self.queue.drain(..) {
                     self.in_queue[n.index()] = false;
                 }
@@ -145,26 +159,29 @@ impl<'n> Implicator<'n> {
             }
             // Intersect the matching rows: a pin stays forced only
             // while every row specifies it to the first row's value.
-            let (mut forced, first) = rows[matching.trailing_zeros() as usize].pin_masks();
-            let others = matching & (matching - 1);
+            let (mut forced, first) = rows[compatible.trailing_zeros() as usize];
+            let others = compatible & (compatible - 1);
             for i in members(others) {
-                let (row_care, row_values) = rows[i].pin_masks();
+                let (row_care, row_values) = rows[i];
                 forced &= row_care & !(row_values ^ first);
             }
             if strategy == ImplicationStrategy::Simple && others != 0 {
                 continue;
             }
             // Apply the forced values to unassigned pins: the output,
-            // then the fanins by index.
+            // then the fanins by index. A fanin the gate lists twice
+            // is assigned at its first pin only.
+            let free = forced & !care;
             let mut newly = [gate; MAX_ARITY + 1];
             let mut count = 0;
-            if forced & OUTPUT_PIN != 0 && !values.is_assigned(gate) {
+            if free & OUTPUT_PIN != 0 {
                 values.assign(gate, Value::from_bool(first & OUTPUT_PIN != 0));
                 newly[count] = gate;
                 count += 1;
             }
-            for (i, &fanin) in self.net.fanins(gate).iter().enumerate() {
-                if (forced >> i) & 1 == 1 && !values.is_assigned(fanin) {
+            for i in members(u64::from(free & !OUTPUT_PIN)) {
+                let fanin = fanins[i];
+                if !values.is_assigned(fanin) {
                     values.assign(fanin, Value::from_bool((first >> i) & 1 == 1));
                     newly[count] = fanin;
                     count += 1;
@@ -181,13 +198,12 @@ impl<'n> Implicator<'n> {
     /// Queues `n`'s own gate, then its fanout gates in order, skipping
     /// queued gates and gates outside `region`.
     fn enqueue_around(&mut self, n: NodeId, region: Option<&[bool]>) {
-        let net = self.net;
         let allowed = |m: NodeId| region.is_none_or(|r| r[m.index()]);
-        if !net.is_pi(n) && !self.in_queue[n.index()] && allowed(n) {
+        if !self.view.is_pi(n) && !self.in_queue[n.index()] && allowed(n) {
             self.in_queue[n.index()] = true;
             self.queue.push(n);
         }
-        for &fo in net.fanouts(n) {
+        for &fo in self.view.fanouts(n) {
             if !self.in_queue[fo.index()] && allowed(fo) {
                 self.in_queue[fo.index()] = true;
                 self.queue.push(fo);

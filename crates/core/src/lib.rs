@@ -65,6 +65,7 @@ pub mod outgold;
 pub mod revsim;
 pub mod rows;
 pub mod tv;
+mod view;
 
 pub use decision::DecisionStrategy;
 pub use engine::{InputVectorGenerator, TargetOutcome};

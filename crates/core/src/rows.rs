@@ -5,17 +5,20 @@
 //! SimGen derives them once per distinct LUT function (irredundant
 //! prime covers of the on- and off-set) and caches them in a [`RowDb`],
 //! since mapped networks reuse a small set of functions heavily. The
-//! database hands out a dense id per function, so a caller that
-//! remembers each gate's id indexes a slice instead of hashing the
-//! truth table on every visit.
+//! database hands out an id per function that is the range of its
+//! rows in one flat row array, so a caller that remembers each gate's
+//! id slices the array instead of hashing the truth table on every
+//! visit. A second flat array holds every row's pin masks at the same
+//! indices, so matching a gate reads a slice of mask pairs.
 
 use std::collections::HashMap;
 use std::num::NonZeroU32;
+use std::ops::Range;
 
 use simgen_netlist::truth::MAX_ARITY;
 use simgen_netlist::{Cube, LutNetwork, NodeId, TruthTable};
 
-use crate::tv::{Value, ValueMap};
+use crate::tv::ValueMap;
 
 /// Bit of a pin mask that holds the gate's output; fanin `i` is bit
 /// `i` (`i < MAX_ARITY`).
@@ -46,16 +49,34 @@ impl Row {
     }
 }
 
-/// Dense handle of one function's rows in a [`RowDb`]. Non-zero, so
-/// an `Option<RowSetId>` per node costs four bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct RowSetId(NonZeroU32);
+/// A row's `(care, values)` pin masks ([`Row::pin_masks`]).
+pub(crate) type RowMask = (u8, u8);
 
-/// Cache of row lists per distinct truth table.
+/// Handle of one function's rows in a [`RowDb`]: their range in the
+/// database's flat arrays. Every function has at least one row, so
+/// the end is non-zero and an `Option<RowSetId>` per node costs eight
+/// bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RowSetId {
+    start: u32,
+    end: NonZeroU32,
+}
+
+impl RowSetId {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end.get() as usize
+    }
+}
+
+/// Cache of row lists per distinct truth table. The arrays only grow,
+/// so every id it hands out stays valid.
 #[derive(Clone, Debug, Default)]
 pub struct RowDb {
     ids: HashMap<TruthTable, RowSetId>,
-    sets: Vec<Vec<Row>>,
+    /// Every function's rows, one function after another.
+    rows: Vec<Row>,
+    /// `rows[i].pin_masks()` at index `i`.
+    masks: Vec<RowMask>,
 }
 
 impl RowDb {
@@ -72,32 +93,36 @@ impl RowDb {
         if let Some(&id) = self.ids.get(tt) {
             return id;
         }
-        let mut rows: Vec<Row> = tt
-            .onset_cover()
-            .into_iter()
-            .map(|cube| Row { cube, output: true })
-            .collect();
-        rows.extend(tt.offset_cover().into_iter().map(|cube| Row {
-            cube,
-            output: false,
-        }));
+        let start = self.rows.len();
+        let onset = tt.onset_cover().into_iter().map(|cube| (cube, true));
+        let offset = tt.offset_cover().into_iter().map(|cube| (cube, false));
+        for (cube, output) in onset.chain(offset) {
+            let row = Row { cube, output };
+            self.rows.push(row);
+            self.masks.push(row.pin_masks());
+        }
         assert!(
-            rows.len() <= MAX_ROWS,
+            self.rows.len() - start <= MAX_ROWS,
             "irredundant covers exceed {MAX_ROWS} rows"
         );
-        let id = u32::try_from(self.sets.len() + 1)
-            .ok()
-            .and_then(NonZeroU32::new)
-            .map(RowSetId)
-            .expect("fewer than 2^32 - 1 functions");
-        self.sets.push(rows);
+        let bound = |i: usize| u32::try_from(i).expect("fewer than 2^32 rows");
+        let id = RowSetId {
+            start: bound(start),
+            end: NonZeroU32::new(bound(self.rows.len())).expect("every function has a row"),
+        };
         self.ids.insert(*tt, id);
         id
     }
 
     /// The rows behind an id this database handed out.
     pub(crate) fn get(&self, id: RowSetId) -> &[Row] {
-        &self.sets[id.0.get() as usize - 1]
+        &self.rows[id.range()]
+    }
+
+    /// The pin masks of [`RowDb::get`]'s rows, at the same indices.
+    #[inline]
+    pub(crate) fn masks(&self, id: RowSetId) -> &[RowMask] {
+        &self.masks[id.range()]
     }
 
     /// The rows of a truth table (computed once, cached).
@@ -108,17 +133,17 @@ impl RowDb {
 
     /// Number of distinct functions cached.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.ids.len()
     }
 
     /// True if nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.ids.is_empty()
     }
 }
 
 /// The indices of the set bits of `set`, ascending: the members of a
-/// row set from [`PinAssignment::matching`].
+/// row set from [`matching`].
 pub(crate) fn members(mut set: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (set != 0).then(|| {
@@ -127,6 +152,37 @@ pub(crate) fn members(mut set: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// Reads the pins of `gate`, whose fanins by index are `fanins`, as
+/// `(care, values)` masks: fanin `i` at bit `i`, the gate's output at
+/// `OUTPUT_PIN`. Each pin's two-bit value code (bit 0 assigned, bit 1
+/// the value) lands in the two masks with two shifts.
+#[inline]
+pub(crate) fn read_pins(values: &ValueMap, gate: NodeId, fanins: &[NodeId]) -> (u8, u8) {
+    let out = values.code(gate);
+    let mut care = (out & 1) << MAX_ARITY;
+    let mut vals = (out >> 1) << MAX_ARITY;
+    for (i, &f) in fanins.iter().enumerate() {
+        let code = values.code(f);
+        care |= (code & 1) << i;
+        vals |= (code >> 1) << i;
+    }
+    (care, vals)
+}
+
+/// The rows compatible with the pin assignment `(care, values)` (as
+/// [`read_pins`] returns it), as a set: bit `i` is set when row `i`'s
+/// masks clash with no assigned pin the row specifies.
+#[inline]
+pub(crate) fn matching(care: u8, values: u8, rows: impl IntoIterator<Item = RowMask>) -> u64 {
+    let mut set = 0u64;
+    for (i, (row_care, row_values)) in rows.into_iter().enumerate() {
+        if (values ^ row_values) & care & row_care == 0 {
+            set |= 1 << i;
+        }
+    }
+    set
 }
 
 /// The partial assignment of one gate's pins, extracted from a
@@ -148,26 +204,14 @@ impl PinAssignment {
     ///
     /// Panics if `gate` is a PI (PIs have no pins to match rows on).
     pub fn of(net: &LutNetwork, values: &ValueMap, gate: NodeId) -> Self {
-        let fanins = net.fanins(gate);
         assert!(
             net.truth_table(gate).is_some(),
             "pin assignment of a pi is meaningless"
         );
-        let mut care = 0u8;
-        let mut vals = 0u8;
-        for (i, &f) in fanins.iter().enumerate() {
-            match values.get(f) {
-                Value::One => {
-                    care |= 1 << i;
-                    vals |= 1 << i;
-                }
-                Value::Zero => care |= 1 << i,
-                Value::Unknown => {}
-            }
-        }
+        let (care, vals) = read_pins(values, gate, net.fanins(gate));
         PinAssignment {
-            care,
-            values: vals,
+            care: care & !OUTPUT_PIN,
+            values: vals & !OUTPUT_PIN,
             output: values.get(gate).to_bool(),
         }
     }
@@ -184,20 +228,14 @@ impl PinAssignment {
                 self.values | if out { OUTPUT_PIN } else { 0 },
             ),
         };
-        let mut set = 0u64;
-        for (i, row) in rows.iter().enumerate() {
-            let (row_care, row_values) = row.pin_masks();
-            if (values ^ row_values) & care & row_care == 0 {
-                set |= 1 << i;
-            }
-        }
-        set
+        matching(care, values, rows.iter().map(Row::pin_masks))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tv::Value;
     use simgen_netlist::LutNetwork;
 
     /// The rows of `gate` compatible with the current assignment.
@@ -242,6 +280,10 @@ mod tests {
         assert_eq!(db.len(), 2);
         let and_rows = db.rows(&TruthTable::and2()).to_vec();
         assert_eq!(db.get(and), and_rows.as_slice());
+        for id in [and, or] {
+            let masks: Vec<RowMask> = db.get(id).iter().map(Row::pin_masks).collect();
+            assert_eq!(db.masks(id), masks.as_slice(), "masks at the rows' indices");
+        }
     }
 
     #[test]
@@ -279,6 +321,31 @@ mod tests {
         assert_eq!(pins.care, 0b01);
         assert_eq!(pins.values, 0b01);
         assert_eq!(pins.output, Some(false));
+    }
+
+    #[test]
+    fn read_pins_splits_each_code_into_care_and_value() {
+        // Every assignment of an and2 gate's three pins.
+        let (net, a, b, g) = and_gate();
+        let all = [Value::Unknown, Value::Zero, Value::One];
+        for va in all {
+            for vb in all {
+                for vg in all {
+                    let mut vm = ValueMap::new(net.len());
+                    for (n, v) in [(a, va), (b, vb), (g, vg)] {
+                        if v.is_assigned() {
+                            vm.assign(n, v);
+                        }
+                    }
+                    let (care, values) = read_pins(&vm, g, net.fanins(g));
+                    for (bit, v) in [(1, va), (2, vb), (OUTPUT_PIN, vg)] {
+                        assert_eq!(care & bit != 0, v.is_assigned(), "care of {v}");
+                        assert_eq!(values & bit != 0, v == Value::One, "value of {v}");
+                    }
+                    assert_eq!(care & !(OUTPUT_PIN | 0b11), 0, "no other pins");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,20 @@
 use simgen_netlist::NodeId;
 
 /// A ternary signal value.
+///
+/// Each value is a two-bit code: bit 0 says the value is assigned and
+/// bit 1 holds it, so a gate's pins split into a care mask and a value
+/// mask with two shifts per pin (`rows::read_pins`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum Value {
-    /// Logic zero.
-    Zero,
-    /// Logic one.
-    One,
     /// Unassigned / don't-care.
     #[default]
-    Unknown,
+    Unknown = 0b00,
+    /// Logic zero.
+    Zero = 0b01,
+    /// Logic one.
+    One = 0b11,
 }
 
 impl Value {
@@ -43,7 +48,12 @@ impl Value {
 
     /// True if the value is assigned.
     pub fn is_assigned(self) -> bool {
-        self != Value::Unknown
+        self.code() & 1 != 0
+    }
+
+    /// The two-bit code: bit 0 assigned, bit 1 the value.
+    pub(crate) fn code(self) -> u8 {
+        self as u8
     }
 }
 
@@ -85,6 +95,12 @@ impl ValueMap {
     /// True if the node has a definite value.
     pub fn is_assigned(&self, node: NodeId) -> bool {
         self.values[node.index()].is_assigned()
+    }
+
+    /// The two-bit code of a node's value (see [`Value`]).
+    #[inline]
+    pub(crate) fn code(&self, node: NodeId) -> u8 {
+        self.values[node.index()].code()
     }
 
     /// Assigns a definite value to an unassigned node.
@@ -158,6 +174,27 @@ mod tests {
             format!("{}{}{}", Value::Zero, Value::One, Value::Unknown),
             "01-"
         );
+    }
+
+    #[test]
+    fn value_codes_round_trip() {
+        for v in [Value::Unknown, Value::Zero, Value::One] {
+            let code = v.code();
+            assert!(code < 4, "{v} fits two bits");
+            assert_eq!(code & 1 == 1, v.is_assigned(), "bit 0 of {v}");
+            let back = if v.is_assigned() {
+                Value::from_bool(code >> 1 == 1)
+            } else {
+                Value::Unknown
+            };
+            assert_eq!(back, v, "bit 1 of {v}");
+            let mut m = ValueMap::new(1);
+            if v.is_assigned() {
+                m.assign(n(0), v);
+            }
+            assert_eq!(m.code(n(0)), code);
+        }
+        assert_eq!(Value::Unknown.code(), 0, "a fresh map reads unassigned");
     }
 
     #[test]

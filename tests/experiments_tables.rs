@@ -74,6 +74,36 @@ fn table1_ours_cost_row_matches_the_artifact() {
     );
 }
 
+#[test]
+fn table1_ours_time_row_matches_the_artifact() {
+    let doc = repo_file("EXPERIMENTS.md");
+    let report = Json::parse(&repo_file("results/BENCH_table1.json")).expect("valid json");
+    let metrics = report.get("metrics").expect("metrics section");
+    let cells = table_row(&doc, "## Table 1", "| **ours** sim RT");
+    let keys = ["revs", "si_rd", "ai_rd", "ai_dc", "ai_dc_mffc"];
+    assert_eq!(cells.len(), keys.len(), "one cell per strategy: {cells:?}");
+    let ratio = |key: &str| {
+        metrics
+            .get(&format!("time_ratio_{key}"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("time_ratio_{key} missing"))
+    };
+    for (cell, key) in cells.iter().zip(keys) {
+        assert_eq!(
+            leading_number(cell),
+            format!("{:.3}", ratio(key)),
+            "EXPERIMENTS.md Table 1 sim RT of {key} vs results/BENCH_table1.json"
+        );
+    }
+    // The headline overhead of the paper's SimGen, e.g. "(+835.4 %)".
+    let headline = format!("({:+.1} %)", (ratio("ai_dc_mffc") - 1.0) * 100.0);
+    assert!(
+        cells[4].contains(&headline),
+        "{:?} should show {headline}",
+        cells[4]
+    );
+}
+
 /// A rendered count such as `63 812` (digits grouped by spaces).
 fn count(cell: &str) -> u64 {
     cell.replace(' ', "")
