@@ -1,8 +1,13 @@
-//! Soundness of advanced implication at the gate level: every value
-//! the row-intersection procedure forces must also be forced by exact
-//! minterm reasoning. (The converse need not hold — cube rows are
-//! deliberately weaker than minterm-exact propagation, matching the
-//! paper's truth-table-row formulation.)
+//! Advanced implication at the gate level equals exact minterm
+//! reasoning: on a single gate, the implication fixpoint assigns
+//! exactly the pin values that hold in every complete pin assignment
+//! consistent with the partial one and the function, and reports a
+//! conflict exactly when no such assignment exists. The rows the
+//! engine reasons over are irredundant prime covers of the on-set and
+//! the off-set, so every row is an implicant of its phase and the rows
+//! of a phase cover all of its minterms; matching rows then agree on a
+//! pin exactly when the consistent minterms of that phase do, and row
+//! reasoning loses nothing against minterms.
 
 use proptest::prelude::*;
 
@@ -24,6 +29,9 @@ fn single_gate(tt: TruthTable) -> (LutNetwork, Vec<NodeId>, NodeId) {
 /// Exact gate-level forcing: which pin values hold in *every* complete
 /// pin assignment consistent with the partial one and the function?
 /// Returns None if no consistent completion exists (true conflict).
+/// The result is closed: a forced value holds in every consistent
+/// completion, so asserting it keeps the same completions and forces
+/// nothing more.
 #[allow(clippy::type_complexity)]
 fn minterm_forcing(
     tt: &TruthTable,
@@ -74,17 +82,17 @@ fn minterm_forcing(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
-    fn advanced_implication_is_sound(
-        arity in 1usize..5,
+    fn advanced_implication_equals_minterm_forcing(
+        arity in 0usize..=6,
         bits in any::<u64>(),
         pin_mask in any::<u8>(),
         pin_vals in any::<u8>(),
         out_pin in any::<Option<bool>>(),
     ) {
-        let tt = TruthTable::from_bits(arity, bits).expect("arity <= 4");
+        let tt = TruthTable::from_bits(arity, bits).expect("arity <= 6");
         let (net, pis, g) = single_gate(tt);
         let mut vm = ValueMap::new(net.len());
         let inputs: Vec<Option<bool>> = (0..arity)
@@ -116,34 +124,35 @@ proptest! {
                 );
             }
             Some((forced_in, forced_out)) => {
-                prop_assert!(result.is_ok(), "false conflict");
-                // Every value the engine assigned must be entailed.
+                prop_assert!(
+                    result.is_ok(),
+                    "false conflict: tt {:?} inputs {:?} out {:?}",
+                    tt, inputs, out_pin
+                );
+                // The engine assigns a free pin exactly when minterm
+                // reasoning forces it, to the forced value.
                 for (i, &pi) in pis.iter().enumerate() {
-                    if inputs[i].is_none() {
-                        if let Some(v) = vm.get(pi).to_bool() {
-                            prop_assert_eq!(
-                                Some(v), forced_in[i],
-                                "unsound input forcing at {} (tt {:?})", i, tt
-                            );
-                        }
-                    }
+                    let expected = inputs[i].or(forced_in[i]);
+                    prop_assert_eq!(
+                        vm.get(pi).to_bool(), expected,
+                        "input {} (tt {:?}, inputs {:?}, out {:?})", i, tt, inputs, out_pin
+                    );
                 }
-                if out_pin.is_none() {
-                    if let Some(v) = vm.get(g).to_bool() {
-                        prop_assert_eq!(Some(v), forced_out, "unsound output forcing");
-                    }
-                }
+                prop_assert_eq!(
+                    vm.get(g).to_bool(), out_pin.or(forced_out),
+                    "output (tt {:?}, inputs {:?}, out {:?})", tt, inputs, out_pin
+                );
             }
         }
     }
 
     #[test]
     fn simple_implication_is_weaker_but_sound(
-        arity in 1usize..5,
+        arity in 0usize..=6,
         bits in any::<u64>(),
         out_pin in any::<bool>(),
     ) {
-        let tt = TruthTable::from_bits(arity, bits).expect("arity <= 4");
+        let tt = TruthTable::from_bits(arity, bits).expect("arity <= 6");
         let (net, pis, g) = single_gate(tt);
         // Advanced with the same start must assign a superset of what
         // simple assigns.
