@@ -8,6 +8,22 @@
 //! their assignments, so later targets are propagated under the
 //! accumulated constraints — which is how one vector can split many
 //! nodes at once.
+//!
+//! Algorithm 1 lists each target's fanin cone (`listDfs`) and reads it
+//! three ways: as the region its implication passes stay in, for the
+//! cone's PIs (the goal set), and for the first pass's seeds, the
+//! target's already assigned cone nodes in cone pre-order. Only the
+//! seeds depend on the order; region and goal set are plain
+//! membership. The engine therefore takes membership for 64 targets at
+//! a time, in processing order, from one sweep of a cone batch
+//! (`view::ConeBatch`), since the targets of one class share most of
+//! their cones: target `j`'s region is bit `j` of each node's word and
+//! its goal set the batch's PI list `j`. The assigned cone nodes are
+//! the cone's nodes on the assignment trail, a short list; they need
+//! the cone's pre-order only when there are two or more, and only then
+//! does the engine walk the target's cone. The passes, goal test and
+//! candidate scans see the same cone as a per-target walk would, and
+//! the seeds come in the same order, so the vectors are the same.
 
 use rand::Rng;
 
@@ -17,6 +33,7 @@ use crate::decision::{decide, Decision, DecisionStrategy, MffcDepths};
 use crate::implication::{ImplicationStrategy, Implicator, Propagation};
 use crate::rows::RowDb;
 use crate::tv::{Value, ValueMap};
+use crate::view::{ConeBatch, BATCH};
 
 /// Per-target result of a generation run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,27 +81,29 @@ impl GenResult {
 /// The Algorithm 1 engine, reusable across calls on one network.
 ///
 /// The engine owns every buffer sized to the network, and each target
-/// touches only the nodes it visits: the cone list, cone mask and
-/// `exhausted` mask are reset by walking the cone list when the target
-/// is done, and the implication queue is left empty by every pass.
-/// It reads the network's structure through the implicator's flat
-/// view, built once per engine.
+/// touches only the nodes it visits: the cone batch is cleared up to
+/// the highest node its last sweep reached, the `exhausted` marks are
+/// reset from their own list when the target is done, the seed
+/// ordering walk resets its visited marks from its own list, and the
+/// implication queue is left empty by every pass. It reads the
+/// network's structure through the implicator's flat view, built once
+/// per engine.
 #[derive(Debug)]
 pub struct InputVectorGenerator<'n> {
     net: &'n LutNetwork,
     implicator: Implicator<'n>,
     mffcs: MffcDepths,
     values: ValueMap,
-    /// The current target's fanin cone in DFS pre-order (`listDfs`).
-    cone: Vec<NodeId>,
-    /// Membership mask of `cone`; doubles as the DFS visited set.
-    in_cone: Vec<bool>,
-    /// The PIs of `cone`, in cone order: the target's goal set.
-    cone_pis: Vec<NodeId>,
+    /// The fanin cones and cone PIs of the current batch of targets.
+    cones: ConeBatch,
     /// Cone gates proven unable to make further progress (their
     /// compatible rows' specified pins are all assigned).
     exhausted: Vec<bool>,
-    /// The DFS stack of the cone walk.
+    /// The gates marked in `exhausted`.
+    exhausted_list: Vec<NodeId>,
+    /// The seed ordering walk's cone list, visited marks and stack.
+    walk: Vec<NodeId>,
+    visited: Vec<bool>,
     stack: Vec<NodeId>,
     /// The seeds of the next implication pass.
     seeds: Vec<NodeId>,
@@ -104,10 +123,11 @@ impl<'n> InputVectorGenerator<'n> {
             implicator: Implicator::with_rows(net, rows),
             mffcs: MffcDepths::new(net),
             values: ValueMap::new(net.len()),
-            cone: Vec::new(),
-            in_cone: vec![false; net.len()],
-            cone_pis: Vec::new(),
+            cones: ConeBatch::new(net.len()),
             exhausted: vec![false; net.len()],
+            exhausted_list: Vec::new(),
+            walk: Vec::new(),
+            visited: vec![false; net.len()],
             stack: Vec::new(),
             seeds: Vec::new(),
         }
@@ -142,7 +162,15 @@ impl<'n> InputVectorGenerator<'n> {
         let mut decisions = 0usize;
         let mut conflicts = 0usize;
 
-        for &ti in &order {
+        for (k, &ti) in order.iter().enumerate() {
+            // Line 6, once per 64 targets: the fanin cone of the
+            // batch's `j`-th target is bit `j` of each node's word.
+            let j = k % BATCH;
+            if j == 0 {
+                let batch = &order[k..order.len().min(k + BATCH)];
+                self.cones
+                    .fill(self.implicator.view(), batch.iter().map(|&i| targets[i].0));
+            }
             let (target, gold) = targets[ti];
             // Line 4: snapshot for rollback.
             let mark = self.values.mark();
@@ -160,40 +188,20 @@ impl<'n> InputVectorGenerator<'n> {
             }
             self.values.assign(target, Value::from_bool(gold));
             assignments += 1;
-            // Line 6: the DFS fanin cone (its PIs are the goal set).
-            // `in_cone` is its visited set and, below, its region mask.
-            let view = self.implicator.view();
-            view.fanin_cone(target, &mut self.in_cone, &mut self.stack, &mut self.cone);
-            self.cone_pis
-                .extend(self.cone.iter().copied().filter(|&n| view.is_pi(n)));
-
-            // Seed propagation with every already-assigned cone node
-            // (not just the target): earlier targets may have assigned
-            // this cone's PIs from *their* regions without ever
-            // examining the gates above them here. Without these seeds
-            // the "all cone PIs assigned" exit below can fire while an
-            // interior gate still carries an unrealizable obligation,
-            // yielding a vector that does not honor the target.
-            let values = &self.values;
-            self.seeds.clear();
-            self.seeds.extend(
-                self.cone
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != target && values.is_assigned(n)),
-            );
-            self.seeds.push(target);
+            let bit = 1u64 << j;
+            self.seed_first_pass(target, bit);
             // Assignments only accumulate until the target is done, so
             // a cone PI found assigned stays assigned.
             let mut pis_done = 0;
             let outcome = loop {
                 // Line 9: implication pass from the fresh assignments,
                 // confined to the target's fanin cone (listDfs).
-                match self.implicator.propagate(
+                let cone = self.cones.bits();
+                match self.implicator.propagate_in(
                     &mut self.values,
                     &self.seeds,
                     implication,
-                    Some(&self.in_cone),
+                    |n| cone[n.index()] & bit != 0,
                 ) {
                     Propagation::Conflict(_) => {
                         conflicts += 1;
@@ -202,17 +210,16 @@ impl<'n> InputVectorGenerator<'n> {
                     Propagation::Quiescent(n) => assignments += n,
                 }
                 // Line 8 condition: all cone PIs set?
-                while pis_done < self.cone_pis.len()
-                    && self.values.is_assigned(self.cone_pis[pis_done])
-                {
+                let cone_pis = self.cones.pis(j);
+                while pis_done < cone_pis.len() && self.values.is_assigned(cone_pis[pis_done]) {
                     pis_done += 1;
                 }
-                if pis_done == self.cone_pis.len() {
+                if pis_done == cone_pis.len() {
                     break TargetOutcome::Honored;
                 }
                 // Line 15: the most recently updated cone node that
                 // still has undecided fanins.
-                let Some(candidate) = self.latest_updated() else {
+                let Some(candidate) = self.latest_updated(bit) else {
                     // No propagation frontier remains: the leftover
                     // cone PIs are unconstrained don't-cares for this
                     // target, so the OUTgold value is already
@@ -247,11 +254,14 @@ impl<'n> InputVectorGenerator<'n> {
                         // The candidate cannot make progress; rule it
                         // out and look further back on the next scan.
                         self.exhausted[candidate.index()] = true;
+                        self.exhausted_list.push(candidate);
                         self.seeds.clear();
                     }
                 }
             };
-            self.leave_cone();
+            for n in self.exhausted_list.drain(..) {
+                self.exhausted[n.index()] = false;
+            }
             if outcome == TargetOutcome::Conflicted {
                 // Line 12: drop everything this target assigned.
                 self.values.rollback(mark);
@@ -280,26 +290,54 @@ impl<'n> InputVectorGenerator<'n> {
         }
     }
 
-    /// Resets the per-target state by walking the cone list: every
-    /// `in_cone` and `exhausted` mark lies on it.
-    fn leave_cone(&mut self) {
-        for &n in &self.cone {
-            self.in_cone[n.index()] = false;
-            self.exhausted[n.index()] = false;
+    /// Sets the first pass's seeds for `target`, whose cone is `bit`
+    /// of the batch: every already assigned cone node other than the
+    /// target, in cone pre-order, then the target. Earlier targets may
+    /// have assigned this cone's PIs from *their* regions without ever
+    /// examining the gates above them here. Without these seeds the
+    /// "all cone PIs assigned" exit can fire while an interior gate
+    /// still carries an unrealizable obligation, yielding a vector that
+    /// does not honor the target.
+    ///
+    /// The assigned nodes are the trail's, the target last; only two
+    /// or more of them need the cone's pre-order, and only then is the
+    /// cone walked.
+    fn seed_first_pass(&mut self, target: NodeId, bit: u64) {
+        let cone = self.cones.bits();
+        let trail = self.values.trail();
+        let earlier = &trail[..trail.len() - 1];
+        self.seeds.clear();
+        self.seeds.extend(
+            earlier
+                .iter()
+                .copied()
+                .filter(|n| cone[n.index()] & bit != 0),
+        );
+        if self.seeds.len() > 1 {
+            self.seeds.clear();
+            let view = self.implicator.view();
+            view.fanin_cone(target, &mut self.visited, &mut self.stack, &mut self.walk);
+            for &n in &self.walk {
+                self.visited[n.index()] = false;
+                if n != target && self.values.is_assigned(n) {
+                    self.seeds.push(n);
+                }
+            }
+            self.walk.clear();
         }
-        self.cone.clear();
-        self.cone_pis.clear();
+        self.seeds.push(target);
     }
 
-    /// Scans the trail backwards for the most recently assigned cone
-    /// node whose output is known but whose fanins are not all
-    /// assigned — the next decision candidate. Gates in `exhausted`
-    /// (saturated in a previous decision attempt) are skipped so the
-    /// loop always terminates.
-    fn latest_updated(&self) -> Option<NodeId> {
+    /// Scans the trail backwards for the most recently assigned node
+    /// of the cone at `bit` whose output is known but whose fanins are
+    /// not all assigned — the next decision candidate. Gates in
+    /// `exhausted` (saturated in a previous decision attempt) are
+    /// skipped so the loop always terminates.
+    fn latest_updated(&self, bit: u64) -> Option<NodeId> {
         let view = self.implicator.view();
+        let cone = self.cones.bits();
         for &n in self.values.trail().iter().rev() {
-            if !self.in_cone[n.index()] || view.is_pi(n) || self.exhausted[n.index()] {
+            if cone[n.index()] & bit == 0 || view.is_pi(n) || self.exhausted[n.index()] {
                 continue;
             }
             debug_assert!(self.values.is_assigned(n));

@@ -15,13 +15,64 @@
 //! Both variants imply in both directions (inputs → output and
 //! output → inputs), because compatibility is checked over the whole
 //! row including the output column.
+//!
+//! # Rows read as minterms
+//!
+//! A gate's rows are irredundant prime covers of its on-set and its
+//! off-set ([`RowDb`]), so every row is an implicant of its phase and
+//! the rows of a phase together cover every minterm of that phase.
+//! Call a minterm *allowed* when it agrees with every assigned fanin
+//! and, if the output is assigned, lies in the output's phase. Then:
+//!
+//! * a row matches the pin assignment exactly when it contains an
+//!   allowed minterm, so no row matches exactly when none is allowed;
+//! * all matching rows specify a free pin to the same value exactly
+//!   when all allowed minterms carry that value there (a matching row
+//!   that leaves the pin open, or sets it the other way, meets an
+//!   allowed minterm carrying the other value, since allowed minterms
+//!   range freely over unassigned fanins);
+//! * with the output unassigned the allowed minterms range over every
+//!   free fanin, so only the output can be forced.
+//!
+//! The engine therefore computes both variants' forced pins from the
+//! gate's truth table (the view's 64-minterm copy) and one minterm
+//! mask per fanin, with no row scan: the allowed set is the AND of the
+//! fanins' masks and the output phase; an empty set is a conflict; a
+//! free output is forced when all allowed minterms give one output,
+//! and a free fanin `i` when all allowed minterms of the output's
+//! phase agree at bit `i`. Simple implication adds only its "exactly
+//! one row matches" test on the gate's row masks.
 
 use simgen_netlist::truth::MAX_ARITY;
 use simgen_netlist::{LutNetwork, NodeId};
 
-use crate::rows::{matching, members, read_pins, Row, RowDb, RowSetId, OUTPUT_PIN};
+use crate::rows::{matching, members, read_pins, Row, RowDb, RowSetId};
 use crate::tv::{Value, ValueMap};
 use crate::view::NetView;
+
+/// The minterms of six inputs where input `i` is 1.
+const VARS: [u64; MAX_ARITY] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The minterms consistent with fanin `i`'s value, indexed by pin and
+/// by the value's two-bit code: all of them while unassigned, else
+/// those whose bit `i` is the value. Code `0b10` never occurs.
+const PIN_MINTERMS: [[u64; 4]; MAX_ARITY] = {
+    let mut table = [[!0; 4]; MAX_ARITY];
+    let mut i = 0;
+    while i < MAX_ARITY {
+        table[i][Value::Zero as usize] = !VARS[i];
+        table[i][Value::One as usize] = VARS[i];
+        i += 1;
+    }
+    table
+};
 
 /// Which implication variant to run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -56,14 +107,16 @@ impl Propagation {
 /// it visits:
 ///
 /// * the network's flat view (fanins and fanouts in compressed sparse
-///   rows, a PI flag per node), built once per engine; the passes read
-///   the structure only through it, and so does the generation engine
-///   that owns this implicator;
+///   rows, a PI flag and a 64-minterm truth table per node), built
+///   once per engine; the passes read the structure and the functions
+///   only through it, and so does the generation engine that owns this
+///   implicator;
 /// * the LIFO queue and its membership mask, which every pass leaves
 ///   empty and all-false (the queue is empty at a fixpoint and is
 ///   drained on a conflict);
 /// * each gate's row-set id, looked up in the [`RowDb`] on the
-///   gate's first visit and read from a slice on every later one.
+///   gate's first visit and read from a slice on every later one;
+///   decisions and simple implication's one-row test read the rows.
 #[derive(Debug)]
 pub struct Implicator<'n> {
     net: &'n LutNetwork,
@@ -140,71 +193,93 @@ impl<'n> Implicator<'n> {
         strategy: ImplicationStrategy,
         region: Option<&[bool]>,
     ) -> Propagation {
+        self.propagate_in(values, seeds, strategy, |n| {
+            region.is_none_or(|r| r[n.index()])
+        })
+    }
+
+    /// [`Implicator::propagate`] confined to the gates `in_region`
+    /// accepts.
+    pub(crate) fn propagate_in(
+        &mut self,
+        values: &mut ValueMap,
+        seeds: &[NodeId],
+        strategy: ImplicationStrategy,
+        in_region: impl Fn(NodeId) -> bool,
+    ) -> Propagation {
         for &s in seeds {
-            self.enqueue_around(s, region);
+            self.enqueue_around(s, &in_region);
         }
         let mut assigned_total = 0usize;
         while let Some(gate) = self.queue.pop() {
             self.in_queue[gate.index()] = false;
-            let id = self.row_set(gate);
-            let rows = self.db.masks(id);
+            let rows = (strategy == ImplicationStrategy::Simple).then(|| self.row_set(gate));
             let fanins = self.view.fanins(gate);
-            let (care, pins) = read_pins(values, gate, fanins);
-            let compatible = matching(care, pins, rows.iter().copied());
-            if compatible == 0 {
+            // The minterms that agree with the assigned fanins, and
+            // the free fanins.
+            let mut allowed = !0u64;
+            let mut free = 0u64;
+            for (i, &f) in fanins.iter().enumerate() {
+                let code = values.code(f);
+                allowed &= PIN_MINTERMS[i][usize::from(code)];
+                free |= u64::from(!code & 1) << i;
+            }
+            let truth = self.view.truth(gate);
+            let out = values.code(gate);
+            // Of those, the minterms in the output's phase.
+            let phase = [!0, !truth, !0, truth][usize::from(out)];
+            let live = allowed & phase;
+            if live == 0 {
                 for n in self.queue.drain(..) {
                     self.in_queue[n.index()] = false;
                 }
                 return Propagation::Conflict(gate);
             }
-            // Intersect the matching rows: a pin stays forced only
-            // while every row specifies it to the first row's value.
-            let (mut forced, first) = rows[compatible.trailing_zeros() as usize];
-            let others = compatible & (compatible - 1);
-            for i in members(others) {
-                let (row_care, row_values) = rows[i];
-                forced &= row_care & !(row_values ^ first);
-            }
-            if strategy == ImplicationStrategy::Simple && others != 0 {
-                continue;
+            if let Some(id) = rows {
+                let (care, pins) = read_pins(values, gate, fanins);
+                if matching(care, pins, self.db.masks(id).iter().copied()).count_ones() != 1 {
+                    continue;
+                }
             }
             // Apply the forced values to unassigned pins: the output,
             // then the fanins by index. A fanin the gate lists twice
             // is assigned at its first pin only.
-            let free = forced & !care;
             let mut newly = [gate; MAX_ARITY + 1];
             let mut count = 0;
-            if free & OUTPUT_PIN != 0 {
-                values.assign(gate, Value::from_bool(first & OUTPUT_PIN != 0));
-                newly[count] = gate;
-                count += 1;
-            }
-            for i in members(u64::from(free & !OUTPUT_PIN)) {
-                let fanin = fanins[i];
-                if !values.is_assigned(fanin) {
-                    values.assign(fanin, Value::from_bool((first >> i) & 1 == 1));
-                    newly[count] = fanin;
-                    count += 1;
+            if out & 1 == 0 {
+                let on = live & truth;
+                if on == 0 || on == live {
+                    values.assign(gate, Value::from_bool(on != 0));
+                    count = 1;
+                }
+            } else {
+                for i in members(free) {
+                    let ones = live & VARS[i];
+                    let fanin = fanins[i];
+                    if (ones == 0 || ones == live) && !values.is_assigned(fanin) {
+                        values.assign(fanin, Value::from_bool(ones != 0));
+                        newly[count] = fanin;
+                        count += 1;
+                    }
                 }
             }
             assigned_total += count;
             for &n in &newly[..count] {
-                self.enqueue_around(n, region);
+                self.enqueue_around(n, &in_region);
             }
         }
         Propagation::Quiescent(assigned_total)
     }
 
     /// Queues `n`'s own gate, then its fanout gates in order, skipping
-    /// queued gates and gates outside `region`.
-    fn enqueue_around(&mut self, n: NodeId, region: Option<&[bool]>) {
-        let allowed = |m: NodeId| region.is_none_or(|r| r[m.index()]);
-        if !self.view.is_pi(n) && !self.in_queue[n.index()] && allowed(n) {
+    /// queued gates and gates outside the region.
+    fn enqueue_around(&mut self, n: NodeId, in_region: &impl Fn(NodeId) -> bool) {
+        if !self.view.is_pi(n) && !self.in_queue[n.index()] && in_region(n) {
             self.in_queue[n.index()] = true;
             self.queue.push(n);
         }
         for &fo in self.view.fanouts(n) {
-            if !self.in_queue[fo.index()] && allowed(fo) {
+            if !self.in_queue[fo.index()] && in_region(fo) {
                 self.in_queue[fo.index()] = true;
                 self.queue.push(fo);
             }

@@ -14,7 +14,8 @@ use simgen_netlist::NodeId;
 ///
 /// Each value is a two-bit code: bit 0 says the value is assigned and
 /// bit 1 holds it, so a gate's pins split into a care mask and a value
-/// mask with two shifts per pin (`rows::read_pins`).
+/// mask with two shifts per pin (`rows::read_pins`), and each fanin's
+/// code indexes its minterm mask directly (`implication`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Value {
