@@ -115,8 +115,8 @@ impl Propagation {
 ///   empty and all-false (the queue is empty at a fixpoint and is
 ///   drained on a conflict);
 /// * each gate's row-set id, looked up in the [`RowDb`] on the
-///   gate's first visit and read from a slice on every later one;
-///   decisions and simple implication's one-row test read the rows.
+///   gate's first use and read from a slice on every later one; the
+///   rows serve decisions and simple implication's one-row test.
 #[derive(Debug)]
 pub struct Implicator<'n> {
     net: &'n LutNetwork,

@@ -12,7 +12,9 @@
 //!   rows of a node's truth table compatible with the current partial
 //!   assignment agree on a value, that value is asserted
 //!   (Definitions 2.2 and 4.1 of the paper; both the *simple* and
-//!   *advanced* variants are implemented).
+//!   *advanced* variants are implemented). The rows cover the truth
+//!   table exactly, so the engine reads the agreed values off the
+//!   truth table's minterms.
 //! * **Decision** ([`decision`]) — free choices among compatible
 //!   truth-table rows, ranked by don't-care count (Equation 1) and
 //!   MFFC depth (Equations 2–4), drawn by roulette-wheel selection.
